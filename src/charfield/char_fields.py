@@ -72,8 +72,6 @@ def character_field(g: GroupSpec, cls: SemisimpleClass) -> CharacterField:
     Orthogonal families: the cyclotomic core alone.  Symplectic: adjoin
     sqrt(omega*p) exactly when q is not a square and -1 is an eigenvalue.
     """
-    if g.family is Family.GL:
-        raise InputError("gl series are out of scope here")
     if cls.group != g:
         raise InputError("class does not belong to this group")
     base = galois_stabilizer(cls)
@@ -90,8 +88,6 @@ def is_real_series(g: GroupSpec, cls: SemisimpleClass) -> bool:
     modelled here); symplectic groups additionally require that -1 is not an
     eigenvalue or q = 1 (mod 4).
     """
-    if g.family is Family.GL:
-        raise InputError("gl series are out of scope here")
     stab = galois_stabilizer(cls)
     inversion_fixed = (-1) % stab.d in stab.stab
     if g.family in (Family.SO_ODD, Family.SO_EVEN):

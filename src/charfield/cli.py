@@ -18,14 +18,17 @@ from .galois_arith import GaloisElement
 from .groups import Family, GroupSpec
 from .hc_action import series_permutation, series_twist_sign
 from .partitions import EpsPartition, Partition
-from .power_maps import unipotent_rational
+from .power_maps import even_parts_paired, unipotent_rational
 from .semisimple import (
+    EigenvalueOrbit,
+    SemisimpleClass,
     class_from_dict,
     enumerate_classes,
     has_central_twist_automorphism,
+    in_spinor_kernel,
 )
 from .symbols import special_symbol, wavefront_partition
-from .verify import run_suites
+from .verify import SUITES
 from .weyl_b import SeriesDescriptor
 
 
@@ -37,7 +40,7 @@ def _emit(obj, pretty: bool) -> None:
 
 
 def _group(args) -> GroupSpec:
-    return GroupSpec(Family(args.family), args.n, args.q, getattr(args, "twist", 1))
+    return GroupSpec(Family(args.family), args.n, args.q, args.twist)
 
 
 def _cmd_field(args) -> int:
@@ -73,10 +76,7 @@ def _cmd_powmap(args) -> int:
     ep = EpsPartition(mu, g.form_eps)
     rational = unipotent_rational(g, ep, args.k)
     if g.family is Family.SP:
-        even_ok = all(
-            mu.multiplicity(m) % 2 == 0 for m in mu.distinct() if m % 2 == 0
-        )
-        criterion = "even-multiplicities" if even_ok else "square-class-of-k"
+        criterion = "even-multiplicities" if even_parts_paired(mu) else "square-class-of-k"
     else:
         criterion = "orthogonal-always-rational"
     _emit(
@@ -92,10 +92,10 @@ def _cmd_powmap(args) -> int:
 
 
 def _cmd_gammadelta(args) -> int:
-    g = _group(args)
     n = args.a + args.b
-    if args.n and args.n != n:
+    if args.n not in (0, n):
         raise InputError("rank must equal a + b for a principal series")
+    g = GroupSpec(Family(args.family), n, args.q, args.twist)
     desc = SeriesDescriptor(g, True, n, args.a, args.b)
     sigma = GaloisElement(args.sigma_k, args.sigma_m)
     sign = series_twist_sign(desc, sigma)
@@ -140,20 +140,27 @@ def _cmd_wavefront(args) -> int:
     return 0
 
 
+def _involution_class(g: GroupSpec, minus_dim: int) -> SemisimpleClass:
+    """The order <= 2 class with a minus_dim-dimensional -1 eigenspace and
+    eigenvalue 1 elsewhere; the eigenspace types are chosen to multiply to
+    the form type, and in_spinor_kernel reads only the -1 multiplicity."""
+    plus_dim = 2 * g.n - minus_dim
+    orbits = tuple(
+        EigenvalueOrbit(a, d, mult)
+        for a, d, mult in ((0, 1, plus_dim), (1, 2, minus_dim))
+        if mult
+    )
+    plus_type = g.twist if plus_dim else None
+    minus_type = (1 if plus_dim else g.twist) if minus_dim else None
+    return SemisimpleClass(g, orbits, plus_type, minus_type)
+
+
 def _cmd_kgroup(args) -> int:
     g = _group(args)
     result = {"k_group_nontrivial": has_central_twist_automorphism(g)}
     if args.minus_dim is not None:
-        if args.minus_dim % 2:
-            raise InputError("--minus-dim must be even")
-        b = args.minus_dim // 2
-        central = b in (0, g.n)
-        member = (
-            b == 0
-            or pow(g.q, g.n if central else b, 4) == g.twist % 4
-        )
         result["minus_eigenspace_dim"] = args.minus_dim
-        result["in_spinor_kernel"] = member
+        result["in_spinor_kernel"] = in_spinor_kernel(g, _involution_class(g, args.minus_dim))
     _emit(
         {
             "input": {"family": g.family.value, "n": g.n, "q": g.q, "twist": g.twist},
@@ -174,16 +181,12 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = (
-        ["gauss", "relweyl", "powmap", "brauer", "wavefront", "fields"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    results = run_suites(names, budget=args.budget)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     ok = True
-    for r in results:
-        _emit({"check": r.name, "ok": r.ok, "detail": r.detail}, args.pretty)
-        ok = ok and r.ok
+    for name in names:
+        for r in SUITES[name]():
+            _emit({"check": r.name, "ok": r.ok, "detail": r.detail}, args.pretty)
+            ok = ok and r.ok
     return 0 if ok else 4
 
 
@@ -199,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pretty", action="store_true")
         if group:
             sp.add_argument("--family", required=True,
-                            choices=[f.value for f in Family if f is not Family.GL])
+                            choices=[f.value for f in Family])
             sp.add_argument("--n", type=int, required=True)
             sp.add_argument("--q", type=int, required=True)
             sp.add_argument("--twist", type=int, default=1, choices=[1, -1])
@@ -223,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gammadelta", help="Galois twist sign of a principal series")
     add_common(sp, group=False)
     sp.add_argument("--family", required=True,
-                    choices=[f.value for f in Family if f is not Family.GL])
+                    choices=[f.value for f in Family])
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--twist", type=int, default=1, choices=[1, -1])
     sp.add_argument("--a", type=int, required=True)
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--sigma-k", dest="sigma_k", type=int, required=True)
     sp.add_argument("--sigma-m", dest="sigma_m", type=int, required=True)
-    sp.set_defaults(func=lambda a: _cmd_gammadelta(_fill_rank(a)))
+    sp.set_defaults(func=_cmd_gammadelta)
 
     sp = sub.add_parser("symbol", help="special two-row symbol")
     sp.add_argument("--e", type=int, required=True)
@@ -258,18 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_classes)
 
     sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", default="all",
-                    choices=["gauss", "powmap", "brauer", "relweyl", "all"])
-    sp.add_argument("--budget", type=int, default=None)
+    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     add_common(sp)
     sp.set_defaults(func=_cmd_verify)
 
     return parser
-
-
-def _fill_rank(args):
-    args.n = args.n or (args.a + args.b)
-    return args
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,8 @@
 """Descriptors for the finite classical groups handled by this package.
 
-A group is specified by its family (symplectic, odd/even special orthogonal,
-or general linear), a rank, an odd prime power q, and for even orthogonal
-groups a twist distinguishing the split form from the non-split one.
+A group is specified by its family (symplectic or odd/even special
+orthogonal), a rank, an odd prime power q, and for even orthogonal groups a
+twist distinguishing the split form from the non-split one.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ class Family(str, Enum):
     SP = "sp"
     SO_ODD = "so-odd"
     SO_EVEN = "so-even"
-    GL = "gl"
 
 
 def is_prime(n: int) -> bool:
@@ -96,29 +95,19 @@ class GroupSpec:
         """Dimension of the natural module."""
         if self.family is Family.SO_ODD:
             return 2 * self.n + 1
-        if self.family is Family.GL:
-            return self.n
         return 2 * self.n
 
     @property
     def form_eps(self) -> int:
         """Form parity: 1 for alternating (Sp), 0 for symmetric (SO)."""
-        if self.family is Family.SP:
-            return 1
-        if self.family in (Family.SO_ODD, Family.SO_EVEN):
-            return 0
-        raise InputError("gl carries no bilinear form here")
+        return 1 if self.family is Family.SP else 0
 
     @property
     def dual_dim(self) -> int:
         """Dimension of the natural module of the dual group."""
         if self.family is Family.SP:
             return 2 * self.n + 1
-        if self.family is Family.SO_ODD:
-            return 2 * self.n
-        if self.family is Family.SO_EVEN:
-            return 2 * self.n
-        raise InputError("no dual data for gl")
+        return 2 * self.n
 
     @property
     def dual_family(self) -> Family:
@@ -126,6 +115,4 @@ class GroupSpec:
             return Family.SO_ODD
         if self.family is Family.SO_ODD:
             return Family.SP
-        if self.family is Family.SO_EVEN:
-            return Family.SO_EVEN
-        raise InputError("no dual data for gl")
+        return Family.SO_EVEN

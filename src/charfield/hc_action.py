@@ -100,16 +100,6 @@ def extension_sign(desc: SeriesDescriptor, sigma: GaloisElement) -> ComplementSi
     return ComplementSign(2, 1 if sigma.fixes_i() else -1)
 
 
-def extension_sign_h(desc: SeriesDescriptor, h: PrimePowerAction) -> ComplementSign:
-    rel = relative_weyl(desc)
-    if rel.c_order == 1:
-        return ComplementSign(1, 1)
-    g = desc.group
-    if g.family in (Family.SO_ODD, Family.SO_EVEN) or g.q % 4 == 1:
-        return ComplementSign(2, 1)
-    return ComplementSign(2, h.i_sign)
-
-
 def series_twist_sign(desc: SeriesDescriptor, sigma: GaloisElement) -> ComplementSign:
     """Product of the two signs: the full Galois twist of the series.
 

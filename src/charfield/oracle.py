@@ -14,7 +14,6 @@ fields only.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from functools import lru_cache
 from math import gcd
@@ -28,12 +27,6 @@ from .partitions import EpsPartition, Partition
 Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_BUDGET = 10_000_000
-
-
-def _budget(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("CHARFIELD_BUDGET", DEFAULT_BUDGET))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +455,7 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
 # ---------------------------------------------------------------------------
 # group generators
 
-def _root_elements(g: GroupSpec) -> list[Matrix]:
+def group_generators(g: GroupSpec) -> list[Matrix]:
     """Unipotent root elements (parameter 1) plus, for orthogonal groups, a
     torus element of non-trivial spinor norm; together they generate the
     finite group over the prime field."""
@@ -524,12 +517,6 @@ def _primitive_root(p: int) -> int:
         if len(seen) == p - 1:
             return cand
     raise InputError("no primitive root found")
-
-
-def group_generators(g: GroupSpec) -> list[Matrix]:
-    if g.family not in (Family.SP, Family.SO_ODD, Family.SO_EVEN):
-        raise InputError("generators available for sp / so families")
-    return _root_elements(g)
 
 
 def mulclose(gens: list[Matrix], p: int, cap: int = 200_000) -> int:
@@ -648,7 +635,7 @@ def _orbit_search(
 
 
 def power_conjugacy_search(
-    g: GroupSpec, u: Matrix, k: int, budget: int | None = None
+    g: GroupSpec, u: Matrix, k: int, budget: int = DEFAULT_BUDGET
 ) -> Matrix | None:
     """A witness X with X u X^{-1} = u^k inside the finite isometry group
     (det 1 where the group demands it), or None when there is none.
@@ -666,7 +653,6 @@ def power_conjugacy_search(
         raise InputError("the matrix oracle works over prime fields only")
     if gcd(k, p) != 1:
         raise InputError("k must be coprime to p")
-    limit = _budget(budget)
     J = form_matrix(g)
     special = g.family is not Family.SP
     if not is_isometry(u, J, p, special=special):
@@ -675,9 +661,9 @@ def power_conjugacy_search(
     if uk == u:
         return identity_matrix(len(u))
     basis = _intertwiner_basis(u, uk, p)
-    if p ** len(basis) <= limit:
+    if p ** len(basis) <= budget:
         return _lex_enumeration_search(basis, p, J, special, len(u))
-    return _orbit_search(g, u, uk, budget=limit)
+    return _orbit_search(g, u, uk, budget=budget)
 
 
 # ---------------------------------------------------------------------------

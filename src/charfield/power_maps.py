@@ -1,10 +1,10 @@
 """Closed-form rationality criteria for unipotent elements under power maps.
 
 For k coprime to p, the k-th power map permutes the rational classes inside
-each geometric unipotent class.  For general linear and special orthogonal
-groups that permutation is trivial; for symplectic groups a class moves
-exactly when some even Jordan block size has odd multiplicity and k is a
-non-square in the ground field.
+each geometric unipotent class.  For special orthogonal groups that
+permutation is trivial; for symplectic groups a class moves exactly when some
+even Jordan block size has odd multiplicity and k is a non-square in the
+ground field.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from math import gcd
 from .errors import InputError
 from .galois_arith import is_square_in_fq
 from .groups import Family, GroupSpec
-from .partitions import EpsPartition
+from .partitions import EpsPartition, Partition
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,19 @@ def _check_k(g: GroupSpec, k: int) -> None:
 def regular_rational(g: GroupSpec, k: int) -> bool:
     """Is a regular unipotent element conjugate to its k-th power over F_q?
 
-    Always true for general linear and special orthogonal groups; for
-    symplectic groups true exactly when k is a square in F_q.
+    Always true for special orthogonal groups; for symplectic groups true
+    exactly when k is a square in F_q.
     """
     _check_k(g, k)
-    if g.family in (Family.GL, Family.SO_ODD, Family.SO_EVEN):
+    if g.family is not Family.SP:
         return True
     return is_square_in_fq(k, g.q)
+
+
+def even_parts_paired(mu: Partition) -> bool:
+    """Does every even part of mu occur with even multiplicity?  For
+    symplectic groups this makes a unipotent class rational outright."""
+    return all(mu.multiplicity(m) % 2 == 0 for m in mu.distinct() if m % 2 == 0)
 
 
 def unipotent_rational(g: GroupSpec, ep: EpsPartition, k: int) -> bool:
@@ -93,15 +99,10 @@ def unipotent_rational(g: GroupSpec, ep: EpsPartition, k: int) -> bool:
     even part has even multiplicity, or when k is a square in F_q.
     """
     _check_k(g, k)
-    if g.family is Family.GL:
-        return True
     if ep.eps != g.form_eps:
         raise InputError("partition parity does not match the family")
     if ep.total != g.dim:
         raise InputError("partition size does not match the natural module")
-    if g.family in (Family.SO_ODD, Family.SO_EVEN):
-        return True
-    mu = ep.partition
-    if all(mu.multiplicity(m) % 2 == 0 for m in mu.distinct() if m % 2 == 0):
+    if g.family is not Family.SP or even_parts_paired(ep.partition):
         return True
     return is_square_in_fq(k, g.q)

@@ -126,8 +126,6 @@ class SemisimpleClass:
 
     def __post_init__(self) -> None:
         g = self.group
-        if g.family is Family.GL:
-            raise InputError("spectrum model applies to sp / so families only")
         q = g.q
         seen = set()
         total = 0
@@ -228,6 +226,14 @@ class SemisimpleClass:
         }
 
 
+def _sorted_orbits(mults: dict[tuple[int, int], int]) -> tuple[EigenvalueOrbit, ...]:
+    """Orbits from {(least representative, denominator): multiplicity},
+    sorted by (denominator, numerator)."""
+    return tuple(
+        EigenvalueOrbit(a, d, m) for (a, d), m in sorted(mults.items(), key=lambda t: (t[0][1], t[0][0]))
+    )
+
+
 def class_from_dict(data: dict) -> SemisimpleClass:
     """Parse the JSON form, normalising orbit representatives."""
     try:
@@ -247,12 +253,9 @@ def class_from_dict(data: dict) -> SemisimpleClass:
             d = 1
         a = canonical_rep(a, d, g.q)
         merged[(a, d)] = merged.get((a, d), 0) + mult
-    orbits = tuple(
-        EigenvalueOrbit(a, d, m) for (a, d), m in sorted(merged.items(), key=lambda t: (t[0][1], t[0][0]))
-    )
     pt = data.get("plus_type")
     mt = data.get("minus_type")
-    return SemisimpleClass(g, orbits,
+    return SemisimpleClass(g, _sorted_orbits(merged),
                            None if pt is None else int(pt),
                            None if mt is None else int(mt))
 
@@ -265,6 +268,17 @@ def order_of(cls: SemisimpleClass) -> int:
     return d
 
 
+def _power_image(cls: SemisimpleClass, k: int) -> dict[tuple[int, int], int]:
+    """The orbit multiset of cls after raising every eigenvalue to the k-th
+    power, as {(least representative, denominator): multiplicity}."""
+    q = cls.group.q
+    image: dict[tuple[int, int], int] = {}
+    for o in cls.orbits:
+        key = (canonical_rep(k * o.num % o.den, o.den, q), o.den)
+        image[key] = image.get(key, 0) + o.mult
+    return image
+
+
 def sigma_image(cls: SemisimpleClass, sigma: GaloisElement) -> SemisimpleClass:
     """The class of the k-th power of the element, for sigma: zeta -> zeta**k.
 
@@ -274,17 +288,7 @@ def sigma_image(cls: SemisimpleClass, sigma: GaloisElement) -> SemisimpleClass:
     d = order_of(cls)
     if sigma.m % d != 0:
         raise InputError("sigma modulus must be divisible by the element order")
-    q = cls.group.q
-    merged: dict[tuple[int, int], int] = {}
-    for o in cls.orbits:
-        a = canonical_rep(sigma.k * o.num % o.den, o.den, q)
-        key = (a, o.den)
-        merged[key] = merged.get(key, 0) + o.mult
-    orbits = tuple(
-        EigenvalueOrbit(a, den, m)
-        for (a, den), m in sorted(merged.items(), key=lambda t: (t[0][1], t[0][0]))
-    )
-    return replace(cls, orbits=orbits)
+    return replace(cls, orbits=_sorted_orbits(_power_image(cls, sigma.k)))
 
 
 def galois_stabilizer(cls: SemisimpleClass) -> CyclotomicSubfield:
@@ -292,53 +296,45 @@ def galois_stabilizer(cls: SemisimpleClass) -> CyclotomicSubfield:
     subgroup is the rationality core of the corresponding character series."""
     d = order_of(cls)
     base = {(o.num, o.den): o.mult for o in cls.orbits}
-    q = cls.group.q
     stab = []
     for k in range(1, d + 1):
-        if gcd(k, d) != 1:
-            continue
-        image: dict[tuple[int, int], int] = {}
-        for o in cls.orbits:
-            a = canonical_rep(k * o.num % o.den, o.den, q)
-            key = (a, o.den)
-            image[key] = image.get(key, 0) + o.mult
-        if image == base:
+        if gcd(k, d) == 1 and _power_image(cls, k) == base:
             stab.append(k % d)
     return CyclotomicSubfield(d, tuple(sorted(set(stab))))
+
+
+def _minus_space_in_spinor_kernel(g: GroupSpec, b: int) -> bool:
+    """An involution of an even orthogonal group whose -1 eigenspace has
+    dimension 2b > 0 lies in the spinor kernel exactly when
+    q**b = twist (mod 4); b = n is the central -1."""
+    return pow(g.q, b, 4) == g.twist % 4
 
 
 def in_spinor_kernel(g: GroupSpec, cls: SemisimpleClass) -> bool:
     """Membership of an order <= 2 class representative in the subgroup
     generated by p-elements of an even orthogonal group (the spinor kernel).
 
-    The identity always belongs; the central -1 does exactly when
-    q**n = twist (mod 4); a non-central involution with 2b-dimensional
-    -1 eigenspace does exactly when q**b = twist (mod 4).
+    The identity always belongs; an involution with 2b-dimensional -1
+    eigenspace does exactly when q**b = twist (mod 4).
     """
     if g.family is not Family.SO_EVEN:
         raise InputError("spinor-kernel test applies to so-even only")
     if not cls.is_quasi_isolated():
         raise InputError("test applies to elements of order at most two")
-    b2 = cls.mult_of_minus_one()
-    if b2 == 0:
-        return True
-    b = b2 // 2
-    if b == g.n:  # central -1
-        return pow(g.q, g.n, 4) == g.twist % 4
-    return pow(g.q, b, 4) == g.twist % 4
+    b = cls.mult_of_minus_one() // 2
+    return b == 0 or _minus_space_in_spinor_kernel(g, b)
 
 
 def has_central_twist_automorphism(g: GroupSpec) -> bool:
     """Does the finite group carry the extra order-two automorphism coming
     from central characters (the one not induced by any algebraic map)?
 
-    Non-trivial exactly for even orthogonal groups with q**n = twist (mod 4);
-    symplectic groups are simply connected and odd orthogonal groups have
-    trivial centre, so nothing extra appears there.
+    Non-trivial exactly for even orthogonal groups whose central -1 lies in
+    the spinor kernel, i.e. q**n = twist (mod 4); symplectic groups are
+    simply connected and odd orthogonal groups have trivial centre, so
+    nothing extra appears there.
     """
-    if g.family is not Family.SO_EVEN:
-        return False
-    return pow(g.q, g.n, 4) == g.twist % 4
+    return g.family is Family.SO_EVEN and _minus_space_in_spinor_kernel(g, g.n)
 
 
 def central_twist_action(

@@ -12,7 +12,6 @@ from math import gcd
 
 from . import oracle
 from .char_fields import character_field, predicted_fixed_count_rank1
-from .errors import InputError
 from .galois_arith import (
     PrimePowerAction,
     galois_from_prime_power,
@@ -123,7 +122,7 @@ def _grid_descriptors(q: int) -> list[SeriesDescriptor]:
     return descs
 
 
-def suite_powmap(budget: int | None = None) -> list[CheckResult]:
+def suite_powmap() -> list[CheckResult]:
     """Closed-form power-map rationality against matrix conjugacy search:
     symplectic q in {3,5,7}, n in {1,2}; orthogonal q in {3,5}, n <= 2."""
     start = time.time()
@@ -136,7 +135,7 @@ def suite_powmap(budget: int | None = None) -> list[CheckResult]:
                 u = oracle.unipotent_rep(g, ep)
                 for k in range(1, q):
                     cells += 1
-                    witness = oracle.power_conjugacy_search(g, u, k, budget)
+                    witness = oracle.power_conjugacy_search(g, u, k)
                     if (witness is not None) != unipotent_rational(g, ep, k):
                         bad.append(("sp", q, n, tuple(ep.partition), k))
     for q in (3, 5):
@@ -150,7 +149,7 @@ def suite_powmap(budget: int | None = None) -> list[CheckResult]:
                 u = oracle.unipotent_rep(g, ep)
                 for k in range(1, q):
                     cells += 1
-                    witness = oracle.power_conjugacy_search(g, u, k, budget)
+                    witness = oracle.power_conjugacy_search(g, u, k)
                     if witness is None or not unipotent_rational(g, ep, k):
                         bad.append(("so", g.family.value, q, g.n, tuple(ep.partition), k))
     detail = f"{cells} cells; {time.time() - start:.1f}s"
@@ -226,13 +225,3 @@ SUITES = {
     "wavefront": suite_wavefront,
     "fields": suite_fields,
 }
-
-
-def run_suites(names: list[str], budget: int | None = None) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    for name in names:
-        if name not in SUITES:
-            raise InputError(f"unknown suite {name!r}")
-        fn = SUITES[name]
-        results.extend(fn(budget) if name == "powmap" else fn())
-    return results

@@ -46,7 +46,7 @@ def test_criterion_2_weyl_lengths():
 
 def test_criterion_3_power_map_oracle():
     t = time.time()
-    results = suite_powmap(budget=10_000_000)
+    results = suite_powmap()
     _report("criterion 3: power-map oracle equivalence", results, 600.0, time.time() - t)
 
 

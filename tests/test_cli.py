@@ -1,6 +1,10 @@
 import json
 
-from charfield.cli import main
+from charfield.cli import build_parser, main
+from charfield.errors import InputError
+from charfield.groups import Family, GroupSpec
+from charfield.semisimple import class_from_dict, in_spinor_kernel
+from charfield.verify import SUITES
 
 
 def _run(capsys, *argv):
@@ -41,7 +45,17 @@ def test_powmap_subcommand(capsys):
 
     code, out, _ = _run(capsys, "powmap", "--family", "sp", "--n", "1",
                         "--q", "7", "--mu", "2", "--k", "3")
-    assert json.loads(out)["result"]["rational"] is False
+    data = json.loads(out)
+    assert data["result"]["rational"] is False
+    assert data["result"]["criterion"] == "square-class-of-k"
+
+    for family, n, mu in (("so-odd", "1", "3"), ("so-even", "2", "3,1")):
+        code, out, _ = _run(capsys, "powmap", "--family", family, "--n", n,
+                            "--q", "5", "--mu", mu, "--k", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["result"]["rational"] is True
+        assert data["result"]["criterion"] == "orthogonal-always-rational"
 
 
 def test_gammadelta_subcommand(capsys):
@@ -86,6 +100,38 @@ def test_kgroup_subcommand(capsys):
     assert data["result"]["k_group_nontrivial"] is False
     assert data["result"]["in_spinor_kernel"] is False  # 3 = 3 mod 4
 
+    # --minus-dim answers exactly where the library does, and exits 2 where
+    # in_spinor_kernel rejects the order <= 2 class with that -1 eigenspace.
+    for family, twist in (("sp", 1), ("so-odd", 1), ("so-even", 1), ("so-even", -1)):
+        for n in (1, 2):
+            for q in (3, 5):
+                g = GroupSpec(Family(family), n, q, twist)
+                for minus_dim in range(-2, 2 * n + 3):
+                    try:
+                        want = in_spinor_kernel(g, _order_two_class(g, minus_dim))
+                    except InputError:
+                        want = None
+                    code, out, _ = _run(capsys, "kgroup", "--family", family, "--n", str(n),
+                                        "--q", str(q), "--twist", str(twist),
+                                        "--minus-dim", str(minus_dim))
+                    case = (family, twist, n, q, minus_dim)
+                    if want is None:
+                        assert code == 2 and out == "", case
+                    else:
+                        assert code == 0, case
+                        assert json.loads(out)["result"]["in_spinor_kernel"] is want, case
+
+
+def _order_two_class(g, minus_dim):
+    plus_dim = 2 * g.n - minus_dim
+    return class_from_dict(
+        {"family": g.family.value, "n": g.n, "q": g.q, "twist": g.twist,
+         "orbits": [{"frac": frac, "mult": mult}
+                    for frac, mult in (("0/1", plus_dim), ("1/2", minus_dim)) if mult],
+         "plus_type": (1 if minus_dim else g.twist) if plus_dim else None,
+         "minus_type": g.twist if minus_dim else None}
+    )
+
 
 def test_classes_roundtrip_through_field(capsys):
     code, out, _ = _run(capsys, "classes", "--family", "sp", "--n", "1", "--q", "7")
@@ -111,6 +157,12 @@ def test_malformed_input_exit_code(capsys):
     code, _, err = _run(capsys, "powmap", "--family", "sp", "--n", "2",
                         "--q", "7", "--mu", "3,1", "--k", "2")
     assert code == 2  # partition not admissible for sp
+    gl_class = json.dumps({"family": "gl", "n": 1, "q": 7,
+                           "orbits": [{"frac": "0/1", "mult": 1}]})
+    for cmd in ("field", "real"):
+        code, out, err = _run(capsys, cmd, "--class", gl_class)
+        assert code == 2 and out == ""
+        assert "invalid input" in err
 
 
 def test_verify_single_suite(capsys):
@@ -118,3 +170,11 @@ def test_verify_single_suite(capsys):
     assert code == 0
     data = json.loads(out.splitlines()[0])
     assert data["ok"] is True
+
+    for name in ("wavefront", "fields"):
+        code, out, _ = _run(capsys, "verify", "--suite", name)
+        assert code == 0
+        assert all(json.loads(line)["ok"] for line in out.splitlines())
+    parser = build_parser()
+    for name in SUITES:
+        assert parser.parse_args(["verify", "--suite", name]).suite == name

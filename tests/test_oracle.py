@@ -126,14 +126,6 @@ def test_budget_error():
         oracle.power_conjugacy_search(g, u, 3, budget=10)
 
 
-def test_budget_env_override(monkeypatch):
-    g = GroupSpec(Family.SP, 2, 7)
-    u = oracle.unipotent_rep(g, EpsPartition(Partition([2, 1, 1]), 1))
-    monkeypatch.setenv("CHARFIELD_BUDGET", "10")
-    with pytest.raises(BudgetExceededError):
-        oracle.power_conjugacy_search(g, u, 3)
-
-
 def test_group_orders_small():
     # the generator sets really generate the full finite groups
     assert oracle.mulclose(oracle.group_generators(GroupSpec(Family.SP, 1, 3)), 3) == 24

@@ -32,7 +32,6 @@ def test_regular_rational():
     assert regular_rational(GroupSpec(Family.SO_EVEN, 4, 7), 3)
     assert not regular_rational(GroupSpec(Family.SP, 2, 7), 3)
     assert regular_rational(GroupSpec(Family.SP, 2, 49), 3)
-    assert regular_rational(GroupSpec(Family.GL, 4, 7), 3)
     with pytest.raises(InputError):
         regular_rational(GroupSpec(Family.SP, 2, 7), 14)
 
