@@ -84,17 +84,11 @@ def character_field(g: GroupSpec, cls: SemisimpleClass) -> CharacterField:
 def is_real_series(g: GroupSpec, cls: SemisimpleClass) -> bool:
     """Are the characters of the series real-valued?
 
-    Requires the class to be fixed by inversion (automatic for the spectra
-    modelled here); symplectic groups additionally require that -1 is not an
-    eigenvalue or q = 1 (mod 4).
+    Exactly when their common field is real: the class is fixed by
+    inversion and, for symplectic groups with -1 an eigenvalue, q is a
+    square or p = 1 (mod 4), that is q = 1 (mod 4).
     """
-    stab = galois_stabilizer(cls)
-    inversion_fixed = (-1) % stab.d in stab.stab
-    if g.family in (Family.SO_ODD, Family.SO_EVEN):
-        return inversion_fixed
-    return inversion_fixed and (
-        not cls.has_minus_one_eigenvalue() or g.q % 4 == 1
-    )
+    return character_field(g, cls).is_real
 
 
 def cuspidal_fixed(g: GroupSpec, cls: SemisimpleClass, sigma: GaloisElement) -> bool:

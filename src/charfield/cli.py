@@ -22,6 +22,7 @@ from .power_maps import even_parts_paired, unipotent_rational
 from .semisimple import (
     EigenvalueOrbit,
     SemisimpleClass,
+    check_spinor_kernel_group,
     class_from_dict,
     enumerate_classes,
     has_central_twist_automorphism,
@@ -159,6 +160,7 @@ def _cmd_kgroup(args) -> int:
     g = _group(args)
     result = {"k_group_nontrivial": has_central_twist_automorphism(g)}
     if args.minus_dim is not None:
+        check_spinor_kernel_group(g)
         result["minus_eigenspace_dim"] = args.minus_dim
         result["in_spinor_kernel"] = in_spinor_kernel(g, _involution_class(g, args.minus_dim))
     _emit(

@@ -27,6 +27,11 @@ def _check_odd_prime(p: int) -> None:
         raise InputError(f"{p} is not an odd prime")
 
 
+def _check_modulus(m: int) -> None:
+    if m <= 0 or m % 4 != 0:
+        raise InputError("modulus must be a positive multiple of 4")
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p.
 
@@ -80,16 +85,16 @@ def is_square_in_fq(k: int, q: int) -> bool:
 class GaloisElement:
     """A Galois element given by its action zeta -> zeta**k on m-th roots of unity.
 
-    m is a finite conductor bound, always a multiple of 4 and, in any context
-    involving the prime p or a series order d, a multiple of those as well.
+    m is a finite conductor bound, always a positive multiple of 4 and, in
+    any context involving the prime p or a series order d, a multiple of
+    those as well.
     """
 
     k: int
     m: int
 
     def __post_init__(self) -> None:
-        if self.m % 4 != 0:
-            raise InputError("modulus must be a multiple of 4")
+        _check_modulus(self.m)
         if gcd(self.k, self.m) != 1:
             raise InputError("k must be coprime to the modulus")
 
@@ -142,8 +147,7 @@ def galois_from_prime_power(h: PrimePowerAction, m: int) -> GaloisElement:
     set to 1 (no formula here ever consults the action on ell-power roots),
     and for ell = 2 only the action on i is retained, via k = 1 or 3 mod 4.
     """
-    if m % 4 != 0:
-        raise InputError("modulus must be a multiple of 4")
+    _check_modulus(m)
     e = 0
     m_prime = m
     while m_prime % h.ell == 0:

@@ -9,12 +9,14 @@ coefficient space is too large for the budget).  The closed-form modules are
 tested against it, never the other way around.
 
 Matrices are tuples of tuples of residues mod p; the oracle works over prime
-fields only.
+fields only, and every decision is exact integer arithmetic.  NumPy appears
+only in the batched lex scan and in the test-only `mulclose`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from functools import lru_cache
 from math import gcd
 
@@ -70,16 +72,24 @@ def mat_sub(a: Matrix, b: Matrix, p: int) -> Matrix:
     )
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot columns)."""
+def _rref(
+    rows: list[list[int]], p: int
+) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form in place; returns (rows, pivot columns, the
+    product of the pivots with the sign of the row swaps).  For a square
+    matrix with a pivot in every column that product is the determinant."""
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
+    scale = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            scale = -scale
+        scale = scale * rows[r][c] % p
         inv = pow(rows[r][c], -1, p)
         rows[r] = [x * inv % p for x in rows[r]]
         for i in range(nrows):
@@ -90,49 +100,33 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return rows, pivots, scale
 
 
 def rank(a: Matrix, p: int) -> int:
-    rows = [list(r) for r in a]
-    _, pivots = _rref(rows, p)
+    _, pivots, _ = _rref([list(r) for r in a], p)
     return len(pivots)
 
 
 def det(a: Matrix, p: int) -> int:
-    n = len(a)
-    rows = [list(r) for r in a]
-    d = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            d = -d
-        d = d * rows[c][c] % p
-        inv = pow(rows[c][c], -1, p)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
-    return d % p
+    _, pivots, scale = _rref([list(r) for r in a], p)
+    return scale if len(pivots) == len(a) else 0
 
 
 def mat_inv(a: Matrix, p: int) -> Matrix:
     n = len(a)
     rows = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
-    rows, pivots = _rref(rows, p)
+    rows, pivots, _ = _rref(rows, p)
     if pivots != list(range(n)):
         raise InputError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
 
 
 def nullspace(a: list[list[int]], p: int) -> list[tuple[int, ...]]:
-    """Canonical basis of the kernel of the matrix (rows = equations)."""
+    """Canonical basis of the kernel of the matrix (rows = equations): one
+    vector per free column of the RREF, so it depends only on the kernel."""
     ncols = len(a[0]) if a else 0
-    rows = [list(r) for r in a]
-    rows, pivots = _rref(rows, p)
+    rows, pivots, _ = _rref([list(r) for r in a], p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -142,6 +136,20 @@ def nullspace(a: list[list[int]], p: int) -> list[tuple[int, ...]]:
             v[pc] = (-rows[r][fc]) % p
         basis.append(tuple(v))
     return basis
+
+
+def _intertwiner_equations(u: Matrix, uk: Matrix, p: int) -> list[list[int]]:
+    """The linear equations of X u = uk X in the row-major entries of X."""
+    N = len(u)
+    eqs = []
+    for i in range(N):
+        for j in range(N):
+            row = [0] * (N * N)
+            for t in range(N):
+                row[i * N + t] = (row[i * N + t] + u[t][j]) % p
+                row[t * N + j] = (row[t * N + j] - uk[i][t]) % p
+            eqs.append(row)
+    return eqs
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +202,8 @@ def _invariant_form(u: Matrix, p: int, symmetric: bool) -> Matrix:
     """A nondegenerate u-invariant symmetric or alternating form, found by
     solving the linear conditions and scanning the small solution space."""
     m = len(u)
-    eqs: list[list[int]] = []
-    ut = transpose(u)
-    # u^T B u = B
-    for i in range(m):
-        for j in range(m):
-            row = [0] * (m * m)
-            for a in range(m):
-                for b in range(m):
-                    row[a * m + b] = (row[a * m + b] + ut[i][a] * u[b][j]) % p
-            row[i * m + j] = (row[i * m + j] - 1) % p
-            eqs.append(row)
+    # u^T B u = B is B u = u^-T B
+    eqs = _intertwiner_equations(u, transpose(mat_inv(u, p)), p)
     sgn = 1 if symmetric else -1
     for i in range(m):
         for j in range(m):
@@ -256,39 +255,35 @@ def _hyperbolic_block(m: int, p: int, eps: int) -> tuple[Matrix, Matrix]:
     return u, mat(form)
 
 
-def _diagonalize_symmetric(a: Matrix, p: int) -> tuple[Matrix, list[int]]:
-    """P with P^T a P diagonal; returns (P, diagonal entries)."""
+def _pairing(a: Matrix, x, y, p: int) -> int:
+    """x^T a y mod p."""
+    n = len(a)
+    return sum(x[i] * a[i][j] * y[j] for i in range(n) for j in range(n)) % p
+
+
+def _diagonalize_symmetric(a: Matrix, p: int) -> tuple[list[list[int]], list[int]]:
+    """The columns of a P with P^T a P diagonal, and the diagonal entries."""
     n = len(a)
     basis = [list(col) for col in identity_matrix(n)]
-
-    def pairing(x, y):
-        return sum(x[i] * a[i][j] * y[j] for i in range(n) for j in range(n)) % p
-
     for i in range(n):
-        j = next((t for t in range(i, n) if pairing(basis[t], basis[t])), None)
+        j = next((t for t in range(i, n) if _pairing(a, basis[t], basis[t], p)), None)
         if j is None:
-            found = None
-            for t in range(i, n):
-                for s in range(t + 1, n):
-                    if pairing(basis[t], basis[s]):
-                        found = (t, s)
-                        break
-                if found:
-                    break
+            found = next(
+                ((t, s) for t in range(i, n) for s in range(t + 1, n)
+                 if _pairing(a, basis[t], basis[s], p)),
+                None,
+            )
             if found is None:
                 raise InputError("form is degenerate")
             t, s = found
             basis[t] = [(x + y) % p for x, y in zip(basis[t], basis[s])]
             j = t
         basis[i], basis[j] = basis[j], basis[i]
-        di = pairing(basis[i], basis[i])
-        inv = pow(di, -1, p)
+        inv = pow(_pairing(a, basis[i], basis[i], p), -1, p)
         for t in range(i + 1, n):
-            f = pairing(basis[i], basis[t]) * inv % p
+            f = _pairing(a, basis[i], basis[t], p) * inv % p
             basis[t] = [(x - f * y) % p for x, y in zip(basis[t], basis[i])]
-    P = tuple(tuple(basis[j][i] for j in range(n)) for i in range(n))
-    diag = [pairing(basis[i], basis[i]) for i in range(n)]
-    return P, diag
+    return basis, [_pairing(a, b, b, p) for b in basis]
 
 
 def _sqrt_mod(a: int, p: int) -> int | None:
@@ -299,51 +294,31 @@ def _sqrt_mod(a: int, p: int) -> int | None:
     return None
 
 
+def _nonsquare(p: int) -> int:
+    return next(x for x in range(2, p) if _sqrt_mod(x, p) is None)
+
+
 def _canonicalize_symmetric(a: Matrix, p: int) -> tuple[Matrix, tuple[int, ...]]:
     """P and canonical diagonal (1,...,1[,nu]) with P^T a P = diag(canonical)."""
-    P, diag = _diagonalize_symmetric(a, p)
-    n = len(a)
-    nu = next(x for x in range(2, p) if _sqrt_mod(x, p) is None)
-    cols = [[P[i][j] for i in range(n)] for j in range(n)]
-    classes = []
-    for j in range(n):
-        r = _sqrt_mod(diag[j], p)
-        if r is not None:
-            inv = pow(r, -1, p)
-            cols[j] = [x * inv % p for x in cols[j]]
-            classes.append(1)
-        else:
-            r = _sqrt_mod(diag[j] * pow(nu, -1, p) % p, p)
-            inv = pow(r, -1, p)
-            cols[j] = [x * inv % p for x in cols[j]]
-            classes.append(nu)
-    order = [j for j in range(n) if classes[j] == 1] + [j for j in range(n) if classes[j] != 1]
-    cols = [cols[j] for j in order]
-    classes = [classes[j] for j in order]
-    ones = classes.count(1)
-    # merge pairs of nu-columns into pairs of 1-columns
-    xy = None
-    while classes.count(nu) >= 2:
-        if xy is None:
-            target = pow(nu, -1, p)
-            xy = next(
-                (x, y)
-                for x in range(p)
-                for y in range(p)
-                if (x * x + y * y) % p == target
-            )
-        x, y = xy
-        j = classes.index(nu)
-        cj, ck = cols[j], cols[j + 1]
-        cols[j] = [(x * u + y * v) % p for u, v in zip(cj, ck)]
-        cols[j + 1] = [(-y * u + x * v) % p for u, v in zip(cj, ck)]
-        classes[j] = classes[j + 1] = 1
-        cols = [cols[t] for t in range(n) if classes[t] == 1] + [
-            cols[t] for t in range(n) if classes[t] != 1
-        ]
-        classes = sorted(classes, key=lambda c: c != 1)
-    Pnew = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
-    return Pnew, tuple(classes)
+    cols, diag = _diagonalize_symmetric(a, p)
+    nu = _nonsquare(p)
+    nu_inv = pow(nu, -1, p)
+    ones, nus = [], []
+    for col, d in zip(cols, diag):
+        r = _sqrt_mod(d, p)
+        target = ones
+        if r is None:
+            r = _sqrt_mod(d * nu_inv % p, p)
+            target = nus
+        inv = pow(r, -1, p)
+        target.append([x * inv % p for x in col])
+    # merge pairs of nu-columns into pairs of 1-columns: x^2 + y^2 = 1/nu
+    x, y = next((x, y) for x in range(p) for y in range(p) if (x * x + y * y) % p == nu_inv)
+    for cj, ck in zip(nus[0::2], nus[1::2]):
+        ones.append([(x * u + y * v) % p for u, v in zip(cj, ck)])
+        ones.append([(-y * u + x * v) % p for u, v in zip(cj, ck)])
+    leftover = nus[len(nus) - len(nus) % 2:]
+    return transpose(ones + leftover), (1,) * len(ones) + (nu,) * len(leftover)
 
 
 def transport_symmetric(a: Matrix, b: Matrix, p: int) -> Matrix:
@@ -358,31 +333,24 @@ def transport_symmetric(a: Matrix, b: Matrix, p: int) -> Matrix:
 def transport_alternating(a: Matrix, g: GroupSpec) -> Matrix:
     """P with P^T a P = the standard alternating form of g."""
     p = g.p
-    n = len(a) // 2
     pool = [list(col) for col in identity_matrix(len(a))]
-
-    def pairing(x, y):
-        return sum(x[i] * a[i][j] * y[j] for i in range(len(a)) for j in range(len(a))) % p
-
     xs, ys = [], []
     while pool:
         x = pool.pop(0)
-        j = next(t for t in range(len(pool)) if pairing(x, pool[t]))
+        j = next(t for t in range(len(pool)) if _pairing(a, x, pool[t], p))
         y = pool.pop(j)
-        scale = pow(pairing(x, y), -1, p)
+        scale = pow(_pairing(a, x, y, p), -1, p)
         y = [v * scale % p for v in y]
         pool = [
             [
-                (z[i] - pairing(x, z) * y[i] + pairing(y, z) * x[i]) % p
+                (z[i] - _pairing(a, x, z, p) * y[i] + _pairing(a, y, z, p) * x[i]) % p
                 for i in range(len(a))
             ]
             for z in pool
         ]
         xs.append(x)
         ys.append(y)
-    cols = xs + list(reversed(ys))
-    P = tuple(tuple(cols[j][i] for i in range(len(a))) for j in range(len(a)))
-    P = tuple(zip(*P))  # columns were rows; transpose into place
+    P = transpose(xs + list(reversed(ys)))
     target = form_matrix(g)
     if mat_mul(mat_mul(transpose(P), a, p), P, p) != target:
         raise InputError("symplectic transport failed")  # unreachable
@@ -437,7 +405,7 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
         except InputError:
             # wrong discriminant class: rescale one odd-dimensional block
             # form by a nonsquare (u still preserves it) and retry
-            nu = next(x for x in range(2, p) if _sqrt_mod(x, p) is None)
+            nu = _nonsquare(p)
             odd = next(i for i, (b, _) in enumerate(blocks) if len(b) % 2 == 1)
             b, f = blocks[odd]
             blocks[odd] = (b, tuple(tuple(x * nu % p for x in row) for row in f))
@@ -544,20 +512,6 @@ def mulclose(gens: list[Matrix], p: int, cap: int = 200_000) -> int:
 # power-map conjugacy search
 
 
-def _intertwiner_basis(u: Matrix, uk: Matrix, p: int) -> list[tuple[int, ...]]:
-    """Canonical basis of {X : X u = uk X} over F_p."""
-    N = len(u)
-    eqs = []
-    for i in range(N):
-        for j in range(N):
-            row = [0] * (N * N)
-            for t in range(N):
-                row[i * N + t] = (row[i * N + t] + u[t][j]) % p
-                row[t * N + j] = (row[t * N + j] - uk[i][t]) % p
-            eqs.append(row)
-    return nullspace(eqs, p)
-
-
 def _lex_enumeration_search(
     basis: list[tuple[int, ...]],
     p: int,
@@ -586,51 +540,54 @@ def _lex_enumeration_search(
         X = (digits @ B) % p
         X = X.reshape(-1, N, N)
         gram = np.einsum("nji,jk,nkl->nil", X, Jnp, X) % p
-        ok = (gram == Jmod).all(axis=(1, 2))
-        if special and ok.any():
-            dets = np.rint(np.linalg.det(X[ok].astype(np.float64))).astype(np.int64) % p
-            sub = np.flatnonzero(ok)
-            ok = np.zeros(len(X), dtype=bool)
-            ok[sub[dets == 1]] = True
-        hits = np.flatnonzero(ok)
-        if len(hits):
-            w = X[hits[0]]
-            return tuple(tuple(int(x) for x in row) for row in w)
+        for hit in np.flatnonzero((gram == Jmod).all(axis=(1, 2))):
+            w = mat(X[hit])
+            if not special or det(w, p) == 1:
+                return w
         start = stop
     return None
+
+
+def _conjugation_walk(
+    x0: Matrix, pairs: list[tuple[Matrix, Matrix]], p: int, tree: dict
+) -> Iterator[Matrix]:
+    """Breadth-first walk of the conjugation orbit of x0 under the pairs
+    (h, h^-1).  Records x0 and every new conjugate y = h x h^-1 in tree as
+    y -> (x, index of the pair), and yields each new y once."""
+    tree[x0] = (None, -1)
+    queue = deque([x0])
+    while queue:
+        x = queue.popleft()
+        for gi, (h, h_inv) in enumerate(pairs):
+            y = mat_mul(mat_mul(h, x, p), h_inv, p)
+            if y not in tree:
+                tree[y] = (x, gi)
+                yield y
+                queue.append(y)
 
 
 def _orbit_search(
     g: GroupSpec, u: Matrix, uk: Matrix, budget: int
 ) -> Matrix | None:
-    """Walk the conjugation orbit of u under the group generators, tracking a
-    conjugating word, until uk is found or the orbit closes."""
+    """Walk the conjugation orbit of u under the group generators and their
+    inverses until uk is found or the orbit closes; the witness is the
+    product of the conjugators along the path back to u."""
     p = g.p
     gens = group_generators(g)
-    gens = gens + [mat_inv(m, p) for m in gens]
-    gen_invs = [mat_inv(m, p) for m in gens]
-    visited: dict[Matrix, tuple[Matrix | None, int]] = {u: (None, -1)}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for gi, h in enumerate(gens):
-            y = mat_mul(mat_mul(h, x, p), gen_invs[gi], p)
-            if y in visited:
-                continue
-            visited[y] = (x, gi)
-            if len(visited) > budget:
-                raise BudgetExceededError("conjugation orbit exceeds the budget")
-            if y == uk:
-                w = identity_matrix(len(u))
-                node = y
-                while visited[node][1] != -1:
-                    parent, gi2 = visited[node]
-                    w = mat_mul(w, gens[gi2], p)
-                    node = parent
-                if mat_mul(w, u, p) != mat_mul(uk, w, p):
-                    raise ArithmeticError("orbit witness check failed")  # unreachable
-                return w
-            queue.append(y)
+    invs = [mat_inv(m, p) for m in gens]
+    pairs = list(zip(gens + invs, invs + gens))
+    tree: dict[Matrix, tuple[Matrix | None, int]] = {}
+    for y in _conjugation_walk(u, pairs, p, tree):
+        if len(tree) > budget:
+            raise BudgetExceededError("conjugation orbit exceeds the budget")
+        if y == uk:
+            w = identity_matrix(len(u))
+            while tree[y][1] != -1:
+                y, gi = tree[y]
+                w = mat_mul(w, pairs[gi][0], p)
+            if mat_mul(w, u, p) != mat_mul(uk, w, p):
+                raise ArithmeticError("orbit witness check failed")  # unreachable
+            return w
     return None
 
 
@@ -660,7 +617,7 @@ def power_conjugacy_search(
     uk = mat_pow(u, k, p)
     if uk == u:
         return identity_matrix(len(u))
-    basis = _intertwiner_basis(u, uk, p)
+    basis = nullspace(_intertwiner_equations(u, uk, p), p)
     if p ** len(basis) <= budget:
         return _lex_enumeration_search(basis, p, J, special, len(u))
     return _orbit_search(g, u, uk, budget=budget)
@@ -690,18 +647,21 @@ def sl2_elements(q: int) -> list[Matrix]:
 @lru_cache(maxsize=None)
 def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     """Conjugacy classes of the rank-one symplectic group by raw orbit
-    computation: returns class representatives and an element -> class map."""
+    computation: returns class representatives (the first element of each
+    class in `sl2_elements` order) and an element -> class map.  Each class
+    is walked under the two root elements, which generate the group."""
     elements = sl2_elements(q)
-    inverses = {m: mat_inv(m, q) for m in elements}
+    gens = group_generators(GroupSpec(Family.SP, 1, q))
+    pairs = [(h, mat_inv(h, q)) for h in gens]
     index: dict[Matrix, int] = {}
     reps: list[Matrix] = []
     for m in elements:
         if m in index:
             continue
-        ci = len(reps)
+        index[m] = len(reps)
+        for y in _conjugation_walk(m, pairs, q, {}):
+            index[y] = len(reps)
         reps.append(m)
-        for x in elements:
-            index[mat_mul(mat_mul(x, m, q), inverses[x], q)] = ci
     return tuple(reps), index
 
 

@@ -310,6 +310,12 @@ def _minus_space_in_spinor_kernel(g: GroupSpec, b: int) -> bool:
     return pow(g.q, b, 4) == g.twist % 4
 
 
+def check_spinor_kernel_group(g: GroupSpec) -> None:
+    """Reject every group but the even orthogonal ones for the spinor-kernel test."""
+    if g.family is not Family.SO_EVEN:
+        raise InputError("spinor-kernel test applies to so-even only")
+
+
 def in_spinor_kernel(g: GroupSpec, cls: SemisimpleClass) -> bool:
     """Membership of an order <= 2 class representative in the subgroup
     generated by p-elements of an even orthogonal group (the spinor kernel).
@@ -317,8 +323,7 @@ def in_spinor_kernel(g: GroupSpec, cls: SemisimpleClass) -> bool:
     The identity always belongs; an involution with 2b-dimensional -1
     eigenspace does exactly when q**b = twist (mod 4).
     """
-    if g.family is not Family.SO_EVEN:
-        raise InputError("spinor-kernel test applies to so-even only")
+    check_spinor_kernel_group(g)
     if not cls.is_quasi_isolated():
         raise InputError("test applies to elements of order at most two")
     b = cls.mult_of_minus_one() // 2

@@ -68,11 +68,14 @@ def test_gammadelta_subcommand(capsys):
 
 
 def test_gammadelta_rejects_bad_sigma(capsys):
-    # k = 3 is not coprime to the modulus 12
-    code, _, err = _run(capsys, "gammadelta", "--family", "sp", "--q", "3",
-                        "--a", "1", "--b", "1", "--sigma-k", "3", "--sigma-m", "12")
-    assert code == 2
-    assert "invalid input" in err
+    # k = 3 is not coprime to the modulus 12; the modulus must be a positive
+    # multiple of 4
+    for k, m in (("3", "12"), ("1", "0"), ("1", "-12"), ("5", "-12"), ("1", "10")):
+        for a in ("0", "1"):
+            code, out, err = _run(capsys, "gammadelta", "--family", "sp", "--q", "3",
+                                  "--a", a, "--b", "1", "--sigma-k", k, "--sigma-m", m)
+            assert code == 2 and out == "", (k, m, a)
+            assert "invalid input" in err
 
 
 def test_symbol_and_wavefront(capsys):
@@ -111,12 +114,16 @@ def test_kgroup_subcommand(capsys):
                         want = in_spinor_kernel(g, _order_two_class(g, minus_dim))
                     except InputError:
                         want = None
-                    code, out, _ = _run(capsys, "kgroup", "--family", family, "--n", str(n),
-                                        "--q", str(q), "--twist", str(twist),
-                                        "--minus-dim", str(minus_dim))
+                    code, out, err = _run(capsys, "kgroup", "--family", family, "--n", str(n),
+                                          "--q", str(q), "--twist", str(twist),
+                                          "--minus-dim", str(minus_dim))
                     case = (family, twist, n, q, minus_dim)
                     if want is None:
                         assert code == 2 and out == "", case
+                        assert err.startswith("invalid input: "), case
+                        if family != "so-even":
+                            assert err == ("invalid input: spinor-kernel test applies "
+                                           "to so-even only\n"), case
                     else:
                         assert code == 0, case
                         assert json.loads(out)["result"]["in_spinor_kernel"] is want, case

@@ -75,6 +75,11 @@ def test_galois_element_invariants():
         GaloisElement(3, 12)  # not coprime
     with pytest.raises(InputError):
         GaloisElement(1, 6)  # modulus not divisible by 4
+    for m in (0, -4, -12):  # modulus not positive
+        with pytest.raises(InputError):
+            GaloisElement(1, m)
+        with pytest.raises(InputError):
+            galois_from_prime_power(PrimePowerAction(3, 1), m)
     sigma = GaloisElement(5, 12)
     assert sigma.compose(sigma).k == 1
 

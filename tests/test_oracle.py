@@ -32,6 +32,33 @@ def test_matmul_associative_samples():
         )
 
 
+def _leibniz_det(a, p):
+    from itertools import permutations
+    n = len(a)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total % p
+
+
+def test_det_against_leibniz():
+    import random
+    rng = random.Random(0)
+    for p in (3, 5, 7, 13):
+        for n in range(1, 6):
+            for trial in range(30):
+                a = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                if trial % 3 == 0 and n > 1:  # singular: last row from rows 0 and n - 2
+                    c, d = rng.randrange(p), rng.randrange(p)
+                    a[-1] = [(c * x + d * y) % p for x, y in zip(a[0], a[-2])]
+                m = oracle.mat(a)
+                assert oracle.det(m, p) == _leibniz_det(m, p), (p, m)
+
+
 def test_form_matrices():
     g = GroupSpec(Family.SP, 1, 7)
     assert oracle.form_matrix(g) == ((0, 1), (6, 0))
@@ -144,6 +171,25 @@ def test_sl2_census():
     assert len(reps5) == 9
     reps7, _ = oracle.sl2_classes(7)
     assert len(reps7) == 11
+
+
+def _sl2_classes_all_pairs(q):
+    # conjugate each new representative by every group element
+    elements = oracle.sl2_elements(q)
+    inverses = {m: oracle.mat_inv(m, q) for m in elements}
+    index, reps = {}, []
+    for m in elements:
+        if m in index:
+            continue
+        for x in elements:
+            index[oracle.mat_mul(oracle.mat_mul(x, m, q), inverses[x], q)] = len(reps)
+        reps.append(m)
+    return tuple(reps), index
+
+
+def test_sl2_classes_against_all_pairs():
+    for q in (3, 5, 7):
+        assert oracle.sl2_classes(q) == _sl2_classes_all_pairs(q)
 
 
 def test_brauer_counts():
