@@ -21,7 +21,6 @@ from .semisimple import (
     enumerate_classes,
     galois_stabilizer,
     order_of,
-    sigma_image,
 )
 
 
@@ -126,9 +125,9 @@ def predicted_fixed_count_rank1(q: int, k: int) -> int:
     sigma = GaloisElement(k % m, m)
     total = 0
     for cls in enumerate_classes(g, max_d=q + 1):
-        if sigma_image(cls, sigma) != cls:
-            continue
         field = character_field(g, cls)
+        if sigma.k % field.base.d not in field.base.stab:
+            continue
         if field.adjoin_sqrt_omega_p and gauss_sqrt_sign(sigma, g.p) != 1:
             continue
         total += _series_size_rank1(cls)

@@ -52,6 +52,8 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
 
 
 def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
+    if e < 0:
+        a, e = mat_inv(a, p), -e
     result = identity_matrix(len(a))
     base = a
     while e:

@@ -8,14 +8,19 @@ with orthogonal type labels on the +-1 eigenspaces where those are even
 dimensional orthogonal spaces.  The Galois group acts by raising eigenvalues
 to the k-th power; the stabiliser of a class cuts out the cyclotomic subfield
 that every character of the corresponding series has as its rationality core.
+
+A Frobenius orbit is walked once around its cycle and never past the dual
+dimension, which a longer orbit cannot fit in; the stabiliser is read off the
+spectrum: a unit k fixes a class when it sends every eigenvalue to one of the
+same multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import gcd
-from typing import Optional
+from math import gcd, lcm
+from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InputError
 from .galois_arith import GaloisElement
@@ -26,18 +31,18 @@ def _euler_phi(d: int) -> int:
     return sum(1 for a in range(1, d + 1) if gcd(a, d) == 1) if d > 1 else 1
 
 
-def _orbit(a: int, d: int, q: int) -> tuple[int, ...]:
-    """Frobenius orbit of the fraction a/d under multiplication by q."""
-    seen = []
-    x = a % d
-    while x not in seen:
-        seen.append(x)
+def _orbit(a: int, d: int, q: int, bound: int) -> tuple[int, ...]:
+    """Frobenius orbit of the fraction a/d (0 <= a < d) under multiplication
+    by q, sorted, so that the least representative comes first.  q must be a
+    unit mod d; InputError once the orbit grows past bound elements."""
+    orbit = [a]
+    x = a * q % d
+    while x != a:
+        if len(orbit) == bound:
+            raise InputError(f"the Frobenius orbit of {a}/{d} has more than {bound} elements")
+        orbit.append(x)
         x = x * q % d
-    return tuple(sorted(seen))
-
-
-def canonical_rep(a: int, d: int, q: int) -> int:
-    return min(_orbit(a, d, q))
+    return tuple(sorted(orbit))
 
 
 @dataclass(frozen=True)
@@ -60,7 +65,7 @@ class EigenvalueOrbit:
             raise InputError("multiplicity must be positive")
 
     def orbit_size(self, q: int) -> int:
-        return len(_orbit(self.num, self.den, q))
+        return len(_orbit(self.num, self.den, q, self.den))
 
     @property
     def frac(self) -> str:
@@ -109,6 +114,57 @@ class CyclotomicSubfield:
         return (-1) % self.d in self.stab
 
 
+def _spectrum(g: GroupSpec, orbits: Iterable[EigenvalueOrbit]) -> dict[tuple[int, int], int]:
+    """Every eigenvalue a/d of the orbits, as {(a, d): multiplicity}; InputError
+    unless each orbit has d prime to p and appears once, by its least
+    representative."""
+    p, q, dim = g.p, g.q, g.dual_dim
+    spectrum: dict[tuple[int, int], int] = {}
+    for o in orbits:
+        if gcd(o.den, p) != 1:
+            raise InputError("eigenvalue order must be coprime to p")
+        orbit = _orbit(o.num, o.den, q, dim)
+        if orbit[0] != o.num:
+            raise InputError(f"{o.frac} is not the least orbit representative")
+        if (o.num, o.den) in spectrum:
+            raise InputError("duplicate orbit")
+        spectrum.update(((x, o.den), o.mult) for x in orbit)
+    return spectrum
+
+
+def _fixes(spectrum: dict[tuple[int, int], int], orbits: Iterable[EigenvalueOrbit], k: int) -> bool:
+    """Does zeta -> zeta**k, k a unit mod the element order, fix the class?  k
+    commutes with Frobenius and maps orbits to orbits injectively, so it is
+    enough that each orbit representative goes to an eigenvalue of the same
+    multiplicity."""
+    return all(spectrum.get((k * o.num % o.den, o.den)) == o.mult for o in orbits)
+
+
+def _legal_labels(g: GroupSpec, m1: int, mm1: int,
+                  self_inverse: int) -> list[tuple[Optional[int], Optional[int]]]:
+    """The legal (plus_type, minus_type) pairs for multiplicities m1 and mm1 of
+    the eigenvalues 1 and -1 and self_inverse of the self-inverse orbits of
+    order > 2.  Empty unless mm1 is even and m1 is odd exactly in an odd
+    orthogonal dual.  Even-dimensional orthogonal +-1 eigenspaces carry a
+    type; in an even orthogonal dual the types and the anisotropic rotation
+    blocks multiply to the type of the form."""
+    dual = g.dual_family
+    if mm1 % 2 or m1 % 2 != (dual is Family.SO_ODD):
+        return []
+    if dual is Family.SO_ODD:
+        return [(None, mt) for mt in ((1, -1) if mm1 else (None,))]
+    if dual is Family.SP:
+        return [(None, None)]
+    target = g.twist * (-1) ** self_inverse
+    if m1 and mm1:
+        return [(pt, pt * target) for pt in (1, -1)]
+    if m1:
+        return [(target, None)]
+    if mm1:
+        return [(None, target)]
+    return [(None, None)] if target == 1 else []
+
+
 @dataclass(frozen=True)
 class SemisimpleClass:
     """A semisimple class of the dual group, as labelled spectrum data.
@@ -126,74 +182,27 @@ class SemisimpleClass:
 
     def __post_init__(self) -> None:
         g = self.group
-        q = g.q
-        seen = set()
-        total = 0
-        for orb in self.orbits:
-            if canonical_rep(orb.num, orb.den, q) != orb.num:
-                raise InputError(f"{orb.frac} is not the least orbit representative")
-            if gcd(orb.den, g.p) != 1:
-                raise InputError("eigenvalue order must be coprime to p")
-            if (orb.num, orb.den) in seen:
-                raise InputError("duplicate orbit")
-            seen.add((orb.num, orb.den))
-            total += orb.orbit_size(q) * orb.mult
+        spectrum = _spectrum(g, self.orbits)
+        total = sum(spectrum.values())
         if total != g.dual_dim:
             raise InputError(
                 f"spectrum fills dimension {total}, expected {g.dual_dim}"
             )
         if list(self.orbits) != sorted(self.orbits, key=lambda o: (o.den, o.num)):
             raise InputError("orbits must be sorted by (denominator, numerator)")
-        # closure under inversion with matching multiplicities
-        mults = {(o.num, o.den): o.mult for o in self.orbits}
-        for o in self.orbits:
-            inv = canonical_rep((-o.num) % o.den, o.den, q)
-            if mults.get((inv, o.den)) != o.mult:
-                raise InputError("spectrum is not inversion-closed")
-        self._check_parities_and_labels()
-
-    def _check_parities_and_labels(self) -> None:
-        g = self.group
-        m1 = self.mult_of_one()
-        mm1 = self.mult_of_minus_one()
-        dual = g.dual_family
-        if dual is Family.SO_ODD:
-            if m1 % 2 != 1 or mm1 % 2 != 0:
-                raise InputError("odd orthogonal spectrum needs odd mult(1), even mult(-1)")
-            if self.plus_type is not None:
-                raise InputError("odd-dimensional +1 eigenspace carries no type label")
-            self._check_label(self.minus_type, mm1 > 0, "minus_type")
-        elif dual is Family.SP:
-            if m1 % 2 != 0 or mm1 % 2 != 0:
-                raise InputError("symplectic spectrum needs even mult(+-1)")
-            if self.plus_type is not None or self.minus_type is not None:
-                raise InputError("symplectic eigenspaces carry no type labels")
-        else:  # dual SO_EVEN
-            if m1 % 2 != 0 or mm1 % 2 != 0:
-                raise InputError("even orthogonal spectrum needs even mult(+-1)")
-            self._check_label(self.plus_type, m1 > 0, "plus_type")
-            self._check_label(self.minus_type, mm1 > 0, "minus_type")
-            # The types of the +-1 eigenspaces and the anisotropic rotation
-            # blocks multiply to the type of the ambient form.
-            sign = (self.plus_type or 1) * (self.minus_type or 1)
-            sign *= (-1) ** self._self_inverse_mult()
-            if sign != g.twist:
-                raise InputError("eigenspace types are inconsistent with the form type")
-
-    @staticmethod
-    def _check_label(value: Optional[int], expected: bool, name: str) -> None:
-        if expected and value not in (1, -1):
-            raise InputError(f"{name} must be +1 or -1 here")
-        if not expected and value is not None:
-            raise InputError(f"{name} must be absent here")
-
-    def _self_inverse_mult(self) -> int:
-        q = self.group.q
-        total = 0
-        for o in self.orbits:
-            if o.den > 2 and canonical_rep((-o.num) % o.den, o.den, q) == o.num:
-                total += o.mult
-        return total
+        if not _fixes(spectrum, self.orbits, -1):
+            raise InputError("spectrum is not inversion-closed")
+        m1, mm1 = self.mult_of_one(), self.mult_of_minus_one()
+        # the orbits of order > 2 that hold the inverses of their own eigenvalues
+        self_inverse = sum(o.mult for o in self.orbits if o.den > 2
+                           and _orbit(o.den - o.num, o.den, g.q, g.dual_dim)[0] == o.num)
+        legal = _legal_labels(g, m1, mm1, self_inverse)
+        labels = (self.plus_type, self.minus_type)
+        if labels not in legal:
+            rule = (f"the legal (plus_type, minus_type) pairs are {legal}" if legal
+                    else "the +-1 parity rule or the form type admits no labels")
+            raise InputError(f"dual {g.dual_family.value} spectrum with mult(1) = {m1}, "
+                             f"mult(-1) = {mm1}: {rule}, got {labels}")
 
     def mult_of_one(self) -> int:
         for o in self.orbits:
@@ -226,12 +235,22 @@ class SemisimpleClass:
         }
 
 
-def _sorted_orbits(mults: dict[tuple[int, int], int]) -> tuple[EigenvalueOrbit, ...]:
-    """Orbits from {(least representative, denominator): multiplicity},
-    sorted by (denominator, numerator)."""
-    return tuple(
-        EigenvalueOrbit(a, d, m) for (a, d), m in sorted(mults.items(), key=lambda t: (t[0][1], t[0][0]))
-    )
+def _normalise(g: GroupSpec, fracs: Iterable[tuple[int, int, int]]) -> tuple[EigenvalueOrbit, ...]:
+    """Orbits of g's dual from (a, d, multiplicity) triples: each fraction
+    reduced, its d checked against p and a moved to the least representative
+    of its Frobenius orbit; equal orbits merged, sorted by (d, a)."""
+    p, q, dim = g.p, g.q, g.dual_dim
+    merged: dict[tuple[int, int], int] = {}
+    for a, d, mult in fracs:
+        if d < 1 or not 0 <= a < d:
+            raise InputError(f"bad fraction {a}/{d}")
+        c = gcd(a, d)  # = d for a = 0, which gives 0/1
+        a, d = a // c, d // c
+        if gcd(d, p) != 1:
+            raise InputError("eigenvalue order must be coprime to p")
+        key = (d, _orbit(a, d, q, dim)[0])
+        merged[key] = merged.get(key, 0) + mult
+    return tuple(EigenvalueOrbit(a, d, m) for (d, a), m in sorted(merged.items()))
 
 
 def class_from_dict(data: dict) -> SemisimpleClass:
@@ -239,44 +258,19 @@ def class_from_dict(data: dict) -> SemisimpleClass:
     try:
         g = GroupSpec(Family(data["family"]), int(data["n"]), int(data["q"]),
                       int(data.get("twist", 1)))
-        raw = [( _parse_frac(o["frac"]), int(o["mult"])) for o in data["orbits"]]
+        raw = [(*_parse_frac(o["frac"]), int(o["mult"])) for o in data["orbits"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad class data: {exc}") from exc
-    merged: dict[tuple[int, int], int] = {}
-    for (a, d), mult in raw:
-        if d < 1 or not 0 <= a < d:
-            raise InputError(f"bad fraction {a}/{d}")
-        if a != 0:
-            g_ = gcd(a, d)
-            a, d = a // g_, d // g_
-        else:
-            d = 1
-        a = canonical_rep(a, d, g.q)
-        merged[(a, d)] = merged.get((a, d), 0) + mult
     pt = data.get("plus_type")
     mt = data.get("minus_type")
-    return SemisimpleClass(g, _sorted_orbits(merged),
+    return SemisimpleClass(g, _normalise(g, raw),
                            None if pt is None else int(pt),
                            None if mt is None else int(mt))
 
 
 def order_of(cls: SemisimpleClass) -> int:
     """Order of the semisimple element: lcm of the eigenvalue orders."""
-    d = 1
-    for o in cls.orbits:
-        d = d * o.den // gcd(d, o.den)
-    return d
-
-
-def _power_image(cls: SemisimpleClass, k: int) -> dict[tuple[int, int], int]:
-    """The orbit multiset of cls after raising every eigenvalue to the k-th
-    power, as {(least representative, denominator): multiplicity}."""
-    q = cls.group.q
-    image: dict[tuple[int, int], int] = {}
-    for o in cls.orbits:
-        key = (canonical_rep(k * o.num % o.den, o.den, q), o.den)
-        image[key] = image.get(key, 0) + o.mult
-    return image
+    return lcm(*(o.den for o in cls.orbits))
 
 
 def sigma_image(cls: SemisimpleClass, sigma: GaloisElement) -> SemisimpleClass:
@@ -288,19 +282,17 @@ def sigma_image(cls: SemisimpleClass, sigma: GaloisElement) -> SemisimpleClass:
     d = order_of(cls)
     if sigma.m % d != 0:
         raise InputError("sigma modulus must be divisible by the element order")
-    return replace(cls, orbits=_sorted_orbits(_power_image(cls, sigma.k)))
+    return replace(cls, orbits=_normalise(
+        cls.group, [(sigma.k * o.num % o.den, o.den, o.mult) for o in cls.orbits]))
 
 
 def galois_stabilizer(cls: SemisimpleClass) -> CyclotomicSubfield:
     """Units k mod d whose power map fixes the class; the fixed field of this
     subgroup is the rationality core of the corresponding character series."""
     d = order_of(cls)
-    base = {(o.num, o.den): o.mult for o in cls.orbits}
-    stab = []
-    for k in range(1, d + 1):
-        if gcd(k, d) == 1 and _power_image(cls, k) == base:
-            stab.append(k % d)
-    return CyclotomicSubfield(d, tuple(sorted(set(stab))))
+    spectrum = _spectrum(cls.group, cls.orbits)
+    stab = tuple(k for k in range(d) if gcd(k, d) == 1 and _fixes(spectrum, cls.orbits, k))
+    return CyclotomicSubfield(d, stab)
 
 
 def _minus_space_in_spinor_kernel(g: GroupSpec, b: int) -> bool:
@@ -388,89 +380,45 @@ _ENUM_MAX_Q = 13
 def enumerate_classes(g: GroupSpec, max_d: int) -> tuple[SemisimpleClass, ...]:
     """All semisimple classes of the dual group whose order is at most max_d,
     with every legal type-label assignment, in a deterministic order."""
+    if max_d < 1:
+        raise InputError("max_d must be >= 1")
     if g.n > _ENUM_MAX_N or g.q > _ENUM_MAX_Q:
         raise BudgetExceededError("class enumeration is restricted to n <= 3, q <= 13")
     q, p, dim = g.q, g.p, g.dual_dim
-    dual = g.dual_family
 
-    units: list[tuple[int, int, int, bool]] = []  # (den, rep, unit_dim, self_inverse)
+    # The building blocks beyond +-1, as (orbit representatives, dimension):
+    # a self-inverse orbit, or an orbit with its inverse.
+    units: list[tuple[tuple[tuple[int, int], ...], int]] = []
     for d in range(3, max_d + 1):
         if gcd(d, p) != 1:
             continue
-        seen: set[int] = set()
-        for a in range(1, d):
-            if gcd(a, d) != 1:
-                continue
-            orb = _orbit(a, d, q)
-            if a != orb[0] or a in seen:
-                continue
-            seen.update(orb)
-            inv_rep = canonical_rep((-a) % d, d, q)
-            if inv_rep == a:
-                units.append((d, a, len(orb), True))
-            elif a < inv_rep:
-                seen.update(_orbit(inv_rep, d, q))
-                units.append((d, a, 2 * len(orb), False))
-
-    spectra: list[tuple[tuple[tuple[int, int, int], ...], int]] = []
-
-    def fill(idx: int, remaining: int, chosen: list[tuple[int, int, int]], self_inv_mult: int):
-        if idx == len(units):
-            for mm1 in range(0, remaining + 1):
-                m1 = remaining - mm1
-                if dual is Family.SO_ODD and (m1 % 2 != 1 or mm1 % 2 != 0):
-                    continue
-                if dual in (Family.SP, Family.SO_EVEN) and (m1 % 2 or mm1 % 2):
-                    continue
-                if mm1 > 0 and (2 > max_d):
-                    continue
-                entries = list(chosen)
-                if mm1:
-                    entries.append((1, 2, mm1))
-                if m1:
-                    entries.append((0, 1, m1))
-                spectra.append((tuple(entries), self_inv_mult))
-            return
-        d, rep, unit_dim, self_inv = units[idx]
-        mult = 0
-        while mult * unit_dim <= remaining:
-            extra = []
-            if mult:
-                extra.append((rep, d, mult))
-                if not self_inv:
-                    extra.append((canonical_rep((-rep) % d, d, q), d, mult))
-            fill(idx + 1, remaining - mult * unit_dim, chosen + extra,
-                 self_inv_mult + (mult if self_inv else 0))
-            mult += 1
-
-    fill(0, dim, [], 0)
+        try:  # every unit orbit mod d has the size of the order of q mod d
+            size = len(_orbit(1, d, q, dim))
+        except InputError:
+            continue
+        for a in sorted({_orbit(x, d, q, dim)[0] for x in range(1, d) if gcd(x, d) == 1}):
+            inv = _orbit(d - a, d, q, dim)[0]
+            if a <= inv:
+                reps = ((a, d),) if a == inv else ((a, d), (inv, d))
+                units.append((reps, size * len(reps)))
 
     out: list[SemisimpleClass] = []
-    for entries, self_inv_mult in spectra:
-        orbits = tuple(
-            EigenvalueOrbit(a, d, m)
-            for a, d, m in sorted(entries, key=lambda t: (t[1], t[0]))
-        )
-        m1 = sum(o.mult for o in orbits if o.den == 1)
-        mm1 = sum(o.mult for o in orbits if (o.num, o.den) == (1, 2))
-        if dual is Family.SO_ODD:
-            labels = [(None, mt) for mt in ((1, -1) if mm1 else (None,))]
-        elif dual is Family.SP:
-            labels = [(None, None)]
-        else:
-            target = g.twist * (-1) ** self_inv_mult
-            if m1 and mm1:
-                labels = [(pt, pt * target) for pt in (1, -1)]
-            elif m1:
-                labels = [(target, None)]
-            elif mm1:
-                labels = [(None, target)]
-            else:
-                if target != 1:
-                    continue
-                labels = [(None, None)]
-        for pt, mt in labels:
-            out.append(SemisimpleClass(g, orbits, pt, mt))
+
+    def fill(start: int, remaining: int, entries: list, self_inverse: int) -> None:
+        """Every class made of the chosen entries, more units from start on and
+        +-1; one unit per level, so the depth is at most dim."""
+        for mm1 in range(remaining + 1 if max_d >= 2 else 1):
+            m1 = remaining - mm1
+            orbits = _normalise(g, entries + [(1, 2, mm1)] * (mm1 > 0) + [(0, 1, m1)] * (m1 > 0))
+            out.extend(SemisimpleClass(g, orbits, pt, mt)
+                       for pt, mt in _legal_labels(g, m1, mm1, self_inverse))
+        for i in range(start, len(units)):
+            reps, unit_dim = units[i]
+            if unit_dim <= remaining:
+                fill(i, remaining - unit_dim, entries + [(a, d, 1) for a, d in reps],
+                     self_inverse + (len(reps) == 1))
+
+    fill(0, dim, [], 0)
 
     def sort_key(c: SemisimpleClass):
         return (

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import charfield
 from charfield.cli import build_parser, main
 from charfield.errors import InputError
 from charfield.groups import Family, GroupSpec
@@ -170,6 +174,10 @@ def test_malformed_input_exit_code(capsys):
         code, out, err = _run(capsys, cmd, "--class", gl_class)
         assert code == 2 and out == ""
         assert "invalid input" in err
+    code, out, err = _run(capsys, "classes", "--family", "sp", "--n", "1", "--q", "7",
+                          "--max-d", "-5")
+    assert code == 2 and out == ""
+    assert err == "invalid input: max_d must be >= 1\n"
 
 
 def test_verify_single_suite(capsys):
@@ -185,3 +193,34 @@ def test_verify_single_suite(capsys):
     parser = build_parser()
     for name in SUITES:
         assert parser.parse_args(["verify", "--suite", name]).suite == name
+
+
+def _run_child(*argv):
+    """The CLI in a child process with a timeout, so that a hang fails."""
+    src = os.path.dirname(os.path.dirname(charfield.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "charfield", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_bounded_orbit_walks():
+    # an orbit longer than the dual dimension is rejected before it is walked
+    # out (1/64007 has 32,003 conjugates over F_3), and an order divisible by
+    # p before any walk
+    for q, frac in ((3, "1/64007"), (9, "1/3")):
+        cls = json.dumps({"family": "sp", "n": 1, "q": q,
+                          "orbits": [{"frac": "0/1", "mult": 2}, {"frac": frac, "mult": 1}]})
+        code, out, err = _run_child("field", "--class", cls)
+        assert code == 2 and out == "", frac
+        assert err.startswith("invalid input: "), err
+    code, out, err = _run_child("classes", "--family", "sp", "--n", "3", "--q", "13",
+                                "--max-d", "400")
+    assert code == 0 and err == "" and out
+    # q = 3 has order at most 3 only mod the divisors of 8 and 26, so no
+    # class of order above 26 fits in dimension 3
+    _, large, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
+                             "--max-d", "100000")
+    _, small, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
+                             "--max-d", "26")
+    assert large == small and len(large.splitlines()) == 4

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from charfield import oracle
@@ -199,3 +203,33 @@ def test_brauer_counts():
     assert oracle.brauer_fixed_classes_sl2(7, 5) == 5
     with pytest.raises(InputError):
         oracle.brauer_fixed_classes_sl2(7, 3)
+
+
+_NEGATIVE_POWERS = """
+from charfield import oracle
+from charfield.char_fields import predicted_fixed_count_rank1
+from charfield.groups import Family, GroupSpec
+from charfield.partitions import EpsPartition, Partition
+from charfield.power_maps import unipotent_rational
+
+for q in (5, 7, 11, 13):
+    assert oracle.brauer_fixed_classes_sl2(q, -1) == predicted_fixed_count_rank1(q, -1), q
+m = ((2, 5), (1, 3))
+assert oracle.mat_pow(m, -1, 7) == oracle.mat_inv(m, 7)
+assert oracle.mat_pow(m, -3, 7) == oracle.mat_pow(oracle.mat_inv(m, 7), 3, 7)
+g = GroupSpec(Family.SP, 1, 7)
+ep = EpsPartition(Partition([2]), 1)
+u = oracle.unipotent_rep(g, ep)
+for k in (-1, -3):
+    assert (oracle.power_conjugacy_search(g, u, k) is not None) == unipotent_rational(g, ep, k), k
+"""
+
+
+def test_negative_exponents():
+    # A negative power is a power of the inverse.  The checks run in a child
+    # process with a timeout, so that an endless loop fails instead of hanging.
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _NEGATIVE_POWERS], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,7 @@
+from math import gcd
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement
@@ -122,6 +125,9 @@ def test_enumerate_counts_rank1():
 
 
 def test_enumerate_max_d_one():
+    for max_d in (0, -5):
+        with pytest.raises(InputError):
+            enumerate_classes(SP1_Q5, max_d)
     classes = enumerate_classes(SP1_Q5, 1)
     assert len(classes) == 1
     assert order_of(classes[0]) == 1
@@ -195,3 +201,57 @@ def test_central_twist_action():
 def test_roundtrip_json():
     for cls in enumerate_classes(GroupSpec(Family.SP, 2, 3), 4):
         assert class_from_dict(cls.to_dict()) == cls
+
+
+GROUPS = [GroupSpec(family, n, q, twist)
+          for family in Family
+          for twist in ((1, -1) if family is Family.SO_EVEN else (1,))
+          for n in (1, 2)
+          for q in (3, 5, 7, 9)]
+
+
+def _orbit_by_membership(a, d, q):
+    seen = []
+    x = a % d
+    while x not in seen:
+        seen.append(x)
+        x = x * q % d
+    return seen
+
+
+def _stabilizer_by_power_images(cls):
+    # reference: for every unit k, the orbit multiset of the k-th power of
+    # the class, each orbit by its least representative, against the class
+    q, d = cls.group.q, order_of(cls)
+    base = {(o.num, o.den): o.mult for o in cls.orbits}
+    stab = []
+    for k in range(1, d + 1):
+        if gcd(k, d) != 1:
+            continue
+        image = {}
+        for o in cls.orbits:
+            key = (min(_orbit_by_membership(k * o.num, o.den, q)), o.den)
+            image[key] = image.get(key, 0) + o.mult
+        if image == base:
+            stab.append(k % d)
+    return d, sorted(set(stab))
+
+
+def test_galois_stabilizer_against_power_images():
+    for g in GROUPS:
+        for cls in enumerate_classes(g, 2 * g.q + 2):
+            field = galois_stabilizer(cls)
+            assert (field.d, list(field.stab)) == _stabilizer_by_power_images(cls), cls
+
+
+@given(st.sampled_from(GROUPS), st.data(), st.integers(1, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_enumerated_class_properties(g, data, k):
+    cls = data.draw(st.sampled_from(enumerate_classes(g, g.q + 1)))
+    assert class_from_dict(cls.to_dict()) == cls
+    field = galois_stabilizer(cls)
+    d = field.d
+    assert g.q % d in field.stab and -1 % d in field.stab
+    m = 4 * d // gcd(4, d)
+    assume(gcd(k, m) == 1)
+    assert (sigma_image(cls, GaloisElement(k % m, m)) == cls) == (k % d in field.stab)
