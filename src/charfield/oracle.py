@@ -3,24 +3,22 @@
 This module knows no character theory and no closed-form criteria: it builds
 the classical groups as explicit matrix groups preserving the standard
 bilinear forms, constructs unipotent representatives of a given Jordan type,
-and decides conjugacy questions by raw search (lexicographic enumeration of
-an intertwiner space, falling back to a conjugation-orbit walk when the
-coefficient space is too large for the budget).  The closed-form modules are
-tested against it, never the other way around.
+and decides conjugacy questions by raw search.  The power-map search races
+two exact searches in lockstep, a lexicographic scan of an intertwiner space
+and a conjugation-orbit walk, and the first to decide gives the answer.  The
+closed-form modules are tested against it, never the other way around.
 
 Matrices are tuples of tuples of residues mod p; the oracle works over prime
-fields only, and every decision is exact integer arithmetic.  NumPy appears
-only in the batched lex scan and in the test-only `mulclose`.
+fields only, and every decision is exact integer arithmetic in pure Python.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Generator, Iterator, Sequence
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
+from operator import mul
 
 from .errors import BudgetExceededError, InputError
 from .groups import Family, GroupSpec, factor_prime_power
@@ -44,11 +42,8 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    n, m, k = len(a), len(b[0]), len(b)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[t] * cb[t] for t in range(k)) % p for cb in bt) for ra in a
-    )
+    bt = list(zip(*b))
+    return tuple([tuple([sum(map(mul, ra, cb)) % p for cb in bt]) for ra in a])
 
 
 def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
@@ -154,6 +149,31 @@ def _intertwiner_equations(u: Matrix, uk: Matrix, p: int) -> list[list[int]]:
     return eqs
 
 
+def _span(basis: list[tuple[int, ...]], p: int) -> Iterator[tuple[int, ...]]:
+    """Every combination of the (non-empty) basis mod p, in lexicographic
+    order of the coefficients with the last one fastest.  An odometer: a step
+    that carries from position i on raises every coefficient from i on by one
+    (mod p), so it adds the suffix sum of the basis from i."""
+    suffix = []
+    acc = (0,) * len(basis[0])
+    for vec in reversed(basis):
+        acc = tuple([(x + y) % p for x, y in zip(acc, vec)])
+        suffix.append(acc)
+    suffix.reverse()
+    digits = [0] * len(basis)
+    v = (0,) * len(basis[0])
+    while True:
+        yield v
+        i = len(basis) - 1
+        while digits[i] == p - 1:
+            digits[i] = 0
+            i -= 1
+            if i < 0:
+                return
+        digits[i] += 1
+        v = tuple([(x + y) % p for x, y in zip(v, suffix[i])])
+
+
 # ---------------------------------------------------------------------------
 # standard forms and isometries
 
@@ -183,9 +203,8 @@ def is_isometry(m: Matrix, form: Matrix, p: int, special: bool = False) -> bool:
     """Does m preserve the form (with det 1 when special is set)?"""
     if len(m) != len(form):
         raise InputError("dimension mismatch")
-    if mat_mul(mat_mul(transpose(m), form, p), m, p) != tuple(
-        tuple(x % p for x in row) for row in form
-    ):
+    gram = mat_mul(mat_mul(transpose(m), form, p), m, p)
+    if gram != tuple([tuple([x % p for x in row]) for row in form]):
         return False
     return not special or det(m, p) == 1
 
@@ -216,17 +235,10 @@ def _invariant_form(u: Matrix, p: int, symmetric: bool) -> Matrix:
     basis = nullspace(eqs, p)
     if not basis:
         raise InputError("no invariant form of the requested symmetry")
-    count = p ** len(basis)
-    if count > 100_000:
+    if p ** len(basis) > 100_000:
         raise BudgetExceededError("invariant-form scan too large")
-    for idx in range(1, count):
-        coeffs = []
-        t = idx
-        for _ in basis:
-            coeffs.append(t % p)
-            t //= p
-        flat = [sum(c * vec[e] for c, vec in zip(coeffs, basis)) % p for e in range(m * m)]
-        B = tuple(tuple(flat[i * m + j] for j in range(m)) for i in range(m))
+    for flat in _span(basis[::-1], p):
+        B = tuple(flat[i * m:(i + 1) * m] for i in range(m))
         if det(B, p) != 0:
             return B
     raise InputError("invariant forms are all degenerate")
@@ -489,69 +501,12 @@ def _primitive_root(p: int) -> int:
     raise InputError("no primitive root found")
 
 
-def mulclose(gens: list[Matrix], p: int, cap: int = 200_000) -> int:
-    """Order of the group generated by gens, by batched closure (tests)."""
-    arr = np.array(gens, dtype=np.int64)
-    seen = {np.asarray(m, dtype=np.uint8).tobytes() for m in gens}
-    frontier = arr
-    N = arr.shape[1]
-    while len(frontier):
-        prods = (frontier[:, None] @ arr[None, :, :, :].reshape(1, len(arr), N, N)) % p
-        prods = prods.reshape(-1, N, N)
-        fresh = []
-        for row in prods.astype(np.uint8):
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh.append(row)
-                if len(seen) > cap:
-                    raise BudgetExceededError("mulclose cap exceeded")
-        frontier = np.array(fresh, dtype=np.int64) if fresh else np.empty((0, N, N), np.int64)
-    return len(seen)
-
-
 # ---------------------------------------------------------------------------
 # power-map conjugacy search
 
 
-def _lex_enumeration_search(
-    basis: list[tuple[int, ...]],
-    p: int,
-    J: Matrix,
-    special: bool,
-    N: int,
-    chunk: int = 200_000,
-) -> Matrix | None:
-    """Scan all coefficient vectors in lexicographic order; return the first
-    combination that is an isometry (invertibility is automatic) with det 1
-    when special is set."""
-    c = len(basis)
-    total = p**c
-    B = np.array(basis, dtype=np.int64)
-    Jnp = np.array(J, dtype=np.int64)
-    Jmod = Jnp % p
-    start = 0
-    while start < total:
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((len(idx), c), dtype=np.int64)
-        rem = idx.copy()
-        for posn in range(c - 1, -1, -1):
-            digits[:, posn] = rem % p
-            rem //= p
-        X = (digits @ B) % p
-        X = X.reshape(-1, N, N)
-        gram = np.einsum("nji,jk,nkl->nil", X, Jnp, X) % p
-        for hit in np.flatnonzero((gram == Jmod).all(axis=(1, 2))):
-            w = mat(X[hit])
-            if not special or det(w, p) == 1:
-                return w
-        start = stop
-    return None
-
-
 def _conjugation_walk(
-    x0: Matrix, pairs: list[tuple[Matrix, Matrix]], p: int, tree: dict
+    x0: Matrix, pairs: Sequence[tuple[Matrix, Matrix]], p: int, tree: dict
 ) -> Iterator[Matrix]:
     """Breadth-first walk of the conjugation orbit of x0 under the pairs
     (h, h^-1).  Records x0 and every new conjugate y = h x h^-1 in tree as
@@ -568,20 +523,41 @@ def _conjugation_walk(
                 queue.append(y)
 
 
-def _orbit_search(
-    g: GroupSpec, u: Matrix, uk: Matrix, budget: int
-) -> Matrix | None:
-    """Walk the conjugation orbit of u under the group generators and their
-    inverses until uk is found or the orbit closes; the witness is the
-    product of the conjugators along the path back to u."""
-    p = g.p
+@lru_cache(maxsize=None)
+def _conjugators(g: GroupSpec) -> tuple[tuple[Matrix, Matrix], ...]:
+    """The pairs (h, h^-1) that the orbit walk conjugates by: the group
+    generators, then their inverses."""
     gens = group_generators(g)
-    invs = [mat_inv(m, p) for m in gens]
-    pairs = list(zip(gens + invs, invs + gens))
+    invs = [mat_inv(m, g.p) for m in gens]
+    return tuple(zip(gens + invs, invs + gens))
+
+
+def _lex_search(
+    basis: list[tuple[int, ...]], p: int, J: Matrix, special: bool
+) -> Generator[None, None, Matrix | None]:
+    """Scan the combinations of the intertwiner basis in lexicographic order
+    and return the first that is an isometry (invertibility is automatic),
+    with det 1 when special is set; one candidate per step."""
+    N = len(J)
+    for flat in _span(basis, p):
+        X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
+        if is_isometry(X, J, p, special):
+            return X
+        yield
+    return None
+
+
+def _orbit_search(
+    g: GroupSpec, u: Matrix, uk: Matrix
+) -> Generator[None, None, Matrix | None]:
+    """Walk the conjugation orbit of u under the group generators and their
+    inverses until uk is found or the orbit closes, one new conjugate per
+    step; the witness is the product of the conjugators along the path back
+    to u."""
+    p = g.p
+    pairs = _conjugators(g)
     tree: dict[Matrix, tuple[Matrix | None, int]] = {}
     for y in _conjugation_walk(u, pairs, p, tree):
-        if len(tree) > budget:
-            raise BudgetExceededError("conjugation orbit exceeds the budget")
         if y == uk:
             w = identity_matrix(len(u))
             while tree[y][1] != -1:
@@ -590,6 +566,7 @@ def _orbit_search(
             if mat_mul(w, u, p) != mat_mul(uk, w, p):
                 raise ArithmeticError("orbit witness check failed")  # unreachable
             return w
+        yield
     return None
 
 
@@ -599,13 +576,14 @@ def power_conjugacy_search(
     """A witness X with X u X^{-1} = u^k inside the finite isometry group
     (det 1 where the group demands it), or None when there is none.
 
-    Strategy: if u^k = u the identity is the witness.  Otherwise compute the
-    intertwiner space {X : X u = u^k X}; when p^dim fits the budget, scan all
-    coefficient vectors in lexicographic order and return the first isometry
-    (so the output is reproducible and independent of any chunking).  When
-    the coefficient space is too large, walk the conjugation orbit of u under
-    the group generators instead; orbits in that regime are small.  Exceeding
-    the budget raises, it never truncates.
+    If u^k = u the identity is the witness.  Otherwise two exact searches run
+    in lockstep, one step of each per round in a fixed order: the
+    lexicographic scan of the intertwiner space {X : X u = u^k X}, and the
+    walk of the conjugation orbit of u under the group generators.  The first
+    to decide gives the answer, so the witness is deterministic: the first
+    isometry in lex order when the scan decides first, else the product of
+    the conjugators along the walk's path.  More than `budget` rounds raise;
+    the search never truncates.
     """
     p, a = factor_prime_power(g.q)
     if a != 1:
@@ -620,9 +598,14 @@ def power_conjugacy_search(
     if uk == u:
         return identity_matrix(len(u))
     basis = nullspace(_intertwiner_equations(u, uk, p), p)
-    if p ** len(basis) <= budget:
-        return _lex_enumeration_search(basis, p, J, special, len(u))
-    return _orbit_search(g, u, uk, budget=budget)
+    searches = (_lex_search(basis, p, J, special), _orbit_search(g, u, uk))
+    for _ in range(budget):
+        for search in searches:
+            try:
+                next(search)
+            except StopIteration as done:
+                return done.value
+    raise BudgetExceededError(f"neither search decided within {budget} rounds")
 
 
 # ---------------------------------------------------------------------------

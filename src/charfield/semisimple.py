@@ -19,12 +19,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InputError
 from .galois_arith import GaloisElement
 from .groups import Family, GroupSpec
+
+
+def _divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, by trial division."""
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return sorted(set(small + [n // i for i in small]))
 
 
 def _euler_phi(d: int) -> int:
@@ -384,18 +390,15 @@ def enumerate_classes(g: GroupSpec, max_d: int) -> tuple[SemisimpleClass, ...]:
         raise InputError("max_d must be >= 1")
     if g.n > _ENUM_MAX_N or g.q > _ENUM_MAX_Q:
         raise BudgetExceededError("class enumeration is restricted to n <= 3, q <= 13")
-    q, p, dim = g.q, g.p, g.dual_dim
+    q, dim = g.q, g.dual_dim
 
     # The building blocks beyond +-1, as (orbit representatives, dimension):
-    # a self-inverse orbit, or an orbit with its inverse.
+    # a self-inverse orbit, or an orbit with its inverse.  Only orders d mod
+    # which q has order at most dim can occur: the divisors of q^j - 1, j <= dim.
     units: list[tuple[tuple[tuple[int, int], ...], int]] = []
-    for d in range(3, max_d + 1):
-        if gcd(d, p) != 1:
-            continue
-        try:  # every unit orbit mod d has the size of the order of q mod d
-            size = len(_orbit(1, d, q, dim))
-        except InputError:
-            continue
+    orders = {d for j in range(1, dim + 1) for d in _divisors(q**j - 1) if 3 <= d <= max_d}
+    for d in sorted(orders):
+        size = len(_orbit(1, d, q, dim))  # the size of every unit orbit mod d
         for a in sorted({_orbit(x, d, q, dim)[0] for x in range(1, d) if gcd(x, d) == 1}):
             inv = _orbit(d - a, d, q, dim)[0]
             if a <= inv:

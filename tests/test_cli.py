@@ -224,3 +224,7 @@ def test_bounded_orbit_walks():
     _, small, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
                              "--max-d", "26")
     assert large == small and len(large.splitlines()) == 4
+    # only the divisors of q^j - 1 are visited, so the bound costs nothing
+    _, huge, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
+                            "--max-d", "1000000000")
+    assert huge == small

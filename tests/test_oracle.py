@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from charfield import oracle
@@ -155,17 +156,105 @@ def test_budget_error():
     u = oracle.unipotent_rep(g, EpsPartition(Partition([2, 1, 1]), 1))
     with pytest.raises(BudgetExceededError):
         oracle.power_conjugacy_search(g, u, 3, budget=10)
+    # the budget counts rounds of the race: the full lex scan of this cell has
+    # 5^10 candidates, but the orbit walk closes first
+    g = GroupSpec(Family.SP, 2, 5)
+    u = oracle.unipotent_rep(g, EpsPartition(Partition([2, 1, 1]), 1))
+    assert oracle.power_conjugacy_search(g, u, 2) is None
+    with pytest.raises(BudgetExceededError):
+        oracle.power_conjugacy_search(g, u, 2, budget=10)
+
+
+def _run_search(search):
+    """Drive one search generator to its decision."""
+    while True:
+        try:
+            next(search)
+        except StopIteration as done:
+            return done.value
+
+
+def _check_witness(g, u, k, w):
+    p = g.p
+    assert oracle.mat_mul(w, u, p) == oracle.mat_mul(oracle.mat_pow(u, k, p), w, p)
+    assert oracle.is_isometry(w, oracle.form_matrix(g), p)
+    if g.family is not Family.SP:
+        assert oracle.det(w, p) == 1
+
+
+def _non_identity_cells(g):
+    for ep in eps_partitions(g.dim, g.form_eps):
+        u = oracle.unipotent_rep(g, ep)
+        for k in range(2, g.q):
+            uk = oracle.mat_pow(u, k, g.p)
+            if uk != u:
+                yield ep, u, k, uk
+
+
+def _lex_only(g, u, uk):
+    J = oracle.form_matrix(g)
+    basis = oracle.nullspace(oracle._intertwiner_equations(u, uk, g.p), g.p)
+    return oracle._lex_search(basis, g.p, J, g.family is not Family.SP)
+
+
+def test_each_search_alone():
+    # The race exposes only the search that decides first, so each search is
+    # driven to its own decision here.
+    cells = 0
+    for g in (GroupSpec(Family.SP, 2, 3), GroupSpec(Family.SO_ODD, 2, 3),
+              GroupSpec(Family.SO_EVEN, 2, 3, 1)):
+        for ep, u, k, uk in _non_identity_cells(g):
+            rational = unipotent_rational(g, ep, k)
+            for search in (_lex_only(g, u, uk), oracle._orbit_search(g, u, uk)):
+                w = _run_search(search)
+                assert (w is not None) == rational, (g, ep, k)
+                if w is not None:
+                    _check_witness(g, u, k, w)
+            cells += 1
+    assert cells == 8
+    # the regular class of Sp4 over F_5 and F_7: the lex scan decides within
+    # p^4 candidates; the orbits are far too long to walk out here
+    for q in (5, 7):
+        g = GroupSpec(Family.SP, 2, q)
+        ep = EpsPartition(Partition([4]), 1)
+        u = oracle.unipotent_rep(g, ep)
+        for k in range(2, q):
+            w = _run_search(_lex_only(g, u, oracle.mat_pow(u, k, q)))
+            assert (w is not None) == unipotent_rational(g, ep, k), (q, k)
+            if w is not None:
+                _check_witness(g, u, k, w)
+
+
+def mulclose(gens: list[oracle.Matrix], p: int, cap: int = 200_000) -> int:
+    """Order of the group generated by gens, by batched closure (tests)."""
+    arr = np.array(gens, dtype=np.int64)
+    seen = {np.asarray(m, dtype=np.uint8).tobytes() for m in gens}
+    frontier = arr
+    N = arr.shape[1]
+    while len(frontier):
+        prods = (frontier[:, None] @ arr[None, :, :, :].reshape(1, len(arr), N, N)) % p
+        prods = prods.reshape(-1, N, N)
+        fresh = []
+        for row in prods.astype(np.uint8):
+            key = row.tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(row)
+                if len(seen) > cap:
+                    raise BudgetExceededError("mulclose cap exceeded")
+        frontier = np.array(fresh, dtype=np.int64) if fresh else np.empty((0, N, N), np.int64)
+    return len(seen)
 
 
 def test_group_orders_small():
     # the generator sets really generate the full finite groups
-    assert oracle.mulclose(oracle.group_generators(GroupSpec(Family.SP, 1, 3)), 3) == 24
-    assert oracle.mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 1, 3)), 3) == 24
-    assert oracle.mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 1, 5)), 5) == 120
-    assert oracle.mulclose(oracle.group_generators(GroupSpec(Family.SO_EVEN, 2, 3, 1)), 3) == 576
-    # the two shapes used by the orbit-walk fallback, at q = 3
-    assert oracle.mulclose(oracle.group_generators(GroupSpec(Family.SP, 2, 3)), 3) == 51840
-    assert oracle.mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 2, 3)), 3) == 51840
+    assert mulclose(oracle.group_generators(GroupSpec(Family.SP, 1, 3)), 3) == 24
+    assert mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 1, 3)), 3) == 24
+    assert mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 1, 5)), 5) == 120
+    assert mulclose(oracle.group_generators(GroupSpec(Family.SO_EVEN, 2, 3, 1)), 3) == 576
+    # Sp4 and SO5 over F_3, the largest groups whose orbits the tests walk
+    assert mulclose(oracle.group_generators(GroupSpec(Family.SP, 2, 3)), 3) == 51840
+    assert mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 2, 3)), 3) == 51840
 
 
 def test_sl2_census():
@@ -231,5 +320,15 @@ def test_negative_exponents():
     src = os.path.dirname(os.path.dirname(oracle.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", _NEGATIVE_POWERS], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+
+
+def test_library_imports_no_numpy():
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, charfield, charfield.cli, charfield.verify, charfield.oracle; "
+            "assert 'numpy' not in sys.modules")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
