@@ -10,6 +10,7 @@ eigenvalue of the class; orthogonal series never grow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InputError
@@ -110,6 +111,15 @@ def _series_size_rank1(cls: SemisimpleClass) -> int:
     return 2 if order_of(cls) <= 2 else 1
 
 
+@lru_cache(maxsize=None)
+def _rank1_series(q: int) -> tuple[tuple[CharacterField, int], ...]:
+    """The field and the number of characters of every series of the rank-one
+    symplectic group over F_q, computed once per q for all the k asked."""
+    g = GroupSpec(Family.SP, 1, q)
+    return tuple((character_field(g, cls), _series_size_rank1(cls))
+                 for cls in enumerate_classes(g, max_d=q + 1))
+
+
 def predicted_fixed_count_rank1(q: int, k: int) -> int:
     """Number of irreducible characters of the rank-one symplectic group
     fixed by the Galois element zeta -> zeta**k, assembled purely from the
@@ -124,11 +134,10 @@ def predicted_fixed_count_rank1(q: int, k: int) -> int:
     m = lcm(4 * g.p, q * q - 1)
     sigma = GaloisElement(k % m, m)
     total = 0
-    for cls in enumerate_classes(g, max_d=q + 1):
-        field = character_field(g, cls)
+    for field, size in _rank1_series(q):
         if sigma.k % field.base.d not in field.base.stab:
             continue
         if field.adjoin_sqrt_omega_p and gauss_sqrt_sign(sigma, g.p) != 1:
             continue
-        total += _series_size_rank1(cls)
+        total += size
     return total

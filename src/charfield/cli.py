@@ -2,8 +2,8 @@
 
 Every subcommand prints one JSON object per line (machine-readable, byte
 stable across runs); `--pretty` switches to indented output.  Exit codes:
-0 success, 2 malformed input, 3 enumeration budget exceeded, 4 verification
-failure.
+0 success, 2 malformed input, 3 budget exceeded (an enumeration, the oracle's
+rounds or the factoring bound), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -44,8 +44,16 @@ def _group(args) -> GroupSpec:
     return GroupSpec(Family(args.family), args.n, args.q, args.twist)
 
 
+def _class_arg(args) -> SemisimpleClass:
+    try:
+        data = json.loads(args.cls)
+    except RecursionError as exc:
+        raise InputError("class JSON is nested too deeply") from exc
+    return class_from_dict(data)
+
+
 def _cmd_field(args) -> int:
-    cls = class_from_dict(json.loads(args.cls))
+    cls = _class_arg(args)
     field = character_field(cls.group, cls)
     _emit(
         {
@@ -59,7 +67,7 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_real(args) -> int:
-    cls = class_from_dict(json.loads(args.cls))
+    cls = _class_arg(args)
     _emit(
         {
             "input": cls.to_dict(),

@@ -10,31 +10,37 @@ to the k-th power; the stabiliser of a class cuts out the cyclotomic subfield
 that every character of the corresponding series has as its rationality core.
 
 A Frobenius orbit is walked once around its cycle and never past the dual
-dimension, which a longer orbit cannot fit in; the stabiliser is read off the
-spectrum: a unit k fixes a class when it sends every eigenvalue to one of the
-same multiplicity.
+dimension, which a longer orbit cannot fit in.  The stabiliser is read off the
+spectrum: a unit k fixes a class when it sends every orbit representative a/e
+to an eigenvalue x/e of the same multiplicity, that is when k = x/a (mod e)
+for one such x per orbit.  These residues are combined across the orbits by
+the Chinese remainder theorem, so a field query costs time that grows with
+the dual dimension and log d, not with d, plus the factorisation of d for
+phi(d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-from math import gcd, isqrt, lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
 from .errors import BudgetExceededError, InputError
 from .galois_arith import GaloisElement
-from .groups import Family, GroupSpec
+from .groups import Family, GroupSpec, factorize
 
 
 def _divisors(n: int) -> list[int]:
-    """The divisors of n >= 1, by trial division."""
-    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
-    return sorted(set(small + [n // i for i in small]))
+    """The divisors of n >= 1, in increasing order."""
+    divisors = [1]
+    for p, e in factorize(n):
+        divisors = [x * p**i for x in divisors for i in range(e + 1)]
+    return sorted(divisors)
 
 
 def _euler_phi(d: int) -> int:
-    return sum(1 for a in range(1, d + 1) if gcd(a, d) == 1) if d > 1 else 1
+    return prod((p - 1) * p ** (e - 1) for p, e in factorize(d))
 
 
 def _orbit(a: int, d: int, q: int, bound: int) -> tuple[int, ...]:
@@ -70,9 +76,6 @@ class EigenvalueOrbit:
         if self.mult < 1:
             raise InputError("multiplicity must be positive")
 
-    def orbit_size(self, q: int) -> int:
-        return len(_orbit(self.num, self.den, q, self.den))
-
     @property
     def frac(self) -> str:
         return f"{self.num}/{self.den}"
@@ -94,26 +97,45 @@ class CyclotomicSubfield:
     stab: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        st = self.stab
-        if self.d < 1:
+        st, d = self.stab, self.d
+        if d < 1:
             raise InputError("d must be >= 1")
-        if sorted(set(st)) != sorted(st):
+        members = set(st)
+        if len(members) != len(st):
             raise InputError("stabiliser entries must be distinct")
-        one = 1 % self.d
-        if one not in st:
+        one = 1 % d
+        if one not in members:
             raise InputError("stabiliser must contain 1")
+        if any(gcd(x, d) != 1 for x in st):
+            raise InputError("stabiliser entries must be units")
+        # The units commute, so the group the entries generate is built one
+        # new entry x at a time, as the union of the cosets span * x**i; the
+        # entries are a subgroup when no coset leaves them.  span at least
+        # doubles with each new x, so this costs O(|stab| log |stab|).
+        span = {one}
         for x in st:
-            if self.d > 1 and gcd(x, self.d) != 1:
-                raise InputError("stabiliser entries must be units")
-            for y in st:
-                if (x * y) % self.d not in st:
+            if x in span:
+                continue
+            grown, coset = set(span), span
+            while True:
+                coset = {y * x % d for y in coset}
+                if coset <= grown:
+                    break
+                if not coset <= members:
                     raise InputError("stabiliser must be closed under multiplication")
-        if _euler_phi(self.d) % len(st) != 0:
+                grown |= coset
+            span = grown
+        if self.phi % len(st) != 0:
             raise InputError("stabiliser order must divide phi(d)")
+
+    @cached_property
+    def phi(self) -> int:
+        """The degree of the d-th cyclotomic field, phi(d)."""
+        return _euler_phi(self.d)
 
     @property
     def degree(self) -> int:
-        return _euler_phi(self.d) // len(self.stab)
+        return self.phi // len(self.stab)
 
     @property
     def is_real(self) -> bool:
@@ -265,13 +287,11 @@ def class_from_dict(data: dict) -> SemisimpleClass:
         g = GroupSpec(Family(data["family"]), int(data["n"]), int(data["q"]),
                       int(data.get("twist", 1)))
         raw = [(*_parse_frac(o["frac"]), int(o["mult"])) for o in data["orbits"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        labels = [None if data.get(key) is None else int(data[key])
+                  for key in ("plus_type", "minus_type")]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad class data: {exc}") from exc
-    pt = data.get("plus_type")
-    mt = data.get("minus_type")
-    return SemisimpleClass(g, _normalise(g, raw),
-                           None if pt is None else int(pt),
-                           None if mt is None else int(mt))
+    return SemisimpleClass(g, _normalise(g, raw), *labels)
 
 
 def order_of(cls: SemisimpleClass) -> int:
@@ -294,11 +314,29 @@ def sigma_image(cls: SemisimpleClass, sigma: GaloisElement) -> SemisimpleClass:
 
 def galois_stabilizer(cls: SemisimpleClass) -> CyclotomicSubfield:
     """Units k mod d whose power map fixes the class; the fixed field of this
-    subgroup is the rationality core of the corresponding character series."""
-    d = order_of(cls)
+    subgroup is the rationality core of the corresponding character series.
+
+    k fixes the class exactly when, for every orbit with representative a/e
+    and multiplicity m, k = x * a**-1 (mod e) for an eigenvalue x/e of
+    multiplicity m.  The residues allowed mod each e are combined by the
+    generalised Chinese remainder theorem, keeping the consistent pairs; the
+    survivors are units, as each x is, and form the stabiliser.  A residue
+    is determined by where it sends one eigenvalue of each order, so no list
+    of residues outgrows the number of ways to send each of these to an
+    eigenvalue of its order, whatever d is: the cost grows with dual_dim and
+    log d, not with d.
+    """
     spectrum = _spectrum(cls.group, cls.orbits)
-    stab = tuple(k for k in range(d) if gcd(k, d) == 1 and _fixes(spectrum, cls.orbits, k))
-    return CyclotomicSubfield(d, stab)
+    residues, modulus = [0], 1
+    for o in cls.orbits:
+        inv = pow(o.num, -1, o.den)
+        allowed = [x * inv % o.den for (x, e), m in spectrum.items() if e == o.den and m == o.mult]
+        g = gcd(modulus, o.den)
+        lift = pow(modulus // g, -1, o.den // g)
+        residues = [r + modulus * ((c - r) // g * lift % (o.den // g))
+                    for r in residues for c in allowed if (c - r) % g == 0]
+        modulus = modulus // g * o.den
+    return CyclotomicSubfield(modulus, tuple(sorted(residues)))
 
 
 def _minus_space_in_spinor_kernel(g: GroupSpec, b: int) -> bool:
@@ -395,10 +433,16 @@ def enumerate_classes(g: GroupSpec, max_d: int) -> tuple[SemisimpleClass, ...]:
     # The building blocks beyond +-1, as (orbit representatives, dimension):
     # a self-inverse orbit, or an orbit with its inverse.  Only orders d mod
     # which q has order at most dim can occur: the divisors of q^j - 1, j <= dim.
+    # The unit orbits mod d are the cosets of the powers of q, so they all
+    # have one size and are self-inverse exactly when the orbit of 1 is; an
+    # order whose blocks cannot fit is skipped before its units are walked.
     units: list[tuple[tuple[tuple[int, int], ...], int]] = []
     orders = {d for j in range(1, dim + 1) for d in _divisors(q**j - 1) if 3 <= d <= max_d}
     for d in sorted(orders):
-        size = len(_orbit(1, d, q, dim))  # the size of every unit orbit mod d
+        orbit_of_one = _orbit(1, d, q, dim)
+        size = len(orbit_of_one)
+        if 2 * size > dim and d - 1 not in orbit_of_one:
+            continue
         for a in sorted({_orbit(x, d, q, dim)[0] for x in range(1, d) if gcd(x, d) == 1}):
             inv = _orbit(d - a, d, q, dim)[0]
             if a <= inv:

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from math import gcd, isqrt, prod
+
+from hypothesis import given, settings, strategies as st
 
 import charfield
 from charfield.cli import build_parser, main
 from charfield.errors import InputError
 from charfield.groups import Family, GroupSpec
-from charfield.semisimple import class_from_dict, in_spinor_kernel
+from charfield.semisimple import class_from_dict, enumerate_classes, in_spinor_kernel
 from charfield.verify import SUITES
 
 
@@ -180,6 +185,19 @@ def test_malformed_input_exit_code(capsys):
     assert err == "invalid input: max_d must be >= 1\n"
 
 
+def test_malformed_class_values_exit_2(capsys):
+    code, out, err = _run(capsys, "field", "--class", "[" * 50000 + "]" * 50000)
+    assert code == 2 and out == "" and err.startswith("invalid input: ")
+    base = json.loads(INVOLUTION)
+    for key, value in (("plus_type", []), ("minus_type", {"a": 1}), ("n", float("inf")),
+                       ("q", float("-inf"))):
+        code, out, err = _run(capsys, "field", "--class", json.dumps({**base, key: value}))
+        assert code == 2 and out == "" and err.startswith("invalid input: "), (key, err)
+    orbits = [{"frac": "0/1", "mult": float("inf")}]
+    code, out, err = _run(capsys, "real", "--class", json.dumps({**base, "orbits": orbits}))
+    assert code == 2 and out == ""
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = _run(capsys, "verify", "--suite", "gauss")
     assert code == 0
@@ -228,3 +246,120 @@ def test_bounded_orbit_walks():
     _, huge, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
                             "--max-d", "1000000000")
     assert huge == small
+
+
+def _sp2_class(q, orbits):
+    return json.dumps({"family": "sp", "n": 1, "q": q,
+                       "orbits": [{"frac": f, "mult": m} for f, m in orbits]})
+
+
+# q = 10**18 + 9 is prime; the eigenvalue 1/(q + 1) has order D18 = q + 1
+D18 = 10**18 + 10
+Q18_CLASS = _sp2_class(D18 - 1, [("0/1", 1), (f"1/{D18}", 1)])
+
+
+def test_field_at_q_near_10_to_18():
+    # the stabiliser is {1, -1}
+    d = D18
+    factors = (2, 5, 11, 103, 4013, 21993833369)
+    assert prod(factors) == d
+    assert all(all(p % r for r in range(2, isqrt(p) + 1)) for p in factors)
+    phi = prod(p - 1 for p in factors)
+    for cmd in ("field", "real"):
+        code, out, err = _run_child(cmd, "--class", Q18_CLASS)
+        assert code == 0 and err == "", err
+        result = json.loads(out)["result"]
+        if cmd == "field":
+            assert result["d"] == d and result["stab"] == [1, d - 1]
+            assert 2 * result["degree"] == phi
+        assert result["real"] is True
+
+
+def test_field_with_large_stabilizer():
+    # q = 180181 is a prime = 1 mod 45045 = 5 * 7 * 9 * 11 * 13, so every
+    # primitive e-th root for these e is its own Frobenius orbit, and every
+    # unit mod 45045 permutes the spectrum: |stab| = phi(45045) = 17280
+    orbits = [(f"{a}/{e}", 1) for e in (5, 7, 9, 11, 13) for a in range(1, e) if gcd(a, e) == 1]
+    cls = json.dumps({"family": "sp", "n": 19, "q": 180181,
+                      "orbits": [{"frac": f, "mult": m} for f, m in [("0/1", 1)] + orbits]})
+    code, out, err = _run_child("field", "--class", cls)
+    assert code == 0 and err == "", err
+    result = json.loads(out)["result"]
+    assert result["d"] == 45045 and result["degree"] == 1
+    assert result["stab"] == [k for k in range(45045) if gcd(k, 45045) == 1]
+
+
+def test_primality_bound_exits_3():
+    # 2**89 - 1 is prime, above the 3.3 * 10**24 up to which Miller-Rabin
+    # with 13 bases decides primality
+    for cmd in ("field", "real"):
+        code, out, err = _run_child(cmd, "--class", _sp2_class(2**89 - 1, [("0/1", 3)]))
+        assert code == 3 and out == ""
+        assert err.startswith("budget exceeded: "), err
+
+
+def _exit_code(argv):
+    """main on argv in process: its exit code, argparse's included."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+FAMILIES = st.sampled_from([f.value for f in Family] + ["gl", ""]) | st.text(max_size=6)
+Q = (st.integers(-3, 30) | st.integers(-10**30, 10**30)
+     | st.sampled_from([3**7, 5**4, 10**9 + 7, 10**12 + 39, 10**18 + 9, 2**89 - 1, 3**60]))
+
+
+VALID_CLASSES = [json.loads(INVOLUTION), json.loads(Q18_CLASS)] + [
+    cls.to_dict()
+    for g in (GroupSpec(Family.SP, 2, 5), GroupSpec(Family.SO_ODD, 2, 9), GroupSpec(Family.SO_EVEN, 2, 3, -1))
+    for cls in enumerate_classes(g, 2 * g.q + 2)]
+
+
+@st.composite
+def class_texts(draw):
+    """A valid class line with up to three of its values replaced, removed or
+    garbled, or text that is hardly a class at all."""
+    data = json.loads(json.dumps(draw(st.sampled_from(VALID_CLASSES))))
+    q = data["q"]
+    dens = st.sampled_from([1, 2, 3, 4, 5, q - 1, q + 1, (q + 1) // 2, q * q + 1]) | st.integers(-2, 10**12)
+    fracs = st.builds(lambda a, d: f"{a}/{d}", st.integers(-1, 40) | st.integers(-1, 10**12), dens)
+    values = {"family": FAMILIES, "n": st.integers(-1, 6), "q": Q, "twist": st.sampled_from([1, -1, 0]),
+              "plus_type": st.sampled_from([None, 1, -1, 0]), "minus_type": st.sampled_from([None, 1, -1, 0]),
+              "frac": fracs | st.text(max_size=6), "mult": st.integers(-1, 4)}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.sampled_from(sorted(values)))
+        target = data
+        if key in ("frac", "mult"):
+            if not data["orbits"]:
+                continue
+            target = draw(st.sampled_from(data["orbits"]))
+        action = draw(st.sampled_from(["replace", "replace", "garble", "remove"]))
+        if action == "remove":
+            target.pop(key, None)
+        else:
+            target[key] = draw(values[key] if action == "replace" else JSON_VALUES)
+    text = json.dumps(data)
+    return draw(st.sampled_from([text, text, text, text[:-1], json.dumps(data["orbits"])])
+                | JSON_VALUES.map(json.dumps) | st.text(max_size=12))
+
+
+@given(st.sampled_from(["field", "real"]), class_texts(), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_fuzzed_class_lines_exit_cleanly(cmd, text, pretty):
+    assert _exit_code([cmd, "--class", text] + ["--pretty"] * pretty) in (0, 2, 3)
+
+
+@given(FAMILIES, st.integers(-1, 4) | st.text(max_size=3), st.integers(-3, 16) | Q,
+       st.integers(-2, 10**12) | st.text(max_size=3), st.sampled_from([1, -1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_classes_lines_exit_cleanly(family, n, q, max_d, twist):
+    argv = ["classes", "--family", family, "--n", str(n), "--q", str(q),
+            "--max-d", str(max_d), "--twist", str(twist)]
+    assert _exit_code(argv) in (0, 2, 3)

@@ -1,0 +1,107 @@
+from math import prod
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from charfield import groups
+from charfield.errors import BudgetExceededError, InputError
+from charfield.groups import factor_prime_power, factorize, is_prime
+
+MR_BOUND = 3317044064679887385961981  # 1287836182261 * 2575672364521
+MERSENNE_89 = 2**89 - 1  # a prime above MR_BOUND
+
+
+def _sieve(n):
+    flags = [False, False] + [True] * (n - 2)
+    for p in range(2, n):
+        if flags[p]:
+            for multiple in range(p * p, n, p):
+                flags[multiple] = False
+    return flags
+
+
+PRIME_FLAGS = _sieve(10**5)
+
+
+def test_is_prime_agrees_with_sieve():
+    assert [n for n in range(-3, 10**5) if is_prime(n)] == [n for n in range(10**5) if PRIME_FLAGS[n]]
+
+
+def _chernick_carmichael(limit):
+    # (6k+1)(12k+1)(18k+1) is a Carmichael number whenever all three factors are prime
+    out = []
+    for k in range(1, limit):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(PRIME_FLAGS[f] for f in factors):
+            out.append(prod(factors))
+    return out
+
+
+def test_pseudoprimes_rejected():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265]
+    carmichael += _chernick_carmichael(5000)
+    assert len(carmichael) > 20 and max(carmichael) > 10**14
+    strong = [3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+              3825123056546413051,  # to every prime base up to 23
+              318665857834031151167461]  # to every prime base up to 37
+    for n in carmichael + strong:
+        assert not is_prime(n), n
+        f = factorize(n)
+        assert prod(p**e for p, e in f) == n and len(f) > 1
+
+
+def test_primality_bound():
+    # the least strong pseudoprime to all 13 bases is where passing them
+    # stops proving primality; a failing base still proves compositeness
+    for n in (MR_BOUND, MERSENNE_89):
+        with pytest.raises(BudgetExceededError):
+            is_prime(n)
+        with pytest.raises(BudgetExceededError):
+            factorize(n)
+    assert not is_prime(MERSENNE_89 * (2**61 - 1))
+    with pytest.raises(BudgetExceededError):
+        factorize(3 * MERSENNE_89)
+    # a factor above the bound is fine once it is a power of a smaller prime
+    assert factorize(2 * (10**12 + 39) ** 3) == ((2, 1), (10**12 + 39, 3))
+    assert factorize(3**70 * 5**30) == ((3, 70), (5, 30))
+
+
+@given(st.integers(1, 10**24 - 1))
+@settings(max_examples=150, deadline=None)
+def test_factorize_round_trip(n):
+    f = factorize(n)
+    assert prod(p**e for p, e in f) == n
+    assert [p for p, _ in f] == sorted({p for p, _ in f})
+    assert all(e >= 1 and is_prime(p) for p, e in f)
+
+
+def test_factorize_edge_cases():
+    assert factorize(1) == ()
+    assert factorize(2) == ((2, 1),)
+    assert factorize(997**2 * 1009) == ((997, 2), (1009, 1))
+    for n in (0, -12):
+        with pytest.raises(InputError):
+            factorize(n)
+
+
+@pytest.mark.parametrize("p", [10**9 + 7, 999999937, 10**12 + 39, 999999999989])
+def test_factor_prime_power_large(p):
+    for a in (1, 2, 3, 4):
+        assert factor_prime_power(p**a) == (p, a)
+    for q in (2 * p, 1009 * p, 3 * p**2, (2**31 - 1) * p):
+        with pytest.raises(InputError):
+            factor_prime_power(q)
+
+
+def test_factor_prime_power_rejects():
+    for q in (-7, 0, 1, 12, 3 * 5**4):
+        with pytest.raises(InputError):
+            factor_prime_power(q)
+
+
+def test_rho_budget(monkeypatch):
+    n = (10**6 + 3) * (10**6 + 33)
+    assert factorize(n) == ((10**6 + 3, 1), (10**6 + 33, 1))
+    monkeypatch.setattr(groups, "_RHO_STEPS", 64)
+    with pytest.raises(BudgetExceededError):
+        factorize(n)

@@ -1,12 +1,14 @@
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement
-from charfield.groups import Family, GroupSpec
+from charfield.groups import Family, GroupSpec, is_prime
 from charfield.semisimple import (
+    CyclotomicSubfield,
+    _orbit,
     central_twist_action,
     class_from_dict,
     enumerate_classes,
@@ -46,7 +48,7 @@ def test_normalisation_merges_orbits():
          "orbits": [{"frac": "1/5", "mult": 1}, {"frac": "0/1", "mult": 1}]}
     )
     assert [o.frac for o in s.orbits] == ["0/1", "1/5"]
-    assert s.orbits[1].orbit_size(7) == 4
+    assert _orbit(s.orbits[1].num, s.orbits[1].den, 7, s.group.dual_dim) == (1, 2, 3, 4)
 
 
 def test_validation_rejects_bad_spectra():
@@ -75,6 +77,17 @@ def test_galois_stabilizer_examples():
     field = galois_stabilizer(s)
     assert sorted(field.stab) == [1, 4]
     assert field.degree == 2
+
+
+def test_cyclotomic_subfield_validation():
+    for d, stab, degree in ((1, (0,), 1), (5, (1, 4), 2), (8, (1, 3), 2), (9, (1, 4, 7), 2),
+                            (8, (1, 3, 5, 7), 1)):
+        field = CyclotomicSubfield(d, stab)
+        assert field.degree == degree and field.phi == degree * len(stab)
+    for d, stab in ((8, (1, 3, 5)), (5, (1, 2)), (9, (1, 2)), (6, (1, 3)), (5, (1, 1)),
+                    (5, (2, 3)), (0, (0,))):
+        with pytest.raises(InputError):
+            CyclotomicSubfield(d, stab)
 
 
 def test_stabilizer_is_subgroup_and_real():
@@ -255,3 +268,110 @@ def test_enumerated_class_properties(g, data, k):
     m = 4 * d // gcd(4, d)
     assume(gcd(k, m) == 1)
     assert (sigma_image(cls, GaloisElement(k % m, m)) == cls) == (k % d in field.stab)
+
+
+# Classes of order up to 10**12, outside the reach of enumerate_classes and of
+# the per-k oracle, built by the test's own arithmetic: an order D from known
+# prime powers, a prime q whose residue mod D has order dividing 1, 2, 3, 4
+# or 6 (so that Frobenius orbits stay short), eigenvalues a/e with e | D.
+# Only the search for q uses the library, through is_prime (checked against
+# a sieve in test_groups.py).
+SMALL_PRIMES = [p for p in range(2, 100) if all(p % r for r in range(2, p))]
+
+
+def _crt(residues):
+    r, m = 0, 1
+    for a, n in residues:
+        r += m * ((a - r) * pow(m, -1, n) % n)
+        m *= n
+    return r, m
+
+
+@st.composite
+def large_order_classes(draw):
+    primes = draw(st.lists(st.sampled_from(SMALL_PRIMES), min_size=1, max_size=7, unique=True))
+    powers = {p: draw(st.integers(1, 3)) for p in primes}
+    D = prod(p**k for p, k in powers.items())
+    assume(D <= 10**12)
+    residues = []
+    for p, k in powers.items():
+        pk = p**k
+        phi = pk - pk // p
+        j = draw(st.sampled_from([j for j in (1, 2, 3, 4, 6) if phi % j == 0]))
+        x = draw(st.integers(1, pk - 1).filter(lambda x: x % p))
+        residues.append((pow(x, phi // j, pk), pk))
+    r, _ = _crt(residues)
+    q = next((c for c in range(r, r + 3000 * D, D) if c >= 3 and is_prime(c)), None)
+    assume(q is not None)
+
+    orbits = {}  # representative (a, e) -> multiplicity
+    for _ in range(draw(st.integers(1, 3))):
+        e = prod(p**draw(st.integers(0, k)) for p, k in powers.items())
+        if e < 3:
+            continue
+        a = draw(st.integers(1, e - 1))
+        while gcd(a, e) != 1:
+            a += 1
+        mult = draw(st.integers(1, 2))
+        for b in {min(_orbit_by_membership(a, e, q)), min(_orbit_by_membership(e - a, e, q))}:
+            orbits[(b, e)] = orbits.get((b, e), 0) + mult
+    assume(orbits)
+    rest = sum(m * len(_orbit_by_membership(a, e, q)) for (a, e), m in orbits.items())
+
+    family = draw(st.sampled_from(list(Family)))
+    m1 = draw(st.sampled_from([1, 3] if family is Family.SP else [0, 2]))
+    mm1 = draw(st.sampled_from([0, 2]))
+    n = (rest + m1 + mm1) // 2
+    data = {"family": family.value, "n": n, "q": q,
+            "orbits": [{"frac": f"{a}/{e}", "mult": m} for (a, e), m in orbits.items()]
+            + [{"frac": "0/1", "mult": m1}] * (m1 > 0) + [{"frac": "1/2", "mult": mm1}] * (mm1 > 0)}
+    legal = []
+    for twist in ((1, -1) if family is Family.SO_EVEN else (1,)):
+        for plus in (None, 1, -1):
+            for minus in (None, 1, -1):
+                try:
+                    legal.append(class_from_dict({**data, "twist": twist,
+                                                  "plus_type": plus, "minus_type": minus}))
+                except InputError:
+                    pass
+    assume(legal)
+    cls = draw(st.sampled_from(legal))
+    d = lcm(*(e for _, e in orbits), 2 if mm1 else 1)
+    phi = d
+    for p in SMALL_PRIMES:
+        if d % p == 0:
+            phi = phi // p * (p - 1)
+    return cls, d, phi
+
+
+def _unit(data, m):
+    return data.draw(st.integers(1, m - 1).filter(lambda k: gcd(k, m) == 1))
+
+
+@given(large_order_classes(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_stabilizer_at_large_order(sample, data):
+    cls, d, phi = sample
+    field = galois_stabilizer(cls)
+    stab = set(field.stab)
+    assert field.d == d == order_of(cls) and len(stab) == len(field.stab)
+    # a subgroup of the units mod d, of index the degree
+    assert 1 % d in stab and all(gcd(k, d) == 1 for k in stab)
+    assert all(x * y % d in stab for x in stab for y in stab)
+    assert field.degree * len(stab) == phi
+    # every member fixes the class, and a random unit fixes it iff it is a member
+    m = 4 * d // gcd(4, d)
+    for k in stab:
+        lift = next(c for c in range(k, m + k + d, d) if gcd(c, m) == 1)
+        assert sigma_image(cls, GaloisElement(lift, m)) == cls
+    k = _unit(data, m)
+    assert (sigma_image(cls, GaloisElement(k, m)) == cls) == (k % d in stab)
+
+
+@given(large_order_classes(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_action_law_at_large_order(sample, data):
+    cls, d, _ = sample
+    m = 4 * d // gcd(4, d)
+    sigma, tau = GaloisElement(_unit(data, m), m), GaloisElement(_unit(data, m), m)
+    assert sigma_image(cls, sigma.compose(tau)) == sigma_image(sigma_image(cls, tau), sigma)
