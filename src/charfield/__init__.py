@@ -27,7 +27,7 @@ from .hc_action import (
     series_twist_sign_h,
 )
 from .partitions import EpsPartition, Partition, component_orders, eps_partitions, eps_stats
-from .power_maps import FundamentalImage, coweight_half_sum_image, regular_rational, unipotent_rational
+from .power_maps import rationality_criterion, unipotent_rational
 from .semisimple import (
     CyclotomicSubfield,
     EigenvalueOrbit,

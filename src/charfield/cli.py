@@ -18,7 +18,7 @@ from .galois_arith import GaloisElement
 from .groups import Family, GroupSpec
 from .hc_action import series_permutation, series_twist_sign
 from .partitions import EpsPartition, Partition
-from .power_maps import even_parts_paired, unipotent_rational
+from .power_maps import rationality_criterion, unipotent_rational
 from .semisimple import (
     EigenvalueOrbit,
     SemisimpleClass,
@@ -83,16 +83,12 @@ def _cmd_powmap(args) -> int:
     g = _group(args)
     mu = Partition(int(x) for x in args.mu.split(","))
     ep = EpsPartition(mu, g.form_eps)
-    rational = unipotent_rational(g, ep, args.k)
-    if g.family is Family.SP:
-        criterion = "even-multiplicities" if even_parts_paired(mu) else "square-class-of-k"
-    else:
-        criterion = "orthogonal-always-rational"
     _emit(
         {
             "input": {"family": g.family.value, "n": g.n, "q": g.q,
                       "mu": list(mu.parts), "k": args.k},
-            "result": {"rational": rational, "criterion": criterion},
+            "result": {"rational": unipotent_rational(g, ep, args.k),
+                       "criterion": rationality_criterion(g, ep)},
             "citations": ["unipotent-power-map"],
         },
         args.pretty,

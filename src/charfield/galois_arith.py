@@ -98,10 +98,6 @@ class GaloisElement:
         if gcd(self.k, self.m) != 1:
             raise InputError("k must be coprime to the modulus")
 
-    @property
-    def k_mod_m(self) -> int:
-        return self.k % self.m
-
     def compose(self, other: "GaloisElement") -> "GaloisElement":
         if self.m != other.m:
             raise InputError("can only compose elements with equal modulus")

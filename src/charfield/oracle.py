@@ -525,11 +525,9 @@ def _conjugation_walk(
 
 @lru_cache(maxsize=None)
 def _conjugators(g: GroupSpec) -> tuple[tuple[Matrix, Matrix], ...]:
-    """The pairs (h, h^-1) that the orbit walk conjugates by: the group
-    generators, then their inverses."""
-    gens = group_generators(g)
-    invs = [mat_inv(m, g.p) for m in gens]
-    return tuple(zip(gens + invs, invs + gens))
+    """The pairs (h, h^-1) that the orbit walk conjugates by, one per group
+    generator: in a finite group the generators alone reach every conjugate."""
+    return tuple((h, mat_inv(h, g.p)) for h in group_generators(g))
 
 
 def _lex_search(
@@ -550,10 +548,9 @@ def _lex_search(
 def _orbit_search(
     g: GroupSpec, u: Matrix, uk: Matrix
 ) -> Generator[None, None, Matrix | None]:
-    """Walk the conjugation orbit of u under the group generators and their
-    inverses until uk is found or the orbit closes, one new conjugate per
-    step; the witness is the product of the conjugators along the path back
-    to u."""
+    """Walk the conjugation orbit of u under the group generators until uk
+    is found or the orbit closes, one new conjugate per step; the witness is
+    the product of the generators along the path back to u."""
     p = g.p
     pairs = _conjugators(g)
     tree: dict[Matrix, tuple[Matrix | None, int]] = {}
@@ -636,8 +633,7 @@ def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     class in `sl2_elements` order) and an element -> class map.  Each class
     is walked under the two root elements, which generate the group."""
     elements = sl2_elements(q)
-    gens = group_generators(GroupSpec(Family.SP, 1, q))
-    pairs = [(h, mat_inv(h, q)) for h in gens]
+    pairs = _conjugators(GroupSpec(Family.SP, 1, q))
     index: dict[Matrix, int] = {}
     reps: list[Matrix] = []
     for m in elements:

@@ -281,13 +281,21 @@ def _normalise(g: GroupSpec, fracs: Iterable[tuple[int, int, int]]) -> tuple[Eig
     return tuple(EigenvalueOrbit(a, d, m) for (d, a), m in sorted(merged.items()))
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it stands: a bool, float or string is refused, not
+    rounded or parsed into some other class."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def class_from_dict(data: dict) -> SemisimpleClass:
     """Parse the JSON form, normalising orbit representatives."""
     try:
-        g = GroupSpec(Family(data["family"]), int(data["n"]), int(data["q"]),
-                      int(data.get("twist", 1)))
-        raw = [(*_parse_frac(o["frac"]), int(o["mult"])) for o in data["orbits"]]
-        labels = [None if data.get(key) is None else int(data[key])
+        g = GroupSpec(Family(data["family"]), _json_int(data["n"]), _json_int(data["q"]),
+                      _json_int(data.get("twist", 1)))
+        raw = [(*_parse_frac(o["frac"]), _json_int(o["mult"])) for o in data["orbits"]]
+        labels = [None if data.get(key) is None else _json_int(data[key])
                   for key in ("plus_type", "minus_type")]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad class data: {exc}") from exc

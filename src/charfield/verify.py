@@ -124,34 +124,27 @@ def _grid_descriptors(q: int) -> list[SeriesDescriptor]:
 
 def suite_powmap() -> list[CheckResult]:
     """Closed-form power-map rationality against matrix conjugacy search:
-    symplectic q in {3,5,7}, n in {1,2}; orthogonal q in {3,5}, n <= 2."""
+    symplectic q in {3,5,7}, n in {1,2}; orthogonal q in {3,5}, n <= 2.
+    Every orthogonal cell must have a witness."""
     start = time.time()
+    groups = [GroupSpec(Family.SP, n, q) for q in (3, 5, 7) for n in (1, 2)]
+    groups += [g for q in (3, 5) for g in (
+        GroupSpec(Family.SO_ODD, 1, q),
+        GroupSpec(Family.SO_ODD, 2, q),
+        GroupSpec(Family.SO_EVEN, 1, q, 1),
+        GroupSpec(Family.SO_EVEN, 2, q, 1),
+    )]
     bad = []
     cells = 0
-    for q in (3, 5, 7):
-        for n in (1, 2):
-            g = GroupSpec(Family.SP, n, q)
-            for ep in eps_partitions(g.dim, 1):
-                u = oracle.unipotent_rep(g, ep)
-                for k in range(1, q):
-                    cells += 1
-                    witness = oracle.power_conjugacy_search(g, u, k)
-                    if (witness is not None) != unipotent_rational(g, ep, k):
-                        bad.append(("sp", q, n, tuple(ep.partition), k))
-    for q in (3, 5):
-        for g in (
-            GroupSpec(Family.SO_ODD, 1, q),
-            GroupSpec(Family.SO_ODD, 2, q),
-            GroupSpec(Family.SO_EVEN, 1, q, 1),
-            GroupSpec(Family.SO_EVEN, 2, q, 1),
-        ):
-            for ep in eps_partitions(g.dim, 0):
-                u = oracle.unipotent_rep(g, ep)
-                for k in range(1, q):
-                    cells += 1
-                    witness = oracle.power_conjugacy_search(g, u, k)
-                    if witness is None or not unipotent_rational(g, ep, k):
-                        bad.append(("so", g.family.value, q, g.n, tuple(ep.partition), k))
+    for g in groups:
+        for ep in eps_partitions(g.dim, g.form_eps):
+            u = oracle.unipotent_rep(g, ep)
+            for k in range(1, g.q):
+                cells += 1
+                witness = oracle.power_conjugacy_search(g, u, k)
+                if (witness is not None) != unipotent_rational(g, ep, k) or (
+                        witness is None and g.family is not Family.SP):
+                    bad.append((g.family.value, g.q, g.n, tuple(ep.partition), k))
     detail = f"{cells} cells; {time.time() - start:.1f}s"
     return [CheckResult("power-map-oracle-agreement", not bad, detail if not bad else f"failures: {bad[:5]}")]
 
@@ -197,23 +190,15 @@ def suite_fields() -> list[CheckResult]:
     """Classical rank-one sanity: involution series have the quadratic field
     with radicand -p for q in {3, 7, 11}, and degree one for q = 9."""
     bad = []
-    for q in (3, 7, 11):
+    for q, degree, radicand in ((3, 2, -3), (7, 2, -7), (11, 2, -11), (9, 1, None)):
         cls = class_from_dict(
             {"family": "sp", "n": 1, "q": q,
              "orbits": [{"frac": "0/1", "mult": 1}, {"frac": "1/2", "mult": 2}],
              "minus_type": 1}
         )
         field = character_field(GroupSpec(Family.SP, 1, q), cls)
-        if field.degree != 2 or field.adjoined_radicand != -q:
+        if (field.degree, field.adjoined_radicand) != (degree, radicand):
             bad.append(q)
-    cls = class_from_dict(
-        {"family": "sp", "n": 1, "q": 9,
-         "orbits": [{"frac": "0/1", "mult": 1}, {"frac": "1/2", "mult": 2}],
-         "minus_type": 1}
-    )
-    field = character_field(GroupSpec(Family.SP, 1, 9), cls)
-    if field.degree != 1 or field.adjoin_sqrt_omega_p:
-        bad.append(9)
     return [CheckResult("rank-one-involution-fields", not bad, "q in {3,7,11} and square q = 9" if not bad else f"failures: {bad}")]
 
 

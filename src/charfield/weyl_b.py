@@ -187,24 +187,29 @@ class RelativeWeylGroup:
     subgroup, and "B''k" the rank-(k-1) type-B subgroup of Dk generated by
     s_1..s_{k-2} and u_{k-1}.  Trivial factors are dropped.  The complement C
     has order 1 or 2; its generator is given as an element of the ambient W_n
-    so that lengths are taken in the full group.
+    so that lengths are taken in the full group, and the parity of that
+    length is read off the generator.
     """
 
     w_type: str
     r_type: str
     c_order: int
     c_generator: SignedPerm | None
-    c_length_parity: str | None
     externally_sourced: bool = False
 
     def __post_init__(self) -> None:
         if self.c_order not in (1, 2):
             raise InputError("c_order must be 1 or 2")
-        if self.c_order == 2:
-            if self.c_generator is None or self.c_length_parity not in ("even", "odd"):
-                raise InputError("order-two complement needs generator and parity")
-        elif self.c_generator is not None or self.c_length_parity is not None:
-            raise InputError("trivial complement carries no generator data")
+        if (self.c_order == 2) != (self.c_generator is not None):
+            raise InputError("an order-two complement needs a generator, a trivial one has none")
+
+    @property
+    def c_length_parity(self) -> str | None:
+        """"even" or "odd", the parity of the length of the complement's
+        generator in W_n; None for a trivial complement."""
+        if self.c_generator is None:
+            return None
+        return "even" if length(self.c_generator) % 2 == 0 else "odd"
 
 
 def _type_string(factors: list[tuple[str, int]]) -> str:
@@ -218,10 +223,6 @@ def _type_string(factors: list[tuple[str, int]]) -> str:
             continue  # B''1 is trivial
         toks.append(f"{letter}{k}")
     return " x ".join(toks) if toks else "1"
-
-
-def _parity(w: SignedPerm) -> str:
-    return "even" if length(w) % 2 == 0 else "odd"
 
 
 def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
@@ -248,25 +249,25 @@ def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
                 return RelativeWeylGroup(
                     _type_string([("B", a), ("B", b)]),
                     _type_string([("D", a), ("D", b)]),
-                    2, u1, _parity(u1),
+                    2, u1,
                 )
             return RelativeWeylGroup(
                 _type_string([("B", a), ("B''", b)]),
                 _type_string([("D", a), ("B''", b)]),
-                2, u1, _parity(u1),
+                2, u1,
             )
         um = special_element(n, "u", m)
         return RelativeWeylGroup(
             _type_string([("B", a), ("B", b)]),
             _type_string([("B", a), ("D", b)]),
-            2, um, _parity(um),
+            2, um,
         )
 
     if g.family is Family.SO_ODD:
         return RelativeWeylGroup(
             _type_string([("B", a), ("B", b)]),
             _type_string([("B", a), ("B", b)]),
-            1, None, None,
+            1, None,
         )
 
     if g.family is Family.SP:
@@ -280,7 +281,7 @@ def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
             return RelativeWeylGroup(
                 _type_string([("B", a), ("B", b)]),
                 _type_string([("B", a), ("D", b)]),
-                2, sn, _parity(sn),
+                2, sn,
             )
         # Non-principal symplectic row: complement of order two generated by
         # t_m.  Imported from the standard normaliser structure rather than
@@ -289,7 +290,7 @@ def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
         return RelativeWeylGroup(
             _type_string([("B", a), ("B", b)]),
             _type_string([("B", a), ("D", b)]),
-            2, tm, _parity(tm),
+            2, tm,
             externally_sourced=True,
         )
 

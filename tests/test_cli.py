@@ -196,6 +196,14 @@ def test_malformed_class_values_exit_2(capsys):
     orbits = [{"frac": "0/1", "mult": float("inf")}]
     code, out, err = _run(capsys, "real", "--class", json.dumps({**base, "orbits": orbits}))
     assert code == 2 and out == ""
+    # only JSON integers count: nothing is rounded or parsed into another class
+    for value in (1.7, True, "7"):
+        for key in ("n", "q", "twist", "plus_type", "minus_type"):
+            code, out, err = _run(capsys, "field", "--class", json.dumps({**base, key: value}))
+            assert code == 2 and out == "" and err.startswith("invalid input: "), (key, value)
+        orbits = [{"frac": "0/1", "mult": 1}, {"frac": "1/2", "mult": value}]
+        code, out, err = _run(capsys, "field", "--class", json.dumps({**base, "orbits": orbits}))
+        assert code == 2 and out == "" and err.startswith("invalid input: "), ("mult", value)
 
 
 def test_verify_single_suite(capsys):

@@ -225,6 +225,28 @@ def test_each_search_alone():
                 _check_witness(g, u, k, w)
 
 
+def _walked(u, pairs, p):
+    tree = {}
+    for _ in oracle._conjugation_walk(u, pairs, p, tree):
+        pass
+    return set(tree)
+
+
+def test_orbit_walk_covers_whole_classes():
+    # one pair per generator reaches every conjugate that the generators and
+    # their inverses together reach
+    for g in (GroupSpec(Family.SP, 2, 3), GroupSpec(Family.SO_EVEN, 2, 3, 1)):
+        gens = oracle.group_generators(g)
+        invs = [oracle.mat_inv(h, g.p) for h in gens]
+        both = list(zip(gens + invs, invs + gens))
+        for ep in eps_partitions(g.dim, g.form_eps):
+            u = oracle.unipotent_rep(g, ep)
+            orbit = _walked(u, oracle._conjugators(g), g.p)
+            assert orbit == _walked(u, both, g.p), (g, ep)
+            if g.family is Family.SP and ep.partition == Partition([4]):
+                assert len(orbit) == 51840 // 18
+
+
 def mulclose(gens: list[oracle.Matrix], p: int, cap: int = 200_000) -> int:
     """Order of the group generated by gens, by batched closure (tests)."""
     arr = np.array(gens, dtype=np.int64)
