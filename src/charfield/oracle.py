@@ -2,15 +2,17 @@
 
 This module knows no character theory and no closed-form criteria: it builds
 the classical groups as explicit matrix groups preserving the standard
-bilinear forms, constructs unipotent representatives of a given Jordan type,
-and decides conjugacy questions by raw search.  The power-map search races
-two exact searches in lockstep, a lexicographic scan of an intertwiner space
-and a conjugation-orbit walk, and the first to decide gives the answer.  The
-closed-form modules are tested against it, never the other way around.
+bilinear forms, and decides conjugacy questions by raw search.  A unipotent
+representative of a given Jordan type is the Cayley transform of a nilpotent
+element of the Lie algebra of the standard form, built on standard basis
+vectors, so it is an isometry by construction and needs no change of form.
+The power-map search races two exact searches in lockstep, a lexicographic
+scan of an intertwiner space and a conjugation-orbit walk, and the first to
+decide gives the answer.  The closed-form modules are tested against it,
+never the other way around.
 
 Matrices are tuples of tuples of residues mod p; the oracle works over prime
-fields only, and every decision is exact integer arithmetic in pure Python.
-"""
+fields only, and every decision is exact integer arithmetic in pure Python."""
 
 from __future__ import annotations
 
@@ -213,164 +215,6 @@ def is_isometry(m: Matrix, form: Matrix, p: int, special: bool = False) -> bool:
 # unipotent representatives
 
 
-def _jordan_block(m: int, p: int) -> Matrix:
-    return tuple(
-        tuple(1 if i == j else (1 if j == i + 1 else 0) for j in range(m)) for i in range(m)
-    )
-
-
-def _invariant_form(u: Matrix, p: int, symmetric: bool) -> Matrix:
-    """A nondegenerate u-invariant symmetric or alternating form, found by
-    solving the linear conditions and scanning the small solution space."""
-    m = len(u)
-    # u^T B u = B is B u = u^-T B
-    eqs = _intertwiner_equations(u, transpose(mat_inv(u, p)), p)
-    sgn = 1 if symmetric else -1
-    for i in range(m):
-        for j in range(m):
-            row = [0] * (m * m)
-            row[i * m + j] = (row[i * m + j] + 1) % p
-            row[j * m + i] = (row[j * m + i] - sgn) % p
-            eqs.append(row)
-    basis = nullspace(eqs, p)
-    if not basis:
-        raise InputError("no invariant form of the requested symmetry")
-    if p ** len(basis) > 100_000:
-        raise BudgetExceededError("invariant-form scan too large")
-    for flat in _span(basis[::-1], p):
-        B = tuple(flat[i * m:(i + 1) * m] for i in range(m))
-        if det(B, p) != 0:
-            return B
-    raise InputError("invariant forms are all degenerate")
-
-
-def _direct_sum(blocks: list[Matrix], p: int) -> Matrix:
-    N = sum(len(b) for b in blocks)
-    out = [[0] * N for _ in range(N)]
-    off = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[off + i][off + j] = x % p
-        off += len(b)
-    return mat(out)
-
-
-def _hyperbolic_block(m: int, p: int, eps: int) -> tuple[Matrix, Matrix]:
-    """u = J_m + its inverse transpose on a dual pair of isotropic subspaces."""
-    jm = _jordan_block(m, p)
-    jmit = transpose(mat_inv(jm, p))
-    u = _direct_sum([jm, jmit], p)
-    s = (-1) ** eps
-    form = [[0] * (2 * m) for _ in range(2 * m)]
-    for i in range(m):
-        form[i][m + i] = 1
-        form[m + i][i] = s % p
-    return u, mat(form)
-
-
-def _pairing(a: Matrix, x, y, p: int) -> int:
-    """x^T a y mod p."""
-    n = len(a)
-    return sum(x[i] * a[i][j] * y[j] for i in range(n) for j in range(n)) % p
-
-
-def _diagonalize_symmetric(a: Matrix, p: int) -> tuple[list[list[int]], list[int]]:
-    """The columns of a P with P^T a P diagonal, and the diagonal entries."""
-    n = len(a)
-    basis = [list(col) for col in identity_matrix(n)]
-    for i in range(n):
-        j = next((t for t in range(i, n) if _pairing(a, basis[t], basis[t], p)), None)
-        if j is None:
-            found = next(
-                ((t, s) for t in range(i, n) for s in range(t + 1, n)
-                 if _pairing(a, basis[t], basis[s], p)),
-                None,
-            )
-            if found is None:
-                raise InputError("form is degenerate")
-            t, s = found
-            basis[t] = [(x + y) % p for x, y in zip(basis[t], basis[s])]
-            j = t
-        basis[i], basis[j] = basis[j], basis[i]
-        inv = pow(_pairing(a, basis[i], basis[i], p), -1, p)
-        for t in range(i + 1, n):
-            f = _pairing(a, basis[i], basis[t], p) * inv % p
-            basis[t] = [(x - f * y) % p for x, y in zip(basis[t], basis[i])]
-    return basis, [_pairing(a, b, b, p) for b in basis]
-
-
-def _sqrt_mod(a: int, p: int) -> int | None:
-    a %= p
-    for x in range(p):
-        if x * x % p == a:
-            return x
-    return None
-
-
-def _nonsquare(p: int) -> int:
-    return next(x for x in range(2, p) if _sqrt_mod(x, p) is None)
-
-
-def _canonicalize_symmetric(a: Matrix, p: int) -> tuple[Matrix, tuple[int, ...]]:
-    """P and canonical diagonal (1,...,1[,nu]) with P^T a P = diag(canonical)."""
-    cols, diag = _diagonalize_symmetric(a, p)
-    nu = _nonsquare(p)
-    nu_inv = pow(nu, -1, p)
-    ones, nus = [], []
-    for col, d in zip(cols, diag):
-        r = _sqrt_mod(d, p)
-        target = ones
-        if r is None:
-            r = _sqrt_mod(d * nu_inv % p, p)
-            target = nus
-        inv = pow(r, -1, p)
-        target.append([x * inv % p for x in col])
-    # merge pairs of nu-columns into pairs of 1-columns: x^2 + y^2 = 1/nu
-    x, y = next((x, y) for x in range(p) for y in range(p) if (x * x + y * y) % p == nu_inv)
-    for cj, ck in zip(nus[0::2], nus[1::2]):
-        ones.append([(x * u + y * v) % p for u, v in zip(cj, ck)])
-        ones.append([(-y * u + x * v) % p for u, v in zip(cj, ck)])
-    leftover = nus[len(nus) - len(nus) % 2:]
-    return transpose(ones + leftover), (1,) * len(ones) + (nu,) * len(leftover)
-
-
-def transport_symmetric(a: Matrix, b: Matrix, p: int) -> Matrix:
-    """P with P^T a P = b, for equivalent nondegenerate symmetric forms."""
-    Pa, ca = _canonicalize_symmetric(a, p)
-    Pb, cb = _canonicalize_symmetric(b, p)
-    if ca != cb:
-        raise InputError("symmetric forms are not equivalent")
-    return mat_mul(Pa, mat_inv(Pb, p), p)
-
-
-def transport_alternating(a: Matrix, g: GroupSpec) -> Matrix:
-    """P with P^T a P = the standard alternating form of g."""
-    p = g.p
-    pool = [list(col) for col in identity_matrix(len(a))]
-    xs, ys = [], []
-    while pool:
-        x = pool.pop(0)
-        j = next(t for t in range(len(pool)) if _pairing(a, x, pool[t], p))
-        y = pool.pop(j)
-        scale = pow(_pairing(a, x, y, p), -1, p)
-        y = [v * scale % p for v in y]
-        pool = [
-            [
-                (z[i] - _pairing(a, x, z, p) * y[i] + _pairing(a, y, z, p) * x[i]) % p
-                for i in range(len(a))
-            ]
-            for z in pool
-        ]
-        xs.append(x)
-        ys.append(y)
-    P = transpose(xs + list(reversed(ys)))
-    target = form_matrix(g)
-    if mat_mul(mat_mul(transpose(P), a, p), P, p) != target:
-        raise InputError("symplectic transport failed")  # unreachable
-    return P
-
-
 def jordan_type(u: Matrix, p: int) -> Partition:
     n = len(u)
     m = mat_sub(u, identity_matrix(n), p)
@@ -388,9 +232,20 @@ def jordan_type(u: Matrix, p: int) -> Partition:
 
 
 def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
-    """An isometry (det 1 where required) of Jordan type ep, built from
-    regular blocks on nondegenerate subspaces and hyperbolic pairs on dual
-    isotropic subspaces, then moved onto the standard form."""
+    """An isometry (det 1 where required) of Jordan type ep: the Cayley
+    transform u = (1 + e)(1 - e)^-1 of a nilpotent e of the same Jordan type
+    in the Lie algebra of the standard form.
+
+    e is a sum of the maps R(a, b): x -> <b,x> a - s <a,x> b, s = (-1)^eps,
+    each of which is skew for the form, on standard basis vectors.  A chain
+    on indices i_1..i_r links v_{i_t} to v_{-i_{t+1}} and gives two Jordan
+    blocks of size r; a pair of parts m = eps (mod 2) is a chain on m
+    indices.  Any other part is one block: in Sp a chain on m/2 indices
+    closed by R(v_{i_r}, v_{i_r}), in SO a chain on (m-1)/2 indices closed by
+    R(v_{i_r}, z) with z anisotropic and orthogonal to everything else used.
+    For odd p the Cayley transform preserves the form, has det 1 and keeps
+    the Jordan type of e.
+    """
     p, a = factor_prime_power(g.q)
     if a != 1:
         raise InputError("the matrix oracle works over prime fields only")
@@ -398,36 +253,61 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
         raise InputError("the matrix oracle models the split even orthogonal form")
     if ep.eps != g.form_eps or ep.total != g.dim:
         raise InputError("partition does not match the group")
-    natural_parity = 0 if g.family is Family.SP else 1  # natural part sizes mod 2
-    blocks: list[tuple[Matrix, Matrix]] = []
+    pos = {i: t for t, i in enumerate(_basis_indices(g))}
+    s = (-1) ** g.form_eps
+    N = g.dim
+    M = [[0] * N for _ in range(N)]
+
+    def link(a: dict[int, int], b: dict[int, int]) -> None:
+        # M += a b^T - s b a^T, vectors given as {basis index: coefficient}
+        for i, x in a.items():
+            for j, y in b.items():
+                M[pos[i]][pos[j]] += x * y
+                M[pos[j]][pos[i]] -= s * x * y
+
+    fresh = iter(range(1, g.n + 1))
+
+    def chain(r: int) -> int | None:
+        ids = [next(fresh) for _ in range(r)]
+        for i, j in zip(ids, ids[1:]):
+            link({i: 1}, {-j: 1})
+        return ids[-1] if ids else None
+
+    def anisotropic() -> Iterator[dict[int, int]]:
+        # v_0 in SO_odd, then v_c + v_{-c}/2 and v_c - v_{-c}/2 (norms 1
+        # and -1) on one fresh index c per two: pairwise orthogonal, and
+        # orthogonal to every chain since each takes fresh indices
+        if g.family is Family.SO_ODD:
+            yield {0: 1}
+        half = pow(2, -1, p)
+        for c in fresh:
+            yield {c: 1, -c: half}
+            yield {c: 1, -c: -half}
+
     mu = ep.partition
+    zs = anisotropic()
     for m in mu.distinct():
         r = mu.multiplicity(m)
-        if m % 2 == natural_parity:
-            blk = _jordan_block(m, p)
-            form = _invariant_form(blk, p, symmetric=(g.family is not Family.SP))
-            blocks.extend([(blk, form)] * r)
+        if m % 2 == g.form_eps:
+            for _ in range(r // 2):
+                chain(m)
+        elif g.family is Family.SP:
+            for _ in range(r):
+                last = chain(m // 2)
+                link({last: 1}, {last: 1})
         else:
-            blocks.extend([_hyperbolic_block(m, p, g.form_eps)] * (r // 2))
-    u_blk = _direct_sum([b for b, _ in blocks], p)
-    j_blk = _direct_sum([f for _, f in blocks], p)
-    if g.family is Family.SP:
-        P = transport_alternating(j_blk, g)
-    else:
-        try:
-            P = transport_symmetric(j_blk, form_matrix(g), p)
-        except InputError:
-            # wrong discriminant class: rescale one odd-dimensional block
-            # form by a nonsquare (u still preserves it) and retry
-            nu = _nonsquare(p)
-            odd = next(i for i, (b, _) in enumerate(blocks) if len(b) % 2 == 1)
-            b, f = blocks[odd]
-            blocks[odd] = (b, tuple(tuple(x * nu % p for x in row) for row in f))
-            j_blk = _direct_sum([f for _, f in blocks], p)
-            P = transport_symmetric(j_blk, form_matrix(g), p)
-    u = mat_mul(mat_mul(mat_inv(P, p), u_blk, p), P, p)
+            for _ in range(r):
+                last = chain((m - 1) // 2)
+                z = next(zs)
+                if last is not None:
+                    link({last: 1}, z)
+    J = form_matrix(g)
+    e = mat_mul(mat(M), J, p)
+    one = identity_matrix(N)
+    plus = tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(one, e))
+    u = mat_mul(plus, mat_inv(mat_sub(one, e, p), p), p)
     special = g.family is not Family.SP
-    if not is_isometry(u, form_matrix(g), p, special=special):
+    if not is_isometry(u, J, p, special=special):
         raise ArithmeticError("representative is not an isometry")  # unreachable
     if jordan_type(u, p) != mu:
         raise ArithmeticError("representative has wrong Jordan type")  # unreachable

@@ -35,6 +35,12 @@ class CheckResult:
     detail: str
 
 
+def _result(name: str, bad: list, detail: str) -> CheckResult:
+    """Pass with the detail when nothing failed, else list the first five
+    failures."""
+    return CheckResult(name, not bad, detail if not bad else f"failures: {bad[:5]}")
+
+
 def _primes_up_to(n: int) -> list[int]:
     return [p for p in range(3, n + 1) if is_prime(p)]
 
@@ -51,7 +57,7 @@ def suite_gauss() -> list[CheckResult]:
             if square != omega * p or sign != legendre(k, p):
                 bad.append((p, k))
     detail = f"odd primes <= 50, all k; {time.time() - start:.2f}s"
-    return [CheckResult("gauss-sum-square-and-sign", not bad, detail if not bad else f"failures: {bad[:5]}")]
+    return [_result("gauss-sum-square-and-sign", bad, detail)]
 
 
 def suite_relweyl() -> list[CheckResult]:
@@ -61,7 +67,7 @@ def suite_relweyl() -> list[CheckResult]:
 
     start = time.time()
     bfs = lengths_by_bfs(4)
-    ok = len(bfs) == 384 and all(length(w) == d for w, d in bfs.items())
+    ok = len(bfs) == 384 and all(length(w) == d and w.sign() == (-1) ** d for w, d in bfs.items())
     out.append(CheckResult("weyl-length-vs-bfs-rank4", ok, f"384 elements; {time.time() - start:.2f}s"))
 
     ok = True
@@ -97,15 +103,8 @@ def suite_relweyl() -> list[CheckResult]:
                             bad.append(("so-nontrivial", q, ell, r, isign))
                         if ell != 2 and (q - 1) % ell == 0 and index_sqrt_sign_h(desc, h).value != 1:
                             bad.append(("linear-prime", q, ell, r))
-    out.append(
-        CheckResult(
-            "twist-sign-grid",
-            not bad,
-            f"{len(qs)} q-values, ell <= 11, r <= 3; {time.time() - start:.2f}s"
-            if not bad
-            else f"failures: {bad[:5]}",
-        )
-    )
+    detail = f"{len(qs)} q-values, ell <= 11, r <= 3; {time.time() - start:.2f}s"
+    out.append(_result("twist-sign-grid", bad, detail))
     return out
 
 
@@ -146,7 +145,7 @@ def suite_powmap() -> list[CheckResult]:
                         witness is None and g.family is not Family.SP):
                     bad.append((g.family.value, g.q, g.n, tuple(ep.partition), k))
     detail = f"{cells} cells; {time.time() - start:.1f}s"
-    return [CheckResult("power-map-oracle-agreement", not bad, detail if not bad else f"failures: {bad[:5]}")]
+    return [_result("power-map-oracle-agreement", bad, detail)]
 
 
 def suite_wavefront() -> list[CheckResult]:
@@ -163,7 +162,7 @@ def suite_wavefront() -> list[CheckResult]:
                 if cuspidal_multiplicity(e, f, delta) != component_orders(ep)[2]:
                     bad.append((e, f, delta))
     detail = f"e, f <= 6; {time.time() - start:.2f}s"
-    return [CheckResult("wavefront-multiplicity-identity", not bad, detail if not bad else f"failures: {bad}")]
+    return [_result("wavefront-multiplicity-identity", bad, detail)]
 
 
 def suite_brauer() -> list[CheckResult]:
@@ -183,7 +182,7 @@ def suite_brauer() -> list[CheckResult]:
             if oracle.brauer_fixed_classes_sl2(q, k) != predicted_fixed_count_rank1(q, k):
                 bad.append((q, k))
     detail = f"{pairs} (q, k) pairs; {time.time() - start:.1f}s"
-    return [CheckResult("brauer-fixed-count", not bad, detail if not bad else f"failures: {bad[:5]}")]
+    return [_result("brauer-fixed-count", bad, detail)]
 
 
 def suite_fields() -> list[CheckResult]:
@@ -199,7 +198,7 @@ def suite_fields() -> list[CheckResult]:
         field = character_field(GroupSpec(Family.SP, 1, q), cls)
         if (field.degree, field.adjoined_radicand) != (degree, radicand):
             bad.append(q)
-    return [CheckResult("rank-one-involution-fields", not bad, "q in {3,7,11} and square q = 9" if not bad else f"failures: {bad}")]
+    return [_result("rank-one-involution-fields", bad, "q in {3,7,11} and square q = 9")]
 
 
 SUITES = {

@@ -57,11 +57,21 @@ class SignedPerm:
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.n + 1))
 
-    def order(self) -> int:
-        w, k = self, 1
-        while not w.is_identity():
-            w, k = w * self, k + 1
-        return k
+    def sign(self) -> int:
+        """The determinant of w as a signed-permutation matrix, in O(n): the
+        sign of the underlying permutation times (-1)^(negative images).
+        Every Coxeter generator is a reflection, so this is (-1)^length(w)."""
+        seen = [False] * self.n
+        cycles = 0
+        for i in range(self.n):
+            if not seen[i]:
+                cycles += 1
+                j = i
+                while not seen[j]:
+                    seen[j] = True
+                    j = abs(self.images[j]) - 1
+        negatives = sum(1 for x in self.images if x < 0)
+        return -1 if (self.n - cycles + negatives) % 2 else 1
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPerm) and self.images == other.images
@@ -209,7 +219,7 @@ class RelativeWeylGroup:
         generator in W_n; None for a trivial complement."""
         if self.c_generator is None:
             return None
-        return "even" if length(self.c_generator) % 2 == 0 else "odd"
+        return "even" if self.c_generator.sign() == 1 else "odd"
 
 
 def _type_string(factors: list[tuple[str, int]]) -> str:

@@ -221,13 +221,22 @@ def test_verify_single_suite(capsys):
         assert parser.parse_args(["verify", "--suite", name]).suite == name
 
 
-def _run_child(*argv):
+def _run_child(*argv, timeout=10):
     """The CLI in a child process with a timeout, so that a hang fails."""
     src = os.path.dirname(os.path.dirname(charfield.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "charfield", *argv], env=env,
-                          capture_output=True, text=True, timeout=10)
+                          capture_output=True, text=True, timeout=timeout)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_gammadelta_at_large_rank():
+    # the parity of the complement's length is read off its sign in O(n);
+    # the length itself costs O(n^2), tens of seconds at rank 6000
+    code, out, err = _run_child("gammadelta", "--family", "sp", "--q", "3", "--a", "3000",
+                                "--b", "3000", "--sigma-k", "5", "--sigma-m", "12", timeout=30)
+    assert code == 0, err
+    assert json.loads(out)["result"]["gamma_delta"] == -1
 
 
 def test_bounded_orbit_walks():

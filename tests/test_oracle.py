@@ -85,19 +85,32 @@ def test_unipotent_reps_full_grid():
     cases = []
     for q in (3, 5, 7):
         for n in (1, 2):
-            cases.append((GroupSpec(Family.SP, n, q), 1))
+            cases.append(GroupSpec(Family.SP, n, q))
     for q in (3, 5):
         cases.extend(
             [
-                (GroupSpec(Family.SO_ODD, 1, q), 0),
-                (GroupSpec(Family.SO_ODD, 2, q), 0),
-                (GroupSpec(Family.SO_EVEN, 2, q, 1), 0),
+                GroupSpec(Family.SO_ODD, 1, q),
+                GroupSpec(Family.SO_ODD, 2, q),
+                GroupSpec(Family.SO_EVEN, 2, q, 1),
+                GroupSpec(Family.SP, 3, q),
+                GroupSpec(Family.SO_ODD, 3, q),
+                GroupSpec(Family.SO_EVEN, 3, q, 1),
             ]
         )
-    for g, eps in cases:
+    # no bound on the field: SO5(F101) type (5) and Sp4(F401) type (4) among them
+    for q in (101, 401, 1009):
+        for n in (1, 2):
+            cases.extend(
+                [
+                    GroupSpec(Family.SP, n, q),
+                    GroupSpec(Family.SO_ODD, n, q),
+                    GroupSpec(Family.SO_EVEN, n, q, 1),
+                ]
+            )
+    for g in cases:
         J = oracle.form_matrix(g)
         special = g.family is not Family.SP
-        for ep in eps_partitions(g.dim, eps):
+        for ep in eps_partitions(g.dim, g.form_eps):
             u = oracle.unipotent_rep(g, ep)
             assert oracle.is_isometry(u, J, g.p, special=special)
             assert oracle.jordan_type(u, g.p) == ep.partition

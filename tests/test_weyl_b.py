@@ -86,6 +86,7 @@ def test_length_vs_bfs_small():
         assert len(table) == 2**n * _factorial(n)
         for w, d in table.items():
             assert length(w) == d
+            assert w.sign() == (-1) ** d
 
 
 def _factorial(n):
