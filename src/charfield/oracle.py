@@ -8,11 +8,13 @@ element of the Lie algebra of the standard form, built on standard basis
 vectors, so it is an isometry by construction and needs no change of form.
 The power-map search races two exact searches in lockstep, a lexicographic
 scan of an intertwiner space and a conjugation-orbit walk, and the first to
-decide gives the answer.  The closed-form modules are tested against it,
-never the other way around.
+decide gives the answer.  The class census closes the generators into the
+group and walks each class, up to an element cap.  The closed-form modules
+are tested against it, never the other way around.
 
 Matrices are tuples of tuples of residues mod p; the oracle works over prime
-fields only, and every decision is exact integer arithmetic in pure Python."""
+fields and split forms only, and every decision is exact integer arithmetic
+in pure Python."""
 
 from __future__ import annotations
 
@@ -23,12 +25,13 @@ from math import gcd
 from operator import mul
 
 from .errors import BudgetExceededError, InputError
-from .groups import Family, GroupSpec, factor_prime_power
+from .groups import Family, GroupSpec, factorize
 from .partitions import EpsPartition, Partition
 
 Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_BUDGET = 10_000_000
+CENSUS_CAP = 60_000  # elements; admits Sp4(F3) and SO5(F3), 51,840 each
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +183,14 @@ def _span(basis: list[tuple[int, ...]], p: int) -> Iterator[tuple[int, ...]]:
 # standard forms and isometries
 
 
+def _check_model(g: GroupSpec) -> None:
+    """Reject the groups that the matrix oracle does not model."""
+    if g.field_degree != 1:
+        raise InputError("the matrix oracle works over prime fields only")
+    if g.twist != 1:
+        raise InputError("the matrix oracle models the split even orthogonal form")
+
+
 def _basis_indices(g: GroupSpec) -> list[int]:
     n = g.n
     if g.family is Family.SO_ODD:
@@ -246,11 +257,8 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
     For odd p the Cayley transform preserves the form, has det 1 and keeps
     the Jordan type of e.
     """
-    p, a = factor_prime_power(g.q)
-    if a != 1:
-        raise InputError("the matrix oracle works over prime fields only")
-    if g.family is Family.SO_EVEN and g.twist != 1:
-        raise InputError("the matrix oracle models the split even orthogonal form")
+    _check_model(g)
+    p = g.p
     if ep.eps != g.form_eps or ep.total != g.dim:
         raise InputError("partition does not match the group")
     pos = {i: t for t, i in enumerate(_basis_indices(g))}
@@ -321,9 +329,9 @@ def group_generators(g: GroupSpec) -> list[Matrix]:
     """Unipotent root elements (parameter 1) plus, for orthogonal groups, a
     torus element of non-trivial spinor norm; together they generate the
     finite group over the prime field."""
+    _check_model(g)
     p = g.p
-    idx = _basis_indices(g)
-    pos = {i: t for t, i in enumerate(idx)}
+    pos = {i: t for t, i in enumerate(_basis_indices(g))}
     n, N = g.n, g.dim
     inv2 = pow(2, -1, p)
 
@@ -358,10 +366,7 @@ def group_generators(g: GroupSpec) -> list[Matrix]:
             gens.append(elem({(0, i): 1, (-i, i): -inv2, (-i, 0): -1}))
     if g.family in (Family.SO_ODD, Family.SO_EVEN):
         zeta = _primitive_root(p)
-        m = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-        m[pos[1]][pos[1]] = zeta
-        m[pos[-1]][pos[-1]] = pow(zeta, -1, p)
-        gens.append(mat(m))
+        gens.append(elem({(1, 1): zeta - 1, (-1, -1): pow(zeta, -1, p) - 1}))
     J = form_matrix(g)
     for m_ in gens:
         if not is_isometry(m_, J, p, special=True):
@@ -370,15 +375,9 @@ def group_generators(g: GroupSpec) -> list[Matrix]:
 
 
 def _primitive_root(p: int) -> int:
-    for cand in range(2, p):
-        seen = set()
-        x = 1
-        for _ in range(p - 1):
-            x = x * cand % p
-            seen.add(x)
-        if len(seen) == p - 1:
-            return cand
-    raise InputError("no primitive root found")
+    """The least c with c^((p-1)/r) != 1 mod p for every prime r | p - 1."""
+    primes = [r for r, _ in factorize(p - 1)]
+    return next(c for c in range(2, p) if all(pow(c, (p - 1) // r, p) != 1 for r in primes))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +461,8 @@ def power_conjugacy_search(
     the conjugators along the walk's path.  More than `budget` rounds raise;
     the search never truncates.
     """
-    p, a = factor_prime_power(g.q)
-    if a != 1:
-        raise InputError("the matrix oracle works over prime fields only")
+    _check_model(g)
+    p = g.p
     if gcd(k, p) != 1:
         raise InputError("k must be coprime to p")
     J = form_matrix(g)
@@ -486,50 +484,52 @@ def power_conjugacy_search(
 
 
 # ---------------------------------------------------------------------------
-# rank-one class counting
-
-
-def sl2_elements(q: int) -> list[Matrix]:
-    p, a = factor_prime_power(q)
-    if a != 1 or q > 13:
-        raise InputError("rank-one enumeration supports prime q <= 13")
-    out = []
-    for x in range(q):
-        for b in range(q):
-            for c in range(q):
-                if x:
-                    d = (1 + b * c) * pow(x, -1, q) % q
-                    out.append(((x, b), (c, d)))
-                elif b * c % q == q - 1:
-                    for d in range(q):
-                        out.append(((x, b), (c, d)))
-    return out
+# class census
 
 
 @lru_cache(maxsize=None)
-def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
-    """Conjugacy classes of the rank-one symplectic group by raw orbit
-    computation: returns class representatives (the first element of each
-    class in `sl2_elements` order) and an element -> class map.  Each class
-    is walked under the two root elements, which generate the group."""
-    elements = sl2_elements(q)
-    pairs = _conjugators(GroupSpec(Family.SP, 1, q))
+def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
+    """Conjugacy classes by raw orbit computation: representatives (the least
+    element of each class in lex order) and an element -> class map, whose
+    length is the group order.  The generators are closed into the group by
+    breadth-first right multiplication, then each class is walked under them;
+    more than CENSUS_CAP elements raise BudgetExceededError."""
+    pairs = _conjugators(g)
+    p = g.p
+    frontier = [identity_matrix(g.dim)]
+    elements = set(frontier)
+    while frontier:
+        grown = []
+        for x in frontier:
+            for h, _ in pairs:
+                y = mat_mul(x, h, p)
+                if y not in elements:
+                    if len(elements) == CENSUS_CAP:
+                        raise BudgetExceededError(f"class census stops at {CENSUS_CAP} elements")
+                    elements.add(y)
+                    grown.append(y)
+        frontier = grown
     index: dict[Matrix, int] = {}
     reps: list[Matrix] = []
-    for m in elements:
+    for m in sorted(elements):
         if m in index:
             continue
         index[m] = len(reps)
-        for y in _conjugation_walk(m, pairs, q, {}):
+        for y in _conjugation_walk(m, pairs, p, {}):
             index[y] = len(reps)
         reps.append(m)
     return tuple(reps), index
 
 
+def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
+    """Conjugacy classes of the rank-one symplectic group Sp2(F_q)."""
+    return class_census(GroupSpec(Family.SP, 1, q))
+
+
 def brauer_fixed_classes_sl2(q: int, k: int) -> int:
     """Number of conjugacy classes of the rank-one symplectic group fixed by
     g -> g^k, by brute force."""
-    if gcd(k, q * (q * q - 1)) != 1:
-        raise InputError("k must be coprime to the group order")
     reps, index = sl2_classes(q)
+    if gcd(k, len(index)) != 1:
+        raise InputError("k must be coprime to the group order")
     return sum(1 for ci, m in enumerate(reps) if index[mat_pow(m, k, q)] == ci)

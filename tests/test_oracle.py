@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -123,6 +124,18 @@ def test_unipotent_rep_rejects():
         oracle.unipotent_rep(
             GroupSpec(Family.SP, 1, 7), EpsPartition(Partition([1, 1, 1]), 0)
         )
+    # every oracle entry rejects the groups it does not model, instead of
+    # answering for Sp2(F_3) or for the split form
+    square = GroupSpec(Family.SP, 1, 9)
+    twisted = GroupSpec(Family.SO_EVEN, 2, 3, -1)
+    u = oracle.unipotent_rep(GroupSpec(Family.SO_EVEN, 2, 3, 1), EpsPartition(Partition([3, 1]), 0))
+    for call in (oracle.group_generators, oracle.class_census):
+        with pytest.raises(InputError, match="prime fields"):
+            call(square)
+        with pytest.raises(InputError, match="split"):
+            call(twisted)
+    with pytest.raises(InputError, match="split"):
+        oracle.power_conjugacy_search(twisted, u, 2)
 
 
 def test_power_search_identity_witness():
@@ -176,6 +189,9 @@ def test_budget_error():
     assert oracle.power_conjugacy_search(g, u, 2) is None
     with pytest.raises(BudgetExceededError):
         oracle.power_conjugacy_search(g, u, 2, budget=10)
+    # the class census stops at its element cap: SL2(F_41) has 68,880
+    with pytest.raises(BudgetExceededError):
+        oracle.class_census(GroupSpec(Family.SP, 1, 41))
 
 
 def _run_search(search):
@@ -292,32 +308,67 @@ def test_group_orders_small():
     assert mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 2, 3)), 3) == 51840
 
 
-def test_sl2_census():
-    for q in (3, 5, 7):
-        assert len(oracle.sl2_elements(q)) == q * (q * q - 1)
-    reps5, _ = oracle.sl2_classes(5)
-    assert len(reps5) == 9
-    reps7, _ = oracle.sl2_classes(7)
-    assert len(reps7) == 11
+def test_primitive_root():
+    for p in range(3, 200):
+        if all(p % d for d in range(2, p)):
+            # the least c whose powers give every unit
+            least = next(c for c in range(2, p)
+                         if len({pow(c, e, p) for e in range(p - 1)}) == p - 1)
+            assert oracle._primitive_root(p) == least, p
 
 
-def _sl2_classes_all_pairs(q):
-    # conjugate each new representative by every group element
-    elements = oracle.sl2_elements(q)
-    inverses = {m: oracle.mat_inv(m, q) for m in elements}
+def _isometries(g):
+    # every matrix over F_p that preserves the form, with det 1 in SO, in
+    # lexicographic order
+    N, p = g.dim, g.p
+    J = oracle.form_matrix(g)
+    special = g.family is not Family.SP
+    out = []
+    for flat in itertools.product(range(p), repeat=N * N):
+        m = tuple(flat[i * N:(i + 1) * N] for i in range(N))
+        if oracle.is_isometry(m, J, p, special):
+            out.append(m)
+    return out
+
+
+_SMALL = [GroupSpec(Family.SP, 1, q) for q in (3, 5, 7)] + [GroupSpec(Family.SO_ODD, 1, 3)]
+
+
+def test_census_elements_are_the_isometries():
+    for g in _SMALL:
+        _, index = oracle.class_census(g)
+        assert sorted(index) == _isometries(g), g
+
+
+def _classes_all_pairs(g, elements):
+    # conjugate each new representative, in lexicographic order, by every
+    # group element
+    p = g.p
+    inverses = {m: oracle.mat_inv(m, p) for m in elements}
     index, reps = {}, []
-    for m in elements:
+    for m in sorted(elements):
         if m in index:
             continue
         for x in elements:
-            index[oracle.mat_mul(oracle.mat_mul(x, m, q), inverses[x], q)] = len(reps)
+            index[oracle.mat_mul(oracle.mat_mul(x, m, p), inverses[x], p)] = len(reps)
         reps.append(m)
     return tuple(reps), index
 
 
-def test_sl2_classes_against_all_pairs():
+def test_census_against_all_pairs():
+    for g in _SMALL:
+        assert oracle.class_census(g) == _classes_all_pairs(g, _isometries(g)), g
+    # too large to list by brute force: the reference takes the census's
+    # elements, whose number is pinned.  SO3(q) is PGL2(q), of order
+    # q(q^2 - 1) with q + 2 classes.
+    counts = {GroupSpec(Family.SO_ODD, 1, q): (q + 2, q * (q * q - 1)) for q in (3, 5, 7)}
+    counts[GroupSpec(Family.SO_EVEN, 2, 3, 1)] = (20, 576)
+    for g, count in counts.items():
+        reps, index = oracle.class_census(g)
+        assert (len(reps), len(index)) == count, g
+        assert (reps, index) == _classes_all_pairs(g, list(index)), g
     for q in (3, 5, 7):
-        assert oracle.sl2_classes(q) == _sl2_classes_all_pairs(q)
+        assert oracle.sl2_classes(q) == oracle.class_census(GroupSpec(Family.SP, 1, q))
 
 
 def test_brauer_counts():
