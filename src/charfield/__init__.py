@@ -41,7 +41,7 @@ from .semisimple import (
     order_of,
     sigma_image,
 )
-from .symbols import Symbol, class_symbol, cuspidal_multiplicity, special_symbol, wavefront_partition
+from .symbols import Symbol, cuspidal_multiplicity, special_symbol, wavefront_partition
 from .weyl_b import (
     RelativeWeylGroup,
     SeriesDescriptor,

@@ -191,7 +191,8 @@ def sqrt_p_sign(sigma: GaloisElement, p: int) -> int:
     return base * (1 if sigma.k % 4 == 1 else -1)
 
 
-DEFAULT_GAUSS_BOUND = 101
+# gauss_sum_exact costs O(p^2) integer operations; larger p is refused
+GAUSS_BOUND = 101
 
 
 def _reduce_mod_cyclotomic(coeffs: list[int], p: int) -> tuple[int, ...]:
@@ -200,7 +201,7 @@ def _reduce_mod_cyclotomic(coeffs: list[int], p: int) -> tuple[int, ...]:
     return tuple(c - top for c in coeffs[: p - 1])
 
 
-def gauss_sum_exact(p: int, k: int, bound: int = DEFAULT_GAUSS_BOUND) -> tuple[int, int]:
+def gauss_sum_exact(p: int, k: int) -> tuple[int, int]:
     """Exact quadratic Gauss sum computations modulo the p-th cyclotomic polynomial.
 
     Let g = sum_{n=1}^{p-1} (n/p) x^n in Z[x]/(Phi_p).  Returns the pair
@@ -209,8 +210,8 @@ def gauss_sum_exact(p: int, k: int, bound: int = DEFAULT_GAUSS_BOUND) -> tuple[i
     raw polynomial arithmetic, with no quadratic reciprocity anywhere.
     """
     _check_odd_prime(p)
-    if p > bound:
-        raise InputError(f"p = {p} exceeds the bound {bound}")
+    if p > GAUSS_BOUND:
+        raise InputError(f"p = {p} exceeds the bound {GAUSS_BOUND}")
     if k % p == 0:
         raise InputError("k must be coprime to p")
     chi = [0] + [legendre(n, p) for n in range(1, p)]

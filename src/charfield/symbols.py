@@ -1,22 +1,8 @@
 """Two-row symbols, the special symbols attached to cuspidal unipotent data,
 wave-front partitions, and the cuspidal multiplicity 2-power.
 
-Conventions, frozen against the explicit low-rank expansions in the tests:
-
-* A symbol is a pair of strictly increasing rows of non-negative integers
-  with a spread tag.  Spread-0 symbols carry their rank as the plain entry
-  sum; spread-2 symbols (whose distinguished representatives have rows
-  0, 2, 4, ...) subtract twice the usual floor correction.
-
-* The class symbol of a cuspidal datum (e, f, delta), e <= f, is built by
-  converting the smaller special symbol to spread-2 form (adding the
-  staircase 0, 2, 4, ... to each row), padding with (f - e) spread-2 shifts
-  (prepend 0, add 2), and then adding the larger special symbol entrywise.
-
-* Extraction to a Jordan-type partition doubles one row and doubles-plus-one
-  the other (the odd row is the longer top row for defect 1, the bottom row
-  for defect 0), merges, subtracts the interleaved minimal staircase
-  0, 1, 4, 5, 8, 9, ... and reverses.
+A symbol is a pair of strictly increasing rows of non-negative integers; its
+rank is the plain entry sum.
 """
 
 from __future__ import annotations
@@ -31,7 +17,6 @@ from .partitions import EpsPartition, Partition
 class Symbol:
     top: tuple[int, ...]
     bottom: tuple[int, ...]
-    spread: int = 0
 
     def __post_init__(self) -> None:
         for row in (self.top, self.bottom):
@@ -39,8 +24,6 @@ class Symbol:
                 raise InputError("symbol entries must be non-negative")
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
                 raise InputError("symbol rows must be strictly increasing")
-        if self.spread not in (0, 2):
-            raise InputError("spread must be 0 or 2")
 
     @property
     def defect(self) -> int:
@@ -48,9 +31,7 @@ class Symbol:
 
     @property
     def rank(self) -> int:
-        total = sum(self.top) + sum(self.bottom)
-        m = len(self.top) + len(self.bottom) - 1
-        return total - self.spread * (m * m // 4)
+        return sum(self.top) + sum(self.bottom)
 
 
 def special_symbol(e: int, delta: int) -> Symbol:
@@ -68,32 +49,6 @@ def special_symbol(e: int, delta: int) -> Symbol:
             raise InputError("e must be >= 1 for defect 0")
         return Symbol(tuple(range(1, e + 1)), tuple(range(e)))
     raise InputError("delta must be 0 or 1")
-
-
-def _special_rows(e: int, delta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Lenient variant also allowing the empty defect-0 symbol at e = 0,
-    # needed internally when one side of a cuspidal datum vanishes.
-    if delta == 0 and e == 0:
-        return (), ()
-    s = special_symbol(e, delta)
-    return s.top, s.bottom
-
-
-def _staircase2(e: int, delta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    # Minimal spread-2 rows at the shape of the defect-delta special symbol.
-    return tuple(2 * i for i in range(e + delta)), tuple(2 * i for i in range(e))
-
-
-def _add_rows(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    if len(x) != len(y):
-        raise InputError("row length mismatch")
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _shift2(rows: tuple[tuple[int, ...], tuple[int, ...]]):
-    return tuple(
-        (0,) + tuple(x + 2 for x in row) for row in rows
-    )
 
 
 def _admissible(e: int, f: int, delta: int) -> tuple[int, int]:
@@ -114,51 +69,26 @@ def _admissible(e: int, f: int, delta: int) -> tuple[int, int]:
     return e, f
 
 
-def class_symbol(e: int, f: int, delta: int) -> Symbol:
-    """The spread-2 symbol of the wave-front class of the cuspidal datum."""
-    e, f = _admissible(e, f, delta)
-    rows = _special_rows(e, delta)
-    rows = (
-        _add_rows(rows[0], _staircase2(e, delta)[0]),
-        _add_rows(rows[1], _staircase2(e, delta)[1]),
-    )
-    for _ in range(f - e):
-        rows = _shift2(rows)
-    big = _special_rows(f, delta)
-    return Symbol(_add_rows(rows[0], big[0]), _add_rows(rows[1], big[1]), spread=2)
-
-
-def _extract_partition(sym: Symbol, delta: int) -> tuple[int, ...]:
-    """Jordan-type partition of a spread-2 symbol: double-and-interleave,
-    then subtract the interleaved minimal staircase."""
-    if delta == 1:
-        odd_row, even_row = sym.top, sym.bottom
-    else:
-        odd_row, even_row = sym.bottom, sym.top
-    merged = sorted([2 * a for a in even_row] + [2 * b + 1 for b in odd_row])
-    m = len(sym.bottom)
-    stair = sorted([4 * t for t in range(m)] + [4 * t + 1 for t in range(m)]
-                   + ([4 * m] if delta == 1 else []))
-    if len(stair) != len(merged):
-        raise InputError("symbol shape does not match its defect pattern")
-    lam = [c - s for c, s in zip(merged, stair)]
-    if any(x <= 0 for x in lam) or any(lam[i] > lam[i + 1] for i in range(len(lam) - 1)):
-        raise ArithmeticError("degenerate symbol extraction")  # unreachable for valid data
-    return tuple(reversed(lam))
-
-
 def wavefront_partition(e: int, f: int, delta: int) -> EpsPartition:
     """Jordan type of the wave-front class of the cuspidal datum (e, f, delta).
 
-    The result is an orthogonal-type partition of 2*(e*(e+delta) + f*(f+delta))
-    + delta, with every part odd.
+    With e <= f: every odd part below 2(e + f + delta) once, and every odd
+    part below 2(f - e) once more, an orthogonal-type partition of
+    2*(e*(e+delta) + f*(f+delta)) + delta.
+
+    Derivation.  The class symbol adds the smaller special symbol, raised
+    by the staircase 0, 2, 4, ... and shifted f - e times (prepend 0, add 2),
+    entrywise to the larger one.  Each of its rows is then an arithmetic
+    progression of step 3 over its first f - e entries and of step 4 after
+    them.  Doubling one row, doubling-plus-one the other, merging and
+    subtracting the interleaved staircase 0, 1, 4, 5, 8, 9, ... turns the
+    step-3 entries into the doubled parts 1, 3, ..., 2(f-e)-1 and the step-4
+    entries into the single parts 2(f-e)+1, ..., 2(e+f+delta)-1.
     """
     e, f = _admissible(e, f, delta)
-    lam = _extract_partition(class_symbol(e, f, delta), delta)
-    dim = 2 * (e * (e + delta) + f * (f + delta)) + delta
-    if sum(lam) != dim:
-        raise ArithmeticError("wave-front partition has wrong size")  # unreachable
-    return EpsPartition(Partition(lam), 0)
+    singles = range(2 * (e + f + delta) - 1, 2 * (f - e), -2)
+    doubles = (part for part in range(2 * (f - e) - 1, 0, -2) for _ in range(2))
+    return EpsPartition(Partition((*singles, *doubles)), 0)
 
 
 def cuspidal_multiplicity(e: int, f: int, delta: int) -> int:

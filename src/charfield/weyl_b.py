@@ -57,22 +57,6 @@ class SignedPerm:
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.n + 1))
 
-    def sign(self) -> int:
-        """The determinant of w as a signed-permutation matrix, in O(n): the
-        sign of the underlying permutation times (-1)^(negative images).
-        Every Coxeter generator is a reflection, so this is (-1)^length(w)."""
-        seen = [False] * self.n
-        cycles = 0
-        for i in range(self.n):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = abs(self.images[j]) - 1
-        negatives = sum(1 for x in self.images if x < 0)
-        return -1 if (self.n - cycles + negatives) % 2 else 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPerm) and self.images == other.images
 
@@ -196,30 +180,30 @@ class RelativeWeylGroup:
     Type tokens: "Bk" is a type-B_k factor, "Dk" its index-two reflection
     subgroup, and "B''k" the rank-(k-1) type-B subgroup of Dk generated by
     s_1..s_{k-2} and u_{k-1}.  Trivial factors are dropped.  The complement C
-    has order 1 or 2; its generator is given as an element of the ambient W_n
-    so that lengths are taken in the full group, and the parity of that
-    length is read off the generator.
+    has order 1 or 2.  Its generator, an element of the ambient W_n so that
+    lengths are taken in the full group, is always a diagonal sign change
+    (s_n, t_m or u_m) and is stored as the coordinates it negates; a trivial
+    complement negates none.
     """
 
     w_type: str
     r_type: str
-    c_order: int
-    c_generator: SignedPerm | None
+    c_flips: tuple[int, ...] = ()
     externally_sourced: bool = False
 
-    def __post_init__(self) -> None:
-        if self.c_order not in (1, 2):
-            raise InputError("c_order must be 1 or 2")
-        if (self.c_order == 2) != (self.c_generator is not None):
-            raise InputError("an order-two complement needs a generator, a trivial one has none")
+    @property
+    def c_order(self) -> int:
+        return 2 if self.c_flips else 1
 
     @property
     def c_length_parity(self) -> str | None:
         """"even" or "odd", the parity of the length of the complement's
-        generator in W_n; None for a trivial complement."""
-        if self.c_generator is None:
+        generator in W_n; None for a trivial complement.  A sign change of k
+        coordinates has determinant (-1)^k, and every Coxeter generator is a
+        reflection, so its length has the parity of k."""
+        if not self.c_flips:
             return None
-        return "even" if self.c_generator.sign() == 1 else "odd"
+        return "even" if len(self.c_flips) % 2 == 0 else "odd"
 
 
 def _type_string(factors: list[tuple[str, int]]) -> str:
@@ -254,30 +238,29 @@ def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
         if desc.principal:
             if b < 1:
                 raise InputError("principal so-even row needs b >= 1")
-            u1 = special_element(n, "u", 1)
             if g.twist == 1:
                 return RelativeWeylGroup(
                     _type_string([("B", a), ("B", b)]),
                     _type_string([("D", a), ("D", b)]),
-                    2, u1,
+                    (1, n),
                 )
             return RelativeWeylGroup(
                 _type_string([("B", a), ("B''", b)]),
                 _type_string([("D", a), ("B''", b)]),
-                2, u1,
+                (1, n),
             )
-        um = special_element(n, "u", m)
+        if m < 1:
+            raise InputError("u_m needs 1 <= m < n")
         return RelativeWeylGroup(
             _type_string([("B", a), ("B", b)]),
             _type_string([("B", a), ("D", b)]),
-            2, um,
+            (m, n),
         )
 
     if g.family is Family.SO_ODD:
         return RelativeWeylGroup(
             _type_string([("B", a), ("B", b)]),
             _type_string([("B", a), ("B", b)]),
-            1, None,
         )
 
     if g.family is Family.SP:
@@ -287,20 +270,20 @@ def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
                     "symplectic principal row needs b >= 1 "
                     "(the all-trivial character gives a unipotent series with trivial complement)"
                 )
-            sn = generator(n, n)
             return RelativeWeylGroup(
                 _type_string([("B", a), ("B", b)]),
                 _type_string([("B", a), ("D", b)]),
-                2, sn,
+                (n,),
             )
         # Non-principal symplectic row: complement of order two generated by
         # t_m.  Imported from the standard normaliser structure rather than
         # derived in this package; flagged so consumers can tell.
-        tm = special_element(n, "t", m)
+        if m < 1:
+            raise InputError("t_m needs 1 <= m <= n")
         return RelativeWeylGroup(
             _type_string([("B", a), ("B", b)]),
             _type_string([("B", a), ("D", b)]),
-            2, tm,
+            (m,),
             externally_sourced=True,
         )
 

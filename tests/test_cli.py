@@ -231,10 +231,11 @@ def _run_child(*argv, timeout=10):
 
 
 def test_gammadelta_at_large_rank():
-    # the parity of the complement's length is read off its sign in O(n);
-    # the length itself costs O(n^2), tens of seconds at rank 6000
-    code, out, err = _run_child("gammadelta", "--family", "sp", "--q", "3", "--a", "3000",
-                                "--b", "3000", "--sigma-k", "5", "--sigma-m", "12", timeout=30)
+    # the parity of the complement's length is the number of coordinates its
+    # generator negates, so no element of W_n is built: the length itself
+    # costs O(n^2) and a one-line signed permutation O(n) memory
+    code, out, err = _run_child("gammadelta", "--family", "sp", "--q", "3", "--a", "1000000000",
+                                "--b", "1000000000", "--sigma-k", "5", "--sigma-m", "12")
     assert code == 0, err
     assert json.loads(out)["result"]["gamma_delta"] == -1
 

@@ -4,7 +4,6 @@ from charfield.errors import InputError
 from charfield.partitions import component_orders, eps_stats
 from charfield.symbols import (
     Symbol,
-    class_symbol,
     cuspidal_multiplicity,
     special_symbol,
     wavefront_partition,
@@ -40,36 +39,51 @@ def test_special_symbol_ranks():
         assert special_symbol(e, 0).rank == e * e
 
 
-def test_class_symbol_rank():
-    for delta in (0, 1):
-        for e in range(5):
-            for f in range(e, 5):
-                if f + delta < 1:
-                    continue
-                n = e * (e + delta) + f * (f + delta)
-                assert class_symbol(e, f, delta).rank == n, (e, f, delta)
+def _symbol_wavefront(e, f, delta):
+    """Independent reference: the Jordan type read off the class symbol.
 
-
-def _direct_wavefront(e, f, delta):
-    """Independent expansion of the two explicit wave-front families: single
-    parts from k up to k + 2e - 1 + delta, then doubled parts from k - 1
-    down to 0, everything doubled-plus-one."""
+    The class symbol is the smaller special symbol raised by the staircase
+    0, 2, 4, ..., shifted f - e times (prepend 0, add 2), plus the larger
+    special symbol entrywise.  Its extraction doubles one row
+    and doubles-plus-one the other (the odd row is the top row for defect 1,
+    the bottom row for defect 0), merges, subtracts the interleaved staircase
+    0, 1, 4, 5, 8, 9, ... (and 4m at defect 1) and reverses.
+    """
     e, f = min(e, f), max(e, f)
-    k = f - e
-    mu = list(range(k + 2 * e - 1 + delta, k - 1, -1))
-    for j in range(k - 1, -1, -1):
-        mu.extend([j, j])
-    return tuple(2 * m + 1 for m in mu)
+
+    def rows(m):
+        if delta == 0 and m == 0:
+            return (), ()
+        s = special_symbol(m, delta)
+        return s.top, s.bottom
+
+    top, bottom = rows(e)
+    top = [x + 2 * i for i, x in enumerate(top)]
+    bottom = [x + 2 * i for i, x in enumerate(bottom)]
+    for _ in range(f - e):
+        top = [0] + [x + 2 for x in top]
+        bottom = [0] + [x + 2 for x in bottom]
+    big_top, big_bottom = rows(f)
+    assert len(top) == len(big_top) and len(bottom) == len(big_bottom)
+    top = [x + y for x, y in zip(top, big_top)]
+    bottom = [x + y for x, y in zip(bottom, big_bottom)]
+    odd_row, even_row = (top, bottom) if delta == 1 else (bottom, top)
+    merged = sorted([2 * a for a in even_row] + [2 * b + 1 for b in odd_row])
+    m = len(bottom)
+    stair = sorted([4 * t for t in range(m)] + [4 * t + 1 for t in range(m)]
+                   + ([4 * m] if delta == 1 else []))
+    assert len(stair) == len(merged)
+    return tuple(reversed([c - s for c, s in zip(merged, stair)]))
 
 
 def test_wavefront_matches_direct_expansion_small():
     for delta in (0, 1):
-        for e in range(3):
-            for f in range(3):
+        for e in range(21):
+            for f in range(21):
                 if max(e, f) + delta < 1:
                     continue
                 ep = wavefront_partition(e, f, delta)
-                assert ep.partition.parts == _direct_wavefront(e, f, delta), (e, f, delta)
+                assert ep.partition.parts == _symbol_wavefront(e, f, delta), (e, f, delta)
 
 
 def test_wavefront_frozen_values():

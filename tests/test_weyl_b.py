@@ -86,7 +86,6 @@ def test_length_vs_bfs_small():
         assert len(table) == 2**n * _factorial(n)
         for w, d in table.items():
             assert length(w) == d
-            assert w.sign() == (-1) ** d
 
 
 def _factorial(n):
@@ -115,15 +114,19 @@ SAMPLE_DESCRIPTORS = [
 ]
 
 
+def _negated(w):
+    return tuple(i for i in range(1, w.n + 1) if w(i) < 0)
+
+
 def test_relative_weyl_table_rows():
     rel = relative_weyl(SAMPLE_DESCRIPTORS[0])
-    assert rel.c_generator == generator(2, 2)
+    assert rel.c_flips == _negated(generator(2, 2))
     assert rel.c_length_parity == "odd"
     assert rel.w_type == "B1 x B1"
     assert rel.r_type == "B1"
 
     rel = relative_weyl(SAMPLE_DESCRIPTORS[4])
-    assert rel.c_generator == special_element(3, "u", 1)
+    assert rel.c_flips == _negated(special_element(3, "u", 1))
     assert rel.c_length_parity == "even"
     assert rel.w_type == "B1 x B2"
     assert rel.r_type == "D2"
@@ -131,7 +134,7 @@ def test_relative_weyl_table_rows():
     rel = relative_weyl(SAMPLE_DESCRIPTORS[5])
     assert rel.w_type == "B2"  # the B''1 factor is trivial and dropped
     assert rel.r_type == "D2"
-    assert rel.c_generator == special_element(3, "u", 1)
+    assert rel.c_flips == _negated(special_element(3, "u", 1))
 
     rel = relative_weyl(SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, 3, -1), True, 4, 2, 2))
     assert rel.w_type == "B2 x B''2"
@@ -139,10 +142,11 @@ def test_relative_weyl_table_rows():
 
     rel = relative_weyl(SAMPLE_DESCRIPTORS[9])
     assert rel.c_order == 1
-    assert rel.c_generator is None
+    assert rel.c_flips == ()
+    assert rel.c_length_parity is None
 
     rel = relative_weyl(SAMPLE_DESCRIPTORS[3])
-    assert rel.c_generator == special_element(4, "t", 2)
+    assert rel.c_flips == _negated(special_element(4, "t", 2))
     assert rel.externally_sourced
 
 
@@ -157,9 +161,9 @@ def test_relative_weyl_parities():
             assert rel.c_length_parity == "odd"
         else:
             assert rel.c_length_parity == "even"
-        w = rel.c_generator
-        assert (w * w).is_identity()
-        assert not w.is_identity()
+        n = desc.group.n
+        w = SignedPerm(-i if i in rel.c_flips else i for i in range(1, n + 1))
+        assert rel.c_length_parity == ("odd" if length(w) % 2 else "even")
 
 
 def test_relative_weyl_errors():
@@ -167,6 +171,10 @@ def test_relative_weyl_errors():
         relative_weyl(SeriesDescriptor(GroupSpec(Family.SP, 2, 3), True, 2, 2, 0))
     with pytest.raises(InputError):
         relative_weyl(SeriesDescriptor(GroupSpec(Family.SO_EVEN, 2, 3, 1), True, 2, 2, 0))
+    # a non-principal row needs a split torus for t_m or u_m to act on
+    for family in (Family.SP, Family.SO_EVEN):
+        with pytest.raises(InputError):
+            relative_weyl(SeriesDescriptor(GroupSpec(family, 4, 3), False, 0, 0, 0, True))
 
 
 def test_descriptor_invariants():
