@@ -12,6 +12,14 @@ decide gives the answer.  The class census closes the generators into the
 group and walks each class, up to an element cap.  The closed-form modules
 are tested against it, never the other way around.
 
+Every generator is a root or torus element, which differs from the identity
+in a few entries, so the walk conjugates by a row update and a column update
+that reuse the rows and columns the generator leaves alone, and the census
+multiplies by the same column update; dense products serve everything else.
+The scan reads the form as a signed permutation and rejects a candidate at
+the first entry of its Gram matrix that differs from the form, so most
+candidates cost one dot product.
+
 Matrices are tuples of tuples of residues mod p; the oracle works over prime
 fields and split forms only, and every decision is exact integer arithmetic
 in pure Python."""
@@ -19,10 +27,11 @@ in pure Python."""
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Generator, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterator, Sequence
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, InputError
 from .groups import Family, GroupSpec, factorize
@@ -384,18 +393,65 @@ def _primitive_root(p: int) -> int:
 # power-map conjugacy search
 
 
+Offsets = tuple[tuple[int, int, int], ...]
+
+
+def _offsets(m: Matrix, p: int) -> Offsets:
+    """The entries (i, j, c) at which m differs from the identity, c being
+    the difference, row by row: a few for a root or torus element."""
+    return tuple((i, j, (x - (i == j)) % p)
+                 for i, row in enumerate(m) for j, x in enumerate(row) if x != (i == j))
+
+
+def _left_act(d: Offsets, x: Matrix, p: int) -> Matrix:
+    """h x for h = 1 + d: row i gains c times row j of x for each (i, j, c)
+    in d, and every other row of x is reused as it is."""
+    y = list(x)
+    for i, j, c in d:
+        y[i] = tuple([(a + c * b) % p for a, b in zip(y[i], x[j])])
+    return tuple(y)
+
+
+def _right_act(x: Matrix, d: Offsets, p: int) -> Matrix:
+    """x h for h = 1 + d: column j gains c times column i of x for each
+    (i, j, c) in d, and every other column keeps its entries."""
+    out = []
+    for row in x:
+        r = list(row)
+        for i, j, c in d:
+            r[j] = (r[j] + c * row[i]) % p
+        out.append(tuple(r))
+    return tuple(out)
+
+
+class _Conjugator(NamedTuple):
+    """A group generator h with the offsets of h and of h^-1 from the
+    identity: they give the rows of h x and the columns of x h^-1 that can
+    differ from those of x."""
+
+    h: Matrix
+    d: Offsets
+    d_inv: Offsets
+
+
+def _conjugator(h: Matrix, p: int) -> _Conjugator:
+    return _Conjugator(h, _offsets(h, p), _offsets(mat_inv(h, p), p))
+
+
 def _conjugation_walk(
-    x0: Matrix, pairs: Sequence[tuple[Matrix, Matrix]], p: int, tree: dict
+    x0: Matrix, conjugators: Sequence[_Conjugator], p: int, tree: dict
 ) -> Iterator[Matrix]:
-    """Breadth-first walk of the conjugation orbit of x0 under the pairs
-    (h, h^-1).  Records x0 and every new conjugate y = h x h^-1 in tree as
-    y -> (x, index of the pair), and yields each new y once."""
+    """Breadth-first walk of the conjugation orbit of x0 under the
+    conjugators.  Records x0 and every new conjugate y = h x h^-1 in tree as
+    y -> (x, index of the conjugator), and yields each new y once.  Each
+    step is a row update by h and a column update by h^-1: O(N) arithmetic
+    per offset instead of two matrix products of N^3 each."""
     tree[x0] = (None, -1)
     queue = deque([x0])
     while queue:
         x = queue.popleft()
-        for gi, (h, h_inv) in enumerate(pairs):
-            y = mat_mul(mat_mul(h, x, p), h_inv, p)
+        for gi, (_, d, d_inv) in enumerate(conjugators):
+            y = _right_act(_left_act(d, x, p), d_inv, p)
             if y not in tree:
                 tree[y] = (x, gi)
                 yield y
@@ -403,10 +459,39 @@ def _conjugation_walk(
 
 
 @lru_cache(maxsize=None)
-def _conjugators(g: GroupSpec) -> tuple[tuple[Matrix, Matrix], ...]:
-    """The pairs (h, h^-1) that the orbit walk conjugates by, one per group
-    generator: in a finite group the generators alone reach every conjugate."""
-    return tuple((h, mat_inv(h, g.p)) for h in group_generators(g))
+def _conjugators(g: GroupSpec) -> tuple[_Conjugator, ...]:
+    """The conjugators of the orbit walk, one per group generator: in a
+    finite group the generators alone reach every conjugate."""
+    return tuple(_conjugator(h, g.p) for h in group_generators(g))
+
+
+def _gram_test(J: Matrix, p: int) -> Callable[[Sequence[int]], bool]:
+    """A test of X^T J X = J for a candidate X given by its row-major entries.
+    J is read once as a signed permutation, J[i][s(i)] = c_i and zero
+    elsewhere, so (X^T J X)_ab = sum_i c_i X[i][a] X[s(i)][b].  X^T J X is
+    symmetric or alternating with J, so the entries with a <= b decide; they
+    are compared with J one at a time, the pairings (a, s(a)) first since an
+    intertwiner most often fails there, and the test stops at the first
+    mismatch."""
+    N = len(J)
+    s = [next(j for j in range(N) if J[i][j]) for i in range(N)]
+    coefs = [J[i][s[i]] for i in range(N)]
+    upper = [(a, s[a]) for a in range(N) if a <= s[a]]
+    upper += [(a, b) for a in range(N) for b in range(a, N) if b != s[a]]
+    entries = [
+        (itemgetter(*[i * N + a for i in range(N)]),
+         itemgetter(*[s[i] * N + b for i in range(N)]),
+         J[a][b])
+        for a, b in upper
+    ]
+
+    def preserves(flat: Sequence[int]) -> bool:
+        for left, right, want in entries:
+            if sum(map(mul, map(mul, coefs, left(flat)), right(flat))) % p != want:
+                return False
+        return True
+
+    return preserves
 
 
 def _lex_search(
@@ -414,12 +499,18 @@ def _lex_search(
 ) -> Generator[None, None, Matrix | None]:
     """Scan the combinations of the intertwiner basis in lexicographic order
     and return the first that is an isometry (invertibility is automatic),
-    with det 1 when special is set; one candidate per step."""
+    with det 1 when special is set; one candidate per step.  The Gram test
+    rejects most candidates on their first entry, det runs only on those it
+    accepts, and the accepted X is checked once more in full."""
     N = len(J)
+    preserves = _gram_test(J, p)
     for flat in _span(basis, p):
-        X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
-        if is_isometry(X, J, p, special):
-            return X
+        if preserves(flat):
+            X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
+            if not special or det(X, p) == 1:
+                if not is_isometry(X, J, p, special):
+                    raise ArithmeticError("lex witness check failed")  # unreachable
+                return X
         yield
     return None
 
@@ -431,14 +522,14 @@ def _orbit_search(
     is found or the orbit closes, one new conjugate per step; the witness is
     the product of the generators along the path back to u."""
     p = g.p
-    pairs = _conjugators(g)
+    conjugators = _conjugators(g)
     tree: dict[Matrix, tuple[Matrix | None, int]] = {}
-    for y in _conjugation_walk(u, pairs, p, tree):
+    for y in _conjugation_walk(u, conjugators, p, tree):
         if y == uk:
             w = identity_matrix(len(u))
             while tree[y][1] != -1:
                 y, gi = tree[y]
-                w = mat_mul(w, pairs[gi][0], p)
+                w = mat_mul(w, conjugators[gi].h, p)
             if mat_mul(w, u, p) != mat_mul(uk, w, p):
                 raise ArithmeticError("orbit witness check failed")  # unreachable
             return w
@@ -447,7 +538,8 @@ def _orbit_search(
 
 
 def power_conjugacy_search(
-    g: GroupSpec, u: Matrix, k: int, budget: int = DEFAULT_BUDGET
+    g: GroupSpec, u: Matrix, k: int, budget: int = DEFAULT_BUDGET,
+    *, stats: dict | None = None,
 ) -> Matrix | None:
     """A witness X with X u X^{-1} = u^k inside the finite isometry group
     (det 1 where the group demands it), or None when there is none.
@@ -460,6 +552,10 @@ def power_conjugacy_search(
     isometry in lex order when the scan decides first, else the product of
     the conjugators along the walk's path.  More than `budget` rounds raise;
     the search never truncates.
+
+    A dict passed as `stats` is filled with what decided: `decided_by`
+    (`identity`, `lex` or `orbit`), `rounds` (the round that decided, 0 for
+    the identity) and `intertwiner_dim` (None for the identity).
     """
     _check_model(g)
     p = g.p
@@ -471,14 +567,19 @@ def power_conjugacy_search(
         raise InputError("u is not an element of the group")
     uk = mat_pow(u, k, p)
     if uk == u:
+        if stats is not None:
+            stats.update(decided_by="identity", rounds=0, intertwiner_dim=None)
         return identity_matrix(len(u))
     basis = nullspace(_intertwiner_equations(u, uk, p), p)
-    searches = (_lex_search(basis, p, J, special), _orbit_search(g, u, uk))
-    for _ in range(budget):
-        for search in searches:
+    searches = (("lex", _lex_search(basis, p, J, special)),
+                ("orbit", _orbit_search(g, u, uk)))
+    for rounds in range(1, budget + 1):
+        for name, search in searches:
             try:
                 next(search)
             except StopIteration as done:
+                if stats is not None:
+                    stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis))
                 return done.value
     raise BudgetExceededError(f"neither search decided within {budget} rounds")
 
@@ -493,16 +594,17 @@ def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     element of each class in lex order) and an element -> class map, whose
     length is the group order.  The generators are closed into the group by
     breadth-first right multiplication, then each class is walked under them;
-    more than CENSUS_CAP elements raise BudgetExceededError."""
-    pairs = _conjugators(g)
+    more than CENSUS_CAP elements raise BudgetExceededError.  Right
+    multiplication by a generator is the column update of the orbit walk."""
+    conjugators = _conjugators(g)
     p = g.p
     frontier = [identity_matrix(g.dim)]
     elements = set(frontier)
     while frontier:
         grown = []
         for x in frontier:
-            for h, _ in pairs:
-                y = mat_mul(x, h, p)
+            for c in conjugators:
+                y = _right_act(x, c.d, p)
                 if y not in elements:
                     if len(elements) == CENSUS_CAP:
                         raise BudgetExceededError(f"class census stops at {CENSUS_CAP} elements")
@@ -515,7 +617,7 @@ def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
         if m in index:
             continue
         index[m] = len(reps)
-        for y in _conjugation_walk(m, pairs, p, {}):
+        for y in _conjugation_walk(m, conjugators, p, {}):
             index[y] = len(reps)
         reps.append(m)
     return tuple(reps), index

@@ -10,13 +10,14 @@ to the k-th power; the stabiliser of a class cuts out the cyclotomic subfield
 that every character of the corresponding series has as its rationality core.
 
 A Frobenius orbit is walked once around its cycle and never past the dual
-dimension, which a longer orbit cannot fit in.  The stabiliser is read off the
-spectrum: a unit k fixes a class when it sends every orbit representative a/e
-to an eigenvalue x/e of the same multiplicity, that is when k = x/a (mod e)
-for one such x per orbit.  These residues are combined across the orbits by
-the Chinese remainder theorem, so a field query costs time that grows with
-the dual dimension and log d, not with d, plus the factorisation of d for
-phi(d).
+dimension, which a longer orbit cannot fit in, nor past a fixed number of
+steps, after which its length is read off the factorisation of phi(d).  The
+stabiliser is read off the spectrum: a unit k fixes a class when it sends
+every orbit representative a/e to an eigenvalue x/e of the same
+multiplicity, that is when k = x/a (mod e) for one such x per orbit.  These
+residues are combined across the orbits by the Chinese remainder theorem, so
+a field query costs time that grows with the dual dimension and log d, not
+with d, plus the factorisation of d for phi(d).
 """
 
 from __future__ import annotations
@@ -43,15 +44,37 @@ def _euler_phi(d: int) -> int:
     return prod((p - 1) * p ** (e - 1) for p, e in factorize(d))
 
 
+# steps of one Frobenius orbit walk; a longer orbit is measured, not walked
+_ORBIT_WALK = 100_000
+
+
+def _unit_order(q: int, d: int) -> int:
+    """The multiplicative order of the unit q mod d, from phi(d)."""
+    order = _euler_phi(d)
+    for r, e in factorize(order):
+        for _ in range(e):
+            if pow(q, order // r, d) != 1:
+                break
+            order //= r
+    return order
+
+
 def _orbit(a: int, d: int, q: int, bound: int) -> tuple[int, ...]:
     """Frobenius orbit of the fraction a/d (0 <= a < d) under multiplication
     by q, sorted, so that the least representative comes first.  q must be a
-    unit mod d; InputError once the orbit grows past bound elements."""
+    unit mod d; InputError once the orbit grows past bound elements.  The
+    walk stops after _ORBIT_WALK steps: the orbit's length, ord(q) mod
+    d / gcd(a, d), then tells an orbit too long for bound (InputError) from
+    one that fits but is too long to list (BudgetExceededError)."""
+    limit = min(bound, _ORBIT_WALK)
     orbit = [a]
     x = a * q % d
     while x != a:
-        if len(orbit) == bound:
-            raise InputError(f"the Frobenius orbit of {a}/{d} has more than {bound} elements")
+        if len(orbit) == limit:
+            if limit == bound or _unit_order(q, d // gcd(a, d)) > bound:
+                raise InputError(f"the Frobenius orbit of {a}/{d} has more than {bound} elements")
+            raise BudgetExceededError(
+                f"the Frobenius orbit of {a}/{d} has more than {_ORBIT_WALK} elements")
         orbit.append(x)
         x = x * q % d
     return tuple(sorted(orbit))

@@ -266,6 +266,20 @@ def test_bounded_orbit_walks():
     assert huge == small
 
 
+def test_orbit_past_the_walk_cap():
+    # 3 has order 500,000,003 mod 10^9 + 7.  The orbit fits the dual dimension
+    # 2n + 1 at n = 10^9 but is too long to list (exit 3), and does not fit at
+    # n = 10^5 (exit 2); neither is walked out
+    line = ('{"family":"sp","n":1000000000,"q":3,'
+            '"orbits":[{"frac":"0/1","mult":1},{"frac":"1/1000000007","mult":1}]}')
+    code, out, err = _run_child("field", "--class", line)
+    assert code == 3 and out == "", err
+    assert err.startswith("budget exceeded: "), err
+    code, out, err = _run_child("field", "--class", line.replace("1000000000", "100000"))
+    assert code == 2 and out == "", err
+    assert err.startswith("invalid input: "), err
+
+
 def _sp2_class(q, orbits):
     return json.dumps({"family": "sp", "n": 1, "q": q,
                        "orbits": [{"frac": f, "mult": m} for f, m in orbits]})

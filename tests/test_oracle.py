@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charfield import oracle
 from charfield.errors import BudgetExceededError, InputError
@@ -267,13 +268,103 @@ def test_orbit_walk_covers_whole_classes():
     for g in (GroupSpec(Family.SP, 2, 3), GroupSpec(Family.SO_EVEN, 2, 3, 1)):
         gens = oracle.group_generators(g)
         invs = [oracle.mat_inv(h, g.p) for h in gens]
-        both = list(zip(gens + invs, invs + gens))
+        both = [oracle._conjugator(h, g.p) for h in gens + invs]
         for ep in eps_partitions(g.dim, g.form_eps):
             u = oracle.unipotent_rep(g, ep)
             orbit = _walked(u, oracle._conjugators(g), g.p)
             assert orbit == _walked(u, both, g.p), (g, ep)
             if g.family is Family.SP and ep.partition == Partition([4]):
                 assert len(orbit) == 51840 // 18
+
+
+# the groups of verify's powmap suite
+_POWMAP_GROUPS = [GroupSpec(Family.SP, n, q) for q in (3, 5, 7) for n in (1, 2)] + [
+    g for q in (3, 5) for g in (
+        GroupSpec(Family.SO_ODD, 1, q), GroupSpec(Family.SO_ODD, 2, q),
+        GroupSpec(Family.SO_EVEN, 1, q, 1), GroupSpec(Family.SO_EVEN, 2, q, 1))
+]
+
+
+def _matrices(g):
+    N, p = g.dim, g.p
+    return st.lists(st.lists(st.integers(0, p - 1), min_size=N, max_size=N),
+                    min_size=N, max_size=N).map(oracle.mat)
+
+
+@given(st.sampled_from(_POWMAP_GROUPS).flatmap(lambda g: st.tuples(st.just(g), _matrices(g))))
+@settings(max_examples=150, deadline=None)
+def test_sparse_action_is_the_product(gx):
+    # the walk's row and column updates give h x h^-1, and the census's
+    # column update x h, as the dense products do
+    g, x = gx
+    p = g.p
+    for c in oracle._conjugators(g):
+        dense = oracle.mat_mul(oracle.mat_mul(c.h, x, p), oracle.mat_inv(c.h, p), p)
+        # the walk's first step from x, or x itself when h commutes with it
+        assert next(oracle._conjugation_walk(x, [c], p, {}), x) == dense
+        assert oracle._right_act(x, c.d, p) == oracle.mat_mul(x, c.h, p)
+
+
+def _candidates(g):
+    # a group element, scaled and with one entry perhaps changed: the scale
+    # -1 keeps the form but, in odd dimension, not the determinant
+    gens = oracle.group_generators(g)
+    N, p = g.dim, g.p
+    return st.tuples(st.lists(st.sampled_from(gens), max_size=6), st.integers(1, p - 1),
+                     st.none() | st.tuples(st.integers(0, N * N - 1), st.integers(0, p - 1)))
+
+
+def _agrees_with_is_isometry(g, x):
+    p = g.p
+    J = oracle.form_matrix(g)
+    preserves = oracle._gram_test(J, p)
+    flat = tuple(v for row in x for v in row)
+    for special in (False, True):
+        fast = preserves(flat) and (not special or oracle.det(x, p) == 1)
+        assert fast == oracle.is_isometry(x, J, p, special), (g, x, special)
+
+
+@given(st.sampled_from(_POWMAP_GROUPS).flatmap(lambda g: st.tuples(st.just(g), _candidates(g))))
+@settings(max_examples=300, deadline=None)
+def test_gram_test_agrees_with_is_isometry(case):
+    g, (word, scale, change) = case
+    p, N = g.p, g.dim
+    x = oracle.identity_matrix(N)
+    for h in word:
+        x = oracle.mat_mul(x, h, p)
+    flat = [v * scale % p for row in x for v in row]
+    if change is not None:
+        flat[change[0]] = change[1]
+    _agrees_with_is_isometry(g, oracle.mat([flat[i * N:(i + 1) * N] for i in range(N)]))
+
+
+def test_gram_test_on_every_witness():
+    witnesses = 0
+    for g in _POWMAP_GROUPS:
+        for ep in eps_partitions(g.dim, g.form_eps):
+            u = oracle.unipotent_rep(g, ep)
+            for k in range(1, g.q):
+                w = oracle.power_conjugacy_search(g, u, k)
+                if w is not None:
+                    _agrees_with_is_isometry(g, w)
+                    witnesses += 1
+    assert witnesses == 114
+
+
+def test_search_stats():
+    # the two costliest cells of the powmap suite, neither with a witness:
+    # the orbit walk closes the (2,1,1) class first, while the lex scan
+    # exhausts the 7^4 combinations of the (4) class first
+    g = GroupSpec(Family.SP, 2, 7)
+    expected = {(2, 1, 1): ("orbit", 1200, 10), (4,): ("lex", 7**4 + 1, 4)}
+    for parts, decided in expected.items():
+        u = oracle.unipotent_rep(g, EpsPartition(Partition(list(parts)), 1))
+        stats = {}
+        assert oracle.power_conjugacy_search(g, u, 3, stats=stats) is None
+        assert (stats["decided_by"], stats["rounds"], stats["intertwiner_dim"]) == decided
+        stats = {}
+        assert oracle.power_conjugacy_search(g, u, 1, stats=stats) == oracle.identity_matrix(4)
+        assert stats == {"decided_by": "identity", "rounds": 0, "intertwiner_dim": None}
 
 
 def mulclose(gens: list[oracle.Matrix], p: int, cap: int = 200_000) -> int:

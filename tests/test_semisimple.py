@@ -3,6 +3,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from charfield import semisimple
 from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement
 from charfield.groups import Family, GroupSpec, is_prime
@@ -49,6 +50,28 @@ def test_normalisation_merges_orbits():
     )
     assert [o.frac for o in s.orbits] == ["0/1", "1/5"]
     assert _orbit(s.orbits[1].num, s.orbits[1].den, 7, s.group.dual_dim) == (1, 2, 3, 4)
+
+
+def test_orbit_walk_cap(monkeypatch):
+    for d in range(2, 200):
+        for q in range(2, d):
+            if gcd(q, d) == 1:
+                order = next(e for e in range(1, d) if pow(q, e, d) == 1)
+                assert semisimple._unit_order(q, d) == order, (q, d)
+    # past the cap the orbit's length decides: 2 has order 12 mod 13, and
+    # 5/35 = 1/7 has the 3 conjugates of 1/7 under 2, not ord(2) mod 35 = 12
+    monkeypatch.setattr(semisimple, "_ORBIT_WALK", 2)
+    with pytest.raises(BudgetExceededError):
+        _orbit(1, 13, 2, 20)  # fits, but longer than the walk
+    for bound in (2, 11):
+        with pytest.raises(InputError):
+            _orbit(1, 13, 2, bound)
+    with pytest.raises(BudgetExceededError):
+        _orbit(5, 35, 2, 5)
+    with pytest.raises(InputError):
+        _orbit(5, 35, 2, 2)
+    monkeypatch.setattr(semisimple, "_ORBIT_WALK", 3)
+    assert _orbit(5, 35, 2, 5) == (5, 10, 20)
 
 
 def test_validation_rejects_bad_spectra():
