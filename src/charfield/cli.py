@@ -191,7 +191,8 @@ def _cmd_verify(args) -> int:
     ok = True
     for name in names:
         for r in SUITES[name]():
-            _emit({"check": r.name, "ok": r.ok, "detail": r.detail}, args.pretty)
+            _emit({"check": r.name, "ok": r.ok, "detail": r.detail,
+                   "seconds": round(r.seconds, 3), "cells": r.cells}, args.pretty)
             ok = ok and r.ok
     return 0 if ok else 4
 

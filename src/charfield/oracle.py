@@ -13,22 +13,28 @@ group and walks each class, up to an element cap.  The closed-form modules
 are tested against it, never the other way around.
 
 Every generator is a root or torus element, which differs from the identity
-in a few entries, so the walk conjugates by a row update and a column update
-that reuse the rows and columns the generator leaves alone, and the census
-multiplies by the same column update; dense products serve everything else.
-The scan reads the form as a signed permutation and rejects a candidate at
-the first entry of its Gram matrix that differs from the form, so most
+in a few entries, so conjugating by it is a row update and a column update.
+The walk and the census run these updates on packed matrices: a matrix is a
+bytes key with one lane per entry, a breadth-first level of K matrices is
+one int, and one lane-wise reduction mod p serves all K at once, so a level
+costs a few big-int operations per generator.  The census closes the
+generators into the group with the same column update, and the scan's
+odometer steps a packed vector by one addition and one reduction.  Dense
+products of tuples serve everything else, the witnesses among them.  The
+scan reads the form as a signed permutation and rejects a candidate at the
+first entry of its Gram matrix that differs from the form, so most
 candidates cost one dot product.
 
-Matrices are tuples of tuples of residues mod p; the oracle works over prime
-fields and split forms only, and every decision is exact integer arithmetic
-in pure Python."""
+Matrices are tuples of tuples of residues mod p at the interface; the oracle
+works over prime fields and split forms only, and every decision is exact
+integer arithmetic in pure Python."""
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Callable, Generator, Iterator, Sequence
+import struct
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -149,6 +155,129 @@ def nullspace(a: list[list[int]], p: int) -> list[tuple[int, ...]]:
     return basis
 
 
+# ---------------------------------------------------------------------------
+# packed matrices
+
+
+Offsets = tuple[tuple[int, int, int], ...]
+
+
+def _offsets(m: Matrix, p: int) -> Offsets:
+    """The entries (i, j, c) at which m differs from the identity, c being
+    the difference, row by row: a few for a root or torus element."""
+    return tuple((i, j, (x - (i == j)) % p)
+                 for i, row in enumerate(m) for j, x in enumerate(row) if x != (i == j))
+
+
+class _Lanes:
+    """Square matrices of one size over F_p, packed one lane per entry.
+
+    A matrix is a bytes key of n*n lanes, row-major and big-endian, so keys
+    sort as the matrices do.  A lane is the least power-of-two number of
+    bytes whose top bit lies above 2p: a sum of two residues stays below the
+    top bit, and one reduction brings every lane of a sum back below p.  The
+    masks of one matrix (its lanes, each row, each column) are kept as bytes
+    and repeated once per matrix of a batch."""
+
+    def __init__(self, n: int, p: int):
+        width = 1
+        while 1 << 8 * width - 1 <= 2 * p:
+            width *= 2
+        count = n * n
+        self.n, self.p, self.bits, self.size = n, p, 8 * width, count * width
+
+        def pattern(lanes: Iterable[int], value: int) -> bytes:
+            packed = sum(value << self.bits * (count - 1 - t) for t in lanes)
+            return packed.to_bytes(self.size, "big")
+
+        full = (1 << self.bits) - 1
+        self.ones = pattern(range(count), 1)
+        self.rows = [pattern(range(i * n, i * n + n), full) for i in range(n)]
+        self.cols = [pattern(range(j, count, n), full) for j in range(n)]
+        if width <= 8:
+            layout = struct.Struct(f">{count}{'BHIQ'[width.bit_length() - 1]}")
+            self.pack: Callable[[Iterable[int]], bytes] = lambda flat: layout.pack(*flat)
+            self.unpack: Callable[[bytes], tuple[int, ...]] = layout.unpack
+        else:
+            self.pack = lambda flat: b"".join(x.to_bytes(width, "big") for x in flat)
+            self.unpack = lambda key: tuple(int.from_bytes(key[t:t + width], "big")
+                                            for t in range(0, self.size, width))
+
+    def key(self, m: Matrix) -> bytes:
+        return self.pack(chain.from_iterable(m))
+
+    def matrix(self, key: bytes) -> Matrix:
+        flat, n = self.unpack(key), self.n
+        return tuple(flat[i:i + n] for i in range(0, n * n, n))
+
+    def batch(self, k: int) -> _Batch:
+        return _Batch(self, k)
+
+
+@lru_cache(maxsize=None)
+def _lanes(n: int, p: int) -> _Lanes:
+    return _Lanes(n, p)
+
+
+class _Batch:
+    """k packed matrices as one int, the first in the highest lanes, and the
+    kernel that acts on all of them at once.  A lane of width w holds a
+    residue; reduce(s) = s - p (((s + C) >> (w - 1)) & ONES), C holding
+    2^(w-1) - p in every lane, takes every lane of s below 2p to its residue.
+    A row update (h x) and a column update (x h) for h = 1 + d are masks,
+    shifts and double-and-add on the whole int, reading the original x."""
+
+    def __init__(self, lanes: _Lanes, k: int):
+        self.n, self.p, self.bits, self.size = lanes.n, lanes.p, lanes.bits, lanes.size
+        self.length = k * lanes.size
+        self.ones = int.from_bytes(lanes.ones * k, "big")
+        self.carry = self.ones * ((1 << lanes.bits - 1) - lanes.p)
+        self.lift = self.ones * lanes.p
+        self.rows = [int.from_bytes(m * k, "big") for m in lanes.rows]
+        self.cols = [int.from_bytes(m * k, "big") for m in lanes.cols]
+
+    def pack(self, keys: Sequence[bytes]) -> int:
+        return int.from_bytes(b"".join(keys), "big")
+
+    def keys(self, x: int) -> list[bytes]:
+        b, size = x.to_bytes(self.length, "big"), self.size
+        return [b[t:t + size] for t in range(0, self.length, size)]
+
+    def reduce(self, s: int) -> int:
+        return s - self.p * (((s + self.carry) >> self.bits - 1) & self.ones)
+
+    def _add(self, y: int, x: int, mask: int, c: int, move: int) -> int:
+        """y + c (x & mask) with the masked lanes moved `move` lanes on (back
+        when negative).  The multiple c, or -(p - c) when p - c is smaller,
+        is taken by double-and-add with a reduction after each step; a
+        negative one is subtracted from y lifted by p in every lane."""
+        term = acc = x & mask
+        negate = 2 * c > self.p
+        for bit in bin(self.p - c if negate else c)[3:]:
+            acc = self.reduce(acc << 1)
+            if bit == "1":
+                acc = self.reduce(acc + term)
+        shift = move * self.bits
+        acc = acc >> shift if shift >= 0 else acc << -shift
+        return self.reduce(y + self.lift - acc if negate else y + acc)
+
+    def left(self, x: int, d: Offsets) -> int:
+        """h x for h = 1 + d: row i gains c times row j of x for each (i, j, c)
+        in d."""
+        y = x
+        for i, j, c in d:
+            y = self._add(y, x, self.rows[j], c, (i - j) * self.n)
+        return y
+
+    def right(self, x: int, d: Offsets) -> int:
+        """x h for h = 1 + d: column j gains c times column i of x for each
+        (i, j, c) in d."""
+        y = x
+        for i, j, c in d:
+            y = self._add(y, x, self.cols[i], c, j - i)
+        return y
+
+
 def _intertwiner_equations(u: Matrix, uk: Matrix, p: int) -> list[list[int]]:
     """The linear equations of X u = uk X in the row-major entries of X."""
     N = len(u)
@@ -163,21 +292,24 @@ def _intertwiner_equations(u: Matrix, uk: Matrix, p: int) -> list[list[int]]:
     return eqs
 
 
-def _span(basis: list[tuple[int, ...]], p: int) -> Iterator[tuple[int, ...]]:
+def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ...]]:
     """Every combination of the (non-empty) basis mod p, in lexicographic
-    order of the coefficients with the last one fastest.  An odometer: a step
-    that carries from position i on raises every coefficient from i on by one
-    (mod p), so it adds the suffix sum of the basis from i."""
+    order of the coefficients with the last one fastest.  An odometer on a
+    packed vector: a step that carries from position i on raises every
+    coefficient from i on by one (mod p), so it adds the packed suffix sum
+    of the basis from i and reduces once."""
+    reduce = lanes.batch(1).reduce
     suffix = []
-    acc = (0,) * len(basis[0])
+    acc = 0
     for vec in reversed(basis):
-        acc = tuple([(x + y) % p for x, y in zip(acc, vec)])
+        acc = reduce(acc + int.from_bytes(lanes.pack(vec), "big"))
         suffix.append(acc)
     suffix.reverse()
+    p, size, unpack = lanes.p, lanes.size, lanes.unpack
     digits = [0] * len(basis)
-    v = (0,) * len(basis[0])
+    v = 0
     while True:
-        yield v
+        yield unpack(v.to_bytes(size, "big"))
         i = len(basis) - 1
         while digits[i] == p - 1:
             digits[i] = 0
@@ -185,7 +317,7 @@ def _span(basis: list[tuple[int, ...]], p: int) -> Iterator[tuple[int, ...]]:
             if i < 0:
                 return
         digits[i] += 1
-        v = tuple([(x + y) % p for x, y in zip(v, suffix[i])])
+        v = reduce(v + suffix[i])
 
 
 # ---------------------------------------------------------------------------
@@ -393,37 +525,6 @@ def _primitive_root(p: int) -> int:
 # power-map conjugacy search
 
 
-Offsets = tuple[tuple[int, int, int], ...]
-
-
-def _offsets(m: Matrix, p: int) -> Offsets:
-    """The entries (i, j, c) at which m differs from the identity, c being
-    the difference, row by row: a few for a root or torus element."""
-    return tuple((i, j, (x - (i == j)) % p)
-                 for i, row in enumerate(m) for j, x in enumerate(row) if x != (i == j))
-
-
-def _left_act(d: Offsets, x: Matrix, p: int) -> Matrix:
-    """h x for h = 1 + d: row i gains c times row j of x for each (i, j, c)
-    in d, and every other row of x is reused as it is."""
-    y = list(x)
-    for i, j, c in d:
-        y[i] = tuple([(a + c * b) % p for a, b in zip(y[i], x[j])])
-    return tuple(y)
-
-
-def _right_act(x: Matrix, d: Offsets, p: int) -> Matrix:
-    """x h for h = 1 + d: column j gains c times column i of x for each
-    (i, j, c) in d, and every other column keeps its entries."""
-    out = []
-    for row in x:
-        r = list(row)
-        for i, j, c in d:
-            r[j] = (r[j] + c * row[i]) % p
-        out.append(tuple(r))
-    return tuple(out)
-
-
 class _Conjugator(NamedTuple):
     """A group generator h with the offsets of h and of h^-1 from the
     identity: they give the rows of h x and the columns of x h^-1 that can
@@ -439,23 +540,29 @@ def _conjugator(h: Matrix, p: int) -> _Conjugator:
 
 
 def _conjugation_walk(
-    x0: Matrix, conjugators: Sequence[_Conjugator], p: int, tree: dict
-) -> Iterator[Matrix]:
-    """Breadth-first walk of the conjugation orbit of x0 under the
-    conjugators.  Records x0 and every new conjugate y = h x h^-1 in tree as
-    y -> (x, index of the conjugator), and yields each new y once.  Each
-    step is a row update by h and a column update by h^-1: O(N) arithmetic
-    per offset instead of two matrix products of N^3 each."""
+    x0: bytes, conjugators: Sequence[_Conjugator], lanes: _Lanes, tree: dict
+) -> Iterator[bytes]:
+    """Breadth-first walk of the conjugation orbit of the packed matrix x0
+    under the conjugators.  Records x0 and every new conjugate y = h x h^-1
+    in tree as y -> (x, index of the conjugator), and yields each new y once,
+    in the order of a FIFO queue.  The queue is taken one level at a time:
+    the level is packed into one int, and one row update by h and one column
+    update by h^-1 per conjugator give every conjugate of the level."""
     tree[x0] = (None, -1)
-    queue = deque([x0])
-    while queue:
-        x = queue.popleft()
-        for gi, (_, d, d_inv) in enumerate(conjugators):
-            y = _right_act(_left_act(d, x, p), d_inv, p)
-            if y not in tree:
-                tree[y] = (x, gi)
-                yield y
-                queue.append(y)
+    level = [x0]
+    while level:
+        batch = lanes.batch(len(level))
+        packed = batch.pack(level)
+        images = [batch.keys(batch.right(batch.left(packed, c.d), c.d_inv))
+                  for c in conjugators]
+        grown = []
+        for x, ys in zip(level, zip(*images)):
+            for gi, y in enumerate(ys):
+                if y not in tree:
+                    tree[y] = (x, gi)
+                    yield y
+                    grown.append(y)
+        level = grown
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +611,7 @@ def _lex_search(
     accepts, and the accepted X is checked once more in full."""
     N = len(J)
     preserves = _gram_test(J, p)
-    for flat in _span(basis, p):
+    for flat in _span(basis, _lanes(N, p)):
         if preserves(flat):
             X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
             if not special or det(X, p) == 1:
@@ -523,9 +630,11 @@ def _orbit_search(
     the product of the generators along the path back to u."""
     p = g.p
     conjugators = _conjugators(g)
-    tree: dict[Matrix, tuple[Matrix | None, int]] = {}
-    for y in _conjugation_walk(u, conjugators, p, tree):
-        if y == uk:
+    lanes = _lanes(len(u), p)
+    target = lanes.key(uk)
+    tree: dict[bytes, tuple[bytes | None, int]] = {}
+    for y in _conjugation_walk(lanes.key(u), conjugators, lanes, tree):
+        if y == target:
             w = identity_matrix(len(u))
             while tree[y][1] != -1:
                 y, gi = tree[y]
@@ -595,32 +704,36 @@ def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     length is the group order.  The generators are closed into the group by
     breadth-first right multiplication, then each class is walked under them;
     more than CENSUS_CAP elements raise BudgetExceededError.  Right
-    multiplication by a generator is the column update of the orbit walk."""
+    multiplication by a generator is the column update of the orbit walk,
+    on one packed level at a time."""
     conjugators = _conjugators(g)
-    p = g.p
-    frontier = [identity_matrix(g.dim)]
+    lanes = _lanes(g.dim, g.p)
+    frontier = [lanes.key(identity_matrix(g.dim))]
     elements = set(frontier)
     while frontier:
+        batch = lanes.batch(len(frontier))
+        packed = batch.pack(frontier)
+        products = [batch.keys(batch.right(packed, c.d)) for c in conjugators]
         grown = []
-        for x in frontier:
-            for c in conjugators:
-                y = _right_act(x, c.d, p)
+        for ys in zip(*products):
+            for y in ys:
                 if y not in elements:
                     if len(elements) == CENSUS_CAP:
                         raise BudgetExceededError(f"class census stops at {CENSUS_CAP} elements")
                     elements.add(y)
                     grown.append(y)
         frontier = grown
-    index: dict[Matrix, int] = {}
-    reps: list[Matrix] = []
+    index: dict[bytes, int] = {}
+    reps: list[bytes] = []
     for m in sorted(elements):
         if m in index:
             continue
         index[m] = len(reps)
-        for y in _conjugation_walk(m, conjugators, p, {}):
+        for y in _conjugation_walk(m, conjugators, lanes, {}):
             index[y] = len(reps)
         reps.append(m)
-    return tuple(reps), index
+    return (tuple(map(lanes.matrix, reps)),
+            {lanes.matrix(m): ci for m, ci in index.items()})
 
 
 def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:

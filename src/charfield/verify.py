@@ -12,6 +12,7 @@ from math import gcd
 
 from . import oracle
 from .char_fields import character_field, predicted_fixed_count_rank1
+from .errors import InputError
 from .galois_arith import (
     PrimePowerAction,
     galois_from_prime_power,
@@ -25,20 +26,33 @@ from .partitions import component_orders, eps_partitions
 from .power_maps import unipotent_rational
 from .semisimple import class_from_dict
 from .symbols import cuspidal_multiplicity, wavefront_partition
-from .weyl_b import SeriesDescriptor, length, lengths_by_bfs, special_element
+from .weyl_b import (
+    SeriesDescriptor,
+    SignedPerm,
+    length,
+    lengths_by_bfs,
+    relative_weyl,
+    special_element,
+)
 
 
 @dataclass
 class CheckResult:
+    """One check: its verdict, what it covered, the wall time it took and
+    the number of cases (cells) it checked, None where it counts none."""
+
     name: str
     ok: bool
     detail: str
+    seconds: float
+    cells: int | None
 
 
-def _result(name: str, bad: list, detail: str) -> CheckResult:
+def _result(name: str, bad: list, detail: str, start: float, cells: int | None) -> CheckResult:
     """Pass with the detail when nothing failed, else list the first five
-    failures."""
-    return CheckResult(name, not bad, detail if not bad else f"failures: {bad[:5]}")
+    failures; the time is taken from `start`, a perf_counter reading."""
+    return CheckResult(name, not bad, detail if not bad else f"failures: {bad[:5]}",
+                       time.perf_counter() - start, cells)
 
 
 def _primes_up_to(n: int) -> list[int]:
@@ -48,40 +62,66 @@ def _primes_up_to(n: int) -> list[int]:
 def suite_gauss() -> list[CheckResult]:
     """Exact Gauss sums: square equals omega*p and the substitution sign
     equals the Legendre symbol, for every odd prime p <= 50 and k coprime."""
-    start = time.time()
+    start = time.perf_counter()
     bad = []
+    cells = 0
     for p in _primes_up_to(50):
         omega = signed_prime(p).sign
         for k in range(1, p):
+            cells += 1
             square, sign = gauss_sum_exact(p, k)
             if square != omega * p or sign != legendre(k, p):
                 bad.append((p, k))
-    detail = f"odd primes <= 50, all k; {time.time() - start:.2f}s"
-    return [_result("gauss-sum-square-and-sign", bad, detail)]
+    return [_result("gauss-sum-square-and-sign", bad, "odd primes <= 50, all k", start, cells)]
 
 
 def suite_relweyl() -> list[CheckResult]:
     """Weyl lengths against BFS, the distinguished-element length formulas,
-    and the Galois twist-sign consistency grid."""
+    the complement parities of the relative Weyl table against lengths, and
+    the Galois twist-sign consistency grid."""
     out = []
 
-    start = time.time()
+    start = time.perf_counter()
     bfs = lengths_by_bfs(4)
-    ok = len(bfs) == 384 and all(length(w) == d for w, d in bfs.items())
-    out.append(CheckResult("weyl-length-vs-bfs-rank4", ok, f"384 elements; {time.time() - start:.2f}s"))
+    bad = [] if len(bfs) == 384 else [("order", len(bfs))]
+    bad += [w for w, d in bfs.items() if length(w) != d]
+    out.append(_result("weyl-length-vs-bfs-rank4", bad, "384 elements", start, len(bfs)))
 
-    ok = True
+    start = time.perf_counter()
+    bad = []
+    cells = 0
     for n in range(2, 9):
         for m in range(1, n + 1):
+            cells += 1
             if length(special_element(n, "t", m)) != 2 * (n - m) + 1:
-                ok = False
+                bad.append(("t", n, m))
         for m in range(1, n):
+            cells += 1
             if length(special_element(n, "u", m)) != 2 * (n - m) + 2:
-                ok = False
-    out.append(CheckResult("special-element-lengths", ok, "t_m, u_m formulas for n <= 8"))
+                bad.append(("u", n, m))
+    out.append(_result("special-element-lengths", bad, "t_m, u_m formulas for n <= 8",
+                       start, cells))
 
-    start = time.time()
+    start = time.perf_counter()
     bad = []
+    rows = 0
+    for desc in _table_descriptors(8):
+        rel = relative_weyl(desc)
+        n = desc.group.n
+        if not rel.c_flips:
+            if rel.c_length_parity is not None:
+                bad.append(("trivial", desc))
+            continue
+        rows += 1
+        w = SignedPerm(-i if i in rel.c_flips else i for i in range(1, n + 1))
+        if rel.c_length_parity != ("odd" if length(w) % 2 else "even"):
+            bad.append(desc)
+    out.append(_result("complement-parity-vs-length", bad,
+                       "every relative Weyl table row with a complement, n <= 8", start, rows))
+
+    start = time.perf_counter()
+    bad = []
+    cells = 0
     qs = [3, 5, 7, 9, 11, 13, 25, 27]
     ells = [2, 3, 5, 7, 11]
     for q in qs:
@@ -93,6 +133,7 @@ def suite_relweyl() -> list[CheckResult]:
                 for r in range(4):
                     signs = (1, -1) if ell == 2 else (0,)
                     for isign in signs:
+                        cells += 1
                         h = PrimePowerAction(ell, r, isign)
                         direct = series_twist_sign_h(desc, h)
                         sigma = galois_from_prime_power(h, 4 * p)
@@ -103,8 +144,29 @@ def suite_relweyl() -> list[CheckResult]:
                             bad.append(("so-nontrivial", q, ell, r, isign))
                         if ell != 2 and (q - 1) % ell == 0 and index_sqrt_sign_h(desc, h).value != 1:
                             bad.append(("linear-prime", q, ell, r))
-    detail = f"{len(qs)} q-values, ell <= 11, r <= 3; {time.time() - start:.2f}s"
-    out.append(_result("twist-sign-grid", bad, detail))
+    detail = f"{len(qs)} q-values, ell <= 11, r <= 3"
+    out.append(_result("twist-sign-grid", bad, detail, start, cells))
+    return out
+
+
+def _table_descriptors(max_rank: int) -> list[SeriesDescriptor]:
+    """Every series descriptor of rank <= max_rank that the relative Weyl
+    table has a row for: each family and twist, principal (m = n) and
+    non-principal (m <= n - 2) series, and every split a + b = m."""
+    groups = [GroupSpec(family, n, 3) for n in range(1, max_rank + 1)
+              for family in (Family.SP, Family.SO_ODD, Family.SO_EVEN)]
+    groups += [GroupSpec(Family.SO_EVEN, n, 3, -1) for n in range(1, max_rank + 1)]
+    out = []
+    for g in groups:
+        shapes = [(True, g.n)] + [(False, m) for m in range(g.n - 1)]
+        for principal, m in shapes:
+            for a in range(m + 1):
+                desc = SeriesDescriptor(g, principal, m, a, m - a, not principal)
+                try:
+                    relative_weyl(desc)
+                except InputError:
+                    continue
+                out.append(desc)
     return out
 
 
@@ -125,7 +187,7 @@ def suite_powmap() -> list[CheckResult]:
     """Closed-form power-map rationality against matrix conjugacy search:
     symplectic q in {3,5,7}, n in {1,2}; orthogonal q in {3,5}, n <= 2.
     Every orthogonal cell must have a witness."""
-    start = time.time()
+    start = time.perf_counter()
     groups = [GroupSpec(Family.SP, n, q) for q in (3, 5, 7) for n in (1, 2)]
     groups += [g for q in (3, 5) for g in (
         GroupSpec(Family.SO_ODD, 1, q),
@@ -144,25 +206,26 @@ def suite_powmap() -> list[CheckResult]:
                 if (witness is not None) != unipotent_rational(g, ep, k) or (
                         witness is None and g.family is not Family.SP):
                     bad.append((g.family.value, g.q, g.n, tuple(ep.partition), k))
-    detail = f"{cells} cells; {time.time() - start:.1f}s"
-    return [_result("power-map-oracle-agreement", bad, detail)]
+    return [_result("power-map-oracle-agreement", bad, f"{len(groups)} groups, every k < q",
+                    start, cells)]
 
 
 def suite_wavefront() -> list[CheckResult]:
     """Cuspidal multiplicity equals the adjoint-quotient component order of
     the wave-front class, for all admissible data with e, f <= 6."""
-    start = time.time()
+    start = time.perf_counter()
     bad = []
+    cells = 0
     for delta in (0, 1):
         for e in range(7):
             for f in range(e, 7):
                 if f + delta < 2:
                     continue
+                cells += 1
                 ep = wavefront_partition(e, f, delta)
                 if cuspidal_multiplicity(e, f, delta) != component_orders(ep)[2]:
                     bad.append((e, f, delta))
-    detail = f"e, f <= 6; {time.time() - start:.2f}s"
-    return [_result("wavefront-multiplicity-identity", bad, detail)]
+    return [_result("wavefront-multiplicity-identity", bad, "e, f <= 6", start, cells)]
 
 
 def suite_brauer() -> list[CheckResult]:
@@ -170,7 +233,7 @@ def suite_brauer() -> list[CheckResult]:
     of conjugacy classes fixed by g -> g^k (raw matrix count) must equal the
     number of characters fixed by the corresponding Galois element as
     predicted by the field formulas (Brauer's permutation lemma)."""
-    start = time.time()
+    start = time.perf_counter()
     bad = []
     pairs = 0
     for q in (5, 7, 11, 13):
@@ -181,15 +244,17 @@ def suite_brauer() -> list[CheckResult]:
             pairs += 1
             if oracle.brauer_fixed_classes_sl2(q, k) != predicted_fixed_count_rank1(q, k):
                 bad.append((q, k))
-    detail = f"{pairs} (q, k) pairs; {time.time() - start:.1f}s"
-    return [_result("brauer-fixed-count", bad, detail)]
+    return [_result("brauer-fixed-count", bad, "q in {5,7,11,13}, every k coprime to the order",
+                    start, pairs)]
 
 
 def suite_fields() -> list[CheckResult]:
     """Classical rank-one sanity: involution series have the quadratic field
     with radicand -p for q in {3, 7, 11}, and degree one for q = 9."""
+    start = time.perf_counter()
     bad = []
-    for q, degree, radicand in ((3, 2, -3), (7, 2, -7), (11, 2, -11), (9, 1, None)):
+    cases = ((3, 2, -3), (7, 2, -7), (11, 2, -11), (9, 1, None))
+    for q, degree, radicand in cases:
         cls = class_from_dict(
             {"family": "sp", "n": 1, "q": q,
              "orbits": [{"frac": "0/1", "mult": 1}, {"frac": "1/2", "mult": 2}],
@@ -198,7 +263,8 @@ def suite_fields() -> list[CheckResult]:
         field = character_field(GroupSpec(Family.SP, 1, q), cls)
         if (field.degree, field.adjoined_radicand) != (degree, radicand):
             bad.append(q)
-    return [_result("rank-one-involution-fields", bad, "q in {3,7,11} and square q = 9")]
+    return [_result("rank-one-involution-fields", bad, "q in {3,7,11} and square q = 9",
+                    start, len(cases))]
 
 
 SUITES = {

@@ -27,7 +27,8 @@ def _report(criterion: str, results, limit: float, elapsed: float) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"{status} {criterion} [{elapsed:.1f}s]")
     for r in results:
-        print(f"    {r.name}: {'ok' if r.ok else 'FAIL'} ({r.detail})")
+        cells = "" if r.cells is None else f"{r.cells} cells, "
+        print(f"    {r.name}: {'ok' if r.ok else 'FAIL'} ({r.detail}; {cells}{r.seconds:.2f}s)")
     assert ok, [r.name for r in results if not r.ok]
     assert elapsed < limit, f"{criterion} took {elapsed:.1f}s, limit {limit}s"
 

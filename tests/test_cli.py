@@ -211,6 +211,10 @@ def test_verify_single_suite(capsys):
     assert code == 0
     data = json.loads(out.splitlines()[0])
     assert data["ok"] is True
+    # the timing and the number of cases are numbers of their own, not text
+    # in the detail: the 312 pairs (p, k) with p an odd prime <= 50
+    assert data["cells"] == 312 and isinstance(data["seconds"], float)
+    assert data["detail"] == "odd primes <= 50, all k"
 
     for name in ("wavefront", "fields"):
         code, out, _ = _run(capsys, "verify", "--suite", name)

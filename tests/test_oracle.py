@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -256,8 +258,9 @@ def test_each_search_alone():
 
 
 def _walked(u, pairs, p):
+    lanes = oracle._lanes(len(u), p)
     tree = {}
-    for _ in oracle._conjugation_walk(u, pairs, p, tree):
+    for _ in oracle._conjugation_walk(lanes.key(u), pairs, lanes, tree):
         pass
     return set(tree)
 
@@ -291,18 +294,109 @@ def _matrices(g):
                     min_size=N, max_size=N).map(oracle.mat)
 
 
-@given(st.sampled_from(_POWMAP_GROUPS).flatmap(lambda g: st.tuples(st.just(g), _matrices(g))))
+@given(st.sampled_from(_POWMAP_GROUPS).flatmap(
+    lambda g: st.tuples(st.just(g), st.lists(_matrices(g), min_size=1, max_size=5))))
 @settings(max_examples=150, deadline=None)
-def test_sparse_action_is_the_product(gx):
-    # the walk's row and column updates give h x h^-1, and the census's
-    # column update x h, as the dense products do
-    g, x = gx
+def test_sparse_action_is_the_product(gxs):
+    # the packed kernel acts on a whole batch at once: its row and column
+    # updates give h x h^-1 for the walk, and its column update x h for the
+    # census, matrix by matrix as the dense products do
+    g, xs = gxs
     p = g.p
+    lanes = oracle._lanes(g.dim, p)
+    batch = lanes.batch(len(xs))
+    packed = batch.pack([lanes.key(x) for x in xs])
     for c in oracle._conjugators(g):
-        dense = oracle.mat_mul(oracle.mat_mul(c.h, x, p), oracle.mat_inv(c.h, p), p)
-        # the walk's first step from x, or x itself when h commutes with it
-        assert next(oracle._conjugation_walk(x, [c], p, {}), x) == dense
-        assert oracle._right_act(x, c.d, p) == oracle.mat_mul(x, c.h, p)
+        h_inv = oracle.mat_inv(c.h, p)
+        conjugates = batch.keys(batch.right(batch.left(packed, c.d), c.d_inv))
+        assert [lanes.matrix(y) for y in conjugates] == [
+            oracle.mat_mul(oracle.mat_mul(c.h, x, p), h_inv, p) for x in xs]
+        products = batch.keys(batch.right(packed, c.d))
+        assert [lanes.matrix(y) for y in products] == [oracle.mat_mul(x, c.h, p) for x in xs]
+
+
+# lanes of one byte up to p = 61, wider from p = 67; the last two primes
+# take the widest struct lane and the lanes past it
+_LANE_PRIMES = [3, 61, 67, 101, 257, 2**61 - 1, 2**89 - 1]
+
+
+@given(st.sampled_from(_LANE_PRIMES), st.integers(1, 5), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lanes_round_trip_and_reduce(p, n, k, data):
+    lanes = oracle._lanes(n, p)
+    # the least power-of-two number of bytes whose top bit lies above 2p
+    assert lanes.bits % 8 == 0 and (lanes.bits // 8) & (lanes.bits // 8 - 1) == 0
+    assert 1 << lanes.bits - 1 > 2 * p and (lanes.bits == 8 or 1 << lanes.bits // 2 - 1 <= 2 * p)
+    entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+    a, b = (oracle.mat(x[i:i + n] for i in range(0, n * n, n))
+            for x in data.draw(st.tuples(entries, entries)))
+    for m in (a, b):
+        assert lanes.matrix(lanes.key(m)) == m
+        assert lanes.unpack(lanes.key(m)) == tuple(x for row in m for x in row)
+    assert (lanes.key(a) < lanes.key(b)) == (a < b)
+    # one reduction takes every lane of a batch below 2p to its residue
+    sums = data.draw(st.lists(st.integers(0, 2 * p - 1), min_size=k * n * n, max_size=k * n * n))
+    batch = lanes.batch(k)
+    packed = batch.pack([lanes.pack(sums[t:t + n * n]) for t in range(0, k * n * n, n * n)])
+    reduced = [x for key in batch.keys(batch.reduce(packed)) for x in lanes.unpack(key)]
+    assert reduced == [x % p for x in sums]
+
+
+@given(st.sampled_from(_LANE_PRIMES), st.integers(1, 4), st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernel_applies_any_scalar(p, n, k, data):
+    # the generators of the powmap groups differ from the identity by +-1,
+    # +-1/2 or a torus entry, so they leave most scalars c of the
+    # double-and-add untried: h = 1 + d here has random entries
+    entry = st.integers(0, p - 1)
+    positions = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                  min_size=1, max_size=3))
+    d = tuple((i, j, data.draw(st.integers(1, p - 1))) for i, j in sorted(positions))
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in d:
+        h[i][j] = (h[i][j] + c) % p
+    h = oracle.mat(h)
+    xs = [oracle.mat(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                        min_size=n, max_size=n))) for _ in range(k)]
+    lanes = oracle._lanes(n, p)
+    batch = lanes.batch(k)
+    packed = batch.pack([lanes.key(x) for x in xs])
+    assert [lanes.matrix(y) for y in batch.keys(batch.left(packed, d))] == [
+        oracle.mat_mul(h, x, p) for x in xs]
+    assert [lanes.matrix(y) for y in batch.keys(batch.right(packed, d))] == [
+        oracle.mat_mul(x, h, p) for x in xs]
+
+
+def _span_reference(basis, p):
+    """The tuple odometer that _span packs: each step adds the suffix sum of
+    the basis from the position it carries from, entry by entry."""
+    suffix = []
+    acc = (0,) * len(basis[0])
+    for vec in reversed(basis):
+        acc = tuple([(x + y) % p for x, y in zip(acc, vec)])
+        suffix.append(acc)
+    suffix.reverse()
+    digits = [0] * len(basis)
+    v = (0,) * len(basis[0])
+    while True:
+        yield v
+        i = len(basis) - 1
+        while digits[i] == p - 1:
+            digits[i] = 0
+            i -= 1
+            if i < 0:
+                return
+        digits[i] += 1
+        v = tuple([(x + y) % p for x, y in zip(v, suffix[i])])
+
+
+@given(st.sampled_from([3, 5, 7, 67]), st.integers(1, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_span_is_the_tuple_odometer(p, n, data):
+    dim = data.draw(st.integers(1, 2 if p == 67 else 4))
+    vec = st.tuples(*[st.integers(0, p - 1)] * (n * n))
+    basis = data.draw(st.lists(vec, min_size=dim, max_size=dim))
+    assert list(oracle._span(basis, oracle._lanes(n, p))) == list(_span_reference(basis, p))
 
 
 def _candidates(g):
@@ -365,6 +459,51 @@ def test_search_stats():
         stats = {}
         assert oracle.power_conjugacy_search(g, u, 1, stats=stats) == oracle.identity_matrix(4)
         assert stats == {"decided_by": "identity", "rounds": 0, "intertwiner_dim": None}
+
+
+def _digest(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(json.dumps(line).encode() + b"\n")
+    return h.hexdigest()
+
+
+def _rows(m):
+    return [list(r) for r in m]
+
+
+def test_powmap_cells_byte_identical():
+    # every cell of verify's powmap grid: its witness, the search that
+    # decided, the deciding round and the intertwiner dimension, pinned by a
+    # digest taken before the packed kernel, so that no speedup of the
+    # searches can change a witness unnoticed
+    def cells():
+        for g in _POWMAP_GROUPS:
+            for ep in eps_partitions(g.dim, g.form_eps):
+                u = oracle.unipotent_rep(g, ep)
+                for k in range(1, g.q):
+                    stats = {}
+                    w = oracle.power_conjugacy_search(g, u, k, stats=stats)
+                    yield [g.family.value, g.n, g.q, list(ep.partition), k,
+                           None if w is None else _rows(w),
+                           stats["decided_by"], stats["rounds"], stats["intertwiner_dim"]]
+
+    lines = list(cells())
+    assert len(lines) == 132
+    assert _digest(lines) == "12a3d04ac3aec80e829ea859e82eb846691fe069e8e7b0677b7f053f6aac46bc"
+
+
+def test_census_byte_identical():
+    # the census's representatives and its index items in insertion order,
+    # pinned the same way
+    groups = [GroupSpec(Family.SP, 1, q) for q in (3, 5, 7, 11, 13)]
+    groups.append(GroupSpec(Family.SO_EVEN, 2, 3, 1))
+    lines = []
+    for g in groups:
+        reps, index = oracle.class_census(g)
+        lines.append([g.family.value, g.n, g.q, [_rows(m) for m in reps],
+                      [[_rows(m), ci] for m, ci in index.items()]])
+    assert _digest(lines) == "19649336ed87b7b6ef29642903e57f89e3c3180060aaa24cc40ea2b53696fbfd"
 
 
 def mulclose(gens: list[oracle.Matrix], p: int, cap: int = 200_000) -> int:
