@@ -193,6 +193,10 @@ def _cmd_verify(args) -> int:
         for r in SUITES[name]():
             _emit({"check": r.name, "ok": r.ok, "detail": r.detail,
                    "seconds": round(r.seconds, 3), "cells": r.cells}, args.pretty)
+            if args.stats:
+                for cell in r.cell_stats:
+                    _emit({"check": r.name, **cell, "seconds": round(cell["seconds"], 6)},
+                          args.pretty)
             ok = ok and r.ok
     return 0 if ok else 4
 
@@ -269,6 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
+    sp.add_argument("--stats", action="store_true",
+                    help="also print one line per power-map cell: the search that "
+                    "decided it, the deciding step and the search's time")
     add_common(sp)
     sp.set_defaults(func=_cmd_verify)
 

@@ -6,24 +6,30 @@ bilinear forms, and decides conjugacy questions by raw search.  A unipotent
 representative of a given Jordan type is the Cayley transform of a nilpotent
 element of the Lie algebra of the standard form, built on standard basis
 vectors, so it is an isometry by construction and needs no change of form.
-The power-map search races two exact searches in lockstep, a lexicographic
-scan of an intertwiner space and a conjugation-orbit walk, and the first to
-decide gives the answer.  The class census closes the generators into the
-group and walks each class, up to an element cap.  The closed-form modules
-are tested against it, never the other way around.
+The power-map search races two exact searches, a lexicographic scan of an
+intertwiner space and a conjugation-orbit walk.  Each has a deciding step,
+and the smaller one gives the answer, the scan on a tie; the scan runs ahead
+to a doubling horizon and the walk follows only as far as the comparison
+needs.  The class census closes the generators into the group and walks
+each class, up to an element cap.  The closed-form modules are tested
+against it, never the other way around.
 
 Every generator is a root or torus element, which differs from the identity
 in a few entries, so conjugating by it is a row update and a column update.
 The walk and the census run these updates on packed matrices: a matrix is a
-bytes key with one lane per entry, a breadth-first level of K matrices is
-one int, and one lane-wise reduction mod p serves all K at once, so a level
-costs a few big-int operations per generator.  The census closes the
-generators into the group with the same column update, and the scan's
-odometer steps a packed vector by one addition and one reduction.  Dense
-products of tuples serve everything else, the witnesses among them.  The
-scan reads the form as a signed permutation and rejects a candidate at the
-first entry of its Gram matrix that differs from the form, so most
-candidates cost one dot product.
+bytes key with one lane per entry, a chunk of K matrices is one int, and one
+lane-wise reduction mod p serves all K at once, so a chunk costs a few
+big-int operations per generator.  The walk takes its parents in chunks
+sized by the conjugates it still needs, and the census closes the
+generators into the group with the same column update.  Dense products of
+tuples serve everything else, the witnesses among them.
+
+The scan takes the p candidates X0 + tB that differ in the last coefficient
+as one row.  The first entry of the candidate's Gram matrix X^T J X is a
+quadratic in t, so only its roots mod p go on to the full Gram test, which
+reads the form as a signed permutation and stops at the first entry that
+differs from the form; det and the isometry check run only on a candidate
+that passes.
 
 Matrices are tuples of tuples of residues mod p at the interface; the oracle
 works over prime fields and split forms only, and every decision is exact
@@ -34,8 +40,8 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain
-from math import gcd
+from itertools import chain, count
+from math import ceil, gcd
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -235,13 +241,13 @@ class _Batch:
         self.lift = self.ones * lanes.p
         self.rows = [int.from_bytes(m * k, "big") for m in lanes.rows]
         self.cols = [int.from_bytes(m * k, "big") for m in lanes.cols]
+        self.split = struct.Struct(f"{lanes.size}s" * k).unpack
 
     def pack(self, keys: Sequence[bytes]) -> int:
         return int.from_bytes(b"".join(keys), "big")
 
-    def keys(self, x: int) -> list[bytes]:
-        b, size = x.to_bytes(self.length, "big"), self.size
-        return [b[t:t + size] for t in range(0, self.length, size)]
+    def keys(self, x: int) -> tuple[bytes, ...]:
+        return self.split(x.to_bytes(self.length, "big"))
 
     def reduce(self, s: int) -> int:
         return s - self.p * (((s + self.carry) >> self.bits - 1) & self.ones)
@@ -293,11 +299,11 @@ def _intertwiner_equations(u: Matrix, uk: Matrix, p: int) -> list[list[int]]:
 
 
 def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ...]]:
-    """Every combination of the (non-empty) basis mod p, in lexicographic
-    order of the coefficients with the last one fastest.  An odometer on a
-    packed vector: a step that carries from position i on raises every
-    coefficient from i on by one (mod p), so it adds the packed suffix sum
-    of the basis from i and reduces once."""
+    """Every combination of the basis mod p, in lexicographic order of the
+    coefficients with the last one fastest (the zero vector alone for an
+    empty basis).  An odometer on a packed vector: a step that carries from
+    position i on raises every coefficient from i on by one (mod p), so it
+    adds the packed suffix sum of the basis from i and reduces once."""
     reduce = lanes.batch(1).reduce
     suffix = []
     acc = 0
@@ -311,11 +317,11 @@ def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ..
     while True:
         yield unpack(v.to_bytes(size, "big"))
         i = len(basis) - 1
-        while digits[i] == p - 1:
+        while i >= 0 and digits[i] == p - 1:
             digits[i] = 0
             i -= 1
-            if i < 0:
-                return
+        if i < 0:
+            return
         digits[i] += 1
         v = reduce(v + suffix[i])
 
@@ -339,6 +345,7 @@ def _basis_indices(g: GroupSpec) -> list[int]:
     return list(range(1, n + 1)) + list(range(-n, 0))
 
 
+@lru_cache(maxsize=None)
 def form_matrix(g: GroupSpec) -> Matrix:
     """Gram matrix of the standard form on the ordered basis: the pairing of
     v_i with v_{-i} is sgn(i)^eps, all other pairs vanish."""
@@ -539,32 +546,6 @@ def _conjugator(h: Matrix, p: int) -> _Conjugator:
     return _Conjugator(h, _offsets(h, p), _offsets(mat_inv(h, p), p))
 
 
-def _conjugation_walk(
-    x0: bytes, conjugators: Sequence[_Conjugator], lanes: _Lanes, tree: dict
-) -> Iterator[bytes]:
-    """Breadth-first walk of the conjugation orbit of the packed matrix x0
-    under the conjugators.  Records x0 and every new conjugate y = h x h^-1
-    in tree as y -> (x, index of the conjugator), and yields each new y once,
-    in the order of a FIFO queue.  The queue is taken one level at a time:
-    the level is packed into one int, and one row update by h and one column
-    update by h^-1 per conjugator give every conjugate of the level."""
-    tree[x0] = (None, -1)
-    level = [x0]
-    while level:
-        batch = lanes.batch(len(level))
-        packed = batch.pack(level)
-        images = [batch.keys(batch.right(batch.left(packed, c.d), c.d_inv))
-                  for c in conjugators]
-        grown = []
-        for x, ys in zip(level, zip(*images)):
-            for gi, y in enumerate(ys):
-                if y not in tree:
-                    tree[y] = (x, gi)
-                    yield y
-                    grown.append(y)
-        level = grown
-
-
 @lru_cache(maxsize=None)
 def _conjugators(g: GroupSpec) -> tuple[_Conjugator, ...]:
     """The conjugators of the orbit walk, one per group generator: in a
@@ -572,17 +553,100 @@ def _conjugators(g: GroupSpec) -> tuple[_Conjugator, ...]:
     return tuple(_conjugator(h, g.p) for h in group_generators(g))
 
 
+_MIN_CHUNK = 32  # parents: a chunk's fixed cost is about that of this many
+
+
+class _Walk:
+    """Breadth-first walk of the conjugation orbit of the packed matrix x0
+    under the conjugators, grown on demand.  `queue` holds x0 and every new
+    conjugate y = h x h^-1 found so far, in the order of a FIFO queue; the
+    first `expanded` entries are the parents already conjugated.  `seen`
+    maps each conjugate to the edge that found it first, G i + j for the
+    j-th of the G conjugators applied to the i-th parent (-1 for x0).
+    Parents are taken a chunk at a time: the chunk is packed into one int,
+    and one row update by h and one column update by h^-1 per conjugator
+    give all of its conjugates.
+
+    A walk that looks for a `target` has a deciding step: the target's
+    position in the queue, or the orbit's size once it closes without the
+    target.  `checked` counts the steps known not to decide."""
+
+    def __init__(self, x0: bytes, conjugators: Sequence[_Conjugator], lanes: _Lanes,
+                 target: bytes | None = None):
+        self.conjugators, self.lanes, self.target = conjugators, lanes, target
+        self.queue = [x0]
+        self.seen = {x0: -1}
+        self.expanded = 0
+        self.rate = len(conjugators)  # new conjugates per parent in the last chunk
+
+    @property
+    def closed(self) -> bool:
+        return self.expanded == len(self.queue)
+
+    @property
+    def step(self) -> int | None:
+        if self.target in self.seen:
+            return self.queue.index(self.target)
+        return len(self.queue) if self.closed else None
+
+    @property
+    def checked(self) -> int:
+        step = self.step
+        return len(self.queue) - 1 if step is None else step - 1
+
+    def grow(self, count: int) -> None:
+        """Take chunks of parents until `count` conjugates besides x0 are
+        known, the target is among them, or the orbit closes.  A chunk holds
+        as many parents as the conjugates still needed would take at the
+        rate of the last chunk, but at least _MIN_CHUNK, so a walk that stops
+        early pays for the parents it used, not for the rest of their
+        level."""
+        queue, seen, conjugators = self.queue, self.seen, self.conjugators
+        append = queue.append
+        while len(queue) <= count and self.target not in seen and not self.closed:
+            needed = count + 1 - len(queue)
+            k = min(len(queue) - self.expanded, max(_MIN_CHUNK, ceil(needed / self.rate)))
+            batch = self.lanes.batch(k)
+            packed = batch.pack(queue[self.expanded:self.expanded + k])
+            images = [batch.keys(batch.right(batch.left(packed, c.d), c.d_inv))
+                      for c in conjugators]
+            before = len(queue)
+            for edge, y in enumerate(chain.from_iterable(zip(*images)),
+                                     self.expanded * len(conjugators)):
+                if y not in seen:
+                    seen[y] = edge
+                    append(y)
+            self.expanded += k
+            self.rate = max(len(queue) - before, 1) / k
+
+    def path(self, y: bytes) -> list[int]:
+        """The indices of the conjugators on the walk's path from y back to
+        x0, the last edge first."""
+        out = []
+        edge = self.seen[y]
+        while edge >= 0:
+            parent, gi = divmod(edge, len(self.conjugators))
+            out.append(gi)
+            edge = self.seen[self.queue[parent]]
+        return out
+
+
+def _signed_permutation(J: Matrix) -> tuple[list[int], list[int]]:
+    """J read as a signed permutation: J[i][s(i)] = c_i, zero elsewhere."""
+    s = [next(j for j in range(len(J)) if J[i][j]) for i in range(len(J))]
+    return s, [J[i][s[i]] for i in range(len(J))]
+
+
+@lru_cache(maxsize=None)
 def _gram_test(J: Matrix, p: int) -> Callable[[Sequence[int]], bool]:
     """A test of X^T J X = J for a candidate X given by its row-major entries.
-    J is read once as a signed permutation, J[i][s(i)] = c_i and zero
-    elsewhere, so (X^T J X)_ab = sum_i c_i X[i][a] X[s(i)][b].  X^T J X is
-    symmetric or alternating with J, so the entries with a <= b decide; they
-    are compared with J one at a time, the pairings (a, s(a)) first since an
-    intertwiner most often fails there, and the test stops at the first
-    mismatch."""
+    With J[i][s(i)] = c_i, (X^T J X)_ab = sum_i c_i X[i][a] X[s(i)][b].
+    X^T J X is symmetric or alternating with J, so the entries with a <= b
+    decide; they are compared with J one at a time, the pairings (a, s(a))
+    first since an intertwiner most often fails there, and the test stops at
+    the first mismatch."""
     N = len(J)
-    s = [next(j for j in range(N) if J[i][j]) for i in range(N)]
-    coefs = [J[i][s[i]] for i in range(N)]
+    s, coefs = _signed_permutation(J)
     upper = [(a, s[a]) for a in range(N) if a <= s[a]]
     upper += [(a, b) for a in range(N) for b in range(a, N) if b != s[a]]
     entries = [
@@ -601,49 +665,142 @@ def _gram_test(J: Matrix, p: int) -> Callable[[Sequence[int]], bool]:
     return preserves
 
 
-def _lex_search(
-    basis: list[tuple[int, ...]], p: int, J: Matrix, special: bool
-) -> Generator[None, None, Matrix | None]:
-    """Scan the combinations of the intertwiner basis in lexicographic order
-    and return the first that is an isometry (invertibility is automatic),
-    with det 1 when special is set; one candidate per step.  The Gram test
-    rejects most candidates on their first entry, det runs only on those it
-    accepts, and the accepted X is checked once more in full."""
+def _sqrt_mod(d: int, p: int) -> int | None:
+    """A square root of d modulo the odd prime p, or None when d is not a
+    square (Tonelli-Shanks)."""
+    if d == 0:
+        return 0
+    if pow(d, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    t, r = pow(d, q, p), pow(d, (q + 1) // 2, p)
+    if t != 1:
+        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+        c = pow(z, q, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                i, t2 = i + 1, t2 * t2 % p
+            b = pow(c, 1 << e - i - 1, p)
+            e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _quadratic_roots(a: int, b: int, c: int, p: int) -> Sequence[int]:
+    """The roots t of a t^2 + b t + c modulo the odd prime p, in increasing
+    order: every t when all three coefficients vanish."""
+    if a == 0:
+        if b == 0:
+            return range(p) if c == 0 else ()
+        return (-c * pow(b, -1, p) % p,)
+    r = _sqrt_mod((b * b - 4 * a * c) % p, p)
+    if r is None:
+        return ()
+    inv = pow(2 * a, -1, p)
+    return sorted({(r - b) * inv % p, (-r - b) * inv % p})
+
+
+def _plane_roots(
+    J: Matrix, p: int, C: Sequence[int], B: Sequence[int]
+) -> Callable[[Sequence[int]], Iterator[Sequence[int]]]:
+    """For the plane Y + sC + tB of the lex scan, a function of Y that
+    yields, for each row s = 0, 1, ... in turn, the t (in increasing order)
+    at which the first entry that the Gram test compares, (0, s(0)), equals
+    J's.  With L_i(X) = X[i][0] and R_i(X) = X[s(i)][s(0)], that entry is
+    the quadratic form E(X) = sum_i c_i L_i(X) R_i(X), so on the plane it is
+    a0 + a1 s + a2 s^2 + (b0 + b1 s) t + gamma t^2: the coefficients a0, a1
+    and b0 are read off Y once per plane, the rest off C and B once, and the
+    roots of each row's quadratic in t are kept per (constant, linear)
+    coefficient pair, of which there are at most p^2."""
     N = len(J)
+    perm, coefs = _signed_permutation(J)
+    col = perm[0]
+    left = itemgetter(*[i * N for i in range(N)])
+    right = itemgetter(*[perm[i] * N + col for i in range(N)])
+
+    def form(lx: Sequence[int], rz: Sequence[int]) -> int:
+        return sum(map(mul, map(mul, coefs, lx), rz))
+
+    lc, rc, lb, rb = left(C), right(C), left(B), right(B)
+    a2, b1, gamma = form(lc, rc), form(lc, rb) + form(lb, rc), form(lb, rb) % p
+    known: dict[tuple[int, int], Sequence[int]] = {}
+
+    def rows(y: Sequence[int]) -> Iterator[Sequence[int]]:
+        ly, ry = left(y), right(y)
+        a0 = form(ly, ry) - J[0][col]
+        a1 = form(ly, rc) + form(lc, ry)
+        b0 = form(ly, rb) + form(lb, ry)
+        for s in count():
+            key = ((a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p)
+            roots = known.get(key)
+            if roots is None:
+                roots = known[key] = _quadratic_roots(gamma, key[1], key[0], p)
+            yield roots
+
+    return rows
+
+
+def _lex_rows(
+    basis: list[tuple[int, ...]], p: int, J: Matrix, special: bool
+) -> Generator[int, None, tuple[int, Matrix | None]]:
+    """The lexicographic scan of the intertwiner space, one row per step of
+    the generator.  A row is the p candidates X0 + tB, t = 0..p-1, for B the
+    last basis vector and X0 a combination of the others; rows come in lex
+    order of their coefficients, so candidate t of row r is scan step
+    rp + t + 1.  Only the t that `_plane_roots` returns go on to the full
+    Gram test, then det (when `special` is set), then the isometry check.
+    Yields the number of steps checked after each row without a witness;
+    returns the deciding step with the witness, the first accepted
+    candidate, or p^c + 1 with None when the scan runs out."""
+    N = len(J)
+    if len(basis) > 1:
+        *outer, C, B = basis
+        width = p
+    else:
+        outer, C, B, width = [], (0,) * N * N, basis[0], 1
+    plane = _plane_roots(J, p, C, B)
     preserves = _gram_test(J, p)
-    for flat in _span(basis, _lanes(N, p)):
-        if preserves(flat):
-            X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
-            if not special or det(X, p) == 1:
-                if not is_isometry(X, J, p, special):
-                    raise ArithmeticError("lex witness check failed")  # unreachable
-                return X
-        yield
-    return None
+    checked = 0
+    for y in _span(outer, _lanes(N, p)):
+        for s, roots in zip(range(width), plane(y)):
+            for t in roots:
+                flat = [(a + s * c + t * b) % p for a, c, b in zip(y, C, B)]
+                if not preserves(flat):
+                    continue
+                X = tuple(tuple(flat[i * N:(i + 1) * N]) for i in range(N))
+                if not special or det(X, p) == 1:
+                    if not is_isometry(X, J, p, special):
+                        raise ArithmeticError("lex witness check failed")  # unreachable
+                    return checked + t + 1, X
+            checked += p
+            yield checked
+    return checked + 1, None
 
 
-def _orbit_search(
-    g: GroupSpec, u: Matrix, uk: Matrix
-) -> Generator[None, None, Matrix | None]:
-    """Walk the conjugation orbit of u under the group generators until uk
-    is found or the orbit closes, one new conjugate per step; the witness is
-    the product of the generators along the path back to u."""
-    p = g.p
-    conjugators = _conjugators(g)
-    lanes = _lanes(len(u), p)
-    target = lanes.key(uk)
-    tree: dict[bytes, tuple[bytes | None, int]] = {}
-    for y in _conjugation_walk(lanes.key(u), conjugators, lanes, tree):
-        if y == target:
-            w = identity_matrix(len(u))
-            while tree[y][1] != -1:
-                y, gi = tree[y]
-                w = mat_mul(w, conjugators[gi].h, p)
-            if mat_mul(w, u, p) != mat_mul(uk, w, p):
-                raise ArithmeticError("orbit witness check failed")  # unreachable
-            return w
-        yield
-    return None
+class _LexScan:
+    """`_lex_rows` run on demand: `checked` counts the steps known not to
+    decide, and `step` and `witness` are set once the scan decides."""
+
+    def __init__(self, basis: list[tuple[int, ...]], p: int, J: Matrix, special: bool):
+        self.rows = _lex_rows(basis, p, J, special)
+        self.checked = 0
+        self.step: int | None = None
+        self.witness: Matrix | None = None
+
+    def scan(self, limit: int) -> None:
+        """Scan whole rows until `limit` steps are checked or the scan
+        decides."""
+        while self.step is None and self.checked < limit:
+            try:
+                self.checked = next(self.rows)
+            except StopIteration as done:
+                self.step, self.witness = done.value
+                self.checked = self.step - 1
+
+
+_FIRST_HORIZON = 64  # steps the lex scan runs ahead before the walk first moves
 
 
 def power_conjugacy_search(
@@ -653,18 +810,23 @@ def power_conjugacy_search(
     """A witness X with X u X^{-1} = u^k inside the finite isometry group
     (det 1 where the group demands it), or None when there is none.
 
-    If u^k = u the identity is the witness.  Otherwise two exact searches run
-    in lockstep, one step of each per round in a fixed order: the
-    lexicographic scan of the intertwiner space {X : X u = u^k X}, and the
-    walk of the conjugation orbit of u under the group generators.  The first
-    to decide gives the answer, so the witness is deterministic: the first
-    isometry in lex order when the scan decides first, else the product of
-    the conjugators along the walk's path.  More than `budget` rounds raise;
+    If u^k = u the identity is the witness.  Otherwise two exact searches
+    race, and each has a deciding step: the lexicographic scan of the
+    intertwiner space {X : X u = u^k X} decides at the index of its first
+    isometry plus 1, or at p^c + 1 when the c-dimensional space holds none;
+    the breadth-first walk of the conjugation orbit of u under the group
+    generators decides at the position of u^k among the new conjugates, or
+    at their number plus 1 when the orbit closes without meeting u^k.  The
+    search with the smaller deciding step gives the answer, the scan on a
+    tie, so the witness is deterministic: the first isometry in lex order,
+    or the product of the conjugators along the walk's path.  The scan runs
+    ahead to a doubling horizon and the walk follows only as far as it must
+    to tell which step is smaller.  A smaller step above `budget` raises;
     the search never truncates.
 
     A dict passed as `stats` is filled with what decided: `decided_by`
-    (`identity`, `lex` or `orbit`), `rounds` (the round that decided, 0 for
-    the identity) and `intertwiner_dim` (None for the identity).
+    (`identity`, `lex` or `orbit`), `rounds` (the smaller deciding step, 0
+    for the identity) and `intertwiner_dim` (None for the identity).
     """
     _check_model(g)
     p = g.p
@@ -680,17 +842,38 @@ def power_conjugacy_search(
             stats.update(decided_by="identity", rounds=0, intertwiner_dim=None)
         return identity_matrix(len(u))
     basis = nullspace(_intertwiner_equations(u, uk, p), p)
-    searches = (("lex", _lex_search(basis, p, J, special)),
-                ("orbit", _orbit_search(g, u, uk)))
-    for rounds in range(1, budget + 1):
-        for name, search in searches:
-            try:
-                next(search)
-            except StopIteration as done:
-                if stats is not None:
-                    stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis))
-                return done.value
-    raise BudgetExceededError(f"neither search decided within {budget} rounds")
+    lex = _LexScan(basis, p, J, special)
+    lanes = _lanes(len(u), p)
+    walk = _Walk(lanes.key(u), _conjugators(g), lanes, lanes.key(uk))
+    horizon = min(_FIRST_HORIZON, budget)
+    while True:
+        lex.scan(horizon)
+        walk.grow(horizon if lex.step is None else min(lex.step - 1, budget))
+        # a search wins once the other is known not to decide before it
+        if walk.step is not None and walk.step <= lex.checked:
+            name, rounds = "orbit", walk.step
+        elif lex.step is not None and lex.step <= walk.checked + 1:
+            name, rounds = "lex", lex.step
+        elif min(lex.checked, walk.checked) >= budget:
+            raise BudgetExceededError(f"neither search decided within {budget} rounds")
+        else:
+            horizon = min(2 * horizon, budget)
+            continue
+        break
+    if rounds > budget:
+        raise BudgetExceededError(f"neither search decided within {budget} rounds")
+    if stats is not None:
+        stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis))
+    if name == "lex":
+        return lex.witness
+    if walk.target not in walk.seen:
+        return None
+    w = identity_matrix(len(u))
+    for gi in walk.path(walk.target):
+        w = mat_mul(w, walk.conjugators[gi].h, p)
+    if mat_mul(w, u, p) != mat_mul(uk, w, p):
+        raise ArithmeticError("orbit witness check failed")  # unreachable
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +911,9 @@ def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     for m in sorted(elements):
         if m in index:
             continue
-        index[m] = len(reps)
-        for y in _conjugation_walk(m, conjugators, lanes, {}):
-            index[y] = len(reps)
+        walk = _Walk(m, conjugators, lanes)
+        walk.grow(len(elements))
+        index.update(dict.fromkeys(walk.queue, len(reps)))
         reps.append(m)
     return (tuple(map(lanes.matrix, reps)),
             {lanes.matrix(m): ci for m, ci in index.items()})

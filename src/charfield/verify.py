@@ -7,7 +7,7 @@ search, matrix conjugacy search, class counting).  Shared by the command-line
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from . import oracle
@@ -39,13 +39,16 @@ from .weyl_b import (
 @dataclass
 class CheckResult:
     """One check: its verdict, what it covered, the wall time it took and
-    the number of cases (cells) it checked, None where it counts none."""
+    the number of cases (cells) it checked, None where it counts none.
+    `cell_stats` holds one record per cell for the checks that time their
+    cells one by one (the power-map oracle's), and is empty for the rest."""
 
     name: str
     ok: bool
     detail: str
     seconds: float
     cells: int | None
+    cell_stats: list[dict] = field(default_factory=list)
 
 
 def _result(name: str, bad: list, detail: str, start: float, cells: int | None) -> CheckResult:
@@ -186,7 +189,8 @@ def _grid_descriptors(q: int) -> list[SeriesDescriptor]:
 def suite_powmap() -> list[CheckResult]:
     """Closed-form power-map rationality against matrix conjugacy search:
     symplectic q in {3,5,7}, n in {1,2}; orthogonal q in {3,5}, n <= 2.
-    Every orthogonal cell must have a witness."""
+    Every orthogonal cell must have a witness.  Each cell's record says
+    which search decided it, at which step, and how long the search took."""
     start = time.perf_counter()
     groups = [GroupSpec(Family.SP, n, q) for q in (3, 5, 7) for n in (1, 2)]
     groups += [g for q in (3, 5) for g in (
@@ -196,18 +200,24 @@ def suite_powmap() -> list[CheckResult]:
         GroupSpec(Family.SO_EVEN, 2, q, 1),
     )]
     bad = []
-    cells = 0
+    records = []
     for g in groups:
         for ep in eps_partitions(g.dim, g.form_eps):
             u = oracle.unipotent_rep(g, ep)
             for k in range(1, g.q):
-                cells += 1
-                witness = oracle.power_conjugacy_search(g, u, k)
+                stats: dict = {}
+                search_start = time.perf_counter()
+                witness = oracle.power_conjugacy_search(g, u, k, stats=stats)
+                records.append({"family": g.family.value, "n": g.n, "q": g.q,
+                                "mu": list(ep.partition), "k": k, **stats,
+                                "seconds": time.perf_counter() - search_start})
                 if (witness is not None) != unipotent_rational(g, ep, k) or (
                         witness is None and g.family is not Family.SP):
                     bad.append((g.family.value, g.q, g.n, tuple(ep.partition), k))
-    return [_result("power-map-oracle-agreement", bad, f"{len(groups)} groups, every k < q",
-                    start, cells)]
+    result = _result("power-map-oracle-agreement", bad, f"{len(groups)} groups, every k < q",
+                     start, len(records))
+    result.cell_stats = records
+    return [result]
 
 
 def suite_wavefront() -> list[CheckResult]:

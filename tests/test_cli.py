@@ -225,6 +225,31 @@ def test_verify_single_suite(capsys):
         assert parser.parse_args(["verify", "--suite", name]).suite == name
 
 
+def test_verify_stats_lines(capsys):
+    # --stats adds one line per power-map cell after the check's own line,
+    # and nothing for checks that do not time their cells
+    code, plain, _ = _run(capsys, "verify", "--suite", "powmap")
+    assert code == 0 and len(plain.splitlines()) == 1
+    code, out, _ = _run(capsys, "verify", "--suite", "powmap", "--stats")
+    assert code == 0
+    check, *cells = [json.loads(line) for line in out.splitlines()]
+    assert set(check) == set(json.loads(plain))
+    assert check["ok"] is True and check["cells"] == len(cells) == 132
+    keys = {"check", "family", "n", "q", "mu", "k", "decided_by", "rounds",
+            "intertwiner_dim", "seconds"}
+    assert all(set(c) == keys and c["check"] == check["check"] for c in cells)
+    assert {c["decided_by"] for c in cells} == {"identity", "lex", "orbit"}
+    # the cells of the (4) class of Sp4(F_7) with no witness: the lex scan
+    # runs out after 7^4 candidates
+    slow = [c for c in cells if (c["family"], c["n"], c["q"], c["mu"]) == ("sp", 2, 7, [4])
+            and c["k"] in (3, 5, 6)]
+    assert [(c["decided_by"], c["rounds"], c["intertwiner_dim"]) for c in slow] == [
+        ("lex", 7**4 + 1, 4)] * 3
+    assert all(isinstance(c["seconds"], float) for c in cells)
+    code, out, _ = _run(capsys, "verify", "--suite", "gauss", "--stats")
+    assert code == 0 and len(out.splitlines()) == 1
+
+
 def _run_child(*argv, timeout=10):
     """The CLI in a child process with a timeout, so that a hang fails."""
     src = os.path.dirname(os.path.dirname(charfield.__file__))

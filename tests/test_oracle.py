@@ -197,15 +197,6 @@ def test_budget_error():
         oracle.class_census(GroupSpec(Family.SP, 1, 41))
 
 
-def _run_search(search):
-    """Drive one search generator to its decision."""
-    while True:
-        try:
-            next(search)
-        except StopIteration as done:
-            return done.value
-
-
 def _check_witness(g, u, k, w):
     p = g.p
     assert oracle.mat_mul(w, u, p) == oracle.mat_mul(oracle.mat_pow(u, k, p), w, p)
@@ -223,22 +214,39 @@ def _non_identity_cells(g):
                 yield ep, u, k, uk
 
 
-def _lex_only(g, u, uk):
+def _lex_alone(g, u, uk):
+    """The lex scan driven to its own decision: (step, witness)."""
     J = oracle.form_matrix(g)
     basis = oracle.nullspace(oracle._intertwiner_equations(u, uk, g.p), g.p)
-    return oracle._lex_search(basis, g.p, J, g.family is not Family.SP)
+    lex = oracle._LexScan(basis, g.p, J, g.family is not Family.SP)
+    lex.scan(g.p ** len(basis) + 1)
+    return lex.step, lex.witness
+
+
+def _orbit_alone(g, u, uk):
+    """The orbit walk driven to its own decision: (step, witness)."""
+    lanes = oracle._lanes(g.dim, g.p)
+    walk = oracle._Walk(lanes.key(u), oracle._conjugators(g), lanes, lanes.key(uk))
+    walk.grow(10**9)
+    if walk.target not in walk.seen:
+        assert walk.closed and walk.step == len(walk.queue)
+        return walk.step, None
+    w = oracle.identity_matrix(g.dim)
+    for gi in walk.path(walk.target):
+        w = oracle.mat_mul(w, walk.conjugators[gi].h, g.p)
+    return walk.step, w
 
 
 def test_each_search_alone():
-    # The race exposes only the search that decides first, so each search is
-    # driven to its own decision here.
+    # The race exposes only the search with the smaller deciding step, so
+    # each search is driven to its own decision here.
     cells = 0
     for g in (GroupSpec(Family.SP, 2, 3), GroupSpec(Family.SO_ODD, 2, 3),
               GroupSpec(Family.SO_EVEN, 2, 3, 1)):
         for ep, u, k, uk in _non_identity_cells(g):
             rational = unipotent_rational(g, ep, k)
-            for search in (_lex_only(g, u, uk), oracle._orbit_search(g, u, uk)):
-                w = _run_search(search)
+            for search in (_lex_alone, _orbit_alone):
+                _, w = search(g, u, uk)
                 assert (w is not None) == rational, (g, ep, k)
                 if w is not None:
                     _check_witness(g, u, k, w)
@@ -251,18 +259,110 @@ def test_each_search_alone():
         ep = EpsPartition(Partition([4]), 1)
         u = oracle.unipotent_rep(g, ep)
         for k in range(2, q):
-            w = _run_search(_lex_only(g, u, oracle.mat_pow(u, k, q)))
+            _, w = _lex_alone(g, u, oracle.mat_pow(u, k, q))
             assert (w is not None) == unipotent_rational(g, ep, k), (q, k)
             if w is not None:
                 _check_witness(g, u, k, w)
 
 
+def _lockstep_walk(x0, conjugators, lanes, tree):
+    # the walk the race used to step: whole breadth-first levels, each new
+    # conjugate recorded as y -> (parent, conjugator index) and yielded once
+    tree[x0] = (None, -1)
+    level = [x0]
+    while level:
+        batch = lanes.batch(len(level))
+        packed = batch.pack(level)
+        images = [batch.keys(batch.right(batch.left(packed, c.d), c.d_inv))
+                  for c in conjugators]
+        grown = []
+        for x, ys in zip(level, zip(*images)):
+            for gi, y in enumerate(ys):
+                if y not in tree:
+                    tree[y] = (x, gi)
+                    yield y
+                    grown.append(y)
+        level = grown
+
+
+def _lockstep_lex(basis, p, J, special):
+    # one candidate per step, in lex order, each through the full Gram test
+    N = len(J)
+    preserves = oracle._gram_test(J, p)
+    for flat in oracle._span(basis, oracle._lanes(N, p)):
+        if preserves(flat):
+            X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
+            if not special or oracle.det(X, p) == 1:
+                return X
+        yield
+    return None
+
+
+def _lockstep_orbit(g, u, uk):
+    # one new conjugate per step; the witness is the product of the
+    # conjugators along the tree's path back to u
+    p = g.p
+    conjugators = oracle._conjugators(g)
+    lanes = oracle._lanes(len(u), p)
+    target = lanes.key(uk)
+    tree = {}
+    for y in _lockstep_walk(lanes.key(u), conjugators, lanes, tree):
+        if y == target:
+            w = oracle.identity_matrix(len(u))
+            while tree[y][1] != -1:
+                y, gi = tree[y]
+                w = oracle.mat_mul(w, conjugators[gi].h, p)
+            return w
+        yield
+    return None
+
+
+def _lockstep_search(g, u, k, budget):
+    """The race as it was first run, the reference for the deciding-step
+    race: one step of the lex scan, then one of the orbit walk, per round,
+    and the first to decide answers.  Returns (witness, stats) for a
+    non-identity cell."""
+    p = g.p
+    uk = oracle.mat_pow(u, k, p)
+    J = oracle.form_matrix(g)
+    basis = oracle.nullspace(oracle._intertwiner_equations(u, uk, p), p)
+    searches = (("lex", _lockstep_lex(basis, p, J, g.family is not Family.SP)),
+                ("orbit", _lockstep_orbit(g, u, uk)))
+    for rounds in range(1, budget + 1):
+        for name, search in searches:
+            try:
+                next(search)
+            except StopIteration as done:
+                return done.value, {"decided_by": name, "rounds": rounds,
+                                    "intertwiner_dim": len(basis)}
+    raise BudgetExceededError(f"neither search decided within {budget} rounds")
+
+
+def test_race_matches_lockstep_reference():
+    # every non-identity cell of verify's powmap grid: the same witness and
+    # stats as the lockstep race, and the budget binds at the deciding step
+    cells = 0
+    for g in _POWMAP_GROUPS:
+        for ep, u, k, _ in _non_identity_cells(g):
+            stats = {}
+            w = oracle.power_conjugacy_search(g, u, k, stats=stats)
+            rounds = stats["rounds"]
+            assert (w, stats) == _lockstep_search(g, u, k, rounds), (g, ep, k)
+            assert oracle.power_conjugacy_search(g, u, k, budget=rounds) == w
+            with pytest.raises(BudgetExceededError):
+                oracle.power_conjugacy_search(g, u, k, budget=rounds - 1)
+            with pytest.raises(BudgetExceededError):
+                _lockstep_search(g, u, k, rounds - 1)
+            cells += 1
+    assert cells == 60
+
+
 def _walked(u, pairs, p):
     lanes = oracle._lanes(len(u), p)
-    tree = {}
-    for _ in oracle._conjugation_walk(lanes.key(u), pairs, lanes, tree):
-        pass
-    return set(tree)
+    walk = oracle._Walk(lanes.key(u), pairs, lanes)
+    walk.grow(10**9)
+    assert walk.closed and len(walk.seen) == len(walk.queue)
+    return set(walk.queue)
 
 
 def test_orbit_walk_covers_whole_classes():
@@ -430,6 +530,60 @@ def test_gram_test_agrees_with_is_isometry(case):
     if change is not None:
         flat[change[0]] = change[1]
     _agrees_with_is_isometry(g, oracle.mat([flat[i * N:(i + 1) * N] for i in range(N)]))
+
+
+def _plane_case(g):
+    # two basis vectors C and B and a prefix Y over the group's field; with
+    # `degenerate` set, B is zero wherever the first Gram entry reads it
+    # (columns 0 and s(0)), so that entry is constant along every row
+    N, p = g.dim, g.p
+    vec = st.lists(st.integers(0, p - 1), min_size=N * N, max_size=N * N)
+    return st.tuples(st.just(g), vec, vec, vec, st.booleans())
+
+
+@given(st.sampled_from(_POWMAP_GROUPS).flatmap(_plane_case))
+@settings(max_examples=300, deadline=None)
+def test_plane_roots_keep_every_accepted_row_entry(case):
+    g, y, c, b, degenerate = case
+    N, p = g.dim, g.p
+    J = oracle.form_matrix(g)
+    col = next(j for j in range(N) if J[0][j])
+    if degenerate:
+        b = [0 if t % N in (0, col) else x for t, x in enumerate(b)]
+    preserves = oracle._gram_test(J, p)
+    rows = oracle._plane_roots(J, p, c, b)(y)
+    for s in range(p):
+        roots = list(next(rows))
+        assert roots == sorted(set(roots))
+        candidates = [[(a + s * ci + t * bi) % p for a, ci, bi in zip(y, c, b)]
+                      for t in range(p)]
+        # exactly the t at which entry (0, s(0)) of X^T J X equals J's ...
+        matching = []
+        for t, flat in enumerate(candidates):
+            X = oracle.mat([flat[i * N:(i + 1) * N] for i in range(N)])
+            gram = oracle.mat_mul(oracle.mat_mul(oracle.transpose(X), J, p), X, p)
+            if gram[0][col] == J[0][col]:
+                matching.append(t)
+        assert roots == matching, (g, s)
+        # ... so every t the full Gram test accepts is among them
+        assert {t for t, flat in enumerate(candidates) if preserves(flat)} <= set(roots)
+        if degenerate:
+            assert roots in ([], list(range(p)))
+
+
+def test_quadratic_roots_against_brute_force():
+    for p in (3, 5, 7, 11, 13, 17):
+        for a, b, c in itertools.product(range(p), repeat=3):
+            want = [t for t in range(p) if (a * t * t + b * t + c) % p == 0]
+            assert list(oracle._quadratic_roots(a, b, c, p)) == want, (p, a, b, c)
+    # Tonelli-Shanks at primes with p - 1 divisible by 8, 16 and 64
+    for p in (41, 97, 193, 257, 7681):
+        squares = {x * x % p: x for x in range(p)}
+        for d in range(p):
+            r = oracle._sqrt_mod(d, p)
+            assert (r is not None) == (d in squares), (p, d)
+            if r is not None:
+                assert r * r % p == d, (p, d)
 
 
 def test_gram_test_on_every_witness():
