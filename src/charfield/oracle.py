@@ -10,29 +10,30 @@ The power-map search races two exact searches, a lexicographic scan of an
 intertwiner space and a conjugation-orbit walk.  Each has a deciding step,
 and the smaller one gives the answer, the scan on a tie; the scan runs ahead
 to a doubling horizon and the walk follows only as far as the comparison
-needs.  The class census closes the generators into the group and walks
-each class, up to an element cap.  The closed-form modules are tested
-against it, never the other way around.
+needs.  The class census walks the group itself as the orbit of the
+identity under right multiplication, then each class under conjugation, up
+to an element cap.  The closed-form modules are tested against it, never the
+other way around.
 
 Every generator is a root or torus element, which differs from the identity
 in a few entries, so conjugating by it is a row update and a column update.
-The walk and the census run these updates on packed matrices: a matrix is a
-bytes key with one lane per entry, a chunk of K matrices is one int, and one
-lane-wise reduction mod p serves all K at once, so a chunk costs a few
-big-int operations per generator.  The walk takes its parents in chunks
-sized by the conjugates it still needs, and the census closes the
-generators into the group with the same column update.  Dense products of
-tuples serve everything else, the witnesses among them.
+The walk runs these updates on packed matrices: a matrix is a bytes key
+with one lane of at most 8 bytes per entry, a chunk of K matrices is one
+int, and one lane-wise reduction mod p serves all K at once, so a chunk
+costs a few big-int operations per generator.  The walk takes its parents
+in chunks sized by the conjugates it still needs.  Dense products of tuples
+serve everything else, the witnesses among them.
 
 The scan takes the p candidates X0 + tB that differ in the last coefficient
 as one row.  The first entry of the candidate's Gram matrix X^T J X is a
-quadratic in t, so only its roots mod p go on to the full Gram test, which
-reads the form as a signed permutation and stops at the first entry that
-differs from the form; det and the isometry check run only on a candidate
-that passes.
+quadratic in t, so only its roots mod p, found by evaluation, go on to the
+full Gram test, which reads the form as a signed permutation and stops at
+the first entry that differs from the form; det and the isometry check run
+only on a candidate that passes.
 
-Matrices are tuples of tuples of residues mod p at the interface; the oracle
-works over prime fields and split forms only, and every decision is exact
+Matrices are tuples of tuples of residues mod p at the interface.  The
+oracle works over prime fields and split forms only, with p < 2^62 so that
+a sum of two residues fits an 8-byte lane, and every decision is exact
 integer arithmetic in pure Python."""
 
 from __future__ import annotations
@@ -180,10 +181,10 @@ class _Lanes:
 
     A matrix is a bytes key of n*n lanes, row-major and big-endian, so keys
     sort as the matrices do.  A lane is the least power-of-two number of
-    bytes whose top bit lies above 2p: a sum of two residues stays below the
-    top bit, and one reduction brings every lane of a sum back below p.  The
-    masks of one matrix (its lanes, each row, each column) are kept as bytes
-    and repeated once per matrix of a batch."""
+    bytes whose top bit lies above 2p, at most 8 for p < 2^62: a sum of two
+    residues stays below the top bit, and one reduction brings every lane of
+    a sum back below p.  The masks of one matrix (its lanes, each row, each
+    column) are kept as bytes and repeated once per matrix of a batch."""
 
     def __init__(self, n: int, p: int):
         width = 1
@@ -200,14 +201,9 @@ class _Lanes:
         self.ones = pattern(range(count), 1)
         self.rows = [pattern(range(i * n, i * n + n), full) for i in range(n)]
         self.cols = [pattern(range(j, count, n), full) for j in range(n)]
-        if width <= 8:
-            layout = struct.Struct(f">{count}{'BHIQ'[width.bit_length() - 1]}")
-            self.pack: Callable[[Iterable[int]], bytes] = lambda flat: layout.pack(*flat)
-            self.unpack: Callable[[bytes], tuple[int, ...]] = layout.unpack
-        else:
-            self.pack = lambda flat: b"".join(x.to_bytes(width, "big") for x in flat)
-            self.unpack = lambda key: tuple(int.from_bytes(key[t:t + width], "big")
-                                            for t in range(0, self.size, width))
+        layout = struct.Struct(f">{count}{'BHIQ'[width.bit_length() - 1]}")
+        self.pack: Callable[[Iterable[int]], bytes] = lambda flat: layout.pack(*flat)
+        self.unpack: Callable[[bytes], tuple[int, ...]] = layout.unpack
 
     def key(self, m: Matrix) -> bytes:
         return self.pack(chain.from_iterable(m))
@@ -215,9 +211,6 @@ class _Lanes:
     def matrix(self, key: bytes) -> Matrix:
         flat, n = self.unpack(key), self.n
         return tuple(flat[i:i + n] for i in range(0, n * n, n))
-
-    def batch(self, k: int) -> _Batch:
-        return _Batch(self, k)
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +297,7 @@ def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ..
     empty basis).  An odometer on a packed vector: a step that carries from
     position i on raises every coefficient from i on by one (mod p), so it
     adds the packed suffix sum of the basis from i and reduces once."""
-    reduce = lanes.batch(1).reduce
+    reduce = _Batch(lanes, 1).reduce
     suffix = []
     acc = 0
     for vec in reversed(basis):
@@ -336,6 +329,8 @@ def _check_model(g: GroupSpec) -> None:
         raise InputError("the matrix oracle works over prime fields only")
     if g.twist != 1:
         raise InputError("the matrix oracle models the split even orthogonal form")
+    if 2 * g.p >= 1 << 63:
+        raise InputError("the matrix oracle packs entries in 8 bytes: p must be below 2^62")
 
 
 def _basis_indices(g: GroupSpec) -> list[int]:
@@ -535,7 +530,8 @@ def _primitive_root(p: int) -> int:
 class _Conjugator(NamedTuple):
     """A group generator h with the offsets of h and of h^-1 from the
     identity: they give the rows of h x and the columns of x h^-1 that can
-    differ from those of x."""
+    differ from those of x.  With no row offsets and h's as column offsets
+    the same step is right multiplication x -> x h."""
 
     h: Matrix
     d: Offsets
@@ -565,7 +561,8 @@ class _Walk:
     j-th of the G conjugators applied to the i-th parent (-1 for x0).
     Parents are taken a chunk at a time: the chunk is packed into one int,
     and one row update by h and one column update by h^-1 per conjugator
-    give all of its conjugates.
+    give all of its conjugates.  The census walks the group itself with
+    conjugators that have no row offsets, whose steps are x -> x h.
 
     A walk that looks for a `target` has a deciding step: the target's
     position in the queue, or the orbit's size once it closes without the
@@ -606,7 +603,7 @@ class _Walk:
         while len(queue) <= count and self.target not in seen and not self.closed:
             needed = count + 1 - len(queue)
             k = min(len(queue) - self.expanded, max(_MIN_CHUNK, ceil(needed / self.rate)))
-            batch = self.lanes.batch(k)
+            batch = _Batch(self.lanes, k)
             packed = batch.pack(queue[self.expanded:self.expanded + k])
             images = [batch.keys(batch.right(batch.left(packed, c.d), c.d_inv))
                       for c in conjugators]
@@ -665,43 +662,6 @@ def _gram_test(J: Matrix, p: int) -> Callable[[Sequence[int]], bool]:
     return preserves
 
 
-def _sqrt_mod(d: int, p: int) -> int | None:
-    """A square root of d modulo the odd prime p, or None when d is not a
-    square (Tonelli-Shanks)."""
-    if d == 0:
-        return 0
-    if pow(d, (p - 1) // 2, p) != 1:
-        return None
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q, e = q // 2, e + 1
-    t, r = pow(d, q, p), pow(d, (q + 1) // 2, p)
-    if t != 1:
-        z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-        c = pow(z, q, p)
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                i, t2 = i + 1, t2 * t2 % p
-            b = pow(c, 1 << e - i - 1, p)
-            e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _quadratic_roots(a: int, b: int, c: int, p: int) -> Sequence[int]:
-    """The roots t of a t^2 + b t + c modulo the odd prime p, in increasing
-    order: every t when all three coefficients vanish."""
-    if a == 0:
-        if b == 0:
-            return range(p) if c == 0 else ()
-        return (-c * pow(b, -1, p) % p,)
-    r = _sqrt_mod((b * b - 4 * a * c) % p, p)
-    if r is None:
-        return ()
-    inv = pow(2 * a, -1, p)
-    return sorted({(r - b) * inv % p, (-r - b) * inv % p})
-
-
 def _plane_roots(
     J: Matrix, p: int, C: Sequence[int], B: Sequence[int]
 ) -> Callable[[Sequence[int]], Iterator[Sequence[int]]]:
@@ -711,9 +671,10 @@ def _plane_roots(
     J's.  With L_i(X) = X[i][0] and R_i(X) = X[s(i)][s(0)], that entry is
     the quadratic form E(X) = sum_i c_i L_i(X) R_i(X), so on the plane it is
     a0 + a1 s + a2 s^2 + (b0 + b1 s) t + gamma t^2: the coefficients a0, a1
-    and b0 are read off Y once per plane, the rest off C and B once, and the
-    roots of each row's quadratic in t are kept per (constant, linear)
-    coefficient pair, of which there are at most p^2."""
+    and b0 are read off Y once per plane, the rest off C and B once.  The
+    roots of each row's quadratic in t are found by evaluating it at every t
+    and kept per (constant, linear) coefficient pair, of which there are at
+    most p^2."""
     N = len(J)
     perm, coefs = _signed_permutation(J)
     col = perm[0]
@@ -736,7 +697,8 @@ def _plane_roots(
             key = ((a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p)
             roots = known.get(key)
             if roots is None:
-                roots = known[key] = _quadratic_roots(gamma, key[1], key[0], p)
+                c, b = key
+                roots = known[key] = [t for t in range(p) if (c + t * (b + t * gamma)) % p == 0]
             yield roots
 
     return rows
@@ -884,35 +846,25 @@ def power_conjugacy_search(
 def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     """Conjugacy classes by raw orbit computation: representatives (the least
     element of each class in lex order) and an element -> class map, whose
-    length is the group order.  The generators are closed into the group by
-    breadth-first right multiplication, then each class is walked under them;
-    more than CENSUS_CAP elements raise BudgetExceededError.  Right
-    multiplication by a generator is the column update of the orbit walk,
-    on one packed level at a time."""
+    length is the group order.  The group is the orbit of the identity under
+    right multiplication by the generators, a walk whose steps have no row
+    update and h's offsets as their column update; then each class is walked
+    under conjugation.  More than CENSUS_CAP elements raise
+    BudgetExceededError."""
     conjugators = _conjugators(g)
     lanes = _lanes(g.dim, g.p)
-    frontier = [lanes.key(identity_matrix(g.dim))]
-    elements = set(frontier)
-    while frontier:
-        batch = lanes.batch(len(frontier))
-        packed = batch.pack(frontier)
-        products = [batch.keys(batch.right(packed, c.d)) for c in conjugators]
-        grown = []
-        for ys in zip(*products):
-            for y in ys:
-                if y not in elements:
-                    if len(elements) == CENSUS_CAP:
-                        raise BudgetExceededError(f"class census stops at {CENSUS_CAP} elements")
-                    elements.add(y)
-                    grown.append(y)
-        frontier = grown
+    group = _Walk(lanes.key(identity_matrix(g.dim)),
+                  [_Conjugator(c.h, (), c.d) for c in conjugators], lanes)
+    group.grow(CENSUS_CAP)
+    if not group.closed or len(group.queue) > CENSUS_CAP:
+        raise BudgetExceededError(f"class census stops at {CENSUS_CAP} elements")
     index: dict[bytes, int] = {}
     reps: list[bytes] = []
-    for m in sorted(elements):
+    for m in sorted(group.queue):
         if m in index:
             continue
         walk = _Walk(m, conjugators, lanes)
-        walk.grow(len(elements))
+        walk.grow(len(group.queue))
         index.update(dict.fromkeys(walk.queue, len(reps)))
         reps.append(m)
     return (tuple(map(lanes.matrix, reps)),

@@ -2,15 +2,23 @@
 wave-front partitions, and the cuspidal multiplicity 2-power.
 
 A symbol is a pair of strictly increasing rows of non-negative integers; its
-rank is the plain entry sum.
+rank is the plain entry sum.  A symbol or partition with more than
+ENTRY_CAP entries raises BudgetExceededError instead of being listed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .partitions import EpsPartition, Partition
+
+ENTRY_CAP = 1_000_000
+
+
+def _check_entries(count: int) -> None:
+    if count > ENTRY_CAP:
+        raise BudgetExceededError(f"the answer has {count} entries, above {ENTRY_CAP}")
 
 
 @dataclass(frozen=True)
@@ -39,14 +47,17 @@ def special_symbol(e: int, delta: int) -> Symbol:
 
     delta = 1: rows (0, 1, ..., e) over (1, 2, ..., e), any e >= 0;
     delta = 0: rows (1, 2, ..., e) over (0, 1, ..., e-1), e >= 1.
+    Either way the symbol has 2e + delta entries.
     """
     if delta == 1:
         if e < 0:
             raise InputError("e must be >= 0")
+        _check_entries(2 * e + 1)
         return Symbol(tuple(range(e + 1)), tuple(range(1, e + 1)))
     if delta == 0:
         if e < 1:
             raise InputError("e must be >= 1 for defect 0")
+        _check_entries(2 * e)
         return Symbol(tuple(range(1, e + 1)), tuple(range(e)))
     raise InputError("delta must be 0 or 1")
 
@@ -74,7 +85,7 @@ def wavefront_partition(e: int, f: int, delta: int) -> EpsPartition:
 
     With e <= f: every odd part below 2(e + f + delta) once, and every odd
     part below 2(f - e) once more, an orthogonal-type partition of
-    2*(e*(e+delta) + f*(f+delta)) + delta.
+    2*(e*(e+delta) + f*(f+delta)) + delta with 2f + delta parts.
 
     Derivation.  The class symbol adds the smaller special symbol, raised
     by the staircase 0, 2, 4, ... and shifted f - e times (prepend 0, add 2),
@@ -86,6 +97,7 @@ def wavefront_partition(e: int, f: int, delta: int) -> EpsPartition:
     entries into the single parts 2(f-e)+1, ..., 2(e+f+delta)-1.
     """
     e, f = _admissible(e, f, delta)
+    _check_entries(2 * f + delta)
     singles = range(2 * (e + f + delta) - 1, 2 * (f - e), -2)
     doubles = (part for part in range(2 * (f - e) - 1, 0, -2) for _ in range(2))
     return EpsPartition(Partition((*singles, *doubles)), 0)

@@ -13,6 +13,7 @@ from charfield.cli import build_parser, main
 from charfield.errors import InputError
 from charfield.groups import Family, GroupSpec
 from charfield.semisimple import class_from_dict, enumerate_classes, in_spinor_kernel
+from charfield.symbols import ENTRY_CAP
 from charfield.verify import SUITES
 
 
@@ -98,6 +99,13 @@ def test_symbol_and_wavefront(capsys):
     code, out, _ = _run(capsys, "wavefront", "--e", "0", "--f", "1", "--delta", "1")
     assert code == 0
     assert json.loads(out)["result"]["partition"] == [3, 1, 1]
+
+    # an answer with more entries than the cap is refused, not listed
+    for argv in (["symbol", "--e", "1000000000", "--delta", "1"],
+                 ["wavefront", "--e", "1000000000", "--f", "0", "--delta", "1"]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert err.startswith("budget exceeded: "), err
 
 
 def test_kgroup_subcommand(capsys):
@@ -424,3 +432,22 @@ def test_fuzzed_classes_lines_exit_cleanly(family, n, q, max_d, twist):
     argv = ["classes", "--family", family, "--n", str(n), "--q", str(q),
             "--max-d", str(max_d), "--twist", str(twist)]
     assert _exit_code(argv) in (0, 2, 3)
+
+
+# small data, and data past the cap up to 10^9; the listing of an answer
+# near the cap (about 0.5 s each) is left to the cap's own test
+E_F = st.integers(0, 1000) | st.integers(ENTRY_CAP // 2 + 1, 10**9)
+
+
+@given(E_F, E_F, st.sampled_from([0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_symbol_and_wavefront_at_large_e_f(e, f, delta):
+    # exit 0 up to ENTRY_CAP entries, 3 past it, 2 only for the data the
+    # library excludes; never an uncaught exception
+    def expected(entries, excluded):
+        return 2 if excluded else 3 if entries > ENTRY_CAP else 0
+
+    argv = ["symbol", "--e", str(e), "--delta", str(delta)]
+    assert _exit_code(argv) == expected(2 * e + delta, e == delta == 0)
+    argv = ["wavefront", "--e", str(e), "--f", str(f), "--delta", str(delta)]
+    assert _exit_code(argv) == expected(2 * max(e, f) + delta, e == f == delta == 0)

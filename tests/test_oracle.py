@@ -197,6 +197,18 @@ def test_budget_error():
         oracle.class_census(GroupSpec(Family.SP, 1, 41))
 
 
+def test_prime_bound():
+    # a lane holds a sum of two residues in 8 bytes, so p must be below
+    # 2^62; 2^62 + 135 is prime
+    g = GroupSpec(Family.SP, 1, 2**62 + 135)
+    with pytest.raises(InputError):
+        oracle.unipotent_rep(g, EpsPartition(Partition([2]), 1))
+    with pytest.raises(InputError):
+        oracle.power_conjugacy_search(g, oracle.identity_matrix(2), 3)
+    with pytest.raises(InputError):
+        oracle.class_census(g)
+
+
 def _check_witness(g, u, k, w):
     p = g.p
     assert oracle.mat_mul(w, u, p) == oracle.mat_mul(oracle.mat_pow(u, k, p), w, p)
@@ -271,7 +283,7 @@ def _lockstep_walk(x0, conjugators, lanes, tree):
     tree[x0] = (None, -1)
     level = [x0]
     while level:
-        batch = lanes.batch(len(level))
+        batch = oracle._Batch(lanes, len(level))
         packed = batch.pack(level)
         images = [batch.keys(batch.right(batch.left(packed, c.d), c.d_inv))
                   for c in conjugators]
@@ -404,7 +416,7 @@ def test_sparse_action_is_the_product(gxs):
     g, xs = gxs
     p = g.p
     lanes = oracle._lanes(g.dim, p)
-    batch = lanes.batch(len(xs))
+    batch = oracle._Batch(lanes, len(xs))
     packed = batch.pack([lanes.key(x) for x in xs])
     for c in oracle._conjugators(g):
         h_inv = oracle.mat_inv(c.h, p)
@@ -416,8 +428,9 @@ def test_sparse_action_is_the_product(gxs):
 
 
 # lanes of one byte up to p = 61, wider from p = 67; the last two primes
-# take the widest struct lane and the lanes past it
-_LANE_PRIMES = [3, 61, 67, 101, 257, 2**61 - 1, 2**89 - 1]
+# take the widest lane, 8 bytes, the last being the largest prime below the
+# oracle's bound 2^62
+_LANE_PRIMES = [3, 61, 67, 101, 257, 2**61 - 1, 2**62 - 57]
 
 
 @given(st.sampled_from(_LANE_PRIMES), st.integers(1, 5), st.integers(1, 4), st.data())
@@ -436,7 +449,7 @@ def test_lanes_round_trip_and_reduce(p, n, k, data):
     assert (lanes.key(a) < lanes.key(b)) == (a < b)
     # one reduction takes every lane of a batch below 2p to its residue
     sums = data.draw(st.lists(st.integers(0, 2 * p - 1), min_size=k * n * n, max_size=k * n * n))
-    batch = lanes.batch(k)
+    batch = oracle._Batch(lanes, k)
     packed = batch.pack([lanes.pack(sums[t:t + n * n]) for t in range(0, k * n * n, n * n)])
     reduced = [x for key in batch.keys(batch.reduce(packed)) for x in lanes.unpack(key)]
     assert reduced == [x % p for x in sums]
@@ -459,7 +472,7 @@ def test_kernel_applies_any_scalar(p, n, k, data):
     xs = [oracle.mat(data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
                                         min_size=n, max_size=n))) for _ in range(k)]
     lanes = oracle._lanes(n, p)
-    batch = lanes.batch(k)
+    batch = oracle._Batch(lanes, k)
     packed = batch.pack([lanes.key(x) for x in xs])
     assert [lanes.matrix(y) for y in batch.keys(batch.left(packed, d))] == [
         oracle.mat_mul(h, x, p) for x in xs]
@@ -569,21 +582,6 @@ def test_plane_roots_keep_every_accepted_row_entry(case):
         assert {t for t, flat in enumerate(candidates) if preserves(flat)} <= set(roots)
         if degenerate:
             assert roots in ([], list(range(p)))
-
-
-def test_quadratic_roots_against_brute_force():
-    for p in (3, 5, 7, 11, 13, 17):
-        for a, b, c in itertools.product(range(p), repeat=3):
-            want = [t for t in range(p) if (a * t * t + b * t + c) % p == 0]
-            assert list(oracle._quadratic_roots(a, b, c, p)) == want, (p, a, b, c)
-    # Tonelli-Shanks at primes with p - 1 divisible by 8, 16 and 64
-    for p in (41, 97, 193, 257, 7681):
-        squares = {x * x % p: x for x in range(p)}
-        for d in range(p):
-            r = oracle._sqrt_mod(d, p)
-            assert (r is not None) == (d in squares), (p, d)
-            if r is not None:
-                assert r * r % p == d, (p, d)
 
 
 def test_gram_test_on_every_witness():
@@ -753,6 +751,21 @@ def test_census_against_all_pairs():
         assert (reps, index) == _classes_all_pairs(g, list(index)), g
     for q in (3, 5, 7):
         assert oracle.sl2_classes(q) == oracle.class_census(GroupSpec(Family.SP, 1, q))
+
+
+def test_census_at_the_largest_admitted_groups():
+    # Sp4(F_3) and SO5(F_3), 51,840 elements each, near the element cap.
+    # Under g -> g^k, Sp4(F_3) fixes 14 of its 34 classes for k a non-square
+    # mod 3 and all of them for k a square; SO5(F_3) fixes all 25.  The
+    # unwrapped census keeps neither group in the cache.
+    expected = {GroupSpec(Family.SP, 2, 3): (34, {7: 34, 11: 14, 13: 34, 17: 14}),
+                GroupSpec(Family.SO_ODD, 2, 3): (25, dict.fromkeys((7, 11, 13, 17), 25))}
+    for g, (classes, fixed) in expected.items():
+        reps, index = oracle.class_census.__wrapped__(g)
+        assert (len(reps), len(index)) == (classes, 51840), g
+        for k, count in fixed.items():
+            assert sum(index[oracle.mat_pow(m, k, g.p)] == ci
+                       for ci, m in enumerate(reps)) == count, (g, k)
 
 
 def test_brauer_counts():

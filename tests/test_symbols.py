@@ -1,8 +1,9 @@
 import pytest
 
-from charfield.errors import InputError
+from charfield.errors import BudgetExceededError, InputError
 from charfield.partitions import component_orders, eps_stats
 from charfield.symbols import (
+    ENTRY_CAP,
     Symbol,
     cuspidal_multiplicity,
     special_symbol,
@@ -37,6 +38,20 @@ def test_special_symbol_ranks():
         assert special_symbol(e, 1).rank == e * (e + 1)
     for e in range(1, 11):
         assert special_symbol(e, 0).rank == e * e
+
+
+def test_entry_cap():
+    # 2e + delta entries in a symbol, 2 max(e, f) + delta parts in a
+    # wave-front partition: listed up to the cap, refused one past it
+    half = ENTRY_CAP // 2
+    s = special_symbol(half, 0)
+    assert len(s.top) + len(s.bottom) == ENTRY_CAP
+    assert len(wavefront_partition(3, half, 0).partition) == ENTRY_CAP
+    for build in (lambda: special_symbol(half, 1), lambda: wavefront_partition(3, half, 1),
+                  lambda: wavefront_partition(half, 3, 1), lambda: special_symbol(10**9, 0),
+                  lambda: wavefront_partition(10**9, 10**9, 1)):
+        with pytest.raises(BudgetExceededError):
+            build()
 
 
 def _symbol_wavefront(e, f, delta):
