@@ -38,6 +38,7 @@ from .semisimple import (
     galois_stabilizer,
     has_central_twist_automorphism,
     in_spinor_kernel,
+    involution_class,
     order_of,
     sigma_image,
 )

@@ -1,9 +1,11 @@
 """Command-line front end: batch queries with JSON output.
 
-Every subcommand prints one JSON object per line (machine-readable, byte
-stable across runs); `--pretty` switches to indented output.  Exit codes:
-0 success, 2 malformed input, 3 budget exceeded (an enumeration, the oracle's
-rounds or the factoring bound), 4 verification failure.
+Every subcommand is one library call that yields JSON objects, and `main`
+prints each on its own line (machine-readable, byte stable across runs);
+`--pretty` switches to indented output.  Exit codes: 0 success, 2 malformed
+input, 3 budget exceeded (an enumeration, the oracle's rounds or the
+factoring bound), 4 when a printed line reports `"ok": false` (a failed
+verification check).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 
 from .char_fields import character_field, is_real_series
 from .errors import BudgetExceededError, InputError
@@ -20,13 +23,12 @@ from .hc_action import series_permutation, series_twist_sign
 from .partitions import EpsPartition, Partition
 from .power_maps import rationality_criterion, unipotent_rational
 from .semisimple import (
-    EigenvalueOrbit,
     SemisimpleClass,
-    check_spinor_kernel_group,
     class_from_dict,
     enumerate_classes,
     has_central_twist_automorphism,
     in_spinor_kernel,
+    involution_class,
 )
 from .symbols import special_symbol, wavefront_partition
 from .verify import SUITES
@@ -34,10 +36,11 @@ from .weyl_b import SeriesDescriptor
 
 
 def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True, indent=2 if pretty else None))
+
+
+def _answer(inp: dict, result: dict, *citations: str) -> dict:
+    return {"input": inp, "result": result, "citations": list(citations)}
 
 
 def _group(args) -> GroupSpec:
@@ -52,153 +55,81 @@ def _class_arg(args) -> SemisimpleClass:
     return class_from_dict(data)
 
 
-def _cmd_field(args) -> int:
+def _cmd_field(args) -> Iterator[dict]:
     cls = _class_arg(args)
-    field = character_field(cls.group, cls)
-    _emit(
-        {
-            "input": cls.to_dict(),
-            "result": field.to_dict(),
-            "citations": ["character-field-per-series", "symplectic-sqrt-adjunction"],
-        },
-        args.pretty,
-    )
-    return 0
+    yield _answer(cls.to_dict(), character_field(cls.group, cls).to_dict(),
+                  "character-field-per-series", "symplectic-sqrt-adjunction")
 
 
-def _cmd_real(args) -> int:
+def _cmd_real(args) -> Iterator[dict]:
     cls = _class_arg(args)
-    _emit(
-        {
-            "input": cls.to_dict(),
-            "result": {"real": is_real_series(cls.group, cls)},
-            "citations": ["series-realness"],
-        },
-        args.pretty,
-    )
-    return 0
+    yield _answer(cls.to_dict(), {"real": is_real_series(cls.group, cls)}, "series-realness")
 
 
-def _cmd_powmap(args) -> int:
+def _cmd_powmap(args) -> Iterator[dict]:
     g = _group(args)
     mu = Partition(int(x) for x in args.mu.split(","))
     ep = EpsPartition(mu, g.form_eps)
-    _emit(
-        {
-            "input": {"family": g.family.value, "n": g.n, "q": g.q,
-                      "mu": list(mu.parts), "k": args.k},
-            "result": {"rational": unipotent_rational(g, ep, args.k),
-                       "criterion": rationality_criterion(g, ep)},
-            "citations": ["unipotent-power-map"],
-        },
-        args.pretty,
-    )
-    return 0
+    yield _answer({"family": g.family.value, "n": g.n, "q": g.q,
+                   "mu": list(mu.parts), "k": args.k},
+                  {"rational": unipotent_rational(g, ep, args.k),
+                   "criterion": rationality_criterion(g, ep)},
+                  "unipotent-power-map")
 
 
-def _cmd_gammadelta(args) -> int:
+def _cmd_gammadelta(args) -> Iterator[dict]:
     n = args.a + args.b
     if args.n not in (0, n):
         raise InputError("rank must equal a + b for a principal series")
     g = GroupSpec(Family(args.family), n, args.q, args.twist)
     desc = SeriesDescriptor(g, True, n, args.a, args.b)
     sigma = GaloisElement(args.sigma_k, args.sigma_m)
-    sign = series_twist_sign(desc, sigma)
-    _emit(
-        {
-            "input": {"family": g.family.value, "q": g.q, "a": args.a, "b": args.b,
-                      "sigma_k": args.sigma_k, "sigma_m": args.sigma_m},
-            "result": {"gamma_delta": sign.value,
-                       "series_action": series_permutation(desc, sigma)},
-            "citations": ["series-twist-sign"],
-        },
-        args.pretty,
-    )
-    return 0
+    yield _answer({"family": g.family.value, "q": g.q, "a": args.a, "b": args.b,
+                   "sigma_k": args.sigma_k, "sigma_m": args.sigma_m},
+                  {"gamma_delta": series_twist_sign(desc, sigma).value,
+                   "series_action": series_permutation(desc, sigma)},
+                  "series-twist-sign")
 
 
-def _cmd_symbol(args) -> int:
+def _cmd_symbol(args) -> Iterator[dict]:
     sym = special_symbol(args.e, args.delta)
-    _emit(
-        {
-            "input": {"e": args.e, "delta": args.delta},
-            "result": {"top": list(sym.top), "bottom": list(sym.bottom),
-                       "rank": sym.rank, "defect": sym.defect},
-            "citations": ["special-symbols"],
-        },
-        args.pretty,
-    )
-    return 0
+    yield _answer({"e": args.e, "delta": args.delta},
+                  {"top": list(sym.top), "bottom": list(sym.bottom),
+                   "rank": sym.rank, "defect": sym.defect},
+                  "special-symbols")
 
 
-def _cmd_wavefront(args) -> int:
+def _cmd_wavefront(args) -> Iterator[dict]:
     ep = wavefront_partition(args.e, args.f, args.delta)
-    _emit(
-        {
-            "input": {"e": args.e, "f": args.f, "delta": args.delta},
-            "result": {"partition": list(ep.partition.parts), "eps": ep.eps,
-                       "dim": ep.total},
-            "citations": ["wavefront-partition"],
-        },
-        args.pretty,
-    )
-    return 0
+    yield _answer({"e": args.e, "f": args.f, "delta": args.delta},
+                  {"partition": list(ep.partition.parts), "eps": ep.eps, "dim": ep.total},
+                  "wavefront-partition")
 
 
-def _involution_class(g: GroupSpec, minus_dim: int) -> SemisimpleClass:
-    """The order <= 2 class with a minus_dim-dimensional -1 eigenspace and
-    eigenvalue 1 elsewhere; the eigenspace types are chosen to multiply to
-    the form type, and in_spinor_kernel reads only the -1 multiplicity."""
-    plus_dim = 2 * g.n - minus_dim
-    orbits = tuple(
-        EigenvalueOrbit(a, d, mult)
-        for a, d, mult in ((0, 1, plus_dim), (1, 2, minus_dim))
-        if mult
-    )
-    plus_type = g.twist if plus_dim else None
-    minus_type = (1 if plus_dim else g.twist) if minus_dim else None
-    return SemisimpleClass(g, orbits, plus_type, minus_type)
-
-
-def _cmd_kgroup(args) -> int:
+def _cmd_kgroup(args) -> Iterator[dict]:
     g = _group(args)
     result = {"k_group_nontrivial": has_central_twist_automorphism(g)}
     if args.minus_dim is not None:
-        check_spinor_kernel_group(g)
         result["minus_eigenspace_dim"] = args.minus_dim
-        result["in_spinor_kernel"] = in_spinor_kernel(g, _involution_class(g, args.minus_dim))
-    _emit(
-        {
-            "input": {"family": g.family.value, "n": g.n, "q": g.q, "twist": g.twist},
-            "result": result,
-            "citations": ["central-twist-automorphism", "spinor-kernel-membership"],
-        },
-        args.pretty,
-    )
-    return 0
+        result["in_spinor_kernel"] = in_spinor_kernel(g, involution_class(g, args.minus_dim))
+    yield _answer({"family": g.family.value, "n": g.n, "q": g.q, "twist": g.twist}, result,
+                  "central-twist-automorphism", "spinor-kernel-membership")
 
 
-def _cmd_classes(args) -> int:
+def _cmd_classes(args) -> Iterator[dict]:
     g = _group(args)
-    max_d = args.max_d if args.max_d else g.q + 1
-    for cls in enumerate_classes(g, max_d):
-        _emit(cls.to_dict(), args.pretty)
-    return 0
+    for cls in enumerate_classes(g, args.max_d if args.max_d else g.q + 1):
+        yield cls.to_dict()
 
 
-def _cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    ok = True
-    for name in names:
+def _cmd_verify(args) -> Iterator[dict]:
+    for name in list(SUITES) if args.suite == "all" else [args.suite]:
         for r in SUITES[name]():
-            _emit({"check": r.name, "ok": r.ok, "detail": r.detail,
-                   "seconds": round(r.seconds, 3), "cells": r.cells}, args.pretty)
+            yield {"check": r.name, "ok": r.ok, "detail": r.detail,
+                   "seconds": round(r.seconds, 3), "cells": r.cells}
             if args.stats:
                 for cell in r.cell_stats:
-                    _emit({"check": r.name, **cell, "seconds": round(cell["seconds"], 6)},
-                          args.pretty)
-            ok = ok and r.ok
-    return 0 if ok else 4
+                    yield {"check": r.name, **cell, "seconds": round(cell["seconds"], 6)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("kgroup", help="central-twist predicates")
     add_common(sp, group=True)
     sp.add_argument("--minus-dim", type=int, default=None,
-                    help="dimension of the -1 eigenspace of an involution")
+                    help="dimension of the -1 eigenspace of an involution; when both "
+                    "eigenspaces occur the +1 eigenspace is split and the -1 eigenspace "
+                    "has the form's type, a single eigenspace has the form's type")
     sp.set_defaults(func=_cmd_kgroup)
 
     sp = sub.add_parser("classes", help="enumerate semisimple classes of the dual group")
@@ -283,16 +216,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    failed = False
     try:
-        return args.func(args)
+        for obj in args.func(args):
+            _emit(obj, args.pretty)
+            failed = failed or obj.get("ok") is False
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ValueError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
+    return 4 if failed else 0
 
 
 if __name__ == "__main__":

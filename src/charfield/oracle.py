@@ -12,8 +12,9 @@ and the smaller one gives the answer, the scan on a tie; the scan runs ahead
 to a doubling horizon and the walk follows only as far as the comparison
 needs.  The class census walks the group itself as the orbit of the
 identity under right multiplication, then each class under conjugation, up
-to an element cap.  The closed-form modules are tested against it, never the
-other way around.
+to an element cap; the same closure of the root elements alone gives the
+subgroup they generate.  The closed-form modules are tested against it,
+never the other way around.
 
 Every generator is a root or torus element, which differs from the identity
 in a few entries, so conjugating by it is a row update and a column update.
@@ -842,33 +843,52 @@ def power_conjugacy_search(
 # class census
 
 
+def _closure(g: GroupSpec, conjugators: Sequence[_Conjugator]) -> list[bytes]:
+    """The packed elements of the subgroup that the conjugators' h generate:
+    the orbit of the identity under right multiplication, a walk whose steps
+    have no row update and h's offsets as their column update.  More than
+    CENSUS_CAP elements raise BudgetExceededError."""
+    lanes = _lanes(g.dim, g.p)
+    walk = _Walk(lanes.key(identity_matrix(g.dim)),
+                 [_Conjugator(c.h, (), c.d) for c in conjugators], lanes)
+    walk.grow(CENSUS_CAP)
+    if not walk.closed or len(walk.queue) > CENSUS_CAP:
+        raise BudgetExceededError(f"the closure stops at {CENSUS_CAP} elements")
+    return walk.queue
+
+
 @lru_cache(maxsize=None)
 def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     """Conjugacy classes by raw orbit computation: representatives (the least
     element of each class in lex order) and an element -> class map, whose
-    length is the group order.  The group is the orbit of the identity under
-    right multiplication by the generators, a walk whose steps have no row
-    update and h's offsets as their column update; then each class is walked
-    under conjugation.  More than CENSUS_CAP elements raise
-    BudgetExceededError."""
+    length is the group order.  The group is the closure of the generators;
+    then each class is walked under conjugation.  More than CENSUS_CAP
+    elements raise BudgetExceededError."""
     conjugators = _conjugators(g)
     lanes = _lanes(g.dim, g.p)
-    group = _Walk(lanes.key(identity_matrix(g.dim)),
-                  [_Conjugator(c.h, (), c.d) for c in conjugators], lanes)
-    group.grow(CENSUS_CAP)
-    if not group.closed or len(group.queue) > CENSUS_CAP:
-        raise BudgetExceededError(f"class census stops at {CENSUS_CAP} elements")
+    group = _closure(g, conjugators)
     index: dict[bytes, int] = {}
     reps: list[bytes] = []
-    for m in sorted(group.queue):
+    for m in sorted(group):
         if m in index:
             continue
         walk = _Walk(m, conjugators, lanes)
-        walk.grow(len(group.queue))
+        walk.grow(len(group))
         index.update(dict.fromkeys(walk.queue, len(reps)))
         reps.append(m)
     return (tuple(map(lanes.matrix, reps)),
             {lanes.matrix(m): ci for m, ci in index.items()})
+
+
+@lru_cache(maxsize=None)
+def root_subgroup(g: GroupSpec) -> frozenset[Matrix]:
+    """The subgroup generated by the root elements, the generators of order
+    p, as a set of matrices: the closure of those generators alone.  More
+    than CENSUS_CAP elements raise BudgetExceededError."""
+    lanes = _lanes(g.dim, g.p)
+    one = identity_matrix(g.dim)
+    roots = [c for c in _conjugators(g) if mat_pow(c.h, g.p, g.p) == one]
+    return frozenset(map(lanes.matrix, _closure(g, roots)))
 
 
 def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:

@@ -370,17 +370,32 @@ def galois_stabilizer(cls: SemisimpleClass) -> CyclotomicSubfield:
     return CyclotomicSubfield(modulus, tuple(sorted(residues)))
 
 
-def _minus_space_in_spinor_kernel(g: GroupSpec, b: int) -> bool:
-    """An involution of an even orthogonal group whose -1 eigenspace has
-    dimension 2b > 0 lies in the spinor kernel exactly when
-    q**b = twist (mod 4); b = n is the central -1."""
-    return pow(g.q, b, 4) == g.twist % 4
+def _minus_space_in_spinor_kernel(q: int, b: int, type_: int) -> bool:
+    """-1 on a 2b-dimensional orthogonal space W of type type_ has spinor
+    norm the discriminant of W, so an involution of an even orthogonal group
+    with -1 eigenspace W lies in the spinor kernel exactly when
+    q**b = type_ (mod 4)."""
+    return pow(q, b, 4) == type_ % 4
 
 
-def check_spinor_kernel_group(g: GroupSpec) -> None:
+def _check_spinor_kernel_group(g: GroupSpec) -> None:
     """Reject every group but the even orthogonal ones for the spinor-kernel test."""
     if g.family is not Family.SO_EVEN:
         raise InputError("spinor-kernel test applies to so-even only")
+
+
+def involution_class(g: GroupSpec, minus_dim: int) -> SemisimpleClass:
+    """The order <= 2 class of the even orthogonal group g with a
+    minus_dim-dimensional -1 eigenspace and eigenvalue 1 elsewhere.  When
+    both eigenspaces occur the +1 eigenspace is split and the -1 eigenspace
+    has the form's type; a single eigenspace has the form's type."""
+    _check_spinor_kernel_group(g)
+    plus_dim = 2 * g.n - minus_dim
+    orbits = tuple(EigenvalueOrbit(a, d, mult)
+                   for a, d, mult in ((0, 1, plus_dim), (1, 2, minus_dim)) if mult)
+    plus_type = (1 if minus_dim else g.twist) if plus_dim else None
+    minus_type = g.twist if minus_dim else None
+    return SemisimpleClass(g, orbits, plus_type, minus_type)
 
 
 def in_spinor_kernel(g: GroupSpec, cls: SemisimpleClass) -> bool:
@@ -388,13 +403,13 @@ def in_spinor_kernel(g: GroupSpec, cls: SemisimpleClass) -> bool:
     generated by p-elements of an even orthogonal group (the spinor kernel).
 
     The identity always belongs; an involution with 2b-dimensional -1
-    eigenspace does exactly when q**b = twist (mod 4).
+    eigenspace does exactly when q**b = minus_type (mod 4).
     """
-    check_spinor_kernel_group(g)
+    _check_spinor_kernel_group(g)
     if not cls.is_quasi_isolated():
         raise InputError("test applies to elements of order at most two")
     b = cls.mult_of_minus_one() // 2
-    return b == 0 or _minus_space_in_spinor_kernel(g, b)
+    return b == 0 or _minus_space_in_spinor_kernel(g.q, b, cls.minus_type)
 
 
 def has_central_twist_automorphism(g: GroupSpec) -> bool:
@@ -406,7 +421,7 @@ def has_central_twist_automorphism(g: GroupSpec) -> bool:
     simply connected and odd orthogonal groups have trivial centre, so
     nothing extra appears there.
     """
-    return g.family is Family.SO_EVEN and _minus_space_in_spinor_kernel(g, g.n)
+    return g.family is Family.SO_EVEN and _minus_space_in_spinor_kernel(g.q, g.n, g.twist)
 
 
 def central_twist_action(

@@ -106,8 +106,10 @@ def wavefront_partition(e: int, f: int, delta: int) -> EpsPartition:
 def cuspidal_multiplicity(e: int, f: int, delta: int) -> int:
     """Multiplicity 2-power of a cuspidal character in its generalised
     Gelfand-Graev character: 2^(e + f - D(delta,e) - D(delta,f)) with
-    D(delta, m) = 1 exactly when delta = 0 and m != 0."""
+    D(delta, m) = 1 exactly when delta = 0 and m != 0.  Capped like the
+    wave-front partition of the same datum, which has 2f + delta parts."""
     e, f = _admissible(e, f, delta)
+    _check_entries(2 * f + delta)
     def dcorr(m: int) -> int:
         return 1 if delta == 0 and m != 0 else 0
     return 2 ** (e + f - dcorr(e) - dcorr(f))

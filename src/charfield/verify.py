@@ -24,7 +24,7 @@ from .groups import Family, GroupSpec, is_prime
 from .hc_action import index_sqrt_sign_h, series_twist_sign, series_twist_sign_h
 from .partitions import component_orders, eps_partitions
 from .power_maps import unipotent_rational
-from .semisimple import class_from_dict
+from .semisimple import class_from_dict, in_spinor_kernel
 from .symbols import cuspidal_multiplicity, wavefront_partition
 from .weyl_b import (
     SeriesDescriptor,
@@ -164,7 +164,7 @@ def _table_descriptors(max_rank: int) -> list[SeriesDescriptor]:
         shapes = [(True, g.n)] + [(False, m) for m in range(g.n - 1)]
         for principal, m in shapes:
             for a in range(m + 1):
-                desc = SeriesDescriptor(g, principal, m, a, m - a, not principal)
+                desc = SeriesDescriptor(g, principal, m, a, m - a)
                 try:
                     relative_weyl(desc)
                 except InputError:
@@ -176,12 +176,12 @@ def _table_descriptors(max_rank: int) -> list[SeriesDescriptor]:
 def _grid_descriptors(q: int) -> list[SeriesDescriptor]:
     descs = [
         SeriesDescriptor(GroupSpec(Family.SP, 2, q), True, 2, 1, 1),
-        SeriesDescriptor(GroupSpec(Family.SP, 4, q), False, 2, 1, 1, True),
+        SeriesDescriptor(GroupSpec(Family.SP, 4, q), False, 2, 1, 1),
         SeriesDescriptor(GroupSpec(Family.SO_EVEN, 3, q, 1), True, 3, 1, 2),
         SeriesDescriptor(GroupSpec(Family.SO_EVEN, 3, q, -1), True, 3, 2, 1),
-        SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, q, 1), False, 2, 1, 1, True),
+        SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, q, 1), False, 2, 1, 1),
         SeriesDescriptor(GroupSpec(Family.SO_ODD, 2, q), True, 2, 1, 1),
-        SeriesDescriptor(GroupSpec(Family.SO_ODD, 4, q), False, 2, 1, 1, True),
+        SeriesDescriptor(GroupSpec(Family.SO_ODD, 4, q), False, 2, 1, 1),
     ]
     return descs
 
@@ -277,6 +277,51 @@ def suite_fields() -> list[CheckResult]:
                     start, len(cases))]
 
 
+def _eigenspace(x: oracle.Matrix, g: GroupSpec, eigenvalue: int) -> tuple[int, int | None]:
+    """The dimension of the eigenspace E of x for +-1 and, when it is even and
+    positive, its orthogonal type: split (+1) exactly when (-1)^b det(Gram
+    of E) is a square mod p, dim E = 2b."""
+    p, J = g.p, oracle.form_matrix(g)
+    rows = [[(v - eigenvalue * (i == j)) % p for j, v in enumerate(row)]
+            for i, row in enumerate(x)]
+    basis = oracle.nullspace(rows, p)
+    if not basis or len(basis) % 2:
+        return len(basis), None
+    gram = oracle.mat_mul(oracle.mat_mul(basis, J, p), oracle.transpose(basis), p)
+    disc = (-1) ** (len(basis) // 2) * oracle.det(gram, p) % p
+    return len(basis), 1 if pow(disc, (p - 1) // 2, p) == 1 else -1
+
+
+def suite_spinor() -> list[CheckResult]:
+    """Spinor-kernel membership against the matrix group: for every class of
+    order two of SO4+(F_q), q in {3, 5}, the eigenspace types read off a
+    representative label the class, and in_spinor_kernel must say whether
+    the representative lies in the subgroup that the root elements generate."""
+    start = time.perf_counter()
+    bad = []
+    cells = 0
+    for q in (3, 5):
+        g = GroupSpec(Family.SO_EVEN, 2, q, 1)
+        reps, _ = oracle.class_census(g)
+        omega = oracle.root_subgroup(g)
+        one = oracle.identity_matrix(g.dim)
+        for x in reps:
+            if x == one or oracle.mat_mul(x, x, q) != one:
+                continue
+            cells += 1
+            plus_dim, plus_type = _eigenspace(x, g, 1)
+            minus_dim, minus_type = _eigenspace(x, g, -1)
+            cls = class_from_dict(
+                {"family": "so-even", "n": 2, "q": q,
+                 "plus_type": plus_type, "minus_type": minus_type,
+                 "orbits": [{"frac": frac, "mult": mult}
+                            for frac, mult in (("0/1", plus_dim), ("1/2", minus_dim)) if mult]})
+            if in_spinor_kernel(g, cls) != (x in omega):
+                bad.append((q, minus_dim, minus_type))
+    return [_result("spinor-kernel-vs-root-subgroup", bad,
+                    "every involution class of SO4+(F_q), q in {3, 5}", start, cells)]
+
+
 SUITES = {
     "gauss": suite_gauss,
     "relweyl": suite_relweyl,
@@ -284,4 +329,5 @@ SUITES = {
     "brauer": suite_brauer,
     "wavefront": suite_wavefront,
     "fields": suite_fields,
+    "spinor": suite_spinor,
 }

@@ -156,21 +156,14 @@ class SeriesDescriptor:
     m: int
     a: int
     b: int
-    cuspidal_part_nontrivial: bool = False
 
     def __post_init__(self) -> None:
         if self.a < 0 or self.b < 0 or self.a + self.b != self.m:
             raise InputError("need a, b >= 0 with a + b = m")
-        if self.principal:
-            if self.m != self.group.n:
-                raise InputError("principal series has m = n")
-            if self.cuspidal_part_nontrivial:
-                raise InputError("principal series has trivial cuspidal part")
-        else:
-            if self.m > self.group.n - 2:
-                raise InputError("non-principal series needs m <= n - 2")
-            if not self.cuspidal_part_nontrivial:
-                raise InputError("non-principal series carries a cuspidal part")
+        if self.principal and self.m != self.group.n:
+            raise InputError("principal series has m = n")
+        if not self.principal and self.m > self.group.n - 2:
+            raise InputError("non-principal series needs m <= n - 2")
 
 
 @dataclass(frozen=True)

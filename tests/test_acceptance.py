@@ -8,6 +8,7 @@ line.  Run with `pytest tests/test_acceptance.py -v -s`.
 5. Twist-sign consistency grid (exact, < 1 s)
 6. Brauer end-to-end count (exact, < 5 min)
 7. Rank-one field sanity (exact, < 1 s)
+8. Spinor-kernel membership against the root subgroup (exact, < 5 s)
 """
 
 import time
@@ -18,6 +19,7 @@ from charfield.verify import (
     suite_gauss,
     suite_powmap,
     suite_relweyl,
+    suite_spinor,
     suite_wavefront,
 )
 
@@ -73,3 +75,10 @@ def test_criterion_7_rank_one_fields():
     t = time.time()
     results = suite_fields()
     _report("criterion 7: rank-one field sanity", results, 1.0, time.time() - t)
+
+
+def test_criterion_8_spinor_kernel():
+    t = time.time()
+    results = suite_spinor()
+    assert [r.cells for r in results] == [6]
+    _report("criterion 8: spinor kernel against the root subgroup", results, 5.0, time.time() - t)

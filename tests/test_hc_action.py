@@ -26,10 +26,10 @@ GRID_ELL = [2, 3, 5, 7, 11]
 def _descriptors(q):
     return [
         SeriesDescriptor(GroupSpec(Family.SP, 2, q), True, 2, 1, 1),
-        SeriesDescriptor(GroupSpec(Family.SP, 4, q), False, 2, 1, 1, True),
+        SeriesDescriptor(GroupSpec(Family.SP, 4, q), False, 2, 1, 1),
         SeriesDescriptor(GroupSpec(Family.SO_EVEN, 3, q, 1), True, 3, 1, 2),
         SeriesDescriptor(GroupSpec(Family.SO_EVEN, 3, q, -1), True, 3, 2, 1),
-        SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, q, 1), False, 2, 1, 1, True),
+        SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, q, 1), False, 2, 1, 1),
         SeriesDescriptor(GroupSpec(Family.SO_ODD, 2, q), True, 2, 1, 1),
     ]
 

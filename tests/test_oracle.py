@@ -690,6 +690,28 @@ def test_group_orders_small():
     assert mulclose(oracle.group_generators(GroupSpec(Family.SO_ODD, 2, 3)), 3) == 51840
 
 
+def test_root_subgroup_is_the_spinor_kernel():
+    # the root elements generate a subgroup of index two in SO4+(F_q), the
+    # same order as an independent closure of the same generators finds
+    for q, order in ((3, 576), (5, 14400)):
+        g = GroupSpec(Family.SO_EVEN, 2, q, 1)
+        omega = oracle.root_subgroup(g)
+        assert 2 * len(omega) == len(oracle.class_census(g)[1]) == order
+        roots = [h for h in oracle.group_generators(g)
+                 if oracle.mat_pow(h, q, q) == oracle.identity_matrix(4)]
+        if q == 3:
+            assert mulclose(roots, q) == len(omega)
+    # on the basis v1, v2, v-2, v-1: -1 on the anisotropic plane spanned by
+    # v1 + v-1 and v2 + v-2 (Gram diag(2, 2), and -det = -1 is not a square
+    # mod 3), +1 on its complement; a non-split involution, and a member of
+    # the subgroup
+    g = GroupSpec(Family.SO_EVEN, 2, 3, 1)
+    x = oracle.mat([[0, 0, 0, 2], [0, 0, 2, 0], [0, 2, 0, 0], [2, 0, 0, 0]])
+    assert oracle.is_isometry(x, oracle.form_matrix(g), 3, special=True)
+    assert oracle.mat_mul(x, x, 3) == oracle.identity_matrix(4)
+    assert x in oracle.root_subgroup(g)
+
+
 def test_primitive_root():
     for p in range(3, 200):
         if all(p % d for d in range(2, p)):

@@ -16,6 +16,7 @@ from charfield.semisimple import (
     galois_stabilizer,
     has_central_twist_automorphism,
     in_spinor_kernel,
+    involution_class,
     order_of,
     sigma_image,
 )
@@ -188,13 +189,32 @@ def test_spinor_kernel_membership():
     minus_one = _cls("so-even", 2, 3, [("1/2", 4)], minus=1)
     assert in_spinor_kernel(g, minus_one)  # 9 = 1 mod 4
 
+    # membership reads the type of the -1 eigenspace, not the form's
     g = GroupSpec(Family.SO_EVEN, 4, 3, 1)
     s = _cls("so-even", 4, 3, [("0/1", 6), ("1/2", 2)], plus=-1, minus=-1)
+    assert in_spinor_kernel(g, s)  # 3 = -1 mod 4
+    s = _cls("so-even", 4, 3, [("0/1", 6), ("1/2", 2)], plus=1, minus=1)
     assert not in_spinor_kernel(g, s)  # 3 = 3 mod 4 != 1
 
     g5 = GroupSpec(Family.SO_EVEN, 2, 5, -1)
     s = _cls("so-even", 2, 5, [("0/1", 2), ("1/2", 2)], twist=-1, plus=1, minus=-1)
     assert not in_spinor_kernel(g5, s)  # 5 = 1 mod 4 != -1
+
+
+def test_involution_class_labels():
+    # both eigenspaces: the +1 eigenspace split, the -1 eigenspace of the
+    # form's type; a single eigenspace has the form's type
+    for twist in (1, -1):
+        g = GroupSpec(Family.SO_EVEN, 2, 3, twist)
+        classes = {m: involution_class(g, m) for m in (0, 2, 4)}
+        assert {m: c.mult_of_minus_one() for m, c in classes.items()} == {0: 0, 2: 2, 4: 4}
+        assert {m: (c.plus_type, c.minus_type) for m, c in classes.items()} == {
+            0: (twist, None), 2: (1, twist), 4: (None, twist)}
+    for minus_dim in (-2, 1, 5):
+        with pytest.raises(InputError):
+            involution_class(GroupSpec(Family.SO_EVEN, 2, 3, 1), minus_dim)
+    with pytest.raises(InputError, match="so-even only"):
+        involution_class(GroupSpec(Family.SO_ODD, 2, 3), 2)
 
 
 def test_central_twist_predicates():
@@ -217,9 +237,12 @@ def test_central_twist_action():
     assert central_twist_action(g4, s) == "invariant"
 
     # unequal dimensions outside the kernel: the series moves
-    s2 = _cls("so-even", 4, 3, [("0/1", 6), ("1/2", 2)], plus=-1, minus=-1)
+    s2 = _cls("so-even", 4, 3, [("0/1", 6), ("1/2", 2)], plus=1, minus=1)
     assert not in_spinor_kernel(g, s2)
     assert central_twist_action(g, s2) == "series-moved"
+    # the same dimensions with a non-split -1 eigenspace lie in the kernel
+    s2 = _cls("so-even", 4, 3, [("0/1", 6), ("1/2", 2)], plus=-1, minus=-1)
+    assert central_twist_action(g, s2) == "invariant"
 
     # split form, stable series, non-kernel class: torus characters move
     assert central_twist_action(g4, s, (True,)) == "moved"

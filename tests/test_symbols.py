@@ -54,6 +54,17 @@ def test_entry_cap():
             build()
 
 
+def test_cuspidal_multiplicity_cap():
+    # the datum's wave-front partition has 2f + delta parts, and the
+    # multiplicity takes the same cap: computed up to it, refused one past it
+    half = ENTRY_CAP // 2
+    assert cuspidal_multiplicity(0, half, 0) == 2 ** (half - 1)
+    assert cuspidal_multiplicity(half - 1, 0, 1) == 2 ** (half - 1)
+    for e, f, delta in ((0, half + 1, 0), (0, half, 1), (10**8, 10**8, 1)):
+        with pytest.raises(BudgetExceededError):
+            cuspidal_multiplicity(e, f, delta)
+
+
 def _symbol_wavefront(e, f, delta):
     """Independent reference: the Jordan type read off the class symbol.
 

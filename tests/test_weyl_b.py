@@ -103,14 +103,14 @@ SAMPLE_DESCRIPTORS = [
     SeriesDescriptor(GroupSpec(Family.SP, 2, 3), True, 2, 1, 1),
     SeriesDescriptor(GroupSpec(Family.SP, 3, 3), True, 3, 2, 1),
     SeriesDescriptor(GroupSpec(Family.SP, 1, 3), True, 1, 0, 1),
-    SeriesDescriptor(GroupSpec(Family.SP, 4, 3), False, 2, 1, 1, True),
+    SeriesDescriptor(GroupSpec(Family.SP, 4, 3), False, 2, 1, 1),
     SeriesDescriptor(GroupSpec(Family.SO_EVEN, 3, 3, 1), True, 3, 1, 2),
     SeriesDescriptor(GroupSpec(Family.SO_EVEN, 3, 3, -1), True, 3, 2, 1),
     SeriesDescriptor(GroupSpec(Family.SO_EVEN, 2, 3, 1), True, 2, 0, 2),
-    SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, 3, 1), False, 2, 1, 1, True),
-    SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, 3, -1), False, 1, 0, 1, True),
+    SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, 3, 1), False, 2, 1, 1),
+    SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, 3, -1), False, 1, 0, 1),
     SeriesDescriptor(GroupSpec(Family.SO_ODD, 2, 3), True, 2, 1, 1),
-    SeriesDescriptor(GroupSpec(Family.SO_ODD, 4, 3), False, 2, 2, 0, True),
+    SeriesDescriptor(GroupSpec(Family.SO_ODD, 4, 3), False, 2, 2, 0),
 ]
 
 
@@ -174,13 +174,11 @@ def test_relative_weyl_errors():
     # a non-principal row needs a split torus for t_m or u_m to act on
     for family in (Family.SP, Family.SO_EVEN):
         with pytest.raises(InputError):
-            relative_weyl(SeriesDescriptor(GroupSpec(family, 4, 3), False, 0, 0, 0, True))
+            relative_weyl(SeriesDescriptor(GroupSpec(family, 4, 3), False, 0, 0, 0))
 
 
 def test_descriptor_invariants():
     with pytest.raises(InputError):
         SeriesDescriptor(GroupSpec(Family.SP, 2, 3), True, 2, 1, 2)
     with pytest.raises(InputError):
-        SeriesDescriptor(GroupSpec(Family.SP, 2, 3), False, 1, 1, 0, True)
-    with pytest.raises(InputError):
-        SeriesDescriptor(GroupSpec(Family.SP, 4, 3), False, 2, 1, 1, False)
+        SeriesDescriptor(GroupSpec(Family.SP, 2, 3), False, 1, 1, 0)
