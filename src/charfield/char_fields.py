@@ -5,6 +5,14 @@ field: the fixed field of the class stabiliser inside a cyclotomic field,
 possibly extended by the Gauss-sum square root sqrt(omega*p).  The extension
 happens exactly for symplectic groups with q a non-square and -1 an
 eigenvalue of the class; orthogonal series never grow.
+
+This uniform model is known to be wrong for Sp4(F_3): the class census
+finds 14 classes fixed by g -> g^k for k = 11 and 17, where the model
+predicts 13 (`test_census_at_the_largest_admitted_groups` pins the 14).
+The suspected series is that of the class with eigenvalue 1 once and -1
+four times, minus_type = +1, whose centraliser O4+(F_3) has an outer
+automorphism swapping two of its five unipotent characters; its characters
+need not all have the field computed here.
 """
 
 from __future__ import annotations

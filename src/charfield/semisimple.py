@@ -427,7 +427,7 @@ def has_central_twist_automorphism(g: GroupSpec) -> bool:
 def central_twist_action(
     g: GroupSpec,
     cls: SemisimpleClass,
-    principal_torus_char: Optional[tuple[bool]] = None,
+    torus_character: bool = False,
 ) -> str:
     """Effect of the extra central automorphism on characters of the series.
 
@@ -435,11 +435,9 @@ def central_twist_action(
     "series-moved" when the automorphism maps the whole series elsewhere, and
     "moved" when the series is stable but the given character is not.  When
     the automorphism group is trivial everything is invariant.  Passing
-    principal_torus_char=(trivial_on_last,) asks about a principal-series
-    torus-character datum instead of a cuspidal member: in the split form
-    such a character is fixed only when the class lies in the spinor kernel,
-    while the twisted form also fixes it when q = 1 (mod 4) and the character
-    is trivial on the last torus coordinate.
+    torus_character=True asks about a principal-series torus-character datum
+    instead of a cuspidal member: such a character is fixed only when the
+    class lies in the spinor kernel.
     """
     if g.family is not Family.SO_EVEN:
         raise InputError("central twist classification applies to so-even")
@@ -453,13 +451,8 @@ def central_twist_action(
     dims_equal = cls.mult_of_one() == cls.mult_of_minus_one()
     if not dims_equal:
         return "series-moved"
-    if principal_torus_char is None:
-        # cuspidal members of a stable series are fixed
-        return "invariant"
-    (trivial_on_last,) = principal_torus_char
-    if g.twist == -1 and g.q % 4 == 1 and trivial_on_last:
-        return "invariant"
-    return "moved"
+    # cuspidal members of a stable series are fixed
+    return "moved" if torus_character else "invariant"
 
 
 _ENUM_MAX_N = 3

@@ -7,6 +7,7 @@ search, matrix conjugacy search, class counting).  Shared by the command-line
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -39,23 +40,31 @@ from .weyl_b import (
 @dataclass
 class CheckResult:
     """One check: its verdict, what it covered, the wall time it took and
-    the number of cases (cells) it checked, None where it counts none.
-    `cell_stats` holds one record per cell for the checks that time their
-    cells one by one (the power-map oracle's), and is empty for the rest."""
+    the number of cases (cells) it checked.  `cell_stats` holds the cells'
+    records where they carry one (the power-map oracle's), else it is empty."""
 
     name: str
     ok: bool
     detail: str
     seconds: float
-    cells: int | None
+    cells: int
     cell_stats: list[dict] = field(default_factory=list)
 
 
-def _result(name: str, bad: list, detail: str, start: float, cells: int | None) -> CheckResult:
-    """Pass with the detail when nothing failed, else list the first five
-    failures; the time is taken from `start`, a perf_counter reading."""
+def _check(name: str, detail: str, cells: Iterable[tuple]) -> CheckResult:
+    """Run one check over its cells, each `(key, ok)` or `(key, ok, record)`:
+    time the whole iteration, count the cells and pass with `detail` when
+    every cell is ok, else list the keys of the first five failing cells.
+    The records, where the cells carry them, become `cell_stats`."""
+    start = time.perf_counter()
+    count, bad, records = 0, [], []
+    for key, ok, *record in cells:
+        count += 1
+        if not ok:
+            bad.append(key)
+        records += record
     return CheckResult(name, not bad, detail if not bad else f"failures: {bad[:5]}",
-                       time.perf_counter() - start, cells)
+                       time.perf_counter() - start, count, records)
 
 
 def _primes_up_to(n: int) -> list[int]:
@@ -65,91 +74,70 @@ def _primes_up_to(n: int) -> list[int]:
 def suite_gauss() -> list[CheckResult]:
     """Exact Gauss sums: square equals omega*p and the substitution sign
     equals the Legendre symbol, for every odd prime p <= 50 and k coprime."""
-    start = time.perf_counter()
-    bad = []
-    cells = 0
-    for p in _primes_up_to(50):
-        omega = signed_prime(p).sign
-        for k in range(1, p):
-            cells += 1
-            square, sign = gauss_sum_exact(p, k)
-            if square != omega * p or sign != legendre(k, p):
-                bad.append((p, k))
-    return [_result("gauss-sum-square-and-sign", bad, "odd primes <= 50, all k", start, cells)]
+    def cells():
+        for p in _primes_up_to(50):
+            omega = signed_prime(p).sign
+            for k in range(1, p):
+                square, sign = gauss_sum_exact(p, k)
+                yield (p, k), square == omega * p and sign == legendre(k, p)
+    return [_check("gauss-sum-square-and-sign", "odd primes <= 50, all k", cells())]
 
 
 def suite_relweyl() -> list[CheckResult]:
     """Weyl lengths against BFS, the distinguished-element length formulas,
     the complement parities of the relative Weyl table against lengths, and
     the Galois twist-sign consistency grid."""
-    out = []
+    def bfs_cells():
+        bfs = lengths_by_bfs(4)
+        if len(bfs) != 384:
+            yield ("order", len(bfs)), False
+        for w, d in bfs.items():
+            yield w, length(w) == d
 
-    start = time.perf_counter()
-    bfs = lengths_by_bfs(4)
-    bad = [] if len(bfs) == 384 else [("order", len(bfs))]
-    bad += [w for w, d in bfs.items() if length(w) != d]
-    out.append(_result("weyl-length-vs-bfs-rank4", bad, "384 elements", start, len(bfs)))
+    def special_cells():
+        for n in range(2, 9):
+            for m in range(1, n + 1):
+                yield ("t", n, m), length(special_element(n, "t", m)) == 2 * (n - m) + 1
+            for m in range(1, n):
+                yield ("u", n, m), length(special_element(n, "u", m)) == 2 * (n - m) + 2
 
-    start = time.perf_counter()
-    bad = []
-    cells = 0
-    for n in range(2, 9):
-        for m in range(1, n + 1):
-            cells += 1
-            if length(special_element(n, "t", m)) != 2 * (n - m) + 1:
-                bad.append(("t", n, m))
-        for m in range(1, n):
-            cells += 1
-            if length(special_element(n, "u", m)) != 2 * (n - m) + 2:
-                bad.append(("u", n, m))
-    out.append(_result("special-element-lengths", bad, "t_m, u_m formulas for n <= 8",
-                       start, cells))
+    def parity_cells():
+        for desc in _table_descriptors(8):
+            rel = relative_weyl(desc)
+            if not rel.c_flips:
+                if rel.c_length_parity is not None:
+                    yield ("trivial", desc), False
+                continue
+            w = SignedPerm(-i if i in rel.c_flips else i for i in range(1, desc.group.n + 1))
+            yield desc, rel.c_length_parity == ("odd" if length(w) % 2 else "even")
 
-    start = time.perf_counter()
-    bad = []
-    rows = 0
-    for desc in _table_descriptors(8):
-        rel = relative_weyl(desc)
-        n = desc.group.n
-        if not rel.c_flips:
-            if rel.c_length_parity is not None:
-                bad.append(("trivial", desc))
-            continue
-        rows += 1
-        w = SignedPerm(-i if i in rel.c_flips else i for i in range(1, n + 1))
-        if rel.c_length_parity != ("odd" if length(w) % 2 else "even"):
-            bad.append(desc)
-    out.append(_result("complement-parity-vs-length", bad,
-                       "every relative Weyl table row with a complement, n <= 8", start, rows))
-
-    start = time.perf_counter()
-    bad = []
-    cells = 0
     qs = [3, 5, 7, 9, 11, 13, 25, 27]
-    ells = [2, 3, 5, 7, 11]
-    for q in qs:
-        for desc in _grid_descriptors(q):
-            p = desc.group.p
-            for ell in ells:
-                if ell == p:
-                    continue
-                for r in range(4):
-                    signs = (1, -1) if ell == 2 else (0,)
-                    for isign in signs:
-                        cells += 1
-                        h = PrimePowerAction(ell, r, isign)
-                        direct = series_twist_sign_h(desc, h)
-                        sigma = galois_from_prime_power(h, 4 * p)
-                        composed = series_twist_sign(desc, sigma)
-                        if direct.value != composed.value:
-                            bad.append(("mismatch", q, desc.group.family.value, ell, r, isign))
-                        if desc.group.family in (Family.SO_ODD, Family.SO_EVEN) and direct.value != 1:
-                            bad.append(("so-nontrivial", q, ell, r, isign))
-                        if ell != 2 and (q - 1) % ell == 0 and index_sqrt_sign_h(desc, h).value != 1:
-                            bad.append(("linear-prime", q, ell, r))
-    detail = f"{len(qs)} q-values, ell <= 11, r <= 3"
-    out.append(_result("twist-sign-grid", bad, detail, start, cells))
-    return out
+
+    def twist_cells():
+        for q in qs:
+            for desc in _grid_descriptors(q):
+                p, family = desc.group.p, desc.group.family
+                for ell in (2, 3, 5, 7, 11):
+                    if ell == p:
+                        continue
+                    for r in range(4):
+                        for isign in (1, -1) if ell == 2 else (0,):
+                            h = PrimePowerAction(ell, r, isign)
+                            direct = series_twist_sign_h(desc, h).value
+                            composed = series_twist_sign(desc, galois_from_prime_power(h, 4 * p))
+                            yield (q, family.value, ell, r, isign), (
+                                direct == composed.value
+                                and (family is Family.SP or direct == 1)
+                                and (ell == 2 or (q - 1) % ell != 0
+                                     or index_sqrt_sign_h(desc, h).value == 1))
+
+    return [
+        _check("weyl-length-vs-bfs-rank4", "384 elements", bfs_cells()),
+        _check("special-element-lengths", "t_m, u_m formulas for n <= 8", special_cells()),
+        _check("complement-parity-vs-length",
+               "every relative Weyl table row with a complement, n <= 8", parity_cells()),
+        _check("twist-sign-grid", f"{len(qs)} q-values, ell <= 11, r <= 3", twist_cells()),
+    ]
 
 
 def _table_descriptors(max_rank: int) -> list[SeriesDescriptor]:
@@ -191,7 +179,6 @@ def suite_powmap() -> list[CheckResult]:
     symplectic q in {3,5,7}, n in {1,2}; orthogonal q in {3,5}, n <= 2.
     Every orthogonal cell must have a witness.  Each cell's record says
     which search decided it, at which step, and how long the search took."""
-    start = time.perf_counter()
     groups = [GroupSpec(Family.SP, n, q) for q in (3, 5, 7) for n in (1, 2)]
     groups += [g for q in (3, 5) for g in (
         GroupSpec(Family.SO_ODD, 1, q),
@@ -199,43 +186,35 @@ def suite_powmap() -> list[CheckResult]:
         GroupSpec(Family.SO_EVEN, 1, q, 1),
         GroupSpec(Family.SO_EVEN, 2, q, 1),
     )]
-    bad = []
-    records = []
-    for g in groups:
-        for ep in eps_partitions(g.dim, g.form_eps):
-            u = oracle.unipotent_rep(g, ep)
-            for k in range(1, g.q):
-                stats: dict = {}
-                search_start = time.perf_counter()
-                witness = oracle.power_conjugacy_search(g, u, k, stats=stats)
-                records.append({"family": g.family.value, "n": g.n, "q": g.q,
-                                "mu": list(ep.partition), "k": k, **stats,
-                                "seconds": time.perf_counter() - search_start})
-                if (witness is not None) != unipotent_rational(g, ep, k) or (
-                        witness is None and g.family is not Family.SP):
-                    bad.append((g.family.value, g.q, g.n, tuple(ep.partition), k))
-    result = _result("power-map-oracle-agreement", bad, f"{len(groups)} groups, every k < q",
-                     start, len(records))
-    result.cell_stats = records
-    return [result]
+
+    def cells():
+        for g in groups:
+            for ep in eps_partitions(g.dim, g.form_eps):
+                u = oracle.unipotent_rep(g, ep)
+                for k in range(1, g.q):
+                    stats: dict = {}
+                    search_start = time.perf_counter()
+                    witness = oracle.power_conjugacy_search(g, u, k, stats=stats)
+                    record = {"family": g.family.value, "n": g.n, "q": g.q,
+                              "mu": list(ep.partition), "k": k, **stats,
+                              "seconds": time.perf_counter() - search_start}
+                    ok = (witness is not None) == unipotent_rational(g, ep, k) and (
+                        witness is not None or g.family is Family.SP)
+                    yield (g.family.value, g.q, g.n, tuple(ep.partition), k), ok, record
+    return [_check("power-map-oracle-agreement", f"{len(groups)} groups, every k < q", cells())]
 
 
 def suite_wavefront() -> list[CheckResult]:
     """Cuspidal multiplicity equals the adjoint-quotient component order of
     the wave-front class, for all admissible data with e, f <= 6."""
-    start = time.perf_counter()
-    bad = []
-    cells = 0
-    for delta in (0, 1):
-        for e in range(7):
-            for f in range(e, 7):
-                if f + delta < 2:
-                    continue
-                cells += 1
-                ep = wavefront_partition(e, f, delta)
-                if cuspidal_multiplicity(e, f, delta) != component_orders(ep)[2]:
-                    bad.append((e, f, delta))
-    return [_result("wavefront-multiplicity-identity", bad, "e, f <= 6", start, cells)]
+    def cells():
+        for delta in (0, 1):
+            for e in range(7):
+                for f in range(e, 7):
+                    if f + delta >= 2:
+                        order = component_orders(wavefront_partition(e, f, delta))[2]
+                        yield (e, f, delta), cuspidal_multiplicity(e, f, delta) == order
+    return [_check("wavefront-multiplicity-identity", "e, f <= 6", cells())]
 
 
 def suite_brauer() -> list[CheckResult]:
@@ -243,38 +222,30 @@ def suite_brauer() -> list[CheckResult]:
     of conjugacy classes fixed by g -> g^k (raw matrix count) must equal the
     number of characters fixed by the corresponding Galois element as
     predicted by the field formulas (Brauer's permutation lemma)."""
-    start = time.perf_counter()
-    bad = []
-    pairs = 0
-    for q in (5, 7, 11, 13):
-        order = len(oracle.sl2_classes(q)[1])
-        for k in range(1, order):
-            if gcd(k, order) != 1:
-                continue
-            pairs += 1
-            if oracle.brauer_fixed_classes_sl2(q, k) != predicted_fixed_count_rank1(q, k):
-                bad.append((q, k))
-    return [_result("brauer-fixed-count", bad, "q in {5,7,11,13}, every k coprime to the order",
-                    start, pairs)]
+    def cells():
+        for q in (5, 7, 11, 13):
+            order = len(oracle.sl2_classes(q)[1])
+            for k in range(1, order):
+                if gcd(k, order) == 1:
+                    yield (q, k), (oracle.brauer_fixed_classes_sl2(q, k)
+                                   == predicted_fixed_count_rank1(q, k))
+    return [_check("brauer-fixed-count", "q in {5,7,11,13}, every k coprime to the order",
+                   cells())]
 
 
 def suite_fields() -> list[CheckResult]:
     """Classical rank-one sanity: involution series have the quadratic field
     with radicand -p for q in {3, 7, 11}, and degree one for q = 9."""
-    start = time.perf_counter()
-    bad = []
-    cases = ((3, 2, -3), (7, 2, -7), (11, 2, -11), (9, 1, None))
-    for q, degree, radicand in cases:
-        cls = class_from_dict(
-            {"family": "sp", "n": 1, "q": q,
-             "orbits": [{"frac": "0/1", "mult": 1}, {"frac": "1/2", "mult": 2}],
-             "minus_type": 1}
-        )
-        field = character_field(GroupSpec(Family.SP, 1, q), cls)
-        if (field.degree, field.adjoined_radicand) != (degree, radicand):
-            bad.append(q)
-    return [_result("rank-one-involution-fields", bad, "q in {3,7,11} and square q = 9",
-                    start, len(cases))]
+    def cells():
+        for q, degree, radicand in ((3, 2, -3), (7, 2, -7), (11, 2, -11), (9, 1, None)):
+            cls = class_from_dict(
+                {"family": "sp", "n": 1, "q": q,
+                 "orbits": [{"frac": "0/1", "mult": 1}, {"frac": "1/2", "mult": 2}],
+                 "minus_type": 1}
+            )
+            field = character_field(GroupSpec(Family.SP, 1, q), cls)
+            yield q, (field.degree, field.adjoined_radicand) == (degree, radicand)
+    return [_check("rank-one-involution-fields", "q in {3,7,11} and square q = 9", cells())]
 
 
 def _eigenspace(x: oracle.Matrix, g: GroupSpec, eigenvalue: int) -> tuple[int, int | None]:
@@ -297,29 +268,25 @@ def suite_spinor() -> list[CheckResult]:
     order two of SO4+(F_q), q in {3, 5}, the eigenspace types read off a
     representative label the class, and in_spinor_kernel must say whether
     the representative lies in the subgroup that the root elements generate."""
-    start = time.perf_counter()
-    bad = []
-    cells = 0
-    for q in (3, 5):
-        g = GroupSpec(Family.SO_EVEN, 2, q, 1)
-        reps, _ = oracle.class_census(g)
-        omega = oracle.root_subgroup(g)
-        one = oracle.identity_matrix(g.dim)
-        for x in reps:
-            if x == one or oracle.mat_mul(x, x, q) != one:
-                continue
-            cells += 1
-            plus_dim, plus_type = _eigenspace(x, g, 1)
-            minus_dim, minus_type = _eigenspace(x, g, -1)
-            cls = class_from_dict(
-                {"family": "so-even", "n": 2, "q": q,
-                 "plus_type": plus_type, "minus_type": minus_type,
-                 "orbits": [{"frac": frac, "mult": mult}
-                            for frac, mult in (("0/1", plus_dim), ("1/2", minus_dim)) if mult]})
-            if in_spinor_kernel(g, cls) != (x in omega):
-                bad.append((q, minus_dim, minus_type))
-    return [_result("spinor-kernel-vs-root-subgroup", bad,
-                    "every involution class of SO4+(F_q), q in {3, 5}", start, cells)]
+    def cells():
+        for q in (3, 5):
+            g = GroupSpec(Family.SO_EVEN, 2, q, 1)
+            reps, _ = oracle.class_census(g)
+            omega = oracle.root_subgroup(g)
+            one = oracle.identity_matrix(g.dim)
+            for x in reps:
+                if x == one or oracle.mat_mul(x, x, q) != one:
+                    continue
+                plus_dim, plus_type = _eigenspace(x, g, 1)
+                minus_dim, minus_type = _eigenspace(x, g, -1)
+                cls = class_from_dict(
+                    {"family": "so-even", "n": 2, "q": q,
+                     "plus_type": plus_type, "minus_type": minus_type,
+                     "orbits": [{"frac": frac, "mult": mult}
+                                for frac, mult in (("0/1", plus_dim), ("1/2", minus_dim)) if mult]})
+                yield (q, minus_dim, minus_type), in_spinor_kernel(g, cls) == (x in omega)
+    return [_check("spinor-kernel-vs-root-subgroup",
+                   "every involution class of SO4+(F_q), q in {3, 5}", cells())]
 
 
 SUITES = {

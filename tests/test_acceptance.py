@@ -29,8 +29,8 @@ def _report(criterion: str, results, limit: float, elapsed: float) -> None:
     status = "PASS" if ok else "FAIL"
     print(f"{status} {criterion} [{elapsed:.1f}s]")
     for r in results:
-        cells = "" if r.cells is None else f"{r.cells} cells, "
-        print(f"    {r.name}: {'ok' if r.ok else 'FAIL'} ({r.detail}; {cells}{r.seconds:.2f}s)")
+        print(f"    {r.name}: {'ok' if r.ok else 'FAIL'} "
+              f"({r.detail}; {r.cells} cells, {r.seconds:.2f}s)")
     assert ok, [r.name for r in results if not r.ok]
     assert elapsed < limit, f"{criterion} took {elapsed:.1f}s, limit {limit}s"
 
@@ -38,42 +38,49 @@ def _report(criterion: str, results, limit: float, elapsed: float) -> None:
 def test_criterion_1_gauss_sums():
     t = time.time()
     results = suite_gauss()
+    assert [r.cells for r in results] == [312]
     _report("criterion 1: Gauss sums", results, 5.0, time.time() - t)
 
 
 def test_criterion_2_weyl_lengths():
     t = time.time()
     results = [r for r in suite_relweyl() if r.name != "twist-sign-grid"]
+    assert [r.cells for r in results] == [384, 63, 337]
     _report("criterion 2: Weyl lengths", results, 5.0, time.time() - t)
 
 
 def test_criterion_3_power_map_oracle():
     t = time.time()
     results = suite_powmap()
+    assert [r.cells for r in results] == [132]
     _report("criterion 3: power-map oracle equivalence", results, 600.0, time.time() - t)
 
 
 def test_criterion_4_wavefront_identity():
     t = time.time()
     results = suite_wavefront()
+    assert [r.cells for r in results] == [52]
     _report("criterion 4: wave-front multiplicity identity", results, 1.0, time.time() - t)
 
 
 def test_criterion_5_twist_sign_grid():
     t = time.time()
     results = [r for r in suite_relweyl() if r.name == "twist-sign-grid"]
+    assert [r.cells for r in results] == [1148]
     _report("criterion 5: twist-sign consistency grid", results, 1.0, time.time() - t)
 
 
 def test_criterion_6_brauer_end_to_end():
     t = time.time()
     results = suite_brauer()
+    assert [r.cells for r in results] == [1024]
     _report("criterion 6: Brauer end-to-end count", results, 300.0, time.time() - t)
 
 
 def test_criterion_7_rank_one_fields():
     t = time.time()
     results = suite_fields()
+    assert [r.cells for r in results] == [4]
     _report("criterion 7: rank-one field sanity", results, 1.0, time.time() - t)
 
 

@@ -14,7 +14,7 @@ from charfield.errors import InputError
 from charfield.groups import Family, GroupSpec
 from charfield.semisimple import class_from_dict, enumerate_classes, in_spinor_kernel
 from charfield.symbols import ENTRY_CAP
-from charfield.verify import SUITES
+from charfield.verify import SUITES, _check
 
 
 def _run(capsys, *argv):
@@ -256,6 +256,18 @@ def test_verify_stats_lines(capsys):
     assert all(isinstance(c["seconds"], float) for c in cells)
     code, out, _ = _run(capsys, "verify", "--suite", "gauss", "--stats")
     assert code == 0 and len(out.splitlines()) == 1
+
+
+def test_verify_failure_exits_4(capsys, monkeypatch):
+    # a failing cell fails its check: the line lists the failing cells' keys
+    # and the command exits 4
+    cells = [((1,), True), ((2,), False), ((3,), False)]
+    monkeypatch.setitem(SUITES, "fields", lambda: [_check("stub", "all ok", cells)])
+    code, out, _ = _run(capsys, "verify", "--suite", "fields")
+    assert code == 4
+    (data,) = [json.loads(line) for line in out.splitlines()]
+    assert data["ok"] is False and data["cells"] == 3
+    assert data["detail"] == "failures: [(2,), (3,)]"
 
 
 def _run_child(*argv, timeout=10):

@@ -245,16 +245,14 @@ def test_central_twist_action():
     assert central_twist_action(g, s2) == "invariant"
 
     # split form, stable series, non-kernel class: torus characters move
-    assert central_twist_action(g4, s, (True,)) == "moved"
-    assert central_twist_action(g4, s, (False,)) == "moved"
+    assert central_twist_action(g4, s, torus_character=True) == "moved"
 
     # twisted form with q = 1 mod 4: the automorphism group is trivial, so
-    # everything (and in particular a character trivial on the last torus
-    # coordinate) is invariant
+    # everything, torus characters included, is invariant
     g2 = GroupSpec(Family.SO_EVEN, 2, 5, -1)
     s3 = _cls("so-even", 2, 5, [("0/1", 2), ("1/2", 2)], twist=-1, plus=1, minus=-1)
     assert not has_central_twist_automorphism(g2)
-    assert central_twist_action(g2, s3, (True,)) == "invariant"
+    assert central_twist_action(g2, s3, torus_character=True) == "invariant"
 
 
 def test_roundtrip_json():
