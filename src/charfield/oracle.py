@@ -13,8 +13,10 @@ to a doubling horizon and the walk follows only as far as the comparison
 needs.  The class census walks the group itself as the orbit of the
 identity under right multiplication, then each class under conjugation, up
 to an element cap; the same closure of the root elements alone gives the
-subgroup they generate.  The closed-form modules are tested against it,
-never the other way around.
+subgroup they generate.  The census also gives each representative's
+element order, and the Brauer count reduces the exponent k by it before the
+power.  The closed-form modules are tested against it, never the other way
+around.
 
 Every generator is a root or torus element, which differs from the identity
 in a few entries, so conjugating by it is a row update and a column update.
@@ -896,10 +898,29 @@ def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     return class_census(GroupSpec(Family.SP, 1, q))
 
 
+@lru_cache(maxsize=None)
+def class_orders(g: GroupSpec) -> tuple[int, ...]:
+    """The element order of each representative in `class_census(g)`, in the
+    same order, by repeated multiplication up to the identity."""
+    reps, _ = class_census(g)
+    one = identity_matrix(g.dim)
+
+    def order(m: Matrix) -> int:
+        x, o = m, 1
+        while x != one:
+            x, o = mat_mul(x, m, g.p), o + 1
+        return o
+
+    return tuple(map(order, reps))
+
+
 def brauer_fixed_classes_sl2(q: int, k: int) -> int:
     """Number of conjugacy classes of the rank-one symplectic group fixed by
-    g -> g^k, by brute force."""
+    g -> g^k, by brute force.  A representative m of order o has m^k =
+    m^(k mod o), so each power takes k reduced by the census's orders."""
     reps, index = sl2_classes(q)
     if gcd(k, len(index)) != 1:
         raise InputError("k must be coprime to the group order")
-    return sum(1 for ci, m in enumerate(reps) if index[mat_pow(m, k, q)] == ci)
+    orders = class_orders(GroupSpec(Family.SP, 1, q))
+    return sum(1 for ci, (m, o) in enumerate(zip(reps, orders))
+               if index[mat_pow(m, k % o, q)] == ci)

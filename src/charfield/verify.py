@@ -125,7 +125,9 @@ def suite_relweyl() -> list[CheckResult]:
                             h = PrimePowerAction(ell, r, isign)
                             direct = series_twist_sign_h(desc, h).value
                             composed = series_twist_sign(desc, galois_from_prime_power(h, 4 * p))
-                            yield (q, family.value, ell, r, isign), (
+                            key = (q, family.value, desc.group.n, desc.group.twist,
+                                   ell, r, isign)
+                            yield key, (
                                 direct == composed.value
                                 and (family is Family.SP or direct == 1)
                                 and (ell == 2 or (q - 1) % ell != 0

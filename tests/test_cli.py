@@ -9,6 +9,7 @@ from math import gcd, isqrt, prod
 from hypothesis import given, settings, strategies as st
 
 import charfield
+from charfield import verify
 from charfield.cli import build_parser, main
 from charfield.errors import InputError
 from charfield.groups import Family, GroupSpec
@@ -268,6 +269,21 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     (data,) = [json.loads(line) for line in out.splitlines()]
     assert data["ok"] is False and data["cells"] == 3
     assert data["detail"] == "failures: [(2,), (3,)]"
+
+
+def test_twist_sign_grid_keys_name_one_cell_each(monkeypatch):
+    # a failing key of the twist-sign grid must say which cell failed, so no
+    # two of its cells share a key
+    cells = {}
+
+    def capture(name, detail, it):
+        cells[name] = list(it)
+        return _check(name, detail, cells[name])
+
+    monkeypatch.setattr(verify, "_check", capture)
+    assert all(r.ok for r in verify.suite_relweyl())
+    keys = [key for key, _ in cells["twist-sign-grid"]]
+    assert len(keys) == len(set(keys)) == 1148
 
 
 def _run_child(*argv, timeout=10):

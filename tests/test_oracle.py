@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import gcd
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from charfield import oracle
 from charfield.errors import BudgetExceededError, InputError
-from charfield.groups import Family, GroupSpec
+from charfield.groups import Family, GroupSpec, factorize
 from charfield.partitions import EpsPartition, Partition, eps_partitions
 from charfield.power_maps import unipotent_rational
 
@@ -797,6 +798,40 @@ def test_brauer_counts():
     assert oracle.brauer_fixed_classes_sl2(7, 5) == 5
     with pytest.raises(InputError):
         oracle.brauer_fixed_classes_sl2(7, 3)
+
+
+def _brauer_unreduced(q, k):
+    # the count with the power taken by k itself, not by k mod the order
+    reps, index = oracle.sl2_classes(q)
+    return sum(index[oracle.mat_pow(m, k, q)] == ci for ci, m in enumerate(reps))
+
+
+def test_brauer_count_by_element_orders():
+    # k and k + |G| are the same power map; -k is the power map of the
+    # inverse, which can fix a different number of classes
+    for q in (5, 7, 11):
+        order = q * (q * q - 1)
+        for k in range(1, order):
+            if gcd(k, order) == 1:
+                count = oracle.brauer_fixed_classes_sl2(q, k)
+                assert count == _brauer_unreduced(q, k), (q, k)
+                assert oracle.brauer_fixed_classes_sl2(q, k + order) == count, (q, k)
+                assert oracle.brauer_fixed_classes_sl2(q, -k) == _brauer_unreduced(q, -k), (q, k)
+
+
+def test_class_orders():
+    # m^o is the identity and m^(o/r) is not, for every prime r dividing o
+    groups = [GroupSpec(Family.SP, 1, q) for q in (3, 5, 7, 11, 13)]
+    groups += [GroupSpec(Family.SO_ODD, 1, 5), GroupSpec(Family.SO_EVEN, 2, 3, 1)]
+    for g in groups:
+        reps, _ = oracle.class_census(g)
+        one = oracle.identity_matrix(g.dim)
+        orders = oracle.class_orders(g)
+        assert len(orders) == len(reps), g
+        for m, o in zip(reps, orders):
+            assert oracle.mat_pow(m, o, g.p) == one, (g, m)
+            for r, _ in factorize(o):
+                assert oracle.mat_pow(m, o // r, g.p) != one, (g, m, r)
 
 
 _NEGATIVE_POWERS = """
