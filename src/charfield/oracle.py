@@ -10,7 +10,9 @@ The power-map search races two exact searches, a lexicographic scan of an
 intertwiner space and a conjugation-orbit walk.  Each has a deciding step,
 and the smaller one gives the answer, the scan on a tie; the scan runs ahead
 to a doubling horizon and the walk follows only as far as the comparison
-needs.  The class census walks the group itself as the orbit of the
+needs.  The walk depends only on the group and u, so one walk per (group, u)
+is kept and grown toward the target u^k of each k, up to the census's element
+cap.  The class census walks the group itself as the orbit of the
 identity under right multiplication, then each class under conjugation, up
 to an element cap; the same closure of the root elements alone gives the
 subgroup they generate.  The census also gives each representative's
@@ -67,6 +69,7 @@ def mat(rows) -> Matrix:
     return tuple(tuple(int(x) for x in row) for row in rows)
 
 
+@lru_cache(maxsize=None)
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -564,16 +567,17 @@ class _Walk:
     j-th of the G conjugators applied to the i-th parent (-1 for x0).
     Parents are taken a chunk at a time: the chunk is packed into one int,
     and one row update by h and one column update by h^-1 per conjugator
-    give all of its conjugates.  The census walks the group itself with
-    conjugators that have no row offsets, whose steps are x -> x h.
+    give all of its conjugates.  The queue and the edges do not depend on
+    the chunks, so a walk may be grown further at any later time.  The
+    census walks the group itself with conjugators that have no row
+    offsets, whose steps are x -> x h.
 
-    A walk that looks for a `target` has a deciding step: the target's
-    position in the queue, or the orbit's size once it closes without the
-    target.  `checked` counts the steps known not to decide."""
+    For a `target`, the walk has a deciding step: the target's position in
+    the queue, or the orbit's size once it closes without the target.
+    `checked` counts the steps known not to decide."""
 
-    def __init__(self, x0: bytes, conjugators: Sequence[_Conjugator], lanes: _Lanes,
-                 target: bytes | None = None):
-        self.conjugators, self.lanes, self.target = conjugators, lanes, target
+    def __init__(self, x0: bytes, conjugators: Sequence[_Conjugator], lanes: _Lanes):
+        self.conjugators, self.lanes = conjugators, lanes
         self.queue = [x0]
         self.seen = {x0: -1}
         self.expanded = 0
@@ -583,18 +587,16 @@ class _Walk:
     def closed(self) -> bool:
         return self.expanded == len(self.queue)
 
-    @property
-    def step(self) -> int | None:
-        if self.target in self.seen:
-            return self.queue.index(self.target)
+    def step(self, target: bytes) -> int | None:
+        if target in self.seen:
+            return self.queue.index(target)
         return len(self.queue) if self.closed else None
 
-    @property
-    def checked(self) -> int:
-        step = self.step
+    def checked(self, target: bytes) -> int:
+        step = self.step(target)
         return len(self.queue) - 1 if step is None else step - 1
 
-    def grow(self, count: int) -> None:
+    def grow(self, count: int, target: bytes | None = None) -> None:
         """Take chunks of parents until `count` conjugates besides x0 are
         known, the target is among them, or the orbit closes.  A chunk holds
         as many parents as the conjugates still needed would take at the
@@ -603,7 +605,7 @@ class _Walk:
         level."""
         queue, seen, conjugators = self.queue, self.seen, self.conjugators
         append = queue.append
-        while len(queue) <= count and self.target not in seen and not self.closed:
+        while len(queue) <= count and target not in seen and not self.closed:
             needed = count + 1 - len(queue)
             k = min(len(queue) - self.expanded, max(_MIN_CHUNK, ceil(needed / self.rate)))
             batch = _Batch(self.lanes, k)
@@ -629,6 +631,16 @@ class _Walk:
             out.append(gi)
             edge = self.seen[self.queue[parent]]
         return out
+
+
+@lru_cache(maxsize=None)
+def _orbit_walk(g: GroupSpec, x0: bytes) -> _Walk:
+    """The conjugation-orbit walk of the packed matrix x0 in g, one per
+    (g, x0): the power-map search grows it toward each call's target, so
+    every k and every later call with an equal u start from the conjugates
+    already found.  The key is the packed matrix, so u may be given as
+    lists of lists."""
+    return _Walk(x0, _conjugators(g), _lanes(g.dim, g.p))
 
 
 def _signed_permutation(J: Matrix) -> tuple[list[int], list[int]]:
@@ -786,8 +798,10 @@ def power_conjugacy_search(
     tie, so the witness is deterministic: the first isometry in lex order,
     or the product of the conjugators along the walk's path.  The scan runs
     ahead to a doubling horizon and the walk follows only as far as it must
-    to tell which step is smaller.  A smaller step above `budget` raises;
-    the search never truncates.
+    to tell which step is smaller.  The walk of (g, u) is kept
+    (`_orbit_walk`) and grown further by later calls; a call that leaves it
+    past CENSUS_CAP conjugates drops every kept walk.  A smaller step above
+    `budget` raises; the search never truncates.
 
     A dict passed as `stats` is filled with what decided: `decided_by`
     (`identity`, `lex` or `orbit`), `rounds` (the smaller deciding step, 0
@@ -809,32 +823,37 @@ def power_conjugacy_search(
     basis = nullspace(_intertwiner_equations(u, uk, p), p)
     lex = _LexScan(basis, p, J, special)
     lanes = _lanes(len(u), p)
-    walk = _Walk(lanes.key(u), _conjugators(g), lanes, lanes.key(uk))
+    walk, target = _orbit_walk(g, lanes.key(u)), lanes.key(uk)
     horizon = min(_FIRST_HORIZON, budget)
-    while True:
-        lex.scan(horizon)
-        walk.grow(horizon if lex.step is None else min(lex.step - 1, budget))
-        # a search wins once the other is known not to decide before it
-        if walk.step is not None and walk.step <= lex.checked:
-            name, rounds = "orbit", walk.step
-        elif lex.step is not None and lex.step <= walk.checked + 1:
-            name, rounds = "lex", lex.step
-        elif min(lex.checked, walk.checked) >= budget:
-            raise BudgetExceededError(f"neither search decided within {budget} rounds")
-        else:
-            horizon = min(2 * horizon, budget)
-            continue
-        break
+    try:
+        while True:
+            lex.scan(horizon)
+            walk.grow(horizon if lex.step is None else min(lex.step - 1, budget), target)
+            # a search wins once the other is known not to decide before it
+            step = walk.step(target)
+            if step is not None and step <= lex.checked:
+                name, rounds = "orbit", step
+            elif lex.step is not None and lex.step <= walk.checked(target) + 1:
+                name, rounds = "lex", lex.step
+            elif min(lex.checked, walk.checked(target)) >= budget:
+                raise BudgetExceededError(f"neither search decided within {budget} rounds")
+            else:
+                horizon = min(2 * horizon, budget)
+                continue
+            break
+    finally:
+        if len(walk.queue) > CENSUS_CAP:  # no walk past the census's cap is kept
+            _orbit_walk.cache_clear()
     if rounds > budget:
         raise BudgetExceededError(f"neither search decided within {budget} rounds")
     if stats is not None:
         stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis))
     if name == "lex":
         return lex.witness
-    if walk.target not in walk.seen:
+    if target not in walk.seen:
         return None
     w = identity_matrix(len(u))
-    for gi in walk.path(walk.target):
+    for gi in walk.path(target):
         w = mat_mul(w, walk.conjugators[gi].h, p)
     if mat_mul(w, u, p) != mat_mul(uk, w, p):
         raise ArithmeticError("orbit witness check failed")  # unreachable

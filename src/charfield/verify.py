@@ -41,7 +41,8 @@ from .weyl_b import (
 class CheckResult:
     """One check: its verdict, what it covered, the wall time it took and
     the number of cases (cells) it checked.  `cell_stats` holds the cells'
-    records where they carry one (the power-map oracle's), else it is empty."""
+    records where they carry one (each power-map cell's search, each
+    census group's order, class count and census time), else it is empty."""
 
     name: str
     ok: bool
@@ -219,6 +220,16 @@ def suite_wavefront() -> list[CheckResult]:
     return [_check("wavefront-multiplicity-identity", "e, f <= 6", cells())]
 
 
+def _census(g: GroupSpec) -> tuple[tuple, dict, list[dict]]:
+    """The class census of g, with the record that the first cell of g
+    carries: the group order, the class count and the census's seconds."""
+    start = time.perf_counter()
+    reps, index = oracle.class_census(g)
+    record = {"family": g.family.value, "n": g.n, "q": g.q, "order": len(index),
+              "classes": len(reps), "seconds": time.perf_counter() - start}
+    return reps, index, [record]
+
+
 def suite_brauer() -> list[CheckResult]:
     """Flagship end-to-end check: for rank-one symplectic groups the number
     of conjugacy classes fixed by g -> g^k (raw matrix count) must equal the
@@ -226,11 +237,13 @@ def suite_brauer() -> list[CheckResult]:
     predicted by the field formulas (Brauer's permutation lemma)."""
     def cells():
         for q in (5, 7, 11, 13):
-            order = len(oracle.sl2_classes(q)[1])
+            _, index, records = _census(GroupSpec(Family.SP, 1, q))
+            order = len(index)
             for k in range(1, order):
                 if gcd(k, order) == 1:
                     yield (q, k), (oracle.brauer_fixed_classes_sl2(q, k)
-                                   == predicted_fixed_count_rank1(q, k))
+                                   == predicted_fixed_count_rank1(q, k)), *records
+                    records = []
     return [_check("brauer-fixed-count", "q in {5,7,11,13}, every k coprime to the order",
                    cells())]
 
@@ -273,7 +286,7 @@ def suite_spinor() -> list[CheckResult]:
     def cells():
         for q in (3, 5):
             g = GroupSpec(Family.SO_EVEN, 2, q, 1)
-            reps, _ = oracle.class_census(g)
+            reps, _, records = _census(g)
             omega = oracle.root_subgroup(g)
             one = oracle.identity_matrix(g.dim)
             for x in reps:
@@ -286,7 +299,9 @@ def suite_spinor() -> list[CheckResult]:
                      "plus_type": plus_type, "minus_type": minus_type,
                      "orbits": [{"frac": frac, "mult": mult}
                                 for frac, mult in (("0/1", plus_dim), ("1/2", minus_dim)) if mult]})
-                yield (q, minus_dim, minus_type), in_spinor_kernel(g, cls) == (x in omega)
+                yield ((q, minus_dim, minus_type), in_spinor_kernel(g, cls) == (x in omega),
+                       *records)
+                records = []
     return [_check("spinor-kernel-vs-root-subgroup",
                    "every involution class of SO4+(F_q), q in {3, 5}", cells())]
 

@@ -54,9 +54,6 @@ class SignedPerm:
                 img[-j - 1] = -i
         return SignedPerm(img)
 
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.n + 1))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPerm) and self.images == other.images
 

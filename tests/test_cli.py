@@ -259,6 +259,22 @@ def test_verify_stats_lines(capsys):
     assert code == 0 and len(out.splitlines()) == 1
 
 
+def test_verify_stats_census_records(capsys):
+    # the census suites give the first cell of each group a record: the group
+    # order, the class count and the census time
+    keys = {"check", "family", "n", "q", "order", "classes", "seconds"}
+    for suite, groups in (("brauer", [("sp", 1, 5, 120, 9), ("sp", 1, 7, 336, 11),
+                                      ("sp", 1, 11, 1320, 15), ("sp", 1, 13, 2184, 17)]),
+                          ("spinor", [("so-even", 2, 3, 576, 20),
+                                      ("so-even", 2, 5, 14400, 40)])):
+        code, out, _ = _run(capsys, "verify", "--suite", suite, "--stats")
+        assert code == 0
+        check, *cells = [json.loads(line) for line in out.splitlines()]
+        assert all(set(c) == keys and c["check"] == check["check"] for c in cells)
+        assert [(c["family"], c["n"], c["q"], c["order"], c["classes"]) for c in cells] == groups
+        assert all(isinstance(c["seconds"], float) for c in cells)
+
+
 def test_verify_failure_exits_4(capsys, monkeypatch):
     # a failing cell fails its check: the line lists the failing cells' keys
     # and the command exits 4

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from math import gcd
@@ -239,15 +240,15 @@ def _lex_alone(g, u, uk):
 def _orbit_alone(g, u, uk):
     """The orbit walk driven to its own decision: (step, witness)."""
     lanes = oracle._lanes(g.dim, g.p)
-    walk = oracle._Walk(lanes.key(u), oracle._conjugators(g), lanes, lanes.key(uk))
-    walk.grow(10**9)
-    if walk.target not in walk.seen:
-        assert walk.closed and walk.step == len(walk.queue)
-        return walk.step, None
+    walk, target = oracle._Walk(lanes.key(u), oracle._conjugators(g), lanes), lanes.key(uk)
+    walk.grow(10**9, target)
+    if target not in walk.seen:
+        assert walk.closed and walk.step(target) == len(walk.queue)
+        return walk.step(target), None
     w = oracle.identity_matrix(g.dim)
-    for gi in walk.path(walk.target):
+    for gi in walk.path(target):
         w = oracle.mat_mul(w, walk.conjugators[gi].h, g.p)
-    return walk.step, w
+    return walk.step(target), w
 
 
 def test_each_search_alone():
@@ -625,25 +626,97 @@ def _rows(m):
     return [list(r) for r in m]
 
 
+def _powmap_line(g, ep, u, k):
+    stats = {}
+    w = oracle.power_conjugacy_search(g, u, k, stats=stats)
+    return [g.family.value, g.n, g.q, list(ep.partition), k,
+            None if w is None else _rows(w),
+            stats["decided_by"], stats["rounds"], stats["intertwiner_dim"]]
+
+
+# every cell of verify's powmap grid: its witness, the search that decided,
+# the deciding round and the intertwiner dimension, pinned by a digest taken
+# before the packed kernel, so that no speedup of the searches can change a
+# witness unnoticed
+_POWMAP_DIGEST = "12a3d04ac3aec80e829ea859e82eb846691fe069e8e7b0677b7f053f6aac46bc"
+
+
 def test_powmap_cells_byte_identical():
-    # every cell of verify's powmap grid: its witness, the search that
-    # decided, the deciding round and the intertwiner dimension, pinned by a
-    # digest taken before the packed kernel, so that no speedup of the
-    # searches can change a witness unnoticed
     def cells():
         for g in _POWMAP_GROUPS:
             for ep in eps_partitions(g.dim, g.form_eps):
                 u = oracle.unipotent_rep(g, ep)
                 for k in range(1, g.q):
-                    stats = {}
-                    w = oracle.power_conjugacy_search(g, u, k, stats=stats)
-                    yield [g.family.value, g.n, g.q, list(ep.partition), k,
-                           None if w is None else _rows(w),
-                           stats["decided_by"], stats["rounds"], stats["intertwiner_dim"]]
+                    yield _powmap_line(g, ep, u, k)
 
     lines = list(cells())
     assert len(lines) == 132
-    assert _digest(lines) == "12a3d04ac3aec80e829ea859e82eb846691fe069e8e7b0677b7f053f6aac46bc"
+    assert _digest(lines) == _POWMAP_DIGEST
+
+
+def test_powmap_cells_in_any_order():
+    # the walk of each (group, u) is kept across k and calls; from cold
+    # walks, the classes in a seeded shuffled order with k running down give
+    # the same lines as the grid in order
+    oracle._orbit_walk.cache_clear()
+    classes = [(g, ep) for g in _POWMAP_GROUPS for ep in eps_partitions(g.dim, g.form_eps)]
+    order = list(range(len(classes)))
+    random.Random(0).shuffle(order)
+    lines = {}
+    for i in order:
+        g, ep = classes[i]
+        u = oracle.unipotent_rep(g, ep)
+        for k in reversed(range(1, g.q)):
+            lines[i, k] = _powmap_line(g, ep, u, k)
+    assert len(lines) == 132
+    assert _digest([lines[key] for key in sorted(lines)]) == _POWMAP_DIGEST
+
+
+def test_walk_cache_keyed_by_entries():
+    # a u given as lists of lists shares the walk of the tuple u, and gives
+    # the same witness and stats
+    oracle._orbit_walk.cache_clear()
+    g = GroupSpec(Family.SP, 2, 7)
+    ep = EpsPartition(Partition([2, 1, 1]), 1)
+    u = oracle.unipotent_rep(g, ep)
+    listed = [list(row) for row in u]
+    for k in range(2, 7):
+        assert _powmap_line(g, ep, listed, k) == _powmap_line(g, ep, u, k), k
+    assert oracle._orbit_walk.cache_info().currsize == 1
+
+
+def test_budget_on_warm_walks():
+    # on a walk already grown past the deciding step, budget rounds - 1
+    # still raises, and budget rounds then returns the witness
+    oracle._orbit_walk.cache_clear()
+    cells = 0
+    for g in _POWMAP_GROUPS:
+        for ep, u, k, _ in _non_identity_cells(g):
+            stats = {}
+            w = oracle.power_conjugacy_search(g, u, k, stats=stats)
+            with pytest.raises(BudgetExceededError):
+                oracle.power_conjugacy_search(g, u, k, budget=stats["rounds"] - 1)
+            assert oracle.power_conjugacy_search(g, u, k, budget=stats["rounds"]) == w
+            cells += 1
+    assert cells == 60
+
+
+def test_walks_past_the_census_cap_are_not_kept(monkeypatch):
+    # the (2,1,1) class of Sp4(F_7) has 1,200 conjugates; with the cap below
+    # that, neither an answer nor a budget error leaves its walk in the cache
+    monkeypatch.setattr(oracle, "CENSUS_CAP", 100)
+    oracle._orbit_walk.cache_clear()
+    g = GroupSpec(Family.SP, 2, 7)
+    u = oracle.unipotent_rep(g, EpsPartition(Partition([2, 1, 1]), 1))
+    assert oracle.power_conjugacy_search(g, u, 3) is None
+    assert oracle._orbit_walk.cache_info().currsize == 0
+    with pytest.raises(BudgetExceededError):
+        oracle.power_conjugacy_search(g, u, 3, budget=500)
+    assert oracle._orbit_walk.cache_info().currsize == 0
+    # a walk that stays within the cap is kept
+    g = GroupSpec(Family.SP, 1, 7)
+    oracle.power_conjugacy_search(g, oracle.unipotent_rep(g, EpsPartition(Partition([2]), 1)), 3)
+    assert oracle._orbit_walk.cache_info().currsize == 1
 
 
 def test_census_byte_identical():

@@ -23,7 +23,7 @@ def test_generator_examples():
     for n in range(1, 5):
         for i in range(1, n + 1):
             s = generator(n, i)
-            assert (s * s).is_identity()
+            assert s * s == identity(n)
 
 
 def test_generator_range():
