@@ -12,7 +12,9 @@ and the smaller one gives the answer, the scan on a tie; the scan runs ahead
 to a doubling horizon and the walk follows only as far as the comparison
 needs.  The walk depends only on the group and u, so one walk per (group, u)
 is kept and grown toward the target u^k of each k, up to the census's element
-cap.  The class census walks the group itself as the orbit of the
+cap; once the kept walk holds u^k or is closed, its deciding step is known
+and the scan runs to that step instead of to a horizon past it.  The class
+census walks the group itself as the orbit of the
 identity under right multiplication, then each class under conjugation, up
 to an element cap; the same closure of the root elements alone gives the
 subgroup they generate.  The census also gives each representative's
@@ -32,9 +34,13 @@ serve everything else, the witnesses among them.
 The scan takes the p candidates X0 + tB that differ in the last coefficient
 as one row.  The first entry of the candidate's Gram matrix X^T J X is a
 quadratic in t, so only its roots mod p, found by evaluation, go on to the
-full Gram test, which reads the form as a signed permutation and stops at
-the first entry that differs from the form; det and the isometry check run
-only on a candidate that passes.
+full Gram test, which reads the form as a signed permutation, compares
+first the entry that rejected the last candidate and stops at the first
+entry that differs from the form; det and the isometry check run only on a
+candidate that passes.  The same test, with det in SO, checks that u is in
+the group.  The intertwiner space comes from a row reduction that clears
+each pivot column with the pivot row's nonzero entries only, a few per row
+of the sparse intertwiner equations.
 
 Matrices are tuples of tuples of residues mod p at the interface.  The
 oracle works over prime fields and split forms only, with p < 2^62 so that
@@ -80,15 +86,17 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
 
 
 def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
+    """a^e by squaring from the top bit down: one product per bit below it
+    and one more per set bit, none with the identity."""
     if e < 0:
         a, e = mat_inv(a, p), -e
-    result = identity_matrix(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(result, base, p)
-        base = mat_mul(base, base, p)
-        e >>= 1
+    if e == 0:
+        return identity_matrix(len(a))
+    result = a = tuple(tuple(x % p for x in row) for row in a)
+    for bit in bin(e)[3:]:
+        result = mat_mul(result, result, p)
+        if bit == "1":
+            result = mat_mul(result, a, p)
     return result
 
 
@@ -102,30 +110,38 @@ def mat_sub(a: Matrix, b: Matrix, p: int) -> Matrix:
     )
 
 
-def _rref(
-    rows: list[list[int]], p: int
-) -> tuple[list[list[int]], list[int], int]:
-    """Reduced row echelon form in place; returns (rows, pivot columns, the
-    product of the pivots with the sign of the row swaps).  For a square
-    matrix with a pivot in every column that product is the determinant."""
+def _rref(a: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of a mod p; returns (rows, pivot columns,
+    the product of the pivots with the sign of the row swaps).  For a square
+    matrix with a pivot in every column that product is the determinant.
+    A pivot column is cleared with the pivot row's nonzero entries only, so
+    a sparse row, as most rows of an intertwiner system are, costs a few
+    updates per row it clears."""
+    rows = [[x % p for x in row] for row in a]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
     scale = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] % p), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if rows[pivot][c]:
+                break
+        else:
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
             scale = -scale
         scale = scale * rows[r][c] % p
         inv = pow(rows[r][c], -1, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] % p:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        support = [(j, y * inv % p) for j, y in enumerate(top) if y]
+        for j, y in support:
+            top[j] = y
+        for row in rows:
+            f = row[c]
+            if f and row is not top:
+                for j, y in support:
+                    row[j] = (row[j] - f * y) % p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -134,19 +150,18 @@ def _rref(
 
 
 def rank(a: Matrix, p: int) -> int:
-    _, pivots, _ = _rref([list(r) for r in a], p)
-    return len(pivots)
+    return len(_rref(a, p)[1])
 
 
 def det(a: Matrix, p: int) -> int:
-    _, pivots, scale = _rref([list(r) for r in a], p)
+    _, pivots, scale = _rref(a, p)
     return scale if len(pivots) == len(a) else 0
 
 
 def mat_inv(a: Matrix, p: int) -> Matrix:
     n = len(a)
-    rows = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a)]
-    rows, pivots, _ = _rref(rows, p)
+    rows, pivots, _ = _rref([list(r) + [1 if i == j else 0 for j in range(n)]
+                             for i, r in enumerate(a)], p)
     if pivots != list(range(n)):
         raise InputError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
@@ -156,7 +171,7 @@ def nullspace(a: list[list[int]], p: int) -> list[tuple[int, ...]]:
     """Canonical basis of the kernel of the matrix (rows = equations): one
     vector per free column of the RREF, so it depends only on the kernel."""
     ncols = len(a[0]) if a else 0
-    rows, pivots, _ = _rref([list(r) for r in a], p)
+    rows, pivots, _ = _rref(a, p)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -284,14 +299,16 @@ class _Batch:
 
 
 def _intertwiner_equations(u: Matrix, uk: Matrix, p: int) -> list[list[int]]:
-    """The linear equations of X u = uk X in the row-major entries of X."""
+    """The linear equations of X u = uk X in the row-major entries of X,
+    one per entry (i, j): row i of X times column j of u, less row i of uk
+    times column j of X."""
     N = len(u)
+    columns = list(zip(*u))
     eqs = []
     for i in range(N):
         for j in range(N):
-            row = [0] * (N * N)
+            row = [0] * (i * N) + list(columns[j]) + [0] * ((N - 1 - i) * N)
             for t in range(N):
-                row[i * N + t] = (row[i * N + t] + u[t][j]) % p
                 row[t * N + j] = (row[t * N + j] - uk[i][t]) % p
             eqs.append(row)
     return eqs
@@ -458,13 +475,11 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
                 z = next(zs)
                 if last is not None:
                     link({last: 1}, z)
-    J = form_matrix(g)
-    e = mat_mul(mat(M), J, p)
+    e = mat_mul(mat(M), form_matrix(g), p)
     one = identity_matrix(N)
     plus = tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(one, e))
     u = mat_mul(plus, mat_inv(mat_sub(one, e, p), p), p)
-    special = g.family is not Family.SP
-    if not is_isometry(u, J, p, special=special):
+    if not _is_element(g, u):
         raise ArithmeticError("representative is not an isometry")  # unreachable
     if jordan_type(u, p) != mu:
         raise ArithmeticError("representative has wrong Jordan type")  # unreachable
@@ -656,7 +671,10 @@ def _gram_test(J: Matrix, p: int) -> Callable[[Sequence[int]], bool]:
     X^T J X is symmetric or alternating with J, so the entries with a <= b
     decide; they are compared with J one at a time, the pairings (a, s(a))
     first since an intertwiner most often fails there, and the test stops at
-    the first mismatch."""
+    the first mismatch.  An entry that rejects a candidate moves to the
+    front, so the next candidate is compared there first: the candidates of
+    one scan tend to fail at the same entry, however deep in the order it
+    lies."""
     N = len(J)
     s, coefs = _signed_permutation(J)
     upper = [(a, s[a]) for a in range(N) if a <= s[a]]
@@ -669,12 +687,22 @@ def _gram_test(J: Matrix, p: int) -> Callable[[Sequence[int]], bool]:
     ]
 
     def preserves(flat: Sequence[int]) -> bool:
-        for left, right, want in entries:
+        for rank, (left, right, want) in enumerate(entries):
             if sum(map(mul, map(mul, coefs, left(flat)), right(flat))) % p != want:
+                if rank:
+                    entries.insert(0, entries.pop(rank))
                 return False
         return True
 
     return preserves
+
+
+def _is_element(g: GroupSpec, m: Matrix) -> bool:
+    """Is the square matrix m, of the group's size, in g: does it pass the
+    Gram test, with det 1 unless g is symplectic?  The same answer as
+    `is_isometry` without its two dense products."""
+    return (_gram_test(form_matrix(g), g.p)(list(chain.from_iterable(m)))
+            and (g.family is Family.SP or det(m, g.p) == 1))
 
 
 def _plane_roots(
@@ -682,14 +710,14 @@ def _plane_roots(
 ) -> Callable[[Sequence[int]], Iterator[Sequence[int]]]:
     """For the plane Y + sC + tB of the lex scan, a function of Y that
     yields, for each row s = 0, 1, ... in turn, the t (in increasing order)
-    at which the first entry that the Gram test compares, (0, s(0)), equals
-    J's.  With L_i(X) = X[i][0] and R_i(X) = X[s(i)][s(0)], that entry is
-    the quadratic form E(X) = sum_i c_i L_i(X) R_i(X), so on the plane it is
-    a0 + a1 s + a2 s^2 + (b0 + b1 s) t + gamma t^2: the coefficients a0, a1
-    and b0 are read off Y once per plane, the rest off C and B once.  The
-    roots of each row's quadratic in t are found by evaluating it at every t
-    and kept per (constant, linear) coefficient pair, of which there are at
-    most p^2."""
+    at which entry (0, s(0)) of the Gram matrix equals J's; no other t can
+    pass the Gram test.  With L_i(X) = X[i][0] and R_i(X) = X[s(i)][s(0)],
+    that entry is the quadratic form E(X) = sum_i c_i L_i(X) R_i(X), so on
+    the plane it is a0 + a1 s + a2 s^2 + (b0 + b1 s) t + gamma t^2: the
+    coefficients a0, a1 and b0 are read off Y once per plane, the rest off C
+    and B once.  The roots of each row's quadratic in t are found by
+    evaluating it at every t and kept per (constant, linear) coefficient
+    pair, of which there are at most p^2."""
     N = len(J)
     perm, coefs = _signed_permutation(J)
     col = perm[0]
@@ -797,37 +825,49 @@ def power_conjugacy_search(
     search with the smaller deciding step gives the answer, the scan on a
     tie, so the witness is deterministic: the first isometry in lex order,
     or the product of the conjugators along the walk's path.  The scan runs
-    ahead to a doubling horizon and the walk follows only as far as it must
-    to tell which step is smaller.  The walk of (g, u) is kept
+    ahead to a doubling horizon, or straight to the walk's deciding step
+    once that is known, and the walk follows only as far as it must to tell
+    which step is smaller.  The walk of (g, u) is kept
     (`_orbit_walk`) and grown further by later calls; a call that leaves it
     past CENSUS_CAP conjugates drops every kept walk.  A smaller step above
     `budget` raises; the search never truncates.
 
     A dict passed as `stats` is filled with what decided: `decided_by`
     (`identity`, `lex` or `orbit`), `rounds` (the smaller deciding step, 0
-    for the identity) and `intertwiner_dim` (None for the identity).
+    for the identity) and `intertwiner_dim` (None for the identity); and
+    with what it cost: `lex_checked` (the scan steps known not to decide, 0
+    for the identity) and `walk_size` (the conjugates the kept walk holds
+    after the call, u among them; None for the identity).
     """
     _check_model(g)
     p = g.p
     if gcd(k, p) != 1:
         raise InputError("k must be coprime to p")
     J = form_matrix(g)
-    special = g.family is not Family.SP
-    if not is_isometry(u, J, p, special=special):
+    N = len(J)
+    if len(u) != N:
+        raise InputError("dimension mismatch")
+    u = tuple(tuple(int(x) % p for x in row) for row in u)
+    if any(len(row) != N for row in u) or not _is_element(g, u):
         raise InputError("u is not an element of the group")
+    special = g.family is not Family.SP
     uk = mat_pow(u, k, p)
     if uk == u:
         if stats is not None:
-            stats.update(decided_by="identity", rounds=0, intertwiner_dim=None)
-        return identity_matrix(len(u))
+            stats.update(decided_by="identity", rounds=0, intertwiner_dim=None,
+                         lex_checked=0, walk_size=None)
+        return identity_matrix(N)
     basis = nullspace(_intertwiner_equations(u, uk, p), p)
     lex = _LexScan(basis, p, J, special)
-    lanes = _lanes(len(u), p)
+    lanes = _lanes(N, p)
     walk, target = _orbit_walk(g, lanes.key(u)), lanes.key(uk)
     horizon = min(_FIRST_HORIZON, budget)
     try:
         while True:
-            lex.scan(horizon)
+            # once the walk's deciding step is known the scan runs to it, not
+            # to a doubling horizon past it
+            known = walk.step(target)
+            lex.scan(horizon if known is None else min(known, budget))
             walk.grow(horizon if lex.step is None else min(lex.step - 1, budget), target)
             # a search wins once the other is known not to decide before it
             step = walk.step(target)
@@ -847,12 +887,13 @@ def power_conjugacy_search(
     if rounds > budget:
         raise BudgetExceededError(f"neither search decided within {budget} rounds")
     if stats is not None:
-        stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis))
+        stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis),
+                     lex_checked=lex.checked, walk_size=len(walk.queue))
     if name == "lex":
         return lex.witness
     if target not in walk.seen:
         return None
-    w = identity_matrix(len(u))
+    w = identity_matrix(N)
     for gi in walk.path(target):
         w = mat_mul(w, walk.conjugators[gi].h, p)
     if mat_mul(w, u, p) != mat_mul(uk, w, p):

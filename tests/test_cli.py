@@ -245,7 +245,7 @@ def test_verify_stats_lines(capsys):
     assert set(check) == set(json.loads(plain))
     assert check["ok"] is True and check["cells"] == len(cells) == 132
     keys = {"check", "family", "n", "q", "mu", "k", "decided_by", "rounds",
-            "intertwiner_dim", "seconds"}
+            "intertwiner_dim", "lex_checked", "walk_size", "seconds"}
     assert all(set(c) == keys and c["check"] == check["check"] for c in cells)
     assert {c["decided_by"] for c in cells} == {"identity", "lex", "orbit"}
     # the cells of the (4) class of Sp4(F_7) with no witness: the lex scan

@@ -70,6 +70,97 @@ def test_det_against_leibniz():
                 assert oracle.det(m, p) == _leibniz_det(m, p), (p, m)
 
 
+def _dense_rref(a, p):
+    """Gauss-Jordan elimination that updates whole rows: (rows, pivot
+    columns, the product of the pivots with the sign of the row swaps)."""
+    rows = [[x % p for x in row] for row in a]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots, scale, r = [], 1, 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            scale = -scale
+        scale = scale * rows[r][c] % p
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots, scale
+
+
+def _sparse_or_dense(p, nrows, ncols):
+    # with `zeros` at 4 about four entries in five are zero, as in an
+    # intertwiner system; at 0 every residue is equally likely
+    def rows(zeros):
+        entry = st.integers(-zeros * p, p - 1).map(lambda x: max(x, 0))
+        return st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                        min_size=nrows, max_size=nrows)
+    return st.integers(0, 4).flatmap(rows)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 7), st.integers(1, 8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_elimination_agrees_with_dense(p, nrows, ncols, data):
+    a = data.draw(_sparse_or_dense(p, nrows, ncols))
+    rows, pivots, _ = _dense_rref(a, p)
+    assert oracle.rank(oracle.mat(a), p) == len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc] % p
+        basis.append(tuple(v))
+    assert oracle.nullspace(a, p) == basis
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 6), st.data())
+@settings(max_examples=300, deadline=None)
+def test_det_and_inverse_agree_with_dense(p, n, data):
+    a = oracle.mat(data.draw(_sparse_or_dense(p, n, n)))
+    _, pivots, scale = _dense_rref(a, p)
+    assert oracle.det(a, p) == (scale if len(pivots) == n else 0)
+    if len(pivots) < n:
+        with pytest.raises(InputError):
+            oracle.mat_inv(a, p)
+        return
+    one = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows, _, _ = _dense_rref([list(r) + e for r, e in zip(a, one)], p)
+    inverse = oracle.mat_inv(a, p)
+    assert inverse == tuple(tuple(row[n:]) for row in rows)
+    assert oracle.mat_mul(a, inverse, p) == oracle.identity_matrix(n)
+
+
+@given(st.sampled_from([3, 5, 7, 11]), st.integers(1, 4), st.integers(-3, 40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mat_pow_is_repeated_product(p, n, e, data):
+    # an invertible a: a random lower unitriangular times a random upper
+    # triangular with a nonzero diagonal, given as lists of lists
+    entry = st.integers(0, p - 1)
+    lower = [[1 if i == j else data.draw(entry) if j < i else 0 for j in range(n)]
+             for i in range(n)]
+    upper = [[data.draw(st.integers(1, p - 1)) if i == j else data.draw(entry) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    a = [list(row) for row in oracle.mat_mul(lower, upper, p)]
+    base = oracle.mat_inv(a, p) if e < 0 else oracle.mat(a)
+    expected = oracle.identity_matrix(n)
+    for _ in range(abs(e)):
+        expected = oracle.mat_mul(expected, base, p)
+    power = oracle.mat_pow(a, e, p)
+    assert power == expected
+    assert type(power) is tuple and all(type(row) is tuple for row in power)
+
+
 def test_form_matrices():
     g = GroupSpec(Family.SP, 1, 7)
     assert oracle.form_matrix(g) == ((0, 1), (6, 0))
@@ -354,14 +445,17 @@ def _lockstep_search(g, u, k, budget):
 
 def test_race_matches_lockstep_reference():
     # every non-identity cell of verify's powmap grid: the same witness and
-    # stats as the lockstep race, and the budget binds at the deciding step
+    # stats as the lockstep race (the stats it knows: the search that
+    # decided, the step and the intertwiner dimension), and the budget binds
+    # at the deciding step
     cells = 0
     for g in _POWMAP_GROUPS:
         for ep, u, k, _ in _non_identity_cells(g):
             stats = {}
             w = oracle.power_conjugacy_search(g, u, k, stats=stats)
             rounds = stats["rounds"]
-            assert (w, stats) == _lockstep_search(g, u, k, rounds), (g, ep, k)
+            reference = _lockstep_search(g, u, k, rounds)
+            assert (w, {key: stats[key] for key in reference[1]}) == reference, (g, ep, k)
             assert oracle.power_conjugacy_search(g, u, k, budget=rounds) == w
             with pytest.raises(BudgetExceededError):
                 oracle.power_conjugacy_search(g, u, k, budget=rounds - 1)
@@ -603,6 +697,7 @@ def test_search_stats():
     # the two costliest cells of the powmap suite, neither with a witness:
     # the orbit walk closes the (2,1,1) class first, while the lex scan
     # exhausts the 7^4 combinations of the (4) class first
+    oracle._orbit_walk.cache_clear()
     g = GroupSpec(Family.SP, 2, 7)
     expected = {(2, 1, 1): ("orbit", 1200, 10), (4,): ("lex", 7**4 + 1, 4)}
     for parts, decided in expected.items():
@@ -610,9 +705,47 @@ def test_search_stats():
         stats = {}
         assert oracle.power_conjugacy_search(g, u, 3, stats=stats) is None
         assert (stats["decided_by"], stats["rounds"], stats["intertwiner_dim"]) == decided
+        # neither search decides before the smaller step: the scan has ruled
+        # out every step below it (and the step itself when the walk won),
+        # and the kept walk holds at least that many conjugates
+        rounds = stats["rounds"]
+        assert stats["lex_checked"] >= rounds - (decided[0] == "lex")
+        assert stats["walk_size"] >= rounds
+        assert stats["walk_size"] == len(oracle._orbit_walk(g, oracle._lanes(4, 7).key(u)).queue)
         stats = {}
         assert oracle.power_conjugacy_search(g, u, 1, stats=stats) == oracle.identity_matrix(4)
-        assert stats == {"decided_by": "identity", "rounds": 0, "intertwiner_dim": None}
+        assert stats == {"decided_by": "identity", "rounds": 0, "intertwiner_dim": None,
+                         "lex_checked": 0, "walk_size": None}
+
+
+def test_identity_shortcut_for_listed_u():
+    # a u given as lists of lists with u^k = u takes the identity shortcut,
+    # as the tuple u does
+    g = GroupSpec(Family.SP, 2, 7)
+    u = oracle.unipotent_rep(g, EpsPartition(Partition([2, 1, 1]), 1))
+    for given_u in (u, [list(row) for row in u]):
+        stats = {}
+        assert oracle.power_conjugacy_search(g, given_u, 1, stats=stats) == oracle.identity_matrix(4)
+        assert stats["decided_by"] == "identity" and stats["intertwiner_dim"] is None
+
+
+def test_warm_walk_bounds_the_scan():
+    # once the kept walk holds u^k or is closed, the scan runs to the walk's
+    # deciding step and stops at the end of that row, not at a doubling
+    # horizon past it: an orbit-decided cell checks fewer than rounds + p
+    # steps of the scan
+    for g in _POWMAP_GROUPS:
+        for ep, u, k, _ in _non_identity_cells(g):
+            oracle.power_conjugacy_search(g, u, k)
+    orbit_cells = 0
+    for g in _POWMAP_GROUPS:
+        for ep, u, k, _ in _non_identity_cells(g):
+            stats = {}
+            oracle.power_conjugacy_search(g, u, k, stats=stats)
+            if stats["decided_by"] == "orbit":
+                assert stats["rounds"] <= stats["lex_checked"] < stats["rounds"] + g.p, (g, ep, k)
+                orbit_cells += 1
+    assert orbit_cells > 0
 
 
 def _digest(lines):
