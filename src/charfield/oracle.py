@@ -29,7 +29,12 @@ with one lane of at most 8 bytes per entry, a chunk of K matrices is one
 int, and one lane-wise reduction mod p serves all K at once, so a chunk
 costs a few big-int operations per generator.  The walk takes its parents
 in chunks sized by the conjugates it still needs.  Dense products of tuples
-serve everything else, the witnesses among them.
+serve everything else, the witnesses and the Brauer powers among them: one
+straight-line product is generated per shape (rows, inner, cols) and kept,
+which unpacks both operands into locals, so a ragged or non-conforming
+operand raises InputError, and reduces each entry once.  Its source grows
+with rows * inner * cols, so shapes above 12^3 raise BudgetExceededError:
+the oracle takes groups of dimension up to 12, and `verify` uses 5 at most.
 
 The scan takes the p candidates X0 + tB that differ in the last coefficient
 as one row.  The first entry of the candidate's Gram matrix X^T J X is a
@@ -80,19 +85,73 @@ def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
+def _shape(a: Sequence[Sequence[int]]) -> str:
+    """a's shape for an error message: rows x columns, or the row lengths of
+    a ragged matrix."""
+    widths = [len(row) for row in a]
+    if len(set(widths)) > 1:
+        return f"a ragged matrix with rows of lengths {widths}"
+    return f"a {len(a)}x{widths[0] if widths else 0} matrix"
+
+
+def _square(a: Sequence[Sequence[int]], what: str) -> None:
+    if any(len(row) != len(a) for row in a):
+        raise InputError(f"{what} needs a square matrix, not {_shape(a)}")
+
+
+_PRODUCT_CAP = 12 ** 3  # rows * inner * cols of the largest generated product
+
+
+@lru_cache(maxsize=None)
+def _product(rows: int, inner: int, cols: int) -> Callable[[Matrix, Matrix, int], Matrix]:
+    """The product mod p of a rows x inner and an inner x cols matrix as
+    straight-line code: both operands are unpacked into locals, which raises
+    ValueError unless they have this shape, and each entry is one sum of
+    products reduced once.  The source is built from the three integers
+    alone; its size grows with their product, which _PRODUCT_CAP bounds."""
+    if rows * inner * cols > _PRODUCT_CAP:
+        raise BudgetExceededError(
+            f"a {rows}x{inner} by {inner}x{cols} product exceeds {_PRODUCT_CAP} multiplications")
+
+    def target(name: str, n: int, m: int) -> str:
+        return "[" + ", ".join(
+            "[" + ", ".join(f"{name}{i}_{j}" for j in range(m)) + "]" for i in range(n)) + "]"
+
+    def entry(i: int, j: int) -> str:
+        return "(" + (" + ".join(f"a{i}_{t} * b{t}_{j}" for t in range(inner)) or "0") + ") % p"
+
+    def row(i: int) -> str:
+        return "(" + "".join(f"{entry(i, j)}, " for j in range(cols)) + ")"
+
+    source = (f"def product(a, b, p):\n"
+              f"    {target('a', rows, inner)} = a\n"
+              f"    {target('b', inner, cols)} = b\n"
+              f"    return ({''.join(f'{row(i)}, ' for i in range(rows))})\n")
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["product"]
+
+
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    bt = list(zip(*b))
-    return tuple([tuple([sum(map(mul, ra, cb)) % p for cb in bt]) for ra in a])
+    """a b mod p, by the straight-line product of their shape (`_product`);
+    tuples of residues whatever the operands' sequences and entries."""
+    try:
+        return _product(len(a), len(b), len(b[0]) if b else 0)(a, b, p)
+    except ValueError:
+        raise InputError(f"cannot multiply {_shape(a)} by {_shape(b)}") from None
 
 
 def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
     """a^e by squaring from the top bit down: one product per bit below it
-    and one more per set bit, none with the identity."""
+    and one more per set bit, none with the identity.  Every product goes
+    through `mat_mul`, which reduces its entries, so only e = 1 reduces a."""
     if e < 0:
         a, e = mat_inv(a, p), -e
     if e == 0:
         return identity_matrix(len(a))
-    result = a = tuple(tuple(x % p for x in row) for row in a)
+    if e == 1:
+        return tuple(tuple(x % p for x in row) for row in a)
+    result = a
     for bit in bin(e)[3:]:
         result = mat_mul(result, result, p)
         if bit == "1":
@@ -101,13 +160,18 @@ def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
 
 
 def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
+    try:
+        return tuple(zip(*a, strict=True))
+    except ValueError:
+        raise InputError(f"cannot transpose {_shape(a)}") from None
 
 
 def mat_sub(a: Matrix, b: Matrix, p: int) -> Matrix:
-    return tuple(
-        tuple((x - y) % p for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+    try:
+        return tuple(tuple((x - y) % p for x, y in zip(ra, rb, strict=True))
+                     for ra, rb in zip(a, b, strict=True))
+    except ValueError:
+        raise InputError(f"cannot subtract {_shape(b)} from {_shape(a)}") from None
 
 
 def _rref(a: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int], int]:
@@ -154,11 +218,13 @@ def rank(a: Matrix, p: int) -> int:
 
 
 def det(a: Matrix, p: int) -> int:
+    _square(a, "det")
     _, pivots, scale = _rref(a, p)
     return scale if len(pivots) == len(a) else 0
 
 
 def mat_inv(a: Matrix, p: int) -> Matrix:
+    _square(a, "an inverse")
     n = len(a)
     rows, pivots, _ = _rref([list(r) + [1 if i == j else 0 for j in range(n)]
                              for i, r in enumerate(a)], p)

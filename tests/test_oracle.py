@@ -9,7 +9,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charfield import oracle
 from charfield.errors import BudgetExceededError, InputError
@@ -141,6 +141,90 @@ def test_det_and_inverse_agree_with_dense(p, n, data):
     assert oracle.mat_mul(a, inverse, p) == oracle.identity_matrix(n)
 
 
+def _triple_loop(a, b, p):
+    """The product of a and b mod p by the schoolbook triple loop."""
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            total = 0
+            for t in range(len(b)):
+                total += a[i][t] * b[t][j]
+            row.append(total % p)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 2**61 - 1]), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 6), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_is_triple_loop(p, rows, inner, cols, as_lists, data):
+    # entries from -3p to 3p: negative ones and ones at or above p included
+    def matrix(n, m):
+        entry = st.integers(-3 * p, 3 * p)
+        return data.draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                  min_size=n, max_size=n))
+    a, b = matrix(rows, inner), matrix(inner, cols)
+    if not as_lists:
+        a, b = oracle.mat(a), oracle.mat(b)
+    product = oracle.mat_mul(a, b, p)
+    assert product == _triple_loop(a, b, p)
+    assert type(product) is tuple and all(type(row) is tuple for row in product)
+
+
+@given(st.integers(1, 12), st.integers(1, 12))
+@example(12, 12)
+@settings(max_examples=30, deadline=None)
+def test_product_size_cap(rows, inner):
+    # the largest cols with rows * inner * cols <= 12^3 is allowed, one more
+    # column is not
+    cols = 12**3 // (rows * inner)
+    a = [[(3 * i + t) % 7 for t in range(inner)] for i in range(rows)]
+    b = [[(t * j + 1) % 7 for j in range(cols + 1)] for t in range(inner)]
+    at_cap = [row[:cols] for row in b]
+    assert oracle.mat_mul(a, at_cap, 7) == _triple_loop(a, at_cap, 7)
+    with pytest.raises(BudgetExceededError):
+        oracle.mat_mul(a, b, 7)
+
+
+@pytest.mark.parametrize("call, args, shapes", [
+    pytest.param(oracle.mat_mul, (((1, 2, 3), (4, 5, 6)), ((1, 0), (0, 1)), 7), ["2x3", "2x2"],
+                 id="mat_mul-nonconforming"),
+    pytest.param(oracle.mat_mul, (((1, 2), (3,)), ((1, 0), (0, 1)), 7), ["[2, 1]", "2x2"],
+                 id="mat_mul-ragged"),
+    pytest.param(oracle.det, (((1, 0, 0), (0, 1, 0)), 7), ["2x3"], id="det"),
+    pytest.param(oracle.mat_inv, (((1, 0, 0), (0, 1, 0)), 7), ["2x3"], id="mat_inv"),
+    pytest.param(oracle.mat_sub, (((1, 2), (3, 4)), ((1,),), 7), ["2x2", "1x1"], id="mat_sub"),
+    pytest.param(oracle.transpose, (((1, 2), (3,)),), ["[2, 1]"], id="transpose"),
+    pytest.param(oracle.is_isometry, (((1, 0), (0, 1, 5)), ((0, 1), (6, 0)), 7), ["[2, 3]"],
+                 id="is_isometry"),
+])
+def test_shape_errors_name_the_shapes(call, args, shapes):
+    with pytest.raises(InputError) as raised:
+        call(*args)
+    assert all(shape in str(raised.value) for shape in shapes), raised.value
+
+
+def test_mat_pow_products_go_through_mat_mul(monkeypatch):
+    # mat_pow multiplies through the module's mat_mul, one product per bit of
+    # |e| below the top bit and one more per set bit below it, so a counter
+    # on oracle.mat_mul sees every product
+    calls = []
+    product = oracle.mat_mul
+
+    def counted(a, b, p):
+        calls.append((a, b))
+        return product(a, b, p)
+
+    monkeypatch.setattr(oracle, "mat_mul", counted)
+    a = ((2, 5), (1, 3))
+    for e in range(-3, 300):
+        calls.clear()
+        oracle.mat_pow(a, e, 7)
+        bits = abs(e).bit_length()
+        assert len(calls) == max(bits - 1, 0) + max(bin(e).count("1") - 1, 0), e
+
+
 @given(st.sampled_from([3, 5, 7, 11]), st.integers(1, 4), st.integers(-3, 40), st.data())
 @settings(max_examples=200, deadline=None)
 def test_mat_pow_is_repeated_product(p, n, e, data):
@@ -155,7 +239,7 @@ def test_mat_pow_is_repeated_product(p, n, e, data):
     base = oracle.mat_inv(a, p) if e < 0 else oracle.mat(a)
     expected = oracle.identity_matrix(n)
     for _ in range(abs(e)):
-        expected = oracle.mat_mul(expected, base, p)
+        expected = _triple_loop(expected, base, p)
     power = oracle.mat_pow(a, e, p)
     assert power == expected
     assert type(power) is tuple and all(type(row) is tuple for row in power)
