@@ -6,9 +6,9 @@ possibly extended by the Gauss-sum square root sqrt(omega*p).  The extension
 happens exactly for symplectic groups with q a non-square and -1 an
 eigenvalue of the class; orthogonal series never grow.
 
-This uniform model is known to be wrong for Sp4(F_3): the class census
-finds 14 classes fixed by g -> g^k for k = 11 and 17, where the model
-predicts 13 (`test_census_at_the_largest_admitted_groups` pins the 14).
+This uniform model is known to be wrong for Sp4(F_3): the oracle's
+`brauer_fixed_classes` finds 14 classes fixed by g -> g^k for k = 11, 17,
+23 and 29, where the model predicts 13 (`test_brauer_counts` pins the 14).
 The suspected series is that of the class with eigenvalue 1 once and -1
 four times, minus_type = +1, whose centraliser O4+(F_3) has an outer
 automorphism swapping two of its five unipotent characters; its characters
@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import InputError
 from .galois_arith import GaloisElement, gauss_sqrt_sign, is_square_in_fq, signed_prime
@@ -119,6 +120,24 @@ def _series_size_rank1(cls: SemisimpleClass) -> int:
     return 2 if order_of(cls) <= 2 else 1
 
 
+class _Rank1(NamedTuple):
+    """What the rank-one count needs of Sp2(F_q) besides its series, the same
+    for every k."""
+
+    p: int
+    order: int  # q(q^2 - 1)
+    modulus: int  # lcm(4p, q^2 - 1): a conductor bound for every series field
+
+
+@lru_cache(maxsize=None)
+def _rank1_group(q: int) -> _Rank1:
+    """p, the group order and the modulus, kept apart from `_rank1_series`
+    so that q and then k are checked before the series are enumerated, which
+    raises BudgetExceededError past its bound on q."""
+    g = GroupSpec(Family.SP, 1, q)
+    return _Rank1(g.p, q * (q * q - 1), lcm(4 * g.p, q * q - 1))
+
+
 @lru_cache(maxsize=None)
 def _rank1_series(q: int) -> tuple[tuple[CharacterField, int], ...]:
     """The field and the number of characters of every series of the rank-one
@@ -136,16 +155,11 @@ def predicted_fixed_count_rank1(q: int, k: int) -> int:
     This is the quantity that Brauer's permutation lemma equates with the
     number of conjugacy classes fixed by g -> g**k.
     """
-    g = GroupSpec(Family.SP, 1, q)
-    if gcd(k, q * (q * q - 1)) != 1:
+    rank1 = _rank1_group(q)
+    if gcd(k, rank1.order) != 1:
         raise InputError("k must be coprime to the group order")
-    m = lcm(4 * g.p, q * q - 1)
-    sigma = GaloisElement(k % m, m)
-    total = 0
-    for field, size in _rank1_series(q):
-        if sigma.k % field.base.d not in field.base.stab:
-            continue
-        if field.adjoin_sqrt_omega_p and gauss_sqrt_sign(sigma, g.p) != 1:
-            continue
-        total += size
-    return total
+    sigma = GaloisElement(k % rank1.modulus, rank1.modulus)
+    sign = gauss_sqrt_sign(sigma, rank1.p)
+    return sum(size for field, size in _rank1_series(q)
+               if sigma.k % field.base.d in field.base.stab
+               and (sign == 1 or not field.adjoin_sqrt_omega_p))

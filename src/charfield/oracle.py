@@ -17,10 +17,11 @@ and the scan runs to that step instead of to a horizon past it.  The class
 census walks the group itself as the orbit of the
 identity under right multiplication, then each class under conjugation, up
 to an element cap; the same closure of the root elements alone gives the
-subgroup they generate.  The census also gives each representative's
-element order, and the Brauer count reduces the exponent k by it before the
-power.  The closed-form modules are tested against it, never the other way
-around.
+subgroup they generate.  The class power table walks the powers of each
+representative once, up to the identity, and records the class of each
+power, so a Brauer count for any k reads one entry per class and makes no
+product.  The closed-form modules are tested against this module, never the
+other way around.
 
 Every generator is a root or torus element, which differs from the identity
 in a few entries, so conjugating by it is a row update and a column update.
@@ -29,7 +30,7 @@ with one lane of at most 8 bytes per entry, a chunk of K matrices is one
 int, and one lane-wise reduction mod p serves all K at once, so a chunk
 costs a few big-int operations per generator.  The walk takes its parents
 in chunks sized by the conjugates it still needs.  Dense products of tuples
-serve everything else, the witnesses and the Brauer powers among them: one
+serve everything else, the witnesses and the power table among them: one
 straight-line product is generated per shape (rows, inner, cols) and kept,
 which unpacks both operands into locals, so a ragged or non-conforming
 operand raises InputError, and reduces each entry once.  Its source grows
@@ -144,9 +145,11 @@ def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
 def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
     """a^e by squaring from the top bit down: one product per bit below it
     and one more per set bit, none with the identity.  Every product goes
-    through `mat_mul`, which reduces its entries, so only e = 1 reduces a."""
+    through `mat_mul`, which reduces its entries, so only e = 1 reduces a.
+    A non-square a raises InputError for every e, e = 0 and 1 included."""
     if e < 0:
         a, e = mat_inv(a, p), -e
+    _square(a, "a power")
     if e == 0:
         return identity_matrix(len(a))
     if e == 1:
@@ -1025,28 +1028,35 @@ def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
 
 
 @lru_cache(maxsize=None)
-def class_orders(g: GroupSpec) -> tuple[int, ...]:
-    """The element order of each representative in `class_census(g)`, in the
-    same order, by repeated multiplication up to the identity."""
-    reps, _ = class_census(g)
+def class_powers(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
+    """The class power table of `class_census(g)`: for each representative m,
+    in census order, the classes of m^0, m^1, ..., m^(o-1), where o is the
+    element order of m, so the class of m^k is row[k % len(row)] for every
+    integer k.  Each row is one walk of powers, multiplying by m up to the
+    identity."""
+    reps, index = class_census(g)
     one = identity_matrix(g.dim)
 
-    def order(m: Matrix) -> int:
-        x, o = m, 1
+    def row(m: Matrix) -> tuple[int, ...]:
+        classes, x = [index[one]], m
         while x != one:
-            x, o = mat_mul(x, m, g.p), o + 1
-        return o
+            classes.append(index[x])
+            x = mat_mul(x, m, g.p)
+        return tuple(classes)
 
-    return tuple(map(order, reps))
+    return tuple(map(row, reps))
+
+
+def brauer_fixed_classes(g: GroupSpec, k: int) -> int:
+    """Number of conjugacy classes of g fixed by x -> x^k, by brute force: a
+    class is fixed when its representative's k-th power lies in it, which
+    the class power table answers without a product."""
+    _, index = class_census(g)
+    if gcd(k, len(index)) != 1:
+        raise InputError("k must be coprime to the group order")
+    return sum(row[k % len(row)] == ci for ci, row in enumerate(class_powers(g)))
 
 
 def brauer_fixed_classes_sl2(q: int, k: int) -> int:
-    """Number of conjugacy classes of the rank-one symplectic group fixed by
-    g -> g^k, by brute force.  A representative m of order o has m^k =
-    m^(k mod o), so each power takes k reduced by the census's orders."""
-    reps, index = sl2_classes(q)
-    if gcd(k, len(index)) != 1:
-        raise InputError("k must be coprime to the group order")
-    orders = class_orders(GroupSpec(Family.SP, 1, q))
-    return sum(1 for ci, (m, o) in enumerate(zip(reps, orders))
-               if index[mat_pow(m, k % o, q)] == ci)
+    """`brauer_fixed_classes` on the rank-one symplectic group Sp2(F_q)."""
+    return brauer_fixed_classes(GroupSpec(Family.SP, 1, q), k)

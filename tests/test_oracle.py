@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -193,6 +193,9 @@ def test_product_size_cap(rows, inner):
     pytest.param(oracle.mat_mul, (((1, 2), (3,)), ((1, 0), (0, 1)), 7), ["[2, 1]", "2x2"],
                  id="mat_mul-ragged"),
     pytest.param(oracle.det, (((1, 0, 0), (0, 1, 0)), 7), ["2x3"], id="det"),
+    pytest.param(oracle.mat_pow, (((1, 2, 3), (4, 5, 6)), 0, 7), ["2x3"], id="mat_pow-e0"),
+    pytest.param(oracle.mat_pow, (((1, 2, 3), (4, 5, 6)), 1, 7), ["2x3"], id="mat_pow-e1"),
+    pytest.param(oracle.mat_pow, (((1, 2), (3,)), 1, 7), ["[2, 1]"], id="mat_pow-ragged"),
     pytest.param(oracle.mat_inv, (((1, 0, 0), (0, 1, 0)), 7), ["2x3"], id="mat_inv"),
     pytest.param(oracle.mat_sub, (((1, 2), (3, 4)), ((1,),), 7), ["2x2", "1x1"], id="mat_sub"),
     pytest.param(oracle.transpose, (((1, 2), (3,)),), ["[2, 1]"], id="transpose"),
@@ -1069,16 +1072,22 @@ def test_census_against_all_pairs():
 def test_census_at_the_largest_admitted_groups():
     # Sp4(F_3) and SO5(F_3), 51,840 elements each, near the element cap.
     # Under g -> g^k, Sp4(F_3) fixes 14 of its 34 classes for k a non-square
-    # mod 3 and all of them for k a square; SO5(F_3) fixes all 25.  The
-    # unwrapped census keeps neither group in the cache.
+    # mod 3 and all of them for k a square; SO5(F_3) fixes all 25.  Both
+    # censuses stay in the cache for the Brauer tests below.
     expected = {GroupSpec(Family.SP, 2, 3): (34, {7: 34, 11: 14, 13: 34, 17: 14}),
                 GroupSpec(Family.SO_ODD, 2, 3): (25, dict.fromkeys((7, 11, 13, 17), 25))}
     for g, (classes, fixed) in expected.items():
-        reps, index = oracle.class_census.__wrapped__(g)
+        reps, index = oracle.class_census(g)
         assert (len(reps), len(index)) == (classes, 51840), g
         for k, count in fixed.items():
             assert sum(index[oracle.mat_pow(m, k, g.p)] == ci
                        for ci, m in enumerate(reps)) == count, (g, k)
+
+
+# the census groups of rank two on which g -> g^k moves classes (Sp4(F_3),
+# SO4+(F_5)) or fixes all of them for every k (SO5(F_3))
+_RANK_TWO = [GroupSpec(Family.SP, 2, 3), GroupSpec(Family.SO_ODD, 2, 3),
+             GroupSpec(Family.SO_EVEN, 2, 5, 1)]
 
 
 def test_brauer_counts():
@@ -1088,40 +1097,67 @@ def test_brauer_counts():
     assert oracle.brauer_fixed_classes_sl2(7, 5) == 5
     with pytest.raises(InputError):
         oracle.brauer_fixed_classes_sl2(7, 3)
+    # Sp4(F_3) fixes 14 of its 34 classes for k a non-square mod 3 and all
+    # of them for k a square; SO5(F_3) fixes all 25; SO4+(F_5) fixes 36 of
+    # its 40 at k = 7 and all of them at k = 19
+    expected = {GroupSpec(Family.SP, 2, 3): {11: 14, 17: 14, 23: 14, 29: 14, 7: 34, 13: 34},
+                GroupSpec(Family.SO_ODD, 2, 3): {7: 25, 11: 25},
+                GroupSpec(Family.SO_EVEN, 2, 5, 1): {7: 36, 19: 40}}
+    for g, fixed in expected.items():
+        for k, count in fixed.items():
+            assert oracle.brauer_fixed_classes(g, k) == count, (g, k)
+        with pytest.raises(InputError):
+            oracle.brauer_fixed_classes(g, 5)
 
 
-def _brauer_unreduced(q, k):
-    # the count with the power taken by k itself, not by k mod the order
-    reps, index = oracle.sl2_classes(q)
-    return sum(index[oracle.mat_pow(m, k, q)] == ci for ci, m in enumerate(reps))
+def _brauer_unreduced(g, k):
+    # the count with the power taken by k itself, not read from the table
+    reps, index = oracle.class_census(g)
+    return sum(index[oracle.mat_pow(m, k, g.p)] == ci for ci, m in enumerate(reps))
 
 
 def test_brauer_count_by_element_orders():
     # k and k + |G| are the same power map; -k is the power map of the
     # inverse, which can fix a different number of classes
     for q in (5, 7, 11):
+        g = GroupSpec(Family.SP, 1, q)
         order = q * (q * q - 1)
         for k in range(1, order):
             if gcd(k, order) == 1:
                 count = oracle.brauer_fixed_classes_sl2(q, k)
-                assert count == _brauer_unreduced(q, k), (q, k)
+                assert count == _brauer_unreduced(g, k), (q, k)
                 assert oracle.brauer_fixed_classes_sl2(q, k + order) == count, (q, k)
-                assert oracle.brauer_fixed_classes_sl2(q, -k) == _brauer_unreduced(q, -k), (q, k)
+                assert oracle.brauer_fixed_classes_sl2(q, -k) == _brauer_unreduced(g, -k), (q, k)
+    # on the rank-two groups every k below the exponent of the group, the lcm
+    # of its element orders, so every power map that permutes the classes
+    for g in _RANK_TWO:
+        order = len(oracle.class_census(g)[1])
+        exponent = lcm(*map(len, oracle.class_powers(g)))
+        for k in range(1, exponent):
+            if gcd(k, order) == 1:
+                count = oracle.brauer_fixed_classes(g, k)
+                assert count == _brauer_unreduced(g, k), (g, k)
+                assert oracle.brauer_fixed_classes(g, k + order) == count, (g, k)
+                assert oracle.brauer_fixed_classes(g, -k) == _brauer_unreduced(g, -k), (g, k)
 
 
 def test_class_orders():
-    # m^o is the identity and m^(o/r) is not, for every prime r dividing o
+    # each row of the class power table holds the census classes of m^0, m^1,
+    # ..., m^(o-1) for the representative m of order o: m^o is the identity
+    # and m^(o/r) is not, for every prime r dividing o
     groups = [GroupSpec(Family.SP, 1, q) for q in (3, 5, 7, 11, 13)]
     groups += [GroupSpec(Family.SO_ODD, 1, 5), GroupSpec(Family.SO_EVEN, 2, 3, 1)]
-    for g in groups:
-        reps, _ = oracle.class_census(g)
+    for g in groups + _RANK_TWO:
+        reps, index = oracle.class_census(g)
         one = oracle.identity_matrix(g.dim)
-        orders = oracle.class_orders(g)
-        assert len(orders) == len(reps), g
-        for m, o in zip(reps, orders):
+        rows = oracle.class_powers(g)
+        assert len(rows) == len(reps), g
+        for m, row in zip(reps, rows):
+            o = len(row)
             assert oracle.mat_pow(m, o, g.p) == one, (g, m)
             for r, _ in factorize(o):
                 assert oracle.mat_pow(m, o // r, g.p) != one, (g, m, r)
+            assert row == tuple(index[oracle.mat_pow(m, j, g.p)] for j in range(o)), (g, m)
 
 
 _NEGATIVE_POWERS = """
