@@ -207,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     sp.add_argument("--stats", action="store_true",
-                    help="also print one line per power-map cell: the search that "
-                    "decided it, the deciding step and the search's time")
+                    help="also print one line per power-map cell (the search that "
+                    "decided it, the deciding step and the search's time) and one "
+                    "line per group whose class census a check builds (its order, "
+                    "class count and census time)")
     add_common(sp)
     sp.set_defaults(func=_cmd_verify)
 

@@ -829,6 +829,8 @@ def _lex_rows(
     returns the deciding step with the witness, the first accepted
     candidate, or p^c + 1 with None when the scan runs out."""
     N = len(J)
+    if not basis:  # the one candidate is X = 0, which is no isometry
+        return 2, None
     if len(basis) > 1:
         *outer, C, B = basis
         width = p

@@ -60,6 +60,12 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
 
+def _unpaired_part(mu: Partition, eps: int) -> int | None:
+    """The largest part m = eps (mod 2) of odd multiplicity in mu, or None
+    when mu is admissible for eps."""
+    return next((m for m in mu.distinct() if m % 2 == eps and mu.multiplicity(m) % 2), None)
+
+
 @dataclass(frozen=True)
 class EpsPartition:
     """A partition admissible for form parity eps.
@@ -74,11 +80,9 @@ class EpsPartition:
     def __post_init__(self) -> None:
         if self.eps not in (0, 1):
             raise InputError("eps must be 0 or 1")
-        for m in self.partition.distinct():
-            if m % 2 == self.eps and self.partition.multiplicity(m) % 2 != 0:
-                raise InputError(
-                    f"part {m} has odd multiplicity, not admissible for eps={self.eps}"
-                )
+        m = _unpaired_part(self.partition, self.eps)
+        if m is not None:
+            raise InputError(f"part {m} has odd multiplicity, not admissible for eps={self.eps}")
 
     @property
     def total(self) -> int:
@@ -125,13 +129,5 @@ def _partitions_of(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 def eps_partitions(n: int, eps: int) -> list[EpsPartition]:
     """All admissible partitions of n for the given form parity."""
-    out = []
-    for parts in _partitions_of(n, n):
-        ok = True
-        for m in set(parts):
-            if m % 2 == eps and parts.count(m) % 2 != 0:
-                ok = False
-                break
-        if ok:
-            out.append(EpsPartition(Partition(parts), eps))
-    return out
+    partitions = map(Partition, _partitions_of(n, n))
+    return [EpsPartition(mu, eps) for mu in partitions if _unpaired_part(mu, eps) is None]

@@ -11,13 +11,17 @@ that every character of the corresponding series has as its rationality core.
 
 A Frobenius orbit is walked once around its cycle and never past the dual
 dimension, which a longer orbit cannot fit in, nor past a fixed number of
-steps, after which its length is read off the factorisation of phi(d).  The
-stabiliser is read off the spectrum: a unit k fixes a class when it sends
-every orbit representative a/e to an eigenvalue x/e of the same
-multiplicity, that is when k = x/a (mod e) for one such x per orbit.  These
-residues are combined across the orbits by the Chinese remainder theorem, so
-a field query costs time that grows with the dual dimension and log d, not
-with d, plus the factorisation of d for phi(d).
+steps, after which its length is read off the factorisation of phi(d).  A
+class walks each orbit once, when it is built, and keeps its spectrum, each
+eigenvalue a/d mapped to its orbit; inversion closure, the self-inverse
+orbits, the +-1 multiplicities and the stabiliser are all read from it.
+(class_from_dict walks raw input once before, for least representatives.)
+The stabiliser: a unit k fixes a class when it sends every orbit
+representative a/e to an eigenvalue x/e of the same multiplicity, that is
+when k = x/a (mod e) for one such x per orbit.  These residues are combined
+across the orbits by the Chinese remainder theorem, so a field query costs
+time that grows with the dual dimension and log d, not with d, plus the
+factorisation of d for phi(d).
 """
 
 from __future__ import annotations
@@ -165,12 +169,13 @@ class CyclotomicSubfield:
         return (-1) % self.d in self.stab
 
 
-def _spectrum(g: GroupSpec, orbits: Iterable[EigenvalueOrbit]) -> dict[tuple[int, int], int]:
-    """Every eigenvalue a/d of the orbits, as {(a, d): multiplicity}; InputError
+def _spectrum(g: GroupSpec,
+              orbits: Iterable[EigenvalueOrbit]) -> dict[tuple[int, int], EigenvalueOrbit]:
+    """Every eigenvalue a/d of the orbits, as {(a, d): its orbit}; InputError
     unless each orbit has d prime to p and appears once, by its least
     representative."""
     p, q, dim = g.p, g.q, g.dual_dim
-    spectrum: dict[tuple[int, int], int] = {}
+    spectrum: dict[tuple[int, int], EigenvalueOrbit] = {}
     for o in orbits:
         if gcd(o.den, p) != 1:
             raise InputError("eigenvalue order must be coprime to p")
@@ -179,16 +184,8 @@ def _spectrum(g: GroupSpec, orbits: Iterable[EigenvalueOrbit]) -> dict[tuple[int
             raise InputError(f"{o.frac} is not the least orbit representative")
         if (o.num, o.den) in spectrum:
             raise InputError("duplicate orbit")
-        spectrum.update(((x, o.den), o.mult) for x in orbit)
+        spectrum.update(((x, o.den), o) for x in orbit)
     return spectrum
-
-
-def _fixes(spectrum: dict[tuple[int, int], int], orbits: Iterable[EigenvalueOrbit], k: int) -> bool:
-    """Does zeta -> zeta**k, k a unit mod the element order, fix the class?  k
-    commutes with Frobenius and maps orbits to orbits injectively, so it is
-    enough that each orbit representative goes to an eigenvalue of the same
-    multiplicity."""
-    return all(spectrum.get((k * o.num % o.den, o.den)) == o.mult for o in orbits)
 
 
 def _legal_labels(g: GroupSpec, m1: int, mm1: int,
@@ -231,22 +228,28 @@ class SemisimpleClass:
     plus_type: Optional[int] = None
     minus_type: Optional[int] = None
 
+    @cached_property
+    def spectrum(self) -> dict[tuple[int, int], EigenvalueOrbit]:
+        """Every eigenvalue (a, d) of the class, mapped to its orbit; built
+        with the class, from one walk of each orbit."""
+        return _spectrum(self.group, self.orbits)
+
     def __post_init__(self) -> None:
-        g = self.group
-        spectrum = _spectrum(g, self.orbits)
-        total = sum(spectrum.values())
+        g, spectrum = self.group, self.spectrum
+        total = sum(o.mult for o in spectrum.values())
         if total != g.dual_dim:
             raise InputError(
                 f"spectrum fills dimension {total}, expected {g.dual_dim}"
             )
         if list(self.orbits) != sorted(self.orbits, key=lambda o: (o.den, o.num)):
             raise InputError("orbits must be sorted by (denominator, numerator)")
-        if not _fixes(spectrum, self.orbits, -1):
+        inverses = [spectrum.get((-o.num % o.den, o.den)) for o in self.orbits]
+        if any(inv is None or inv.mult != o.mult for o, inv in zip(self.orbits, inverses)):
             raise InputError("spectrum is not inversion-closed")
         m1, mm1 = self.mult_of_one(), self.mult_of_minus_one()
         # the orbits of order > 2 that hold the inverses of their own eigenvalues
-        self_inverse = sum(o.mult for o in self.orbits if o.den > 2
-                           and _orbit(o.den - o.num, o.den, g.q, g.dual_dim)[0] == o.num)
+        self_inverse = sum(o.mult for o, inv in zip(self.orbits, inverses)
+                           if o.den > 2 and inv is o)
         legal = _legal_labels(g, m1, mm1, self_inverse)
         labels = (self.plus_type, self.minus_type)
         if labels not in legal:
@@ -256,16 +259,12 @@ class SemisimpleClass:
                              f"mult(-1) = {mm1}: {rule}, got {labels}")
 
     def mult_of_one(self) -> int:
-        for o in self.orbits:
-            if o.den == 1:
-                return o.mult
-        return 0
+        o = self.spectrum.get((0, 1))
+        return o.mult if o else 0
 
     def mult_of_minus_one(self) -> int:
-        for o in self.orbits:
-            if (o.num, o.den) == (1, 2):
-                return o.mult
-        return 0
+        o = self.spectrum.get((1, 2))
+        return o.mult if o else 0
 
     def has_minus_one_eigenvalue(self) -> bool:
         return self.mult_of_minus_one() > 0
@@ -349,19 +348,20 @@ def galois_stabilizer(cls: SemisimpleClass) -> CyclotomicSubfield:
 
     k fixes the class exactly when, for every orbit with representative a/e
     and multiplicity m, k = x * a**-1 (mod e) for an eigenvalue x/e of
-    multiplicity m.  The residues allowed mod each e are combined by the
-    generalised Chinese remainder theorem, keeping the consistent pairs; the
-    survivors are units, as each x is, and form the stabiliser.  A residue
+    multiplicity m, read off the class's kept spectrum with no orbit walk.
+    The residues allowed mod each e are combined by the generalised Chinese
+    remainder theorem, keeping the consistent pairs; the survivors are
+    units, as each x is, and form the stabiliser.  A residue
     is determined by where it sends one eigenvalue of each order, so no list
     of residues outgrows the number of ways to send each of these to an
     eigenvalue of its order, whatever d is: the cost grows with dual_dim and
     log d, not with d.
     """
-    spectrum = _spectrum(cls.group, cls.orbits)
     residues, modulus = [0], 1
     for o in cls.orbits:
         inv = pow(o.num, -1, o.den)
-        allowed = [x * inv % o.den for (x, e), m in spectrum.items() if e == o.den and m == o.mult]
+        allowed = [x * inv % o.den for (x, e), image in cls.spectrum.items()
+                   if e == o.den and image.mult == o.mult]
         g = gcd(modulus, o.den)
         lift = pow(modulus // g, -1, o.den // g)
         residues = [r + modulus * ((c - r) // g * lift % (o.den // g))
@@ -437,16 +437,10 @@ def central_twist_action(
     the automorphism group is trivial everything is invariant.  Passing
     torus_character=True asks about a principal-series torus-character datum
     instead of a cuspidal member: such a character is fixed only when the
-    class lies in the spinor kernel.
+    class lies in the spinor kernel.  in_spinor_kernel, asked first, rejects
+    every group but the even orthogonal ones and every class of order > 2.
     """
-    if g.family is not Family.SO_EVEN:
-        raise InputError("central twist classification applies to so-even")
-    if not cls.is_quasi_isolated():
-        raise InputError("classification applies to order <= 2 classes")
-    if not has_central_twist_automorphism(g):
-        return "invariant"
-    member = in_spinor_kernel(g, cls)
-    if member:
+    if in_spinor_kernel(g, cls) or not has_central_twist_automorphism(g):
         return "invariant"
     dims_equal = cls.mult_of_one() == cls.mult_of_minus_one()
     if not dims_equal:

@@ -22,7 +22,7 @@ from .galois_arith import (
     signed_prime,
 )
 from .groups import Family, GroupSpec, is_prime
-from .hc_action import index_sqrt_sign_h, series_twist_sign, series_twist_sign_h
+from .hc_action import index_sqrt_sign, index_sqrt_sign_h, series_twist_sign, series_twist_sign_h
 from .partitions import component_orders, eps_partitions
 from .power_maps import unipotent_rational
 from .semisimple import class_from_dict, in_spinor_kernel
@@ -124,15 +124,17 @@ def suite_relweyl() -> list[CheckResult]:
                     for r in range(4):
                         for isign in (1, -1) if ell == 2 else (0,):
                             h = PrimePowerAction(ell, r, isign)
+                            sigma = galois_from_prime_power(h, 4 * p)
                             direct = series_twist_sign_h(desc, h).value
-                            composed = series_twist_sign(desc, galois_from_prime_power(h, 4 * p))
+                            composed = series_twist_sign(desc, sigma)
+                            index = index_sqrt_sign_h(desc, h)
                             key = (q, family.value, desc.group.n, desc.group.twist,
                                    ell, r, isign)
                             yield key, (
                                 direct == composed.value
+                                and index == index_sqrt_sign(desc, sigma)
                                 and (family is Family.SP or direct == 1)
-                                and (ell == 2 or (q - 1) % ell != 0
-                                     or index_sqrt_sign_h(desc, h).value == 1))
+                                and (ell == 2 or (q - 1) % ell != 0 or index.value == 1))
 
     return [
         _check("weyl-length-vs-bfs-rank4", "384 elements", bfs_cells()),

@@ -321,6 +321,19 @@ def test_unipotent_rep_rejects():
         oracle.power_conjugacy_search(twisted, u, 2)
 
 
+def test_power_search_input_rejections():
+    g = GroupSpec(Family.SP, 1, 7)
+    u = oracle.unipotent_rep(g, EpsPartition(Partition([2]), 1))
+    with pytest.raises(InputError, match="coprime to p"):
+        oracle.power_conjugacy_search(g, u, 14)
+    with pytest.raises(InputError, match="dimension mismatch"):
+        oracle.power_conjugacy_search(g, oracle.identity_matrix(4), 2)
+    for bad in (((1, 1), (0, 2)), ((1, 1), (0,)), ((1, 1), (0, 1, 0))):
+        # det 2, a short row, a long row
+        with pytest.raises(InputError, match="not an element"):
+            oracle.power_conjugacy_search(g, bad, 2)
+
+
 def test_power_search_identity_witness():
     g = GroupSpec(Family.SP, 1, 7)
     u = oracle.unipotent_rep(g, EpsPartition(Partition([2]), 1))
@@ -336,6 +349,31 @@ def test_power_search_regular_sp2():
     assert oracle.mat_mul(w, u, 7) == oracle.mat_mul(uk, w, 7)
     assert oracle.is_isometry(w, oracle.form_matrix(g), 7)
     assert oracle.power_conjugacy_search(g, u, 3) is None
+
+
+def test_power_search_on_torus_elements():
+    # In SL2 = Sp2, diag(a, 1/a) is conjugate to diag(a^k, 1/a^k) exactly when
+    # a^k is a or 1/a.  Where a^k = 1 != a, or a = -1 and k is even, only
+    # X = 0 intertwines u and u^k: the lex scan then decides at p^0 + 1 = 2,
+    # unless the walk of a central u closes first.
+    for q, empty in ((5, 12), (7, 30), (11, 122), (13, 164)):
+        g = GroupSpec(Family.SP, 1, q)
+        seen = 0
+        for a in range(1, q):
+            u = ((a, 0), (0, pow(a, -1, q)))
+            for k in range(1, 2 * q):
+                if k % q == 0:
+                    continue
+                stats = {}
+                w = oracle.power_conjugacy_search(g, u, k, stats=stats)
+                assert (w is not None) == (pow(a, k, q) in (a, pow(a, -1, q))), (q, a, k)
+                if w is not None:
+                    _check_witness(g, u, k, w)
+                if stats["intertwiner_dim"] == 0:
+                    seen += 1
+                    assert w is None
+                    assert (stats["decided_by"], stats["rounds"]) in (("lex", 2), ("orbit", 1))
+        assert seen == empty, q
 
 
 def test_power_search_agrees_with_closed_form_q3():

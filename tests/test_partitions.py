@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from charfield.errors import InputError
@@ -70,3 +72,23 @@ def test_eps_partitions_small_counts():
     assert [tuple(ep.partition.parts) for ep in eps_partitions(4, 0)] == [
         (3, 1), (2, 2), (1, 1, 1, 1)]
     assert [tuple(ep.partition.parts) for ep in eps_partitions(3, 0)] == [(3,), (1, 1, 1)]
+
+
+def test_eps_partitions_are_the_admissible_ones():
+    # eps_partitions keeps, in reverse lexicographic order, exactly the
+    # partitions EpsPartition accepts; a rejection names the largest part of
+    # the form's parity with odd multiplicity
+    for n in range(9):
+        every = sorted((c for k in range(n + 1)
+                        for c in itertools.combinations_with_replacement(range(n, 0, -1), k)
+                        if sum(c) == n), reverse=True)
+        for eps in (0, 1):
+            kept = []
+            for parts in every:
+                unpaired = [m for m in set(parts) if m % 2 == eps and parts.count(m) % 2]
+                if unpaired:
+                    with pytest.raises(InputError, match=f"part {max(unpaired)} "):
+                        EpsPartition(Partition(parts), eps)
+                else:
+                    kept.append(parts)
+            assert [ep.partition.parts for ep in eps_partitions(n, eps)] == kept, (n, eps)

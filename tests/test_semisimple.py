@@ -9,6 +9,8 @@ from charfield.galois_arith import GaloisElement
 from charfield.groups import Family, GroupSpec, is_prime
 from charfield.semisimple import (
     CyclotomicSubfield,
+    EigenvalueOrbit,
+    SemisimpleClass,
     _orbit,
     central_twist_action,
     class_from_dict,
@@ -53,6 +55,22 @@ def test_normalisation_merges_orbits():
     assert _orbit(s.orbits[1].num, s.orbits[1].den, 7, s.group.dual_dim) == (1, 2, 3, 4)
 
 
+def test_spectrum_walks_each_orbit_once(monkeypatch):
+    # the class keeps {eigenvalue: its orbit} from one walk per orbit, and
+    # every eigenvalue question reads it: here the self-inverse orbit of 1/5
+    # over q = 7, which decides the labels, and the stabiliser
+    walks = []
+    walk = semisimple._orbit
+    monkeypatch.setattr(semisimple, "_orbit", lambda *args: walks.append(args) or walk(*args))
+    one, fifths = EigenvalueOrbit(0, 1, 1), EigenvalueOrbit(1, 5, 1)
+    s = SemisimpleClass(GroupSpec(Family.SP, 2, 7), (one, fifths))
+    assert s.spectrum == {(0, 1): one, **{(x, 5): fifths for x in range(1, 5)}}
+    assert (s.mult_of_one(), s.mult_of_minus_one()) == (1, 0)
+    assert galois_stabilizer(s) == CyclotomicSubfield(5, (1, 2, 3, 4))
+    assert len(walks) == 2
+    assert s == SemisimpleClass(s.group, s.orbits) and "spectrum" not in repr(s)
+
+
 def test_orbit_walk_cap(monkeypatch):
     for d in range(2, 200):
         for q in range(2, d):
@@ -84,6 +102,41 @@ def test_validation_rejects_bad_spectra():
         _cls("sp", 2, 7, [("0/1", 3), ("1/2", 2)])  # missing minus label
     with pytest.raises(InputError):
         _cls("so-odd", 2, 7, [("0/1", 3), ("1/2", 1)], minus=1)  # odd mult(-1)
+
+
+@pytest.mark.parametrize("num, den, mult, message", [
+    (3, 2, 1, "0 <= a < d"),
+    (0, 0, 1, "0 <= a < d"),
+    (0, 2, 1, "stored as 0/1"),
+    (2, 4, 1, "reduced"),
+    (1, 3, 0, "positive"),
+])
+def test_orbit_construction_rejections(num, den, mult, message):
+    with pytest.raises(InputError, match=message):
+        EigenvalueOrbit(num, den, mult)
+
+
+def _orbits(*triples):
+    return tuple(EigenvalueOrbit(a, d, m) for a, d, m in triples)
+
+
+@pytest.mark.parametrize("g, orbits, message", [
+    # the eigenvalue order 5 is the defining prime
+    (SP1_Q5, _orbits((0, 1, 1), (1, 5, 1), (4, 5, 1)), "coprime to p"),
+    # over q = 5 the orbit of 1/3 is {1/3, 2/3}, stored by 1/3
+    (SP1_Q5, _orbits((0, 1, 1), (2, 3, 1)), "least orbit representative"),
+    (SP1_Q5, _orbits((0, 1, 1), (0, 1, 2)), "duplicate orbit"),
+    (SP1_Q5, _orbits((1, 2, 2), (0, 1, 1)), "sorted"),
+    # over q = 11 the fifth roots of unity are Frobenius-fixed, and the
+    # inverse of 2/5 is 3/5
+    (SP2_Q11, _orbits((0, 1, 1), (1, 5, 1), (2, 5, 1), (4, 5, 2)), "inversion-closed"),
+    (SP2_Q11, _orbits((0, 1, 4)), "fills dimension 4"),
+])
+def test_class_construction_rejections(g, orbits, message):
+    # SemisimpleClass built directly, not through class_from_dict, which
+    # normalises each of these away or fails before the class exists
+    with pytest.raises(InputError, match=message):
+        SemisimpleClass(g, orbits)
 
 
 def test_galois_stabilizer_examples():
@@ -253,6 +306,18 @@ def test_central_twist_action():
     s3 = _cls("so-even", 2, 5, [("0/1", 2), ("1/2", 2)], twist=-1, plus=1, minus=-1)
     assert not has_central_twist_automorphism(g2)
     assert central_twist_action(g2, s3, torus_character=True) == "invariant"
+
+    # only order <= 2 classes of even orthogonal groups are classified, also
+    # where the automorphism group is trivial
+    with pytest.raises(InputError, match="so-even"):
+        central_twist_action(GroupSpec(Family.SP, 2, 7), _cls("sp", 2, 7, [("0/1", 5)]))
+    g5 = GroupSpec(Family.SO_EVEN, 2, 5, 1)
+    g7 = GroupSpec(Family.SO_EVEN, 1, 7, 1)
+    assert has_central_twist_automorphism(g5) and not has_central_twist_automorphism(g7)
+    for g_, s4 in ((g5, _cls("so-even", 2, 5, [("1/3", 2)])),
+                   (g7, _cls("so-even", 1, 7, [("1/3", 1), ("2/3", 1)]))):
+        with pytest.raises(InputError, match="order"):
+            central_twist_action(g_, s4)
 
 
 def test_roundtrip_json():
