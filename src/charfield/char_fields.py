@@ -28,6 +28,7 @@ from .groups import Family, GroupSpec
 from .semisimple import (
     CyclotomicSubfield,
     SemisimpleClass,
+    check_class_of,
     enumerate_classes,
     galois_stabilizer,
     order_of,
@@ -81,8 +82,7 @@ def character_field(g: GroupSpec, cls: SemisimpleClass) -> CharacterField:
     Orthogonal families: the cyclotomic core alone.  Symplectic: adjoin
     sqrt(omega*p) exactly when q is not a square and -1 is an eigenvalue.
     """
-    if cls.group != g:
-        raise InputError("class does not belong to this group")
+    check_class_of(g, cls)
     base = galois_stabilizer(cls)
     if g.family is Family.SP:
         adjoin = (not g.q_is_square) and cls.has_minus_one_eigenvalue()
@@ -104,6 +104,7 @@ def cuspidal_fixed(g: GroupSpec, cls: SemisimpleClass, sigma: GaloisElement) -> 
     """Is a cuspidal symplectic character in the series of an order <= 2
     class fixed by sigma?  Yes iff the class is the identity (unipotent
     characters are rational) or k is a square in F_q."""
+    check_class_of(g, cls)
     if g.family is not Family.SP:
         raise InputError("cuspidal criterion is for symplectic groups")
     if not cls.is_quasi_isolated():
@@ -138,13 +139,28 @@ def _rank1_group(q: int) -> _Rank1:
     return _Rank1(g.p, q * (q * q - 1), lcm(4 * g.p, q * q - 1))
 
 
+class _Series(NamedTuple):
+    """One series of Sp2(F_q) as the count reads it: which sigma_k fix its
+    characters and how many characters it holds."""
+
+    d: int  # conductor of the cyclotomic core of the series field
+    stab: frozenset[int]  # the k mod d that fix the core
+    adjoin_sqrt_omega_p: bool  # the field also holds sqrt(omega*p)
+    size: int  # characters in the series
+
+
 @lru_cache(maxsize=None)
-def _rank1_series(q: int) -> tuple[tuple[CharacterField, int], ...]:
-    """The field and the number of characters of every series of the rank-one
-    symplectic group over F_q, computed once per q for all the k asked."""
+def _rank1_series(q: int) -> tuple[_Series, ...]:
+    """Every series of the rank-one symplectic group over F_q as plain data,
+    read off `character_field` once per q for all the k asked, so that a
+    count compares ints and tests set membership."""
     g = GroupSpec(Family.SP, 1, q)
-    return tuple((character_field(g, cls), _series_size_rank1(cls))
-                 for cls in enumerate_classes(g, max_d=q + 1))
+    rows = []
+    for cls in enumerate_classes(g, max_d=q + 1):
+        field = character_field(g, cls)
+        rows.append(_Series(field.base.d, frozenset(field.base.stab),
+                            field.adjoin_sqrt_omega_p, _series_size_rank1(cls)))
+    return tuple(rows)
 
 
 def predicted_fixed_count_rank1(q: int, k: int) -> int:
@@ -153,13 +169,15 @@ def predicted_fixed_count_rank1(q: int, k: int) -> int:
     field formulas: series stabilisers plus the Gauss-sum sign.
 
     This is the quantity that Brauer's permutation lemma equates with the
-    number of conjugacy classes fixed by g -> g**k.
+    number of conjugacy classes fixed by g -> g**k.  A series counts when
+    k mod its conductor d lies in its stabiliser and, if its field holds
+    sqrt(omega*p), the Gauss-sum sign of k is +1.  q is checked first, then
+    k, and only then are the series enumerated, which raises
+    BudgetExceededError past its bound on q.
     """
     rank1 = _rank1_group(q)
     if gcd(k, rank1.order) != 1:
         raise InputError("k must be coprime to the group order")
-    sigma = GaloisElement(k % rank1.modulus, rank1.modulus)
-    sign = gauss_sqrt_sign(sigma, rank1.p)
-    return sum(size for field, size in _rank1_series(q)
-               if sigma.k % field.base.d in field.base.stab
-               and (sign == 1 or not field.adjoin_sqrt_omega_p))
+    sign = gauss_sqrt_sign(GaloisElement(k % rank1.modulus, rank1.modulus), rank1.p)
+    return sum(s.size for s in _rank1_series(q)
+               if k % s.d in s.stab and (sign == 1 or not s.adjoin_sqrt_omega_p))

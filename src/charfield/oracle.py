@@ -1024,9 +1024,16 @@ def root_subgroup(g: GroupSpec) -> frozenset[Matrix]:
     return frozenset(map(lanes.matrix, _closure(g, roots)))
 
 
+@lru_cache(maxsize=None)
+def _sl2(q: int) -> GroupSpec:
+    """The rank-one symplectic group Sp2(F_q), built and validated once per
+    q; a q that GroupSpec rejects raises on every call, as nothing is kept."""
+    return GroupSpec(Family.SP, 1, q)
+
+
 def sl2_classes(q: int) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
     """Conjugacy classes of the rank-one symplectic group Sp2(F_q)."""
-    return class_census(GroupSpec(Family.SP, 1, q))
+    return class_census(_sl2(q))
 
 
 @lru_cache(maxsize=None)
@@ -1061,4 +1068,4 @@ def brauer_fixed_classes(g: GroupSpec, k: int) -> int:
 
 def brauer_fixed_classes_sl2(q: int, k: int) -> int:
     """`brauer_fixed_classes` on the rank-one symplectic group Sp2(F_q)."""
-    return brauer_fixed_classes(GroupSpec(Family.SP, 1, q), k)
+    return brauer_fixed_classes(_sl2(q), k)

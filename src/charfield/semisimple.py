@@ -378,6 +378,14 @@ def _minus_space_in_spinor_kernel(q: int, b: int, type_: int) -> bool:
     return pow(q, b, 4) == type_ % 4
 
 
+def check_class_of(g: GroupSpec, cls: SemisimpleClass) -> None:
+    """Reject a class of any group but g: every entry point that takes a
+    group and a class asks this first, so a class is never classified by
+    another group's q or family."""
+    if cls.group != g:
+        raise InputError("class does not belong to this group")
+
+
 def _check_spinor_kernel_group(g: GroupSpec) -> None:
     """Reject every group but the even orthogonal ones for the spinor-kernel test."""
     if g.family is not Family.SO_EVEN:
@@ -405,6 +413,7 @@ def in_spinor_kernel(g: GroupSpec, cls: SemisimpleClass) -> bool:
     The identity always belongs; an involution with 2b-dimensional -1
     eigenspace does exactly when q**b = minus_type (mod 4).
     """
+    check_class_of(g, cls)
     _check_spinor_kernel_group(g)
     if not cls.is_quasi_isolated():
         raise InputError("test applies to elements of order at most two")
@@ -438,7 +447,8 @@ def central_twist_action(
     torus_character=True asks about a principal-series torus-character datum
     instead of a cuspidal member: such a character is fixed only when the
     class lies in the spinor kernel.  in_spinor_kernel, asked first, rejects
-    every group but the even orthogonal ones and every class of order > 2.
+    a class of another group, every group but the even orthogonal ones and
+    every class of order > 2.
     """
     if in_spinor_kernel(g, cls) or not has_central_twist_automorphism(g):
         return "invariant"

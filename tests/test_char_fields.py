@@ -1,15 +1,22 @@
 import pytest
 
+from charfield import oracle
 from charfield.char_fields import (
     character_field,
     cuspidal_fixed,
     is_real_series,
     predicted_fixed_count_rank1,
 )
-from charfield.errors import InputError
+from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement
 from charfield.groups import Family, GroupSpec
-from charfield.semisimple import class_from_dict, enumerate_classes
+from charfield.semisimple import (
+    central_twist_action,
+    class_from_dict,
+    enumerate_classes,
+    in_spinor_kernel,
+    involution_class,
+)
 
 
 def _cls(family, n, q, orbits, twist=1, plus=None, minus=None):
@@ -129,3 +136,60 @@ def test_predicted_frozen_values():
 def test_predicted_rejects_bad_k():
     with pytest.raises(InputError):
         predicted_fixed_count_rank1(7, 3)  # gcd(3, 336) != 1
+
+
+_SO4_3, _SO4_7 = GroupSpec(Family.SO_EVEN, 2, 3), GroupSpec(Family.SO_EVEN, 2, 7)
+_SP2_7, _SP2_49 = GroupSpec(Family.SP, 1, 7), GroupSpec(Family.SP, 1, 49)
+
+
+def _cuspidal_fixed_by_3(g, cls):
+    return cuspidal_fixed(g, cls, GaloisElement(3, 28))
+
+
+# every entry point that takes a group and a class, with a group and a class
+# of another group of the same family that the entry point accepts otherwise
+@pytest.mark.parametrize("entry, g, cls", [
+    (in_spinor_kernel, _SO4_3, involution_class(_SO4_7, 2)),
+    (central_twist_action, _SO4_3, involution_class(_SO4_7, 2)),
+    (character_field, _SO4_3, involution_class(_SO4_7, 2)),
+    (is_real_series, _SO4_3, involution_class(_SO4_7, 2)),
+    (_cuspidal_fixed_by_3, _SP2_7, _cls("sp", 1, 49, [("0/1", 1), ("1/2", 2)], minus=1)),
+    (character_field, _SP2_49, _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)),
+], ids=["in_spinor_kernel", "central_twist_action", "character_field", "is_real_series",
+         "cuspidal_fixed", "character_field_sp"])
+def test_class_of_another_group_is_rejected(entry, g, cls):
+    entry(cls.group, cls)  # answered for the class's own group
+    with pytest.raises(InputError, match="class does not belong to this group"):
+        entry(g, cls)
+
+
+# (q, k) -> what both Brauer entry points give, call after call: q is
+# checked before k, and the prediction checks k before it enumerates the
+# series, which q = 17 is past the bound of; the oracle's census admits it
+_BRAUER_INPUTS = [
+    ((4, 5), InputError("only odd q is supported"), InputError("only odd q is supported")),
+    ((15, 7), InputError("15 is not a prime power"), InputError("15 is not a prime power")),
+    ((17, 2), InputError("k must be coprime to the group order"),
+     InputError("k must be coprime to the group order")),
+    ((17, 5), 5, BudgetExceededError("class enumeration is restricted")),
+]
+
+
+def _outcome(f, q, k):
+    try:
+        return f(q, k)
+    except (InputError, BudgetExceededError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("pair, raw, predicted", _BRAUER_INPUTS,
+                         ids=[f"q{q}-k{k}" for (q, k), _, _ in _BRAUER_INPUTS])
+def test_brauer_entry_points_repeat_their_answers(pair, raw, predicted):
+    for f, want in ((oracle.brauer_fixed_classes_sl2, raw),
+                    (predicted_fixed_count_rank1, predicted)):
+        for _ in range(2):
+            got = _outcome(f, *pair)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got).startswith(str(want)), (f, got)
+            else:
+                assert got == want, f
