@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .errors import InputError
 from .galois_arith import GaloisElement, gauss_sqrt_sign, is_square_in_fq, signed_prime
@@ -114,53 +113,35 @@ def cuspidal_fixed(g: GroupSpec, cls: SemisimpleClass, sigma: GaloisElement) -> 
     return is_square_in_fq(sigma.k, g.q)
 
 
-def _series_size_rank1(cls: SemisimpleClass) -> int:
-    # Sp_2: the identity series holds the two unipotent characters, each
-    # involution series holds two half-discrete characters, and every
-    # regular semisimple class carries a single character.
-    return 2 if order_of(cls) <= 2 else 1
-
-
-class _Rank1(NamedTuple):
-    """What the rank-one count needs of Sp2(F_q) besides its series, the same
-    for every k."""
-
-    p: int
-    order: int  # q(q^2 - 1)
-    modulus: int  # lcm(4p, q^2 - 1): a conductor bound for every series field
+@lru_cache(maxsize=None)
+def _rank1_group(q: int) -> tuple[int, int, tuple[int, ...]]:
+    """p, |G| = q(q^2 - 1) and, by k mod p, the Gauss-sum sign of sigma_k at
+    a unit lift mod lcm(4p, q^2 - 1), a conductor bound for every series
+    field.  Apart from `_rank1_series` so that q, then k, are checked before
+    the series enumeration can raise BudgetExceededError."""
+    p = GroupSpec(Family.SP, 1, q).p
+    m = lcm(4 * p, q * q - 1)
+    lifts = (next(k for k in range(r, m, p) if gcd(k, m) == 1) for r in range(1, p))
+    return p, q * (q * q - 1), (0, *(gauss_sqrt_sign(GaloisElement(k, m), p) for k in lifts))
 
 
 @lru_cache(maxsize=None)
-def _rank1_group(q: int) -> _Rank1:
-    """p, the group order and the modulus, kept apart from `_rank1_series`
-    so that q and then k are checked before the series are enumerated, which
-    raises BudgetExceededError past its bound on q."""
+def _rank1_series(q: int) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """Characters of Sp2(F_q) fixed by sigma_k, by the Gauss-sum sign of k:
+    one table per series conductor d, indexed by k mod d.  A series counts
+    where k mod d is in its stabiliser and, if its field holds
+    sqrt(omega*p), only under sign +1."""
     g = GroupSpec(Family.SP, 1, q)
-    return _Rank1(g.p, q * (q * q - 1), lcm(4 * g.p, q * q - 1))
-
-
-class _Series(NamedTuple):
-    """One series of Sp2(F_q) as the count reads it: which sigma_k fix its
-    characters and how many characters it holds."""
-
-    d: int  # conductor of the cyclotomic core of the series field
-    stab: frozenset[int]  # the k mod d that fix the core
-    adjoin_sqrt_omega_p: bool  # the field also holds sqrt(omega*p)
-    size: int  # characters in the series
-
-
-@lru_cache(maxsize=None)
-def _rank1_series(q: int) -> tuple[_Series, ...]:
-    """Every series of the rank-one symplectic group over F_q as plain data,
-    read off `character_field` once per q for all the k asked, so that a
-    count compares ints and tests set membership."""
-    g = GroupSpec(Family.SP, 1, q)
-    rows = []
+    tables: dict[int, dict[int, list[int]]] = {-1: {}, 1: {}}
     for cls in enumerate_classes(g, max_d=q + 1):
         field = character_field(g, cls)
-        rows.append(_Series(field.base.d, frozenset(field.base.stab),
-                            field.adjoin_sqrt_omega_p, _series_size_rank1(cls)))
-    return tuple(rows)
+        d = field.base.d
+        for sign in (1,) if field.adjoin_sqrt_omega_p else (1, -1):
+            counts = tables[sign].setdefault(d, [0] * d)
+            for r in field.base.stab:
+                # two characters in the identity and involution series, else one
+                counts[r] += 2 if order_of(cls) <= 2 else 1
+    return {sign: tuple(map(tuple, by_d.values())) for sign, by_d in tables.items()}
 
 
 def predicted_fixed_count_rank1(q: int, k: int) -> int:
@@ -169,15 +150,12 @@ def predicted_fixed_count_rank1(q: int, k: int) -> int:
     field formulas: series stabilisers plus the Gauss-sum sign.
 
     This is the quantity that Brauer's permutation lemma equates with the
-    number of conjugacy classes fixed by g -> g**k.  A series counts when
-    k mod its conductor d lies in its stabiliser and, if its field holds
-    sqrt(omega*p), the Gauss-sum sign of k is +1.  q is checked first, then
-    k, and only then are the series enumerated, which raises
-    BudgetExceededError past its bound on q.
+    number of conjugacy classes fixed by g -> g**k: one entry, at k mod d,
+    of each conductor table kept for the Gauss-sum sign of k (read by k mod
+    p).  q is checked first, then k, and only then are the series
+    enumerated, which raises BudgetExceededError past its bound on q.
     """
-    rank1 = _rank1_group(q)
-    if gcd(k, rank1.order) != 1:
+    p, order, signs = _rank1_group(q)
+    if gcd(k, order) != 1:
         raise InputError("k must be coprime to the group order")
-    sign = gauss_sqrt_sign(GaloisElement(k % rank1.modulus, rank1.modulus), rank1.p)
-    return sum(s.size for s in _rank1_series(q)
-               if k % s.d in s.stab and (sign == 1 or not s.adjoin_sqrt_omega_p))
+    return sum([t[k % len(t)] for t in _rank1_series(q)[signs[k % p]]])

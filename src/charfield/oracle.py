@@ -19,9 +19,10 @@ identity under right multiplication, then each class under conjugation, up
 to an element cap; the same closure of the root elements alone gives the
 subgroup they generate.  The class power table walks the powers of each
 representative once, up to the identity, and records the class of each
-power, so a Brauer count for any k reads one entry per class and makes no
-product.  The closed-form modules are tested against this module, never the
-other way around.
+power; the classes of each order o fixed by each r mod o are counted from
+it once, so a Brauer count for any k is one entry per order.  The
+closed-form modules are tested against this module, never the other way
+around.
 
 Every generator is a root or torus element, which differs from the identity
 in a few entries, so conjugating by it is a row update and a column update.
@@ -1056,14 +1057,25 @@ def class_powers(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(map(row, reps))
 
 
+@lru_cache(maxsize=None)
+def _fixed_by_order(g: GroupSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """|G| and, per element order o, the classes of order o fixed by x -> x^r
+    for each r mod o: those whose `class_powers` row holds itself at r."""
+    tables: dict[int, list[int]] = {}
+    for ci, row in enumerate(class_powers(g)):
+        counts = tables.setdefault(len(row), [0] * len(row))
+        for r, cj in enumerate(row):
+            counts[r] += cj == ci
+    return len(class_census(g)[1]), tuple(map(tuple, tables.values()))
+
+
 def brauer_fixed_classes(g: GroupSpec, k: int) -> int:
-    """Number of conjugacy classes of g fixed by x -> x^k, by brute force: a
-    class is fixed when its representative's k-th power lies in it, which
-    the class power table answers without a product."""
-    _, index = class_census(g)
-    if gcd(k, len(index)) != 1:
+    """Number of conjugacy classes of g fixed by x -> x^k, by brute force:
+    one entry, at k mod o, of the table of each element order o."""
+    order, tables = _fixed_by_order(g)
+    if gcd(k, order) != 1:
         raise InputError("k must be coprime to the group order")
-    return sum(row[k % len(row)] == ci for ci, row in enumerate(class_powers(g)))
+    return sum([t[k % len(t)] for t in tables])  # a list sums faster
 
 
 def brauer_fixed_classes_sl2(q: int, k: int) -> int:

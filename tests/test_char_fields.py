@@ -1,3 +1,5 @@
+from math import gcd, lcm
+
 import pytest
 
 from charfield import oracle
@@ -8,7 +10,7 @@ from charfield.char_fields import (
     predicted_fixed_count_rank1,
 )
 from charfield.errors import BudgetExceededError, InputError
-from charfield.galois_arith import GaloisElement
+from charfield.galois_arith import GaloisElement, gauss_sqrt_sign
 from charfield.groups import Family, GroupSpec
 from charfield.semisimple import (
     central_twist_action,
@@ -16,6 +18,7 @@ from charfield.semisimple import (
     enumerate_classes,
     in_spinor_kernel,
     involution_class,
+    order_of,
 )
 
 
@@ -136,6 +139,29 @@ def test_predicted_frozen_values():
 def test_predicted_rejects_bad_k():
     with pytest.raises(InputError):
         predicted_fixed_count_rank1(7, 3)  # gcd(3, 336) != 1
+
+
+def test_predicted_count_against_its_definition():
+    # the count written out from the definition for every unit k, k + |G|
+    # and -k: each series of Sp2(F_q) counts its characters, two for the
+    # identity and involution classes and one for the others, when k mod d
+    # lies in the stabiliser of its field's conductor d and, if the field
+    # holds sqrt(omega*p), the Gauss-sum sign of k mod lcm(4p, q^2 - 1) is
+    # +1.  q = 9 has p = 3 != q.
+    for q in (3, 5, 7, 9, 11, 13):
+        g = GroupSpec(Family.SP, 1, q)
+        order, m = q * (q * q - 1), lcm(4 * g.p, q * q - 1)
+        series = [(character_field(g, cls), 2 if order_of(cls) <= 2 else 1)
+                  for cls in enumerate_classes(g, max_d=q + 1)]
+        for k in range(1, order):
+            if gcd(k, order) != 1:
+                continue
+            for j in (k, k + order, -k):
+                sign = gauss_sqrt_sign(GaloisElement(j % m, m), g.p)
+                want = sum(size for field, size in series
+                           if j % field.base.d in field.base.stab
+                           and (sign == 1 or not field.adjoin_sqrt_omega_p))
+                assert predicted_fixed_count_rank1(q, j) == want, (q, j)
 
 
 _SO4_3, _SO4_7 = GroupSpec(Family.SO_EVEN, 2, 3), GroupSpec(Family.SO_EVEN, 2, 7)

@@ -1166,9 +1166,12 @@ def test_brauer_count_by_element_orders():
                 assert count == _brauer_unreduced(g, k), (q, k)
                 assert oracle.brauer_fixed_classes_sl2(q, k + order) == count, (q, k)
                 assert oracle.brauer_fixed_classes_sl2(q, -k) == _brauer_unreduced(g, -k), (q, k)
-    # on the rank-two groups every k below the exponent of the group, the lcm
-    # of its element orders, so every power map that permutes the classes
-    for g in _RANK_TWO:
+    # on the other census groups every k below the exponent of the group,
+    # the lcm of its element orders, so every power map that permutes the
+    # classes
+    others = [GroupSpec(Family.SO_ODD, 1, 5), GroupSpec(Family.SO_ODD, 1, 7),
+              GroupSpec(Family.SO_EVEN, 2, 3, 1)]
+    for g in others + _RANK_TWO:
         order = len(oracle.class_census(g)[1])
         exponent = lcm(*map(len, oracle.class_powers(g)))
         for k in range(1, exponent):
@@ -1177,6 +1180,11 @@ def test_brauer_count_by_element_orders():
                 assert count == _brauer_unreduced(g, k), (g, k)
                 assert oracle.brauer_fixed_classes(g, k + order) == count, (g, k)
                 assert oracle.brauer_fixed_classes(g, -k) == _brauer_unreduced(g, -k), (g, k)
+    # the real classes, those fixed by inversion
+    real = {GroupSpec(Family.SP, 2, 3): 14, GroupSpec(Family.SO_ODD, 2, 3): 25,
+            GroupSpec(Family.SO_EVEN, 2, 3, 1): 20, GroupSpec(Family.SO_EVEN, 2, 5, 1): 40}
+    for g, count in real.items():
+        assert oracle.brauer_fixed_classes(g, -1) == count, g
 
 
 def test_class_orders():
