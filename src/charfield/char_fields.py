@@ -114,23 +114,20 @@ def cuspidal_fixed(g: GroupSpec, cls: SemisimpleClass, sigma: GaloisElement) -> 
 
 
 @lru_cache(maxsize=None)
-def _rank1_group(q: int) -> tuple[int, int, tuple[int, ...]]:
-    """p, |G| = q(q^2 - 1) and, by k mod p, the Gauss-sum sign of sigma_k at
-    a unit lift mod lcm(4p, q^2 - 1), a conductor bound for every series
-    field.  Apart from `_rank1_series` so that q, then k, are checked before
-    the series enumeration can raise BudgetExceededError."""
-    p = GroupSpec(Family.SP, 1, q).p
-    m = lcm(4 * p, q * q - 1)
-    lifts = (next(k for k in range(r, m, p) if gcd(k, m) == 1) for r in range(1, p))
-    return p, q * (q * q - 1), (0, *(gauss_sqrt_sign(GaloisElement(k, m), p) for k in lifts))
+def _rank1_group(q: int) -> tuple[int, int]:
+    """p and |G| = q(q^2 - 1), so that q, then k, are checked before
+    `_rank1_series` can raise BudgetExceededError."""
+    return GroupSpec(Family.SP, 1, q).p, q * (q * q - 1)
 
 
 @lru_cache(maxsize=None)
-def _rank1_series(q: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Characters of Sp2(F_q) fixed by sigma_k, by the Gauss-sum sign of k:
-    one table per series conductor d, indexed by k mod d.  A series counts
-    where k mod d is in its stabiliser and, if its field holds
-    sqrt(omega*p), only under sign +1."""
+def _rank1_series(q: int) -> tuple[tuple[int, ...], dict[int, tuple[tuple[int, ...], ...]]]:
+    """The Gauss-sum sign of sigma_k by k mod p, at a unit lift mod
+    lcm(4p, q^2 - 1), and the characters of Sp2(F_q) fixed by sigma_k by
+    that sign: one table per series conductor d, indexed by k mod d.  A
+    series counts where k mod d is in its stabiliser and, if its field holds
+    sqrt(omega*p), only under sign +1.  Enumerating first refuses a large
+    q before any per-residue work."""
     g = GroupSpec(Family.SP, 1, q)
     tables: dict[int, dict[int, list[int]]] = {-1: {}, 1: {}}
     for cls in enumerate_classes(g, max_d=q + 1):
@@ -141,7 +138,11 @@ def _rank1_series(q: int) -> dict[int, tuple[tuple[int, ...], ...]]:
             for r in field.base.stab:
                 # two characters in the identity and involution series, else one
                 counts[r] += 2 if order_of(cls) <= 2 else 1
-    return {sign: tuple(map(tuple, by_d.values())) for sign, by_d in tables.items()}
+    p = g.p
+    m = lcm(4 * p, q * q - 1)
+    lifts = (next(k for k in range(r, m, p) if gcd(k, m) == 1) for r in range(1, p))
+    signs = (0, *(gauss_sqrt_sign(GaloisElement(k, m), p) for k in lifts))
+    return signs, {sign: tuple(map(tuple, by_d.values())) for sign, by_d in tables.items()}
 
 
 def predicted_fixed_count_rank1(q: int, k: int) -> int:
@@ -151,11 +152,12 @@ def predicted_fixed_count_rank1(q: int, k: int) -> int:
 
     This is the quantity that Brauer's permutation lemma equates with the
     number of conjugacy classes fixed by g -> g**k: one entry, at k mod d,
-    of each conductor table kept for the Gauss-sum sign of k (read by k mod
-    p).  q is checked first, then k, and only then are the series
-    enumerated, which raises BudgetExceededError past its bound on q.
+    of each conductor table kept for the Gauss-sum sign of k.  q is checked
+    first, then k, and only then are the series enumerated, which raises
+    BudgetExceededError past its bound on q.
     """
-    p, order, signs = _rank1_group(q)
+    p, order = _rank1_group(q)
     if gcd(k, order) != 1:
         raise InputError("k must be coprime to the group order")
-    return sum([t[k % len(t)] for t in _rank1_series(q)[signs[k % p]]])
+    signs, tables = _rank1_series(q)
+    return sum([t[k % len(t)] for t in tables[signs[k % p]]])

@@ -191,13 +191,18 @@ def test_class_of_another_group_is_rejected(entry, g, cls):
 
 # (q, k) -> what both Brauer entry points give, call after call: q is
 # checked before k, and the prediction checks k before it enumerates the
-# series, which q = 17 is past the bound of; the oracle's census admits it
+# series, which q = 17 is past the bound of; the oracle's census admits it,
+# but not q = 1000003, whose closure passes the census cap
 _BRAUER_INPUTS = [
     ((4, 5), InputError("only odd q is supported"), InputError("only odd q is supported")),
     ((15, 7), InputError("15 is not a prime power"), InputError("15 is not a prime power")),
     ((17, 2), InputError("k must be coprime to the group order"),
      InputError("k must be coprime to the group order")),
     ((17, 5), 5, BudgetExceededError("class enumeration is restricted")),
+    ((1000003, 2), BudgetExceededError("the closure stops at"),
+     InputError("k must be coprime to the group order")),
+    ((1000003, 5), BudgetExceededError("the closure stops at"),
+     BudgetExceededError("class enumeration is restricted")),
 ]
 
 
@@ -219,3 +224,15 @@ def test_brauer_entry_points_repeat_their_answers(pair, raw, predicted):
                 assert type(got) is type(want) and str(got).startswith(str(want)), (f, got)
             else:
                 assert got == want, f
+
+
+@pytest.mark.parametrize("k, error", [(2, InputError), (5, BudgetExceededError)])
+def test_prediction_refuses_large_q_before_any_per_residue_work(monkeypatch, k, error):
+    # a Gauss sign taken per residue mod p before the checks would cost
+    # O(p) at q = 10**9 + 7; the checks must come first
+    def no_signs(*_):
+        raise AssertionError("Gauss sign computed before the checks on q and k")
+
+    monkeypatch.setattr("charfield.char_fields.gauss_sqrt_sign", no_signs)
+    with pytest.raises(error):
+        predicted_fixed_count_rank1(10**9 + 7, k)
