@@ -495,6 +495,27 @@ def test_each_search_alone():
                 _check_witness(g, u, k, w)
 
 
+def test_lex_scan_on_a_one_vector_intertwiner_space():
+    # SO3(F7) on the basis (1, 0, -1): u = diag(3, 1, 5) is a torus element,
+    # and u^k = diag(3^k, 1, 5^k) shares only the middle eigenvalue with u at
+    # k = 2, 3, 4 (3^k is 2, 6, 4, none of them 3 or 5), so the intertwiners
+    # are the multiples of the middle unit matrix.  The scan's single row has
+    # one plane row of the p candidates tB, none an isometry: it decides at
+    # step p + 1 = 8 with no witness, and so does the race.
+    g = GroupSpec(Family.SO_ODD, 1, 7)
+    u = ((3, 0, 0), (0, 1, 0), (0, 0, 5))
+    for k in (2, 3, 4):
+        uk = oracle.mat_pow(u, k, g.p)
+        assert oracle.nullspace(oracle._intertwiner_equations(u, uk, g.p), g.p) == [
+            (0, 0, 0, 0, 1, 0, 0, 0, 0)]
+        assert _lex_alone(g, u, uk) == (8, None), k
+        # the walk closes u's class, |SO3(F7)| / |torus| = 336 / 6 = 56
+        assert _orbit_alone(g, u, uk) == (56, None), k
+        stats = {}
+        assert oracle.power_conjugacy_search(g, u, k, stats=stats) is None
+        assert (stats["decided_by"], stats["rounds"], stats["intertwiner_dim"]) == ("lex", 8, 1)
+
+
 def _lockstep_walk(x0, conjugators, lanes, tree):
     # the walk the race used to step: whole breadth-first levels, each new
     # conjugate recorded as y -> (parent, conjugator index) and yielded once
