@@ -38,14 +38,17 @@ operand raises InputError, and reduces each entry once.  Its source grows
 with rows * inner * cols, so shapes above 12^3 raise BudgetExceededError:
 the oracle takes groups of dimension up to 12, and `verify` uses 5 at most.
 
-The scan takes the p candidates X0 + tB that differ in the last coefficient
-as one row.  The first entry of the candidate's Gram matrix X^T J X is a
-quadratic in t, so only its roots mod p, found by evaluation, go on to the
-full Gram test, which reads the form as a signed permutation, compares
-first the entry that rejected the last candidate and stops at the first
-entry that differs from the form; det and the isometry check run only on a
-candidate that passes.  The same test, with det in SO, checks that u is in
-the group.  The intertwiner space comes from a row reduction that clears
+The standard form is read once per group, as a `_Form`: building one
+rejects the groups the oracle does not model, then lays out the basis and
+builds J as a signed permutation, and from it the Gram test and the plane
+filter of the lex scan.  The scan takes the p candidates X0 + tB that
+differ in the last coefficient as one row.  The first entry of the
+candidate's Gram matrix X^T J X is a quadratic in t, so only its roots mod
+p, found by evaluation in the plane filter, go on to the full Gram test,
+which compares first the entry that rejected the last candidate and stops
+at the first entry that differs from the form; det and the isometry check
+run only on a candidate that passes.  The same test, with det in SO, checks
+that u is in the group.  The intertwiner space comes from a row reduction that clears
 each pivot column with the pivot row's nonzero entries only, a few per row
 of the sparse intertwiner equations.
 
@@ -57,7 +60,7 @@ integer arithmetic in pure Python."""
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, count
 from math import ceil, gcd
@@ -416,36 +419,108 @@ def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ..
 # standard forms and isometries
 
 
-def _check_model(g: GroupSpec) -> None:
-    """Reject the groups that the matrix oracle does not model."""
-    if g.field_degree != 1:
-        raise InputError("the matrix oracle works over prime fields only")
-    if g.twist != 1:
-        raise InputError("the matrix oracle models the split even orthogonal form")
-    if 2 * g.p >= 1 << 63:
-        raise InputError("the matrix oracle packs entries in 8 bytes: p must be below 2^62")
+class _Form:
+    """The standard form of a group the oracle models, read once.  The basis
+    is v_1..v_n, then v_0 in SO_odd, then v_-n..v_-1; the form pairs v_i
+    with v_-i by sgn(i)^eps and no other pair, so J is the signed
+    permutation J[t][perm[t]] = coefs[t], built from the basis.  Building
+    one rejects the groups the oracle does not model."""
 
+    def __init__(self, g: GroupSpec):
+        if g.field_degree != 1:
+            raise InputError("the matrix oracle works over prime fields only")
+        if g.twist != 1:
+            raise InputError("the matrix oracle models the split even orthogonal form")
+        if 2 * g.p >= 1 << 63:
+            raise InputError("the matrix oracle packs entries in 8 bytes: p must be below 2^62")
+        n, p = g.n, g.p
+        self.p, self.special = p, g.family is not Family.SP
+        basis = [*range(1, n + 1), *([0] if g.family is Family.SO_ODD else []), *range(-n, 0)]
+        self.pos = {i: t for t, i in enumerate(basis)}
+        N = len(basis)
+        self.perm = perm = [self.pos[-i] for i in basis]
+        self.coefs = coefs = [(1 if i >= 0 else -1) ** g.form_eps % p for i in basis]
+        self.J = tuple(tuple(c if j == s else 0 for j in range(N)) for s, c in zip(perm, coefs))
+        # The Gram test: does X^T J X = J for a candidate X given by its
+        # row-major entries?  (X^T J X)_ab = sum_i c_i X[i][a] X[perm(i)][b],
+        # and X^T J X is symmetric or alternating with J, so the entries with
+        # a <= b decide.  They are compared with J one at a time, the
+        # pairings (a, perm(a)) first since an intertwiner most often fails
+        # there, and the test stops at the first mismatch.  An entry that
+        # rejects a candidate moves to the front, so the next candidate is
+        # compared there first: the candidates of one scan tend to fail at
+        # the same entry, however deep in the order it lies.
+        upper = [(a, perm[a]) for a in range(N) if a <= perm[a]]
+        upper += [(a, b) for a in range(N) for b in range(a, N) if b != perm[a]]
+        entries = [
+            (itemgetter(*[i * N + a for i in range(N)]),
+             itemgetter(*[perm[i] * N + b for i in range(N)]),
+             self.J[a][b])
+            for a, b in upper
+        ]
 
-def _basis_indices(g: GroupSpec) -> list[int]:
-    n = g.n
-    if g.family is Family.SO_ODD:
-        return list(range(1, n + 1)) + [0] + list(range(-n, 0))
-    return list(range(1, n + 1)) + list(range(-n, 0))
+        def preserves(flat: Sequence[int]) -> bool:
+            for rank, (left, right, want) in enumerate(entries):
+                if sum(map(mul, map(mul, coefs, left(flat)), right(flat))) % p != want:
+                    if rank:
+                        entries.insert(0, entries.pop(rank))
+                    return False
+            return True
+
+        self.preserves = preserves
+
+    def plane(
+        self, C: Sequence[int], B: Sequence[int]
+    ) -> Callable[[Sequence[int]], Iterator[Sequence[int]]]:
+        """For the plane Y + sC + tB of the lex scan, a function of Y that
+        yields, for each row s = 0, 1, ... in turn, the t (in increasing
+        order) at which entry (0, perm(0)) of the Gram matrix equals J's; no
+        other t can pass the Gram test.  With L_i(X) = X[i][0] and R_i(X) =
+        X[perm(i)][perm(0)], that entry is the quadratic form E(X) = sum_i c_i
+        L_i(X) R_i(X), so on the plane it is a0 + a1 s + a2 s^2 + (b0 + b1 s)
+        t + gamma t^2: the coefficients a0, a1 and b0 are read off Y once per
+        plane, the rest off C and B once.  The roots of each row's quadratic
+        in t are found by evaluating it at every t and kept per (constant,
+        linear) coefficient pair, of which there are at most p^2."""
+        p, perm, coefs = self.p, self.perm, self.coefs
+        N, want = len(perm), coefs[0]
+        left = itemgetter(*[i * N for i in range(N)])
+        right = itemgetter(*[perm[i] * N + perm[0] for i in range(N)])
+
+        def form(lx: Sequence[int], rz: Sequence[int]) -> int:
+            return sum(map(mul, map(mul, coefs, lx), rz))
+
+        lc, rc, lb, rb = left(C), right(C), left(B), right(B)
+        a2, b1, gamma = form(lc, rc), form(lc, rb) + form(lb, rc), form(lb, rb) % p
+        known: dict[tuple[int, int], Sequence[int]] = {}
+
+        def rows(y: Sequence[int]) -> Iterator[Sequence[int]]:
+            ly, ry = left(y), right(y)
+            a0 = form(ly, ry) - want
+            a1 = form(ly, rc) + form(lc, ry)
+            b0 = form(ly, rb) + form(lb, ry)
+            for s in count():
+                key = ((a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p)
+                roots = known.get(key)
+                if roots is None:
+                    c, b = key
+                    roots = known[key] = [t for t in range(p) if (c + t * (b + t * gamma)) % p == 0]
+                yield roots
+
+        return rows
 
 
 @lru_cache(maxsize=None)
+def _form(g: GroupSpec) -> _Form:
+    """The standard form of g, one per group: its Gram test keeps its entry
+    order from one call to the next."""
+    return _Form(g)
+
+
 def form_matrix(g: GroupSpec) -> Matrix:
     """Gram matrix of the standard form on the ordered basis: the pairing of
     v_i with v_{-i} is sgn(i)^eps, all other pairs vanish."""
-    idx = _basis_indices(g)
-    pos = {i: t for t, i in enumerate(idx)}
-    eps = g.form_eps
-    N = len(idx)
-    J = [[0] * N for _ in range(N)]
-    for i in idx:
-        sgn = 1 if i >= 0 else -1
-        J[pos[i]][pos[-i]] = sgn**eps % g.p
-    return mat(J)
+    return _form(g).J
 
 
 def is_isometry(m: Matrix, form: Matrix, p: int, special: bool = False) -> bool:
@@ -493,11 +568,10 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
     For odd p the Cayley transform preserves the form, has det 1 and keeps
     the Jordan type of e.
     """
-    _check_model(g)
-    p = g.p
+    form = _form(g)
+    p, pos = g.p, form.pos
     if ep.eps != g.form_eps or ep.total != g.dim:
         raise InputError("partition does not match the group")
-    pos = {i: t for t, i in enumerate(_basis_indices(g))}
     s = (-1) ** g.form_eps
     N = g.dim
     M = [[0] * N for _ in range(N)]
@@ -545,7 +619,7 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
                 z = next(zs)
                 if last is not None:
                     link({last: 1}, z)
-    e = mat_mul(mat(M), form_matrix(g), p)
+    e = mat_mul(mat(M), form.J, p)
     one = identity_matrix(N)
     plus = tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(one, e))
     u = mat_mul(plus, mat_inv(mat_sub(one, e, p), p), p)
@@ -563,9 +637,8 @@ def group_generators(g: GroupSpec) -> list[Matrix]:
     """Unipotent root elements (parameter 1) plus, for orthogonal groups, a
     torus element of non-trivial spinor norm; together they generate the
     finite group over the prime field."""
-    _check_model(g)
-    p = g.p
-    pos = {i: t for t, i in enumerate(_basis_indices(g))}
+    form = _form(g)
+    p, pos = g.p, form.pos
     n, N = g.n, g.dim
     inv2 = pow(2, -1, p)
 
@@ -601,9 +674,8 @@ def group_generators(g: GroupSpec) -> list[Matrix]:
     if g.family in (Family.SO_ODD, Family.SO_EVEN):
         zeta = _primitive_root(p)
         gens.append(elem({(1, 1): zeta - 1, (-1, -1): pow(zeta, -1, p) - 1}))
-    J = form_matrix(g)
     for m_ in gens:
-        if not is_isometry(m_, J, p, special=True):
+        if not is_isometry(m_, form.J, p, special=True):
             raise ArithmeticError("generator is not a special isometry")  # unreachable
     return gens
 
@@ -728,140 +800,28 @@ def _orbit_walk(g: GroupSpec, x0: bytes) -> _Walk:
     return _Walk(x0, _conjugators(g), _lanes(g.dim, g.p))
 
 
-def _signed_permutation(J: Matrix) -> tuple[list[int], list[int]]:
-    """J read as a signed permutation: J[i][s(i)] = c_i, zero elsewhere."""
-    s = [next(j for j in range(len(J)) if J[i][j]) for i in range(len(J))]
-    return s, [J[i][s[i]] for i in range(len(J))]
-
-
-@lru_cache(maxsize=None)
-def _gram_test(J: Matrix, p: int) -> Callable[[Sequence[int]], bool]:
-    """A test of X^T J X = J for a candidate X given by its row-major entries.
-    With J[i][s(i)] = c_i, (X^T J X)_ab = sum_i c_i X[i][a] X[s(i)][b].
-    X^T J X is symmetric or alternating with J, so the entries with a <= b
-    decide; they are compared with J one at a time, the pairings (a, s(a))
-    first since an intertwiner most often fails there, and the test stops at
-    the first mismatch.  An entry that rejects a candidate moves to the
-    front, so the next candidate is compared there first: the candidates of
-    one scan tend to fail at the same entry, however deep in the order it
-    lies."""
-    N = len(J)
-    s, coefs = _signed_permutation(J)
-    upper = [(a, s[a]) for a in range(N) if a <= s[a]]
-    upper += [(a, b) for a in range(N) for b in range(a, N) if b != s[a]]
-    entries = [
-        (itemgetter(*[i * N + a for i in range(N)]),
-         itemgetter(*[s[i] * N + b for i in range(N)]),
-         J[a][b])
-        for a, b in upper
-    ]
-
-    def preserves(flat: Sequence[int]) -> bool:
-        for rank, (left, right, want) in enumerate(entries):
-            if sum(map(mul, map(mul, coefs, left(flat)), right(flat))) % p != want:
-                if rank:
-                    entries.insert(0, entries.pop(rank))
-                return False
-        return True
-
-    return preserves
-
-
 def _is_element(g: GroupSpec, m: Matrix) -> bool:
     """Is the square matrix m, of the group's size, in g: does it pass the
     Gram test, with det 1 unless g is symplectic?  The same answer as
     `is_isometry` without its two dense products."""
-    return (_gram_test(form_matrix(g), g.p)(list(chain.from_iterable(m)))
-            and (g.family is Family.SP or det(m, g.p) == 1))
-
-
-def _plane_roots(
-    J: Matrix, p: int, C: Sequence[int], B: Sequence[int]
-) -> Callable[[Sequence[int]], Iterator[Sequence[int]]]:
-    """For the plane Y + sC + tB of the lex scan, a function of Y that
-    yields, for each row s = 0, 1, ... in turn, the t (in increasing order)
-    at which entry (0, s(0)) of the Gram matrix equals J's; no other t can
-    pass the Gram test.  With L_i(X) = X[i][0] and R_i(X) = X[s(i)][s(0)],
-    that entry is the quadratic form E(X) = sum_i c_i L_i(X) R_i(X), so on
-    the plane it is a0 + a1 s + a2 s^2 + (b0 + b1 s) t + gamma t^2: the
-    coefficients a0, a1 and b0 are read off Y once per plane, the rest off C
-    and B once.  The roots of each row's quadratic in t are found by
-    evaluating it at every t and kept per (constant, linear) coefficient
-    pair, of which there are at most p^2."""
-    N = len(J)
-    perm, coefs = _signed_permutation(J)
-    col = perm[0]
-    left = itemgetter(*[i * N for i in range(N)])
-    right = itemgetter(*[perm[i] * N + col for i in range(N)])
-
-    def form(lx: Sequence[int], rz: Sequence[int]) -> int:
-        return sum(map(mul, map(mul, coefs, lx), rz))
-
-    lc, rc, lb, rb = left(C), right(C), left(B), right(B)
-    a2, b1, gamma = form(lc, rc), form(lc, rb) + form(lb, rc), form(lb, rb) % p
-    known: dict[tuple[int, int], Sequence[int]] = {}
-
-    def rows(y: Sequence[int]) -> Iterator[Sequence[int]]:
-        ly, ry = left(y), right(y)
-        a0 = form(ly, ry) - J[0][col]
-        a1 = form(ly, rc) + form(lc, ry)
-        b0 = form(ly, rb) + form(lb, ry)
-        for s in count():
-            key = ((a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p)
-            roots = known.get(key)
-            if roots is None:
-                c, b = key
-                roots = known[key] = [t for t in range(p) if (c + t * (b + t * gamma)) % p == 0]
-            yield roots
-
-    return rows
-
-
-def _lex_rows(
-    basis: list[tuple[int, ...]], p: int, J: Matrix, special: bool
-) -> Generator[int, None, tuple[int, Matrix | None]]:
-    """The lexicographic scan of the intertwiner space, one row per step of
-    the generator.  A row is the p candidates X0 + tB, t = 0..p-1, for B the
-    last basis vector and X0 a combination of the others; rows come in lex
-    order of their coefficients, so candidate t of row r is scan step
-    rp + t + 1.  Only the t that `_plane_roots` returns go on to the full
-    Gram test, then det (when `special` is set), then the isometry check.
-    Yields the number of steps checked after each row without a witness;
-    returns the deciding step with the witness, the first accepted
-    candidate, or p^c + 1 with None when the scan runs out."""
-    N = len(J)
-    if not basis:  # the one candidate is X = 0, which is no isometry
-        return 2, None
-    if len(basis) > 1:
-        *outer, C, B = basis
-        width = p
-    else:
-        outer, C, B, width = [], (0,) * N * N, basis[0], 1
-    plane = _plane_roots(J, p, C, B)
-    preserves = _gram_test(J, p)
-    checked = 0
-    for y in _span(outer, _lanes(N, p)):
-        for s, roots in zip(range(width), plane(y)):
-            for t in roots:
-                flat = [(a + s * c + t * b) % p for a, c, b in zip(y, C, B)]
-                if not preserves(flat):
-                    continue
-                X = tuple(tuple(flat[i * N:(i + 1) * N]) for i in range(N))
-                if not special or det(X, p) == 1:
-                    if not is_isometry(X, J, p, special):
-                        raise ArithmeticError("lex witness check failed")  # unreachable
-                    return checked + t + 1, X
-            checked += p
-            yield checked
-    return checked + 1, None
+    form = _form(g)
+    return (form.preserves(list(chain.from_iterable(m)))
+            and (not form.special or det(m, g.p) == 1))
 
 
 class _LexScan:
-    """`_lex_rows` run on demand: `checked` counts the steps known not to
-    decide, and `step` and `witness` are set once the scan decides."""
+    """The lexicographic scan of the intertwiner space with the given basis,
+    run on demand one row at a time.  A row is the p candidates X0 + tB,
+    t = 0..p-1, for B the last basis vector and X0 a combination of the
+    others; rows come in lex order of their coefficients, so candidate t of
+    row r is scan step rp + t + 1.  Only the t that the form's plane filter
+    returns go on to the full Gram test, then det (in SO), then the isometry
+    check.  `checked` counts the steps known not to decide; once the scan
+    decides, `step` is the deciding step and `witness` the first accepted
+    candidate, or p^c + 1 and None when the scan runs out."""
 
-    def __init__(self, basis: list[tuple[int, ...]], p: int, J: Matrix, special: bool):
-        self.rows = _lex_rows(basis, p, J, special)
+    def __init__(self, form: _Form, basis: list[tuple[int, ...]]):
+        self.rows = self._rows(form, basis)
         self.checked = 0
         self.step: int | None = None
         self.witness: Matrix | None = None
@@ -870,11 +830,40 @@ class _LexScan:
         """Scan whole rows until `limit` steps are checked or the scan
         decides."""
         while self.step is None and self.checked < limit:
-            try:
-                self.checked = next(self.rows)
-            except StopIteration as done:
-                self.step, self.witness = done.value
-                self.checked = self.step - 1
+            self.checked = next(self.rows)
+
+    def _rows(self, form: _Form, basis: list[tuple[int, ...]]) -> Iterator[int]:
+        """Yields the steps checked after each row; the row that decides
+        sets `step` and `witness` first and is the last."""
+        p, N = form.p, len(form.J)
+        if not basis:  # the one candidate is X = 0, which is no isometry
+            self.step = 2
+            yield 1
+            return
+        if len(basis) > 1:
+            *outer, C, B = basis
+            width = p
+        else:
+            outer, C, B, width = [], (0,) * N * N, basis[0], 1
+        plane, preserves = form.plane(C, B), form.preserves
+        checked = 0
+        for y in _span(outer, _lanes(N, p)):
+            for s, roots in zip(range(width), plane(y)):
+                for t in roots:
+                    flat = [(a + s * c + t * b) % p for a, c, b in zip(y, C, B)]
+                    if not preserves(flat):
+                        continue
+                    X = tuple(tuple(flat[i * N:(i + 1) * N]) for i in range(N))
+                    if not form.special or det(X, p) == 1:
+                        if not is_isometry(X, form.J, p, form.special):
+                            raise ArithmeticError("lex witness check failed")  # unreachable
+                        self.step, self.witness = checked + t + 1, X
+                        yield checked + t
+                        return
+                checked += p
+                yield checked
+        self.step = checked + 1
+        yield checked
 
 
 _FIRST_HORIZON = 64  # steps the lex scan runs ahead before the walk first moves
@@ -911,18 +900,15 @@ def power_conjugacy_search(
     for the identity) and `walk_size` (the conjugates the kept walk holds
     after the call, u among them; None for the identity).
     """
-    _check_model(g)
-    p = g.p
+    form = _form(g)
+    p, N = g.p, g.dim
     if gcd(k, p) != 1:
         raise InputError("k must be coprime to p")
-    J = form_matrix(g)
-    N = len(J)
     if len(u) != N:
         raise InputError("dimension mismatch")
     u = tuple(tuple(int(x) % p for x in row) for row in u)
     if any(len(row) != N for row in u) or not _is_element(g, u):
         raise InputError("u is not an element of the group")
-    special = g.family is not Family.SP
     uk = mat_pow(u, k, p)
     if uk == u:
         if stats is not None:
@@ -930,7 +916,7 @@ def power_conjugacy_search(
                          lex_checked=0, walk_size=None)
         return identity_matrix(N)
     basis = nullspace(_intertwiner_equations(u, uk, p), p)
-    lex = _LexScan(basis, p, J, special)
+    lex = _LexScan(form, basis)
     lanes = _lanes(N, p)
     walk, target = _orbit_walk(g, lanes.key(u)), lanes.key(uk)
     horizon = min(_FIRST_HORIZON, budget)

@@ -312,7 +312,7 @@ def test_unipotent_rep_rejects():
     square = GroupSpec(Family.SP, 1, 9)
     twisted = GroupSpec(Family.SO_EVEN, 2, 3, -1)
     u = oracle.unipotent_rep(GroupSpec(Family.SO_EVEN, 2, 3, 1), EpsPartition(Partition([3, 1]), 0))
-    for call in (oracle.group_generators, oracle.class_census):
+    for call in (oracle.form_matrix, oracle.group_generators, oracle.class_census):
         with pytest.raises(InputError, match="prime fields"):
             call(square)
         with pytest.raises(InputError, match="split"):
@@ -446,9 +446,8 @@ def _non_identity_cells(g):
 
 def _lex_alone(g, u, uk):
     """The lex scan driven to its own decision: (step, witness)."""
-    J = oracle.form_matrix(g)
     basis = oracle.nullspace(oracle._intertwiner_equations(u, uk, g.p), g.p)
-    lex = oracle._LexScan(basis, g.p, J, g.family is not Family.SP)
+    lex = oracle._LexScan(oracle._form(g), basis)
     lex.scan(g.p ** len(basis) + 1)
     return lex.step, lex.witness
 
@@ -536,14 +535,14 @@ def _lockstep_walk(x0, conjugators, lanes, tree):
         level = grown
 
 
-def _lockstep_lex(basis, p, J, special):
+def _lockstep_lex(g, basis):
     # one candidate per step, in lex order, each through the full Gram test
-    N = len(J)
-    preserves = oracle._gram_test(J, p)
+    N, p = g.dim, g.p
+    preserves = oracle._form(g).preserves
     for flat in oracle._span(basis, oracle._lanes(N, p)):
         if preserves(flat):
             X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
-            if not special or oracle.det(X, p) == 1:
+            if g.family is Family.SP or oracle.det(X, p) == 1:
                 return X
         yield
     return None
@@ -575,9 +574,8 @@ def _lockstep_search(g, u, k, budget):
     non-identity cell."""
     p = g.p
     uk = oracle.mat_pow(u, k, p)
-    J = oracle.form_matrix(g)
     basis = oracle.nullspace(oracle._intertwiner_equations(u, uk, p), p)
-    searches = (("lex", _lockstep_lex(basis, p, J, g.family is not Family.SP)),
+    searches = (("lex", _lockstep_lex(g, basis)),
                 ("orbit", _lockstep_orbit(g, u, uk)))
     for rounds in range(1, budget + 1):
         for name, search in searches:
@@ -766,7 +764,7 @@ def _candidates(g):
 def _agrees_with_is_isometry(g, x):
     p = g.p
     J = oracle.form_matrix(g)
-    preserves = oracle._gram_test(J, p)
+    preserves = oracle._form(g).preserves
     flat = tuple(v for row in x for v in row)
     for special in (False, True):
         fast = preserves(flat) and (not special or oracle.det(x, p) == 1)
@@ -805,8 +803,8 @@ def test_plane_roots_keep_every_accepted_row_entry(case):
     col = next(j for j in range(N) if J[0][j])
     if degenerate:
         b = [0 if t % N in (0, col) else x for t, x in enumerate(b)]
-    preserves = oracle._gram_test(J, p)
-    rows = oracle._plane_roots(J, p, c, b)(y)
+    preserves = oracle._form(g).preserves
+    rows = oracle._form(g).plane(c, b)(y)
     for s in range(p):
         roots = list(next(rows))
         assert roots == sorted(set(roots))
