@@ -78,11 +78,9 @@ def _cmd_powmap(args) -> Iterator[dict]:
 
 
 def _cmd_gammadelta(args) -> Iterator[dict]:
-    n = args.a + args.b
-    if args.n not in (0, n):
-        raise InputError("rank must equal a + b for a principal series")
-    g = GroupSpec(Family(args.family), n, args.q, args.twist)
-    desc = SeriesDescriptor(g, True, n, args.a, args.b)
+    m = args.a + args.b
+    g = GroupSpec(Family(args.family), args.n or m, args.q, args.twist)
+    desc = SeriesDescriptor(g, True, m, args.a, args.b)
     sigma = GaloisElement(args.sigma_k, args.sigma_m)
     yield _answer({"family": g.family.value, "q": g.q, "a": args.a, "b": args.b,
                    "sigma_k": args.sigma_k, "sigma_m": args.sigma_m},

@@ -48,9 +48,9 @@ p, found by evaluation in the plane filter, go on to the full Gram test,
 which compares first the entry that rejected the last candidate and stops
 at the first entry that differs from the form; det and the isometry check
 run only on a candidate that passes.  The same test, with det in SO, checks
-that u is in the group.  The intertwiner space comes from a row reduction that clears
-each pivot column with the pivot row's nonzero entries only, a few per row
-of the sparse intertwiner equations.
+that u is in the group.  The intertwiner space comes from a row reduction
+that clears each pivot column with the pivot row's nonzero entries only, a
+few per row of the sparse intertwiner equations.
 
 Matrices are tuples of tuples of residues mod p at the interface.  The
 oracle works over prime fields and split forms only, with p < 2^62 so that
@@ -60,7 +60,7 @@ integer arithmetic in pure Python."""
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, count
 from math import ceil, gcd
@@ -504,7 +504,8 @@ class _Form:
                 roots = known.get(key)
                 if roots is None:
                     c, b = key
-                    roots = known[key] = [t for t in range(p) if (c + t * (b + t * gamma)) % p == 0]
+                    roots = known[key] = [
+                        t for t in range(p) if (c + t * (b + t * gamma)) % p == 0]
                 yield roots
 
         return rows
@@ -830,16 +831,21 @@ class _LexScan:
         """Scan whole rows until `limit` steps are checked or the scan
         decides."""
         while self.step is None and self.checked < limit:
-            self.checked = next(self.rows)
+            try:
+                self.checked = next(self.rows)
+            except StopIteration as done:
+                self.step, self.witness = done.value
+                self.checked = self.step - 1
 
-    def _rows(self, form: _Form, basis: list[tuple[int, ...]]) -> Iterator[int]:
-        """Yields the steps checked after each row; the row that decides
-        sets `step` and `witness` first and is the last."""
+    @staticmethod
+    def _rows(
+        form: _Form, basis: list[tuple[int, ...]]
+    ) -> Generator[int, None, tuple[int, Matrix | None]]:
+        """Yields the steps checked after each row without a witness; returns
+        the deciding step and the witness."""
         p, N = form.p, len(form.J)
         if not basis:  # the one candidate is X = 0, which is no isometry
-            self.step = 2
-            yield 1
-            return
+            return 2, None
         if len(basis) > 1:
             *outer, C, B = basis
             width = p
@@ -857,13 +863,10 @@ class _LexScan:
                     if not form.special or det(X, p) == 1:
                         if not is_isometry(X, form.J, p, form.special):
                             raise ArithmeticError("lex witness check failed")  # unreachable
-                        self.step, self.witness = checked + t + 1, X
-                        yield checked + t
-                        return
+                        return checked + t + 1, X
                 checked += p
                 yield checked
-        self.step = checked + 1
-        yield checked
+        return checked + 1, None
 
 
 _FIRST_HORIZON = 64  # steps the lex scan runs ahead before the walk first moves

@@ -112,7 +112,7 @@ def suite_relweyl() -> list[CheckResult]:
             w = SignedPerm(-i if i in rel.c_flips else i for i in range(1, desc.group.n + 1))
             yield desc, rel.c_length_parity == ("odd" if length(w) % 2 else "even")
 
-    qs = [3, 5, 7, 9, 11, 13, 25, 27]
+    qs = [3, 5, 7, 9, 11, 13, 17, 25, 27]
 
     def twist_cells():
         for q in qs:

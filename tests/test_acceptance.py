@@ -66,7 +66,7 @@ def test_criterion_4_wavefront_identity():
 def test_criterion_5_twist_sign_grid():
     t = time.time()
     results = [r for r in suite_relweyl() if r.name == "twist-sign-grid"]
-    assert [r.cells for r in results] == [1148]
+    assert [r.cells for r in results] == [1316]
     _report("criterion 5: twist-sign consistency grid", results, 1.0, time.time() - t)
 
 

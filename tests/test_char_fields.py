@@ -4,6 +4,7 @@ import pytest
 
 from charfield import oracle
 from charfield.char_fields import (
+    CharacterField,
     character_field,
     cuspidal_fixed,
     is_real_series,
@@ -13,6 +14,7 @@ from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement, gauss_sqrt_sign
 from charfield.groups import Family, GroupSpec
 from charfield.semisimple import (
+    CyclotomicSubfield,
     central_twist_action,
     class_from_dict,
     enumerate_classes,
@@ -236,3 +238,25 @@ def test_prediction_refuses_large_q_before_any_per_residue_work(monkeypatch, k, 
     monkeypatch.setattr("charfield.char_fields.gauss_sqrt_sign", no_signs)
     with pytest.raises(error):
         predicted_fixed_count_rank1(10**9 + 7, k)
+
+
+def _order_three_class():
+    g = GroupSpec(Family.SP, 1, 7)
+    return next(c for c in enumerate_classes(g, g.q + 1) if order_of(c) == 3)
+
+
+@pytest.mark.parametrize("g, cls, message", [
+    (GroupSpec(Family.SO_ODD, 1, 7), _cls("so-odd", 1, 7, [("0/1", 2)]), "symplectic groups"),
+    (GroupSpec(Family.SP, 1, 7), _order_three_class(), "order <= 2 classes"),
+])
+def test_cuspidal_fixed_rejections(g, cls, message):
+    with pytest.raises(InputError, match=message):
+        cuspidal_fixed(g, cls, GaloisElement(3, 28))
+
+
+def test_character_field_realness_from_its_base():
+    # the eigenvalues of a semisimple class of these duals come in inverse
+    # pairs, so every class stabiliser contains -1 and a non-real base is
+    # reached only by building the field: Q(zeta_5) is not real
+    assert not CharacterField(CyclotomicSubfield(5, (1,)), False, 3).is_real
+    assert CharacterField(CyclotomicSubfield(5, (1, 4)), False, 3).is_real

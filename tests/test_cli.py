@@ -6,6 +6,7 @@ import subprocess
 import sys
 from math import gcd, isqrt, prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import charfield
@@ -87,6 +88,20 @@ def test_gammadelta_rejects_bad_sigma(capsys):
                                   "--a", a, "--b", "1", "--sigma-k", k, "--sigma-m", m)
             assert code == 2 and out == "", (k, m, a)
             assert "invalid input" in err
+
+
+@pytest.mark.parametrize("n, ok", [("0", True), ("2", True), ("5", False), ("1", False),
+                                   ("-2", False)])
+def test_gammadelta_rank_is_a_plus_b(capsys, n, ok):
+    # a principal series has rank a + b; --n may only repeat it (0 leaves it
+    # out), and any other rank is malformed input with nothing printed
+    code, out, err = _run(capsys, "gammadelta", "--family", "sp", "--q", "3", "--a", "1",
+                          "--b", "1", "--n", n, "--sigma-k", "5", "--sigma-m", "12")
+    if ok:
+        assert code == 0 and json.loads(out)["result"]["gamma_delta"] == -1
+    else:
+        assert code == 2 and out == "", n
+        assert "invalid input" in err
 
 
 def test_symbol_and_wavefront(capsys):
@@ -299,7 +314,7 @@ def test_twist_sign_grid_keys_name_one_cell_each(monkeypatch):
     monkeypatch.setattr(verify, "_check", capture)
     assert all(r.ok for r in verify.suite_relweyl())
     keys = [key for key, _ in cells["twist-sign-grid"]]
-    assert len(keys) == len(set(keys)) == 1148
+    assert len(keys) == len(set(keys)) == 1316
 
 
 def _run_child(*argv, timeout=10):

@@ -5,6 +5,7 @@ from charfield.errors import InputError
 from charfield.galois_arith import (
     GaloisElement,
     PrimePowerAction,
+    SignedPrime,
     galois_from_prime_power,
     gauss_sqrt_sign,
     gauss_sum_exact,
@@ -171,3 +172,19 @@ def _lift(k: int, p: int) -> int:
         if t % 2:
             return t
     raise AssertionError
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SignedPrime(5, -1), r"sign must be \(-1\)\^\(\(p-1\)/2\)"),
+    (lambda: SignedPrime(7, 1), r"sign must be \(-1\)\^\(\(p-1\)/2\)"),
+    (lambda: GaloisElement(1, 4).compose(GaloisElement(1, 8)), "equal modulus"),
+    (lambda: PrimePowerAction(9, 1), "9 is not prime"),
+    (lambda: PrimePowerAction(3, -1), "r must be >= 0"),
+    (lambda: PrimePowerAction(2, 1, 0), "i_sign must be"),
+    (lambda: sqrt_p_sign(GaloisElement(1, 12), 5), "divisible by 4p"),
+    (lambda: sqrt_p_sign(GaloisElement(1, 20), 3), "divisible by 4p"),
+    (lambda: gauss_sum_exact(5, 10), "coprime to p"),
+])
+def test_rejections(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

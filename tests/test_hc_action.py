@@ -19,7 +19,7 @@ from charfield.hc_action import (
 )
 from charfield.weyl_b import SeriesDescriptor
 
-GRID_Q = [3, 5, 7, 9, 11, 13, 25, 27]
+GRID_Q = [3, 5, 7, 9, 11, 13, 17, 25, 27]
 GRID_ELL = [2, 3, 5, 7, 11]
 
 
@@ -146,3 +146,16 @@ def test_series_permutation():
     assert series_permutation(desc, GaloisElement(5, 12)) == "twist"  # (5/3) = -1
     so = SeriesDescriptor(GroupSpec(Family.SO_ODD, 2, 3), True, 2, 1, 1)
     assert series_permutation(so, GaloisElement(5, 12)) == "identity"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ComplementSign(3, 1), "bad complement sign"),
+    (lambda: ComplementSign(2, 0), "bad complement sign"),
+    (lambda: ComplementSign(1, -1), "only carries the value"),
+    (lambda: ComplementSign(1, 1) * ComplementSign(2, -1), "order mismatch"),
+    (lambda: index_sqrt_sign_h(_sp_desc(3), PrimePowerAction(3, 1)), "ell differs"),
+    (lambda: index_sqrt_sign_h(_sp_desc(5), PrimePowerAction(5, 0)), "ell differs"),
+])
+def test_rejections(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

@@ -92,3 +92,9 @@ def test_eps_partitions_are_the_admissible_ones():
                 else:
                     kept.append(parts)
             assert [ep.partition.parts for ep in eps_partitions(n, eps)] == kept, (n, eps)
+
+
+@pytest.mark.parametrize("eps", [2, -1])
+def test_eps_partition_rejects_eps(eps):
+    with pytest.raises(InputError, match="eps must be 0 or 1"):
+        EpsPartition(Partition([2]), eps)

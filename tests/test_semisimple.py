@@ -484,3 +484,11 @@ def test_action_law_at_large_order(sample, data):
     m = 4 * d // gcd(4, d)
     sigma, tau = GaloisElement(_unit(data, m), m), GaloisElement(_unit(data, m), m)
     assert sigma_image(cls, sigma.compose(tau)) == sigma_image(sigma_image(cls, tau), sigma)
+
+
+@pytest.mark.parametrize("q, frac", [(7, "1/7"), (7, "3/14"), (9, "1/3")])
+def test_class_from_dict_rejects_orders_divisible_by_p(q, frac):
+    data = {"family": "sp", "n": 1, "q": q,
+            "orbits": [{"frac": "0/1", "mult": 1}, {"frac": frac, "mult": 2}]}
+    with pytest.raises(InputError, match="coprime to p"):
+        class_from_dict(data)

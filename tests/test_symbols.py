@@ -167,3 +167,16 @@ def test_wavefront_component_stats():
     ep = wavefront_partition(2, 3, 0)
     a, delta = eps_stats(ep)
     assert a == 5 and delta == 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: special_symbol(1, 2), "delta must be 0 or 1"),
+    (lambda: special_symbol(-1, 1), "e must be >= 0"),
+    (lambda: special_symbol(0, 0), "e must be >= 1 for defect 0"),
+    (lambda: wavefront_partition(1, 1, 2), "delta must be 0 or 1"),
+    (lambda: wavefront_partition(-1, 1, 0), "e, f must be >= 0"),
+    (lambda: wavefront_partition(1, -1, 1), "e, f must be >= 0"),
+])
+def test_rejections(call, message):
+    with pytest.raises(InputError, match=message):
+        call()

@@ -182,3 +182,15 @@ def test_descriptor_invariants():
         SeriesDescriptor(GroupSpec(Family.SP, 2, 3), True, 2, 1, 2)
     with pytest.raises(InputError):
         SeriesDescriptor(GroupSpec(Family.SP, 2, 3), False, 1, 1, 0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SignedPerm((1, 1)), "signed permutation"),
+    (lambda: SignedPerm((0,)), "signed permutation"),
+    (lambda: SignedPerm((1, -3)), "signed permutation"),
+    (lambda: SignedPerm((1, 2)) * SignedPerm((1,)), "rank mismatch"),
+    (lambda: special_element(3, "v", 1), "kind must be"),
+])
+def test_rejections(call, message):
+    with pytest.raises(InputError, match=message):
+        call()
