@@ -48,9 +48,11 @@ p, found by evaluation in the plane filter, go on to the full Gram test,
 which compares first the entry that rejected the last candidate and stops
 at the first entry that differs from the form; det and the isometry check
 run only on a candidate that passes.  The same test, with det in SO, checks
-that u is in the group.  The intertwiner space comes from a row reduction
-that clears each pivot column with the pivot row's nonzero entries only, a
-few per row of the sparse intertwiner equations.
+that u is in the group, once per kept walk: when the walk of (group, u) is
+first kept, not again for each k.  The equations X u = uk X of the
+intertwiner space are built as sparse rows from the entries at which u and
+uk differ from the identity, and reduced sparsely to the canonical basis of
+the kernel; the dense row reduction serves det, rank and inverses.
 
 Matrices are tuples of tuples of residues mod p at the interface.  The
 oracle works over prime fields and split forms only, with p < 2^62 so that
@@ -186,8 +188,7 @@ def _rref(a: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int
     the product of the pivots with the sign of the row swaps).  For a square
     matrix with a pivot in every column that product is the determinant.
     A pivot column is cleared with the pivot row's nonzero entries only, so
-    a sparse row, as most rows of an intertwiner system are, costs a few
-    updates per row it clears."""
+    a sparse row costs a few updates per row it clears."""
     rows = [[x % p for x in row] for row in a]
     nrows, ncols = len(rows), len(rows[0]) if rows else 0
     pivots = []
@@ -240,20 +241,50 @@ def mat_inv(a: Matrix, p: int) -> Matrix:
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def nullspace(a: list[list[int]], p: int) -> list[tuple[int, ...]]:
+def _kernel(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[tuple[int, ...]]:
+    """Canonical basis of the kernel of the equations given as sparse rows,
+    {column: residue mod p}, which it consumes: one vector per free column
+    of the reduced row echelon form, so it depends only on the kernel.  The
+    form is built one row at a time and kept reduced: a kept row is stored
+    by its pivot column, the least column it touches, without its pivot
+    entry (1) and with 0 at every other pivot column.  A new row is cleared
+    at the pivot columns it touches, scaled to a kept row if anything is
+    left, and its pivot column cleared from the rows already kept; every
+    step touches only nonzero entries."""
+    echelon: dict[int, dict[int, int]] = {}
+    for row in rows:
+        for c in [c for c in row if c in echelon]:
+            f = row.pop(c)
+            for j, y in echelon[c].items():
+                row[j] = (row[j] - f * y) % p if j in row else -f * y % p
+        support = {j: x for j, x in row.items() if x}
+        if not support:
+            continue
+        c = min(support)
+        inv = pow(support.pop(c), -1, p)
+        top = {j: x * inv % p for j, x in support.items()}
+        for kept in echelon.values():
+            if c in kept:
+                f = kept.pop(c)
+                for j, y in top.items():
+                    kept[j] = (kept[j] - f * y) % p if j in kept else -f * y % p
+        echelon[c] = top
+    vectors = {c: [0] * ncols for c in range(ncols) if c not in echelon}
+    for c, v in vectors.items():
+        v[c] = 1
+    for c, top in echelon.items():
+        for j, y in top.items():
+            if y:
+                vectors[j][c] = -y % p
+    return [tuple(v) for v in vectors.values()]
+
+
+def nullspace(a: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
     """Canonical basis of the kernel of the matrix (rows = equations): one
-    vector per free column of the RREF, so it depends only on the kernel."""
+    vector per free column of the RREF, so it depends only on the kernel.
+    Each dense row is read as a sparse one and reduced by `_kernel`."""
     ncols = len(a[0]) if a else 0
-    rows, pivots, _ = _rref(a, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-rows[r][fc]) % p
-        basis.append(tuple(v))
-    return basis
+    return _kernel(({j: x % p for j, x in enumerate(row) if x % p} for row in a), ncols, p)
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +402,22 @@ class _Batch:
         return y
 
 
-def _intertwiner_equations(u: Matrix, uk: Matrix, p: int) -> list[list[int]]:
-    """The linear equations of X u = uk X in the row-major entries of X,
-    one per entry (i, j): row i of X times column j of u, less row i of uk
-    times column j of X."""
+def _intertwiner_basis(u: Matrix, uk: Matrix, p: int) -> list[tuple[int, ...]]:
+    """The canonical basis (`_kernel`) of the X, as row-major entries, with
+    X u = uk X, that is X d = dk X for d = u - 1 and dk = uk - 1: one
+    sparse equation per entry (i, j) with a term, in which an entry
+    (t, j, c) of d puts c at X[i][t] and an entry (i, t, c) of dk puts -c at
+    X[t][j].  For a unipotent u, d and dk have a few entries each."""
     N = len(u)
-    columns = list(zip(*u))
-    eqs = []
-    for i in range(N):
+    eqs: dict[int, dict[int, int]] = {}
+    for t, j, c in _offsets(u, p):
+        for i in range(N):
+            eqs.setdefault(i * N + j, {})[i * N + t] = c
+    for i, t, c in _offsets(uk, p):
         for j in range(N):
-            row = [0] * (i * N) + list(columns[j]) + [0] * ((N - 1 - i) * N)
-            for t in range(N):
-                row[t * N + j] = (row[t * N + j] - uk[i][t]) % p
-            eqs.append(row)
-    return eqs
+            eq = eqs.setdefault(i * N + j, {})
+            eq[t * N + j] = (eq.get(t * N + j, 0) - c) % p
+    return _kernel(eqs.values(), N * N, p)
 
 
 def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ...]]:
@@ -797,8 +830,13 @@ def _orbit_walk(g: GroupSpec, x0: bytes) -> _Walk:
     (g, x0): the power-map search grows it toward each call's target, so
     every k and every later call with an equal u start from the conjugates
     already found.  The key is the packed matrix, so u may be given as
-    lists of lists."""
-    return _Walk(x0, _conjugators(g), _lanes(g.dim, g.p))
+    lists of lists.  x0 is tested for membership in g (`_is_element`) only
+    here, when its walk is first kept: a matrix outside g raises InputError
+    on every call, and nothing is kept for it."""
+    lanes = _lanes(g.dim, g.p)
+    if not _is_element(g, lanes.matrix(x0)):
+        raise InputError("u is not an element of the group")
+    return _Walk(x0, _conjugators(g), lanes)
 
 
 def _is_element(g: GroupSpec, m: Matrix) -> bool:
@@ -893,8 +931,11 @@ def power_conjugacy_search(
     once that is known, and the walk follows only as far as it must to tell
     which step is smaller.  The walk of (g, u) is kept
     (`_orbit_walk`) and grown further by later calls; a call that leaves it
-    past CENSUS_CAP conjugates drops every kept walk.  A smaller step above
-    `budget` raises; the search never truncates.
+    past CENSUS_CAP conjugates drops every kept walk.  u is tested for
+    membership in g when its walk is first kept, not again while the walk
+    is kept; the intertwiner space is solved from sparse equations
+    (`_intertwiner_basis`).  A smaller step above `budget` raises; the
+    search never truncates.
 
     A dict passed as `stats` is filled with what decided: `decided_by`
     (`identity`, `lex` or `orbit`), `rounds` (the smaller deciding step, 0
@@ -910,18 +951,19 @@ def power_conjugacy_search(
     if len(u) != N:
         raise InputError("dimension mismatch")
     u = tuple(tuple(int(x) % p for x in row) for row in u)
-    if any(len(row) != N for row in u) or not _is_element(g, u):
+    if any(len(row) != N for row in u):
         raise InputError("u is not an element of the group")
+    lanes = _lanes(N, p)
+    walk = _orbit_walk(g, lanes.key(u))  # tests that u is in g, once per kept walk
     uk = mat_pow(u, k, p)
     if uk == u:
         if stats is not None:
             stats.update(decided_by="identity", rounds=0, intertwiner_dim=None,
                          lex_checked=0, walk_size=None)
         return identity_matrix(N)
-    basis = nullspace(_intertwiner_equations(u, uk, p), p)
+    basis = _intertwiner_basis(u, uk, p)
     lex = _LexScan(form, basis)
-    lanes = _lanes(N, p)
-    walk, target = _orbit_walk(g, lanes.key(u)), lanes.key(uk)
+    target = lanes.key(uk)
     horizon = min(_FIRST_HORIZON, budget)
     try:
         while True:

@@ -253,28 +253,27 @@ def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
             _type_string([("B", a), ("B", b)]),
         )
 
-    if g.family is Family.SP:
-        if desc.principal:
-            if b < 1:
-                raise InputError(
-                    "symplectic principal row needs b >= 1 "
-                    "(the all-trivial character gives a unipotent series with trivial complement)"
-                )
-            return RelativeWeylGroup(
-                _type_string([("B", a), ("B", b)]),
-                _type_string([("B", a), ("D", b)]),
-                (n,),
+    # Family.SP, the one family left
+    if desc.principal:
+        if b < 1:
+            raise InputError(
+                "symplectic principal row needs b >= 1 "
+                "(the all-trivial character gives a unipotent series with trivial complement)"
             )
-        # Non-principal symplectic row: complement of order two generated by
-        # t_m.  Imported from the standard normaliser structure rather than
-        # derived in this package; flagged so consumers can tell.
-        if m < 1:
-            raise InputError("t_m needs 1 <= m <= n")
         return RelativeWeylGroup(
             _type_string([("B", a), ("B", b)]),
             _type_string([("B", a), ("D", b)]),
-            (m,),
-            externally_sourced=True,
+            (n,),
         )
+    # Non-principal symplectic row: complement of order two generated by
+    # t_m.  Imported from the standard normaliser structure rather than
+    # derived in this package; flagged so consumers can tell.
+    if m < 1:
+        raise InputError("t_m needs 1 <= m <= n")
+    return RelativeWeylGroup(
+        _type_string([("B", a), ("B", b)]),
+        _type_string([("B", a), ("D", b)]),
+        (m,),
+        externally_sourced=True,
+    )
 
-    raise InputError("no relative Weyl table for this family")

@@ -107,21 +107,25 @@ def _sparse_or_dense(p, nrows, ncols):
     return st.integers(0, 4).flatmap(rows)
 
 
+def _kernel_from_rref(rows, pivots, ncols, p):
+    # one kernel vector per free column of a reduced row echelon form
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc] % p
+        basis.append(tuple(v))
+    return basis
+
+
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 7), st.integers(1, 8), st.data())
 @settings(max_examples=300, deadline=None)
 def test_elimination_agrees_with_dense(p, nrows, ncols, data):
     a = data.draw(_sparse_or_dense(p, nrows, ncols))
     rows, pivots, _ = _dense_rref(a, p)
     assert oracle.rank(oracle.mat(a), p) == len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc] % p
-        basis.append(tuple(v))
-    assert oracle.nullspace(a, p) == basis
+    assert oracle.nullspace(a, p) == _kernel_from_rref(rows, pivots, ncols, p)
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 6), st.data())
@@ -446,7 +450,7 @@ def _non_identity_cells(g):
 
 def _lex_alone(g, u, uk):
     """The lex scan driven to its own decision: (step, witness)."""
-    basis = oracle.nullspace(oracle._intertwiner_equations(u, uk, g.p), g.p)
+    basis = oracle._intertwiner_basis(u, uk, g.p)
     lex = oracle._LexScan(oracle._form(g), basis)
     lex.scan(g.p ** len(basis) + 1)
     return lex.step, lex.witness
@@ -505,7 +509,7 @@ def test_lex_scan_on_a_one_vector_intertwiner_space():
     u = ((3, 0, 0), (0, 1, 0), (0, 0, 5))
     for k in (2, 3, 4):
         uk = oracle.mat_pow(u, k, g.p)
-        assert oracle.nullspace(oracle._intertwiner_equations(u, uk, g.p), g.p) == [
+        assert oracle._intertwiner_basis(u, uk, g.p) == [
             (0, 0, 0, 0, 1, 0, 0, 0, 0)]
         assert _lex_alone(g, u, uk) == (8, None), k
         # the walk closes u's class, |SO3(F7)| / |torus| = 336 / 6 = 56
@@ -513,6 +517,37 @@ def test_lex_scan_on_a_one_vector_intertwiner_space():
         stats = {}
         assert oracle.power_conjugacy_search(g, u, k, stats=stats) is None
         assert (stats["decided_by"], stats["rounds"], stats["intertwiner_dim"]) == ("lex", 8, 1)
+
+
+def _dense_intertwiner_basis(u, uk, p):
+    # the equations of X u = uk X as dense rows, one per entry (i, j), and
+    # the basis read off their reduction by the dense oracle._rref
+    N = len(u)
+    eqs = []
+    for i in range(N):
+        for j in range(N):
+            row = [0] * (N * N)
+            for t in range(N):
+                row[i * N + t] += u[t][j]
+                row[t * N + j] -= uk[i][t]
+            eqs.append(row)
+    rows, pivots, _ = oracle._rref(eqs, p)
+    return _kernel_from_rref(rows, pivots, N * N, p)
+
+
+def test_sparse_intertwiner_basis_is_the_dense_one():
+    # every (g, u, k) of verify's powmap grid, the identity cells among them,
+    # and the torus element of SO3(F7) at every k: the one-vector space at
+    # k = 2, 3, 4, and at k = 1 and 5 equations in which the diagonal terms
+    # of u - 1 and u^k - 1 meet and cancel (u^5 = diag(5, 1, 3))
+    cases = [(u, oracle.mat_pow(u, k, g.p), g.p)
+             for g in _POWMAP_GROUPS for ep in eps_partitions(g.dim, g.form_eps)
+             for u in [oracle.unipotent_rep(g, ep)] for k in range(1, g.q)]
+    assert len(cases) == 132
+    u = ((3, 0, 0), (0, 1, 0), (0, 0, 5))
+    cases += [(u, oracle.mat_pow(u, k, 7), 7) for k in range(1, 7)]
+    for u, uk, p in cases:
+        assert oracle._intertwiner_basis(u, uk, p) == _dense_intertwiner_basis(u, uk, p), (u, uk)
 
 
 def _lockstep_walk(x0, conjugators, lanes, tree):
@@ -574,7 +609,7 @@ def _lockstep_search(g, u, k, budget):
     non-identity cell."""
     p = g.p
     uk = oracle.mat_pow(u, k, p)
-    basis = oracle.nullspace(oracle._intertwiner_equations(u, uk, p), p)
+    basis = oracle._intertwiner_basis(u, uk, p)
     searches = (("lex", _lockstep_lex(g, basis)),
                 ("orbit", _lockstep_orbit(g, u, uk)))
     for rounds in range(1, budget + 1):
@@ -960,6 +995,39 @@ def test_walk_cache_keyed_by_entries():
     for k in range(2, 7):
         assert _powmap_line(g, ep, listed, k) == _powmap_line(g, ep, u, k), k
     assert oracle._orbit_walk.cache_info().currsize == 1
+
+
+def test_element_test_once_per_kept_walk(monkeypatch):
+    # u's element test runs when its walk is first kept, not once per k
+    g = GroupSpec(Family.SP, 2, 7)
+    u = oracle.unipotent_rep(g, EpsPartition(Partition([2, 1, 1]), 1))
+    is_element, tested = oracle._is_element, []
+
+    def counted(g, m):
+        tested.append(m)
+        return is_element(g, m)
+
+    monkeypatch.setattr(oracle, "_is_element", counted)
+    oracle._orbit_walk.cache_clear()
+    for k in range(2, g.p):
+        oracle.power_conjugacy_search(g, u, k)
+    assert len(tested) == 1
+    # a non-element raises on every call and keeps no walk
+    kept = oracle._orbit_walk.cache_info().currsize
+    bad = tuple(tuple(2 * x % g.p for x in row) for row in u)
+    for _ in range(2):
+        with pytest.raises(InputError, match="not an element"):
+            oracle.power_conjugacy_search(g, bad, 3)
+    assert len(tested) == 3
+    assert oracle._orbit_walk.cache_info().currsize == kept
+    # lists with entries shifted by p reach the same walk and no new test
+    shifted = [[x + g.p for x in row] for row in u]
+    assert oracle.power_conjugacy_search(g, shifted, 3) == oracle.power_conjugacy_search(g, u, 3)
+    assert len(tested) == 3 and oracle._orbit_walk.cache_info().currsize == kept
+    # once the kept walks are dropped, the next call tests u again
+    oracle._orbit_walk.cache_clear()
+    oracle.power_conjugacy_search(g, u, 3)
+    assert len(tested) == 4
 
 
 def test_budget_on_warm_walks():
