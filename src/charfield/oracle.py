@@ -51,8 +51,9 @@ run only on a candidate that passes.  The same test, with det in SO, checks
 that u is in the group, once per kept walk: when the walk of (group, u) is
 first kept, not again for each k.  The equations X u = uk X of the
 intertwiner space are built as sparse rows from the entries at which u and
-uk differ from the identity, and reduced sparsely to the canonical basis of
-the kernel; the dense row reduction serves det, rank and inverses.
+uk differ from the identity, and reduced to the canonical basis of the
+kernel by the module's one row reduction, sparse and a row at a time, which
+det, rank and inverses share.
 
 Matrices are tuples of tuples of residues mod p at the interface.  The
 oracle works over prime fields and split forms only, with p < 2^62 so that
@@ -64,9 +65,9 @@ from __future__ import annotations
 import struct
 from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import chain, count
+from itertools import chain, combinations, count, starmap
 from math import ceil, gcd
-from operator import itemgetter, mul
+from operator import gt, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InputError
@@ -183,108 +184,99 @@ def mat_sub(a: Matrix, b: Matrix, p: int) -> Matrix:
         raise InputError(f"cannot subtract {_shape(b)} from {_shape(a)}") from None
 
 
-def _rref(a: Iterable[Sequence[int]], p: int) -> tuple[list[list[int]], list[int], int]:
-    """Reduced row echelon form of a mod p; returns (rows, pivot columns,
-    the product of the pivots with the sign of the row swaps).  For a square
-    matrix with a pivot in every column that product is the determinant.
-    A pivot column is cleared with the pivot row's nonzero entries only, so
-    a sparse row costs a few updates per row it clears."""
-    rows = [[x % p for x in row] for row in a]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    scale = 1
-    r = 0
-    for c in range(ncols):
-        for pivot in range(r, nrows):
-            if rows[pivot][c]:
-                break
-        else:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            scale = -scale
-        scale = scale * rows[r][c] % p
-        inv = pow(rows[r][c], -1, p)
-        top = rows[r]
-        support = [(j, y * inv % p) for j, y in enumerate(top) if y]
-        for j, y in support:
-            top[j] = y
-        for row in rows:
-            f = row[c]
-            if f and row is not top:
-                for j, y in support:
-                    row[j] = (row[j] - f * y) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots, scale
-
-
-def rank(a: Matrix, p: int) -> int:
-    return len(_rref(a, p)[1])
-
-
-def det(a: Matrix, p: int) -> int:
-    _square(a, "det")
-    _, pivots, scale = _rref(a, p)
-    return scale if len(pivots) == len(a) else 0
-
-
-def mat_inv(a: Matrix, p: int) -> Matrix:
-    _square(a, "an inverse")
-    n = len(a)
-    rows, pivots, _ = _rref([list(r) + [1 if i == j else 0 for j in range(n)]
-                             for i, r in enumerate(a)], p)
-    if pivots != list(range(n)):
-        raise InputError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
-
-
-def _kernel(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[tuple[int, ...]]:
-    """Canonical basis of the kernel of the equations given as sparse rows,
-    {column: residue mod p}, which it consumes: one vector per free column
-    of the reduced row echelon form, so it depends only on the kernel.  The
-    form is built one row at a time and kept reduced: a kept row is stored
-    by its pivot column, the least column it touches, without its pivot
-    entry (1) and with 0 at every other pivot column.  A new row is cleared
-    at the pivot columns it touches, scaled to a kept row if anything is
-    left, and its pivot column cleared from the rows already kept; every
-    step touches only nonzero entries."""
+def _echelon(rows: Iterable[dict[int, int]], p: int) -> tuple[dict[int, dict[int, int]], int]:
+    """The reduced row echelon form of the sparse rows {column: nonzero
+    residue mod p}, which it consumes, and the product of the pivots scaled
+    out (0 once a row reduces to zero).  A new row is cleared at the kept
+    pivot columns, scaled to 1 at its least column if anything is left, and
+    that column cleared from the kept rows.  A kept row is stored by its
+    pivot column, in the order of the rows that gave it, without its pivot
+    entry and the other pivot columns; only nonzero entries are touched or
+    stored.  For a square matrix of full rank the determinant is the product
+    times the sign of the order of the pivot columns."""
     echelon: dict[int, dict[int, int]] = {}
+    scale = 1
     for row in rows:
-        for c in [c for c in row if c in echelon]:
+        for c in row.keys() & echelon.keys():
             f = row.pop(c)
             for j, y in echelon[c].items():
-                row[j] = (row[j] - f * y) % p if j in row else -f * y % p
-        support = {j: x for j, x in row.items() if x}
-        if not support:
+                if x := (row.get(j, 0) - f * y) % p:
+                    row[j] = x
+                else:
+                    del row[j]
+        if not row:
+            scale = 0
             continue
-        c = min(support)
-        inv = pow(support.pop(c), -1, p)
-        top = {j: x * inv % p for j, x in support.items()}
+        c = min(row)
+        pivot = row.pop(c)
+        scale = scale * pivot % p
+        if pivot != 1:
+            inv = pow(pivot, -1, p)
+            row = {j: x * inv % p for j, x in row.items()}
         for kept in echelon.values():
             if c in kept:
                 f = kept.pop(c)
-                for j, y in top.items():
-                    kept[j] = (kept[j] - f * y) % p if j in kept else -f * y % p
-        echelon[c] = top
+                for j, y in row.items():
+                    if x := (kept.get(j, 0) - f * y) % p:
+                        kept[j] = x
+                    else:
+                        del kept[j]
+        echelon[c] = row
+    return echelon, scale
+
+
+def _kernel(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[tuple[int, ...]]:
+    """Canonical basis of the kernel of the sparse rows (`_echelon`), one
+    vector per free column, so it depends only on the kernel."""
+    echelon, _ = _echelon(rows, p)
     vectors = {c: [0] * ncols for c in range(ncols) if c not in echelon}
     for c, v in vectors.items():
         v[c] = 1
     for c, top in echelon.items():
         for j, y in top.items():
-            if y:
-                vectors[j][c] = -y % p
+            vectors[j][c] = -y % p
     return [tuple(v) for v in vectors.values()]
+
+
+def _sparse(a: Sequence[Sequence[int]], p: int, what: str) -> list[dict[int, int]]:
+    """a's rows as sparse rows for `_echelon`, their nonzero residues mod p
+    by column; a ragged a raises InputError."""
+    if len(set(map(len, a))) > 1:
+        raise InputError(f"{what} needs rows of one length, not {_shape(a)}")
+    return [{j: y for j, x in enumerate(row) if (y := x % p)} for row in a]
+
+
+def rank(a: Matrix, p: int) -> int:
+    return len(_echelon(_sparse(a, p, "rank"), p)[0])
+
+
+def det(a: Matrix, p: int) -> int:
+    _square(a, "det")
+    echelon, scale = _echelon(_sparse(a, p, "det"), p)
+    inversions = sum(starmap(gt, combinations(echelon, 2)))  # of the pivot order
+    return -scale % p if inversions % 2 else scale
+
+
+def mat_inv(a: Matrix, p: int) -> Matrix:
+    """a^-1 mod p, row c read off the kept row of pivot column c of [a | I]."""
+    _square(a, "an inverse")
+    n = len(a)
+    rows = _sparse(a, p, "an inverse")
+    for i, row in enumerate(rows):
+        row[n + i] = 1
+    echelon, _ = _echelon(rows, p)
+    if any(c not in echelon for c in range(n)):
+        raise InputError("matrix is singular")
+    return tuple(tuple(echelon[c].get(n + j, 0) for j in range(n)) for c in range(n))
 
 
 def nullspace(a: Sequence[Sequence[int]], p: int) -> list[tuple[int, ...]]:
     """Canonical basis of the kernel of the matrix (rows = equations): one
-    vector per free column of the RREF, so it depends only on the kernel.
-    Each dense row is read as a sparse one and reduced by `_kernel`."""
+    vector per free column of the reduced row echelon form, so it depends
+    only on the kernel.  The dense rows are read as sparse ones and reduced
+    by `_kernel`; ragged rows raise InputError."""
     ncols = len(a[0]) if a else 0
-    return _kernel(({j: x % p for j, x in enumerate(row) if x % p} for row in a), ncols, p)
+    return _kernel(_sparse(a, p, "nullspace"), ncols, p)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +399,9 @@ def _intertwiner_basis(u: Matrix, uk: Matrix, p: int) -> list[tuple[int, ...]]:
     X u = uk X, that is X d = dk X for d = u - 1 and dk = uk - 1: one
     sparse equation per entry (i, j) with a term, in which an entry
     (t, j, c) of d puts c at X[i][t] and an entry (i, t, c) of dk puts -c at
-    X[t][j].  For a unipotent u, d and dk have a few entries each."""
+    X[t][j]; two terms on one unknown are summed, and a sum of 0 is left out,
+    as `_echelon` takes nonzero entries only.  For a unipotent u, d and dk
+    have a few entries each."""
     N = len(u)
     eqs: dict[int, dict[int, int]] = {}
     for t, j, c in _offsets(u, p):
@@ -416,7 +410,10 @@ def _intertwiner_basis(u: Matrix, uk: Matrix, p: int) -> list[tuple[int, ...]]:
     for i, t, c in _offsets(uk, p):
         for j in range(N):
             eq = eqs.setdefault(i * N + j, {})
-            eq[t * N + j] = (eq.get(t * N + j, 0) - c) % p
+            if x := (eq.get(t * N + j, 0) - c) % p:
+                eq[t * N + j] = x
+            else:
+                del eq[t * N + j]
     return _kernel(eqs.values(), N * N, p)
 
 
@@ -572,6 +569,9 @@ def is_isometry(m: Matrix, form: Matrix, p: int, special: bool = False) -> bool:
 
 
 def jordan_type(u: Matrix, p: int) -> Partition:
+    """The Jordan type of the unipotent u: with r_i the rank of (u - 1)^i,
+    r_(s-1) - r_s blocks have size >= s.  The ranks stop falling above 0
+    only when u is not unipotent, which raises InputError."""
     n = len(u)
     m = mat_sub(u, identity_matrix(n), p)
     ranks = [n]
@@ -579,12 +579,10 @@ def jordan_type(u: Matrix, p: int) -> Partition:
     while ranks[-1] > 0:
         power = mat_mul(power, m, p)
         ranks.append(rank(power, p))
-    at_least = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-    parts = []
-    for size in range(len(at_least), 0, -1):
-        count = at_least[size - 1] - (at_least[size] if size < len(at_least) else 0)
-        parts.extend([size] * count)
-    return Partition(sorted(parts, reverse=True))
+        if ranks[-1] == ranks[-2]:
+            raise InputError("u is not unipotent")
+    drops = [r - s for r, s in zip(ranks, ranks[1:])]  # blocks of size >= 1, 2, ...
+    return Partition([sum(d >= j for d in drops) for j in range(1, n + 1)])
 
 
 def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:

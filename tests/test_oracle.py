@@ -201,6 +201,9 @@ def test_product_size_cap(rows, inner):
     pytest.param(oracle.mat_pow, (((1, 2, 3), (4, 5, 6)), 1, 7), ["2x3"], id="mat_pow-e1"),
     pytest.param(oracle.mat_pow, (((1, 2), (3,)), 1, 7), ["[2, 1]"], id="mat_pow-ragged"),
     pytest.param(oracle.mat_inv, (((1, 0, 0), (0, 1, 0)), 7), ["2x3"], id="mat_inv"),
+    pytest.param(oracle.rank, (((1, 2), (3,)), 5), ["[2, 1]"], id="rank-ragged"),
+    pytest.param(oracle.rank, (((1,), (3, 4)), 5), ["[1, 2]"], id="rank-ragged-short-first"),
+    pytest.param(oracle.nullspace, (((1, 2, 3), (4, 5)), 7), ["[3, 2]"], id="nullspace-ragged"),
     pytest.param(oracle.mat_sub, (((1, 2), (3, 4)), ((1,),), 7), ["2x2", "1x1"], id="mat_sub"),
     pytest.param(oracle.transpose, (((1, 2), (3,)),), ["[2, 1]"], id="transpose"),
     pytest.param(oracle.is_isometry, (((1, 0), (0, 1, 5)), ((0, 1), (6, 0)), 7), ["[2, 3]"],
@@ -302,6 +305,14 @@ def test_unipotent_reps_full_grid():
             u = oracle.unipotent_rep(g, ep)
             assert oracle.is_isometry(u, J, g.p, special=special)
             assert oracle.jordan_type(u, g.p) == ep.partition
+
+
+def test_jordan_type_rejects_a_matrix_that_is_not_unipotent():
+    # the ranks of (u - 1)^i stop falling above 0: 1, 1 for diag(2, 1) mod 5
+    # and 2, 2 for the torus element diag(3, 1, 5) of SO3(F7)
+    for u, p in [(((2, 0), (0, 1)), 5), (((3, 0, 0), (0, 1, 0), (0, 0, 5)), 7)]:
+        with pytest.raises(InputError, match="u is not unipotent"):
+            oracle.jordan_type(u, p)
 
 
 def test_unipotent_rep_rejects():
@@ -521,7 +532,8 @@ def test_lex_scan_on_a_one_vector_intertwiner_space():
 
 def _dense_intertwiner_basis(u, uk, p):
     # the equations of X u = uk X as dense rows, one per entry (i, j), and
-    # the basis read off their reduction by the dense oracle._rref
+    # the basis read off their reduction by this file's _dense_rref, which
+    # shares no code with the oracle
     N = len(u)
     eqs = []
     for i in range(N):
@@ -531,7 +543,7 @@ def _dense_intertwiner_basis(u, uk, p):
                 row[i * N + t] += u[t][j]
                 row[t * N + j] -= uk[i][t]
             eqs.append(row)
-    rows, pivots, _ = oracle._rref(eqs, p)
+    rows, pivots, _ = _dense_rref(eqs, p)
     return _kernel_from_rref(rows, pivots, N * N, p)
 
 
