@@ -7,12 +7,12 @@ happens exactly for symplectic groups with q a non-square and -1 an
 eigenvalue of the class; orthogonal series never grow.
 
 This uniform model is known to be wrong for Sp4(F_3): the oracle's
-`brauer_fixed_classes` finds 14 classes fixed by g -> g^k for k = 11, 17,
-23 and 29, where the model predicts 13 (`test_brauer_counts` pins the 14).
-The suspected series is that of the class with eigenvalue 1 once and -1
-four times, minus_type = +1, whose centraliser O4+(F_3) has an outer
-automorphism swapping two of its five unipotent characters; its characters
-need not all have the field computed here.
+`brauer_fixed_classes` finds 14 classes fixed by g -> g^k for every k that
+is a non-square mod 3, where the model predicts 13 (`test_brauer_counts`
+pins the 14).  The suspected series is that of the class with eigenvalue 1
+once and -1 four times, minus_type = +1, whose centraliser O4+(F_3) has an
+outer automorphism swapping two of its five unipotent characters; its
+characters need not all have the field computed here.
 """
 
 from __future__ import annotations

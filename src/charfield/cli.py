@@ -44,7 +44,7 @@ def _answer(inp: dict, result: dict, *citations: str) -> dict:
 
 
 def _group(args) -> GroupSpec:
-    return GroupSpec(Family(args.family), args.n, args.q, args.twist)
+    return GroupSpec(args.family, args.n, args.q, args.twist)
 
 
 def _class_arg(args) -> SemisimpleClass:
@@ -79,7 +79,7 @@ def _cmd_powmap(args) -> Iterator[dict]:
 
 def _cmd_gammadelta(args) -> Iterator[dict]:
     m = args.a + args.b
-    g = GroupSpec(Family(args.family), args.n or m, args.q, args.twist)
+    g = GroupSpec(args.family, args.n or m, args.q, args.twist)
     desc = SeriesDescriptor(g, True, m, args.a, args.b)
     sigma = GaloisElement(args.sigma_k, args.sigma_m)
     yield _answer({"family": g.family.value, "q": g.q, "a": args.a, "b": args.b,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 from .groups import factor_prime_power, is_prime
 
 
@@ -211,7 +211,7 @@ def gauss_sum_exact(p: int, k: int) -> tuple[int, int]:
     """
     _check_odd_prime(p)
     if p > GAUSS_BOUND:
-        raise InputError(f"p = {p} exceeds the bound {GAUSS_BOUND}")
+        raise BudgetExceededError(f"p = {p} exceeds the bound {GAUSS_BOUND}")
     if k % p == 0:
         raise InputError("k must be coprime to p")
     chi = [0] + [legendre(n, p) for n in range(1, p)]

@@ -11,6 +11,7 @@ rho, bounded so that it answers or raises BudgetExceededError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -198,6 +199,12 @@ class GroupSpec:
     twist: int = 1
 
     def __post_init__(self) -> None:
+        try:  # stored in one form: equal specs share every cache entry
+            values = Family(self.family), *map(operator.index, (self.n, self.q, self.twist))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"not a group: {exc}") from None
+        for name, value in zip(("family", "n", "q", "twist"), values):
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise InputError("rank must be >= 1")
         p, _ = factor_prime_power(self.q)

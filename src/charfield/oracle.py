@@ -4,8 +4,9 @@ This module knows no character theory and no closed-form criteria: it builds
 the classical groups as explicit matrix groups preserving the standard
 bilinear forms, and decides conjugacy questions by raw search.  A unipotent
 representative of a given Jordan type is the Cayley transform of a nilpotent
-element of the Lie algebra of the standard form, built on standard basis
-vectors, so it is an isometry by construction and needs no change of form.
+e in the Lie algebra of the standard form, built on standard basis vectors
+and summed as the series 1 + 2(e + e^2 + ...): an isometry by construction,
+with no change of form, no inverse and no check per call.
 The power-map search races two exact searches, a lexicographic scan of an
 intertwiner space and a conjugation-orbit walk.  Each has a deciding step,
 and the smaller one gives the answer, the scan on a tie; the scan runs ahead
@@ -597,16 +598,17 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
     indices.  Any other part is one block: in Sp a chain on m/2 indices
     closed by R(v_{i_r}, v_{i_r}), in SO a chain on (m-1)/2 indices closed by
     R(v_{i_r}, z) with z anisotropic and orthogonal to everything else used.
-    For odd p the Cayley transform preserves the form, has det 1 and keeps
-    the Jordan type of e.
+    For odd p, u preserves the form as (1 + e)^T J = J (1 - e), and u - 1 =
+    2e (1 - e)^-1 has the rank of e in every power, so u is unipotent of the
+    Jordan type of e.  As e is nilpotent, u = 1 + 2(e + e^2 + ...), summed
+    up to the first power of e that vanishes: products only, no inverse.
     """
     form = _form(g)
     p, pos = g.p, form.pos
     if ep.eps != g.form_eps or ep.total != g.dim:
         raise InputError("partition does not match the group")
     s = (-1) ** g.form_eps
-    N = g.dim
-    M = [[0] * N for _ in range(N)]
+    M = [[0] * g.dim for _ in range(g.dim)]
 
     def link(a: dict[int, int], b: dict[int, int]) -> None:
         # M += a b^T - s b a^T, vectors given as {basis index: coefficient}
@@ -652,13 +654,10 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
                 if last is not None:
                     link({last: 1}, z)
     e = mat_mul(mat(M), form.J, p)
-    one = identity_matrix(N)
-    plus = tuple(tuple((x + y) % p for x, y in zip(ra, rb)) for ra, rb in zip(one, e))
-    u = mat_mul(plus, mat_inv(mat_sub(one, e, p), p), p)
-    if not _is_element(g, u):
-        raise ArithmeticError("representative is not an isometry")  # unreachable
-    if jordan_type(u, p) != mu:
-        raise ArithmeticError("representative has wrong Jordan type")  # unreachable
+    u, power = identity_matrix(g.dim), e
+    while any(map(any, power)):
+        u = tuple(tuple((x + 2 * y) % p for x, y in zip(ra, rb)) for ra, rb in zip(u, power))
+        power = mat_mul(power, e, p)
     return u
 
 

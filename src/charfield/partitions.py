@@ -10,6 +10,7 @@ whether N is even and some opposite-parity part has odd multiplicity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,7 +27,10 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int]):
-        ps = tuple(int(x) for x in parts if x != 0)
+        try:
+            ps = tuple(operator.index(x) for x in parts if x != 0)
+        except TypeError:
+            raise InputError("parts must be integers") from None
         if any(x < 0 for x in ps):
             raise InputError("parts must be positive")
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):

@@ -313,7 +313,7 @@ def _json_int(value) -> int:
 def class_from_dict(data: dict) -> SemisimpleClass:
     """Parse the JSON form, normalising orbit representatives."""
     try:
-        g = GroupSpec(Family(data["family"]), _json_int(data["n"]), _json_int(data["q"]),
+        g = GroupSpec(data["family"], _json_int(data["n"]), _json_int(data["q"]),
                       _json_int(data.get("twist", 1)))
         raw = [(*_parse_frac(o["frac"]), _json_int(o["mult"])) for o in data["orbits"]]
         labels = [None if data.get(key) is None else _json_int(data[key])

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from charfield.errors import InputError
+from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import (
     GaloisElement,
     PrimePowerAction,
@@ -151,7 +151,8 @@ def test_gauss_sum_exact_examples():
     assert gauss_sum_exact(5, 1) == (5, 1)
     assert gauss_sum_exact(3, 1) == (-3, 1)
     assert gauss_sum_exact(5, 2) == (5, -1)
-    with pytest.raises(InputError):
+    # p past the cost cap is a budget refusal, as at every other cap
+    with pytest.raises(BudgetExceededError, match="exceeds the bound 101"):
         gauss_sum_exact(103, 1)
 
 

@@ -1,11 +1,12 @@
 from math import prod
 
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charfield import groups
+from charfield import groups, semisimple
 from charfield.errors import BudgetExceededError, InputError
-from charfield.groups import factor_prime_power, factorize, is_prime
+from charfield.groups import Family, GroupSpec, factor_prime_power, factorize, is_prime
 
 MR_BOUND = 3317044064679887385961981  # 1287836182261 * 2575672364521
 MERSENNE_89 = 2**89 - 1  # a prime above MR_BOUND
@@ -105,3 +106,31 @@ def test_rho_budget(monkeypatch):
     monkeypatch.setattr(groups, "_RHO_STEPS", 64)
     with pytest.raises(BudgetExceededError):
         factorize(n)
+
+
+def test_group_spec_stores_one_form():
+    # a family given by its value, and integral ranks, equal the enum spec
+    # and share its cache entries, so they must answer as it does
+    semisimple.enumerate_classes.cache_clear()
+    by_value = GroupSpec("sp", 1, 7)
+    assert by_value.family is Family.SP
+    assert (by_value.dual_family, by_value.form_eps, by_value.dual_dim) == (Family.SO_ODD, 1, 3)
+    first = semisimple.enumerate_classes(by_value, 8)
+    classes = semisimple.enumerate_classes(GroupSpec(Family.SP, 1, 7), 8)
+    assert classes is first and len(classes) == 8
+    assert all(c.to_dict()["family"] == "sp" for c in classes)
+    assert GroupSpec(Family.SP, numpy.int64(2), 7).dim == 4
+    assert type(GroupSpec(Family.SP, numpy.int64(2), 7).n) is int
+
+
+@pytest.mark.parametrize("args, message", [
+    (("sq", 1, 7), "not a valid Family"),
+    ((None, 1, 7), "not a valid Family"),
+    ((Family.SP, 2.0, 7), "cannot be interpreted as an integer"),
+    ((Family.SP, 2, 7.0), "cannot be interpreted as an integer"),
+    ((Family.SO_EVEN, 2, 7, -1.0), "cannot be interpreted as an integer"),
+    ((Family.SP, "2", 7), "cannot be interpreted as an integer"),
+])
+def test_group_spec_rejects_what_it_cannot_store(args, message):
+    with pytest.raises(InputError, match=message):
+        GroupSpec(*args)

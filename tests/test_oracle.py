@@ -272,39 +272,38 @@ def test_is_isometry():
         oracle.is_isometry(oracle.identity_matrix(3), J, 7)
 
 
+# every group the oracle's representatives are built for in tests and verify:
+# ranks 1-3 at small q, with the longest chains at rank 4 over F3, and no
+# bound on the field, SO5(F101) type (5) and Sp4(F401) type (4) among them
+_REP_GROUPS = [GroupSpec(Family.SP, n, q) for q in (3, 5, 7) for n in (1, 2)] + [
+    g for q in (3, 5) for g in (
+        GroupSpec(Family.SO_ODD, 1, q), GroupSpec(Family.SO_ODD, 2, q),
+        GroupSpec(Family.SO_EVEN, 1, q, 1), GroupSpec(Family.SO_EVEN, 2, q, 1),
+        GroupSpec(Family.SP, 3, q), GroupSpec(Family.SO_ODD, 3, q),
+        GroupSpec(Family.SO_EVEN, 3, q, 1))
+] + [GroupSpec(Family.SP, 4, 3), GroupSpec(Family.SO_ODD, 4, 3), GroupSpec(Family.SO_EVEN, 4, 3, 1)] + [
+    g for q in (101, 401, 1009) for n in (1, 2) for g in (
+        GroupSpec(Family.SP, n, q), GroupSpec(Family.SO_ODD, n, q), GroupSpec(Family.SO_EVEN, n, q, 1))
+]
+
+# every representative of that grid, pinned by a digest taken when each call
+# still inverted 1 - e and checked its answer
+_REP_DIGEST = "c1ecd54d16043300e60130fe556a5daa0e7bab13dd89e91af7480953f5b51880"
+
+
 def test_unipotent_reps_full_grid():
-    cases = []
-    for q in (3, 5, 7):
-        for n in (1, 2):
-            cases.append(GroupSpec(Family.SP, n, q))
-    for q in (3, 5):
-        cases.extend(
-            [
-                GroupSpec(Family.SO_ODD, 1, q),
-                GroupSpec(Family.SO_ODD, 2, q),
-                GroupSpec(Family.SO_EVEN, 2, q, 1),
-                GroupSpec(Family.SP, 3, q),
-                GroupSpec(Family.SO_ODD, 3, q),
-                GroupSpec(Family.SO_EVEN, 3, q, 1),
-            ]
-        )
-    # no bound on the field: SO5(F101) type (5) and Sp4(F401) type (4) among them
-    for q in (101, 401, 1009):
-        for n in (1, 2):
-            cases.extend(
-                [
-                    GroupSpec(Family.SP, n, q),
-                    GroupSpec(Family.SO_ODD, n, q),
-                    GroupSpec(Family.SO_EVEN, n, q, 1),
-                ]
-            )
-    for g in cases:
+    # the per-call checks `unipotent_rep` leaves to its docstring's proof:
+    # each representative is in the group and has the Jordan type asked for
+    lines = []
+    for g in _REP_GROUPS:
         J = oracle.form_matrix(g)
         special = g.family is not Family.SP
         for ep in eps_partitions(g.dim, g.form_eps):
             u = oracle.unipotent_rep(g, ep)
-            assert oracle.is_isometry(u, J, g.p, special=special)
-            assert oracle.jordan_type(u, g.p) == ep.partition
+            assert oracle.is_isometry(u, J, g.p, special=special), (g, ep)
+            assert oracle.jordan_type(u, g.p) == ep.partition, (g, ep)
+            lines.append([g.family.value, g.n, g.q, list(ep.partition), _rows(u)])
+    assert _digest(lines) == _REP_DIGEST
 
 
 def test_jordan_type_rejects_a_matrix_that_is_not_unipotent():

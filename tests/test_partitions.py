@@ -21,6 +21,13 @@ def test_partition_normalisation():
         Partition([2, -1])
 
 
+@pytest.mark.parametrize("parts", [[2.9], [3, 1.0], ["3", "1"], [None]])
+def test_partition_refuses_parts_that_are_not_integers(parts):
+    # neither truncated (2.9 -> 2) nor parsed ("3" -> 3)
+    with pytest.raises(InputError, match="parts must be integers"):
+        Partition(parts)
+
+
 def test_multiplicity():
     mu = Partition([3, 2, 2, 1])
     assert mu.multiplicity(2) == 2
