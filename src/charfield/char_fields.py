@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 from .errors import InputError
 from .galois_arith import GaloisElement, gauss_sqrt_sign, is_square_in_fq, signed_prime
-from .groups import Family, GroupSpec
+from .groups import Family, GroupSpec, power_exponent
 from .semisimple import (
     CyclotomicSubfield,
     SemisimpleClass,
@@ -114,35 +115,40 @@ def cuspidal_fixed(g: GroupSpec, cls: SemisimpleClass, sigma: GaloisElement) -> 
 
 
 @lru_cache(maxsize=None)
-def _rank1_group(q: int) -> tuple[int, int]:
-    """p and |G| = q(q^2 - 1), so that q, then k, are checked before
-    `_rank1_series` can raise BudgetExceededError."""
-    return GroupSpec(Family.SP, 1, q).p, q * (q * q - 1)
+def _rank1_order(q: int) -> int:
+    """|G| = q(q^2 - 1) for a q that GroupSpec accepts, so that q, then k,
+    are checked before `_rank1_counts` can raise BudgetExceededError."""
+    GroupSpec(Family.SP, 1, q)  # refuses a q that is no odd prime power
+    return q * (q * q - 1)
 
 
 @lru_cache(maxsize=None)
-def _rank1_series(q: int) -> tuple[tuple[int, ...], dict[int, tuple[tuple[int, ...], ...]]]:
-    """The Gauss-sum sign of sigma_k by k mod p, at a unit lift mod
-    lcm(4p, q^2 - 1), and the characters of Sp2(F_q) fixed by sigma_k by
-    that sign: one table per series conductor d, indexed by k mod d.  A
-    series counts where k mod d is in its stabiliser and, if its field holds
-    sqrt(omega*p), only under sign +1.  Enumerating first refuses a large
-    q before any per-residue work."""
+def _rank1_counts(q: int) -> tuple[int, ...]:
+    """The character side of Brauer's lemma on Sp2(F_q) as one count vector:
+    entry r, for r mod L = lcm(p, conductors of the series fields), is the
+    number of characters fixed by sigma_k for every unit k = r mod L (0 at
+    the non-units, which no k reaches).  A series counts where r mod its
+    conductor d is in its stabiliser and, if its field holds sqrt(omega*p),
+    only where the Gauss-sum sign of sigma_k is +1; that sign depends on k
+    mod p alone and is taken at a unit lift mod lcm(4p, q^2 - 1).  Every d
+    divides q - 1 or q + 1, and the series enumeration refuses q past 13
+    before any per-residue work, so L is at most lcm(13, 12, 14) = 1,092."""
     g = GroupSpec(Family.SP, 1, q)
-    tables: dict[int, dict[int, list[int]]] = {-1: {}, 1: {}}
-    for cls in enumerate_classes(g, max_d=q + 1):
-        field = character_field(g, cls)
-        d = field.base.d
-        for sign in (1,) if field.adjoin_sqrt_omega_p else (1, -1):
-            counts = tables[sign].setdefault(d, [0] * d)
-            for r in field.base.stab:
-                # two characters in the identity and involution series, else one
-                counts[r] += 2 if order_of(cls) <= 2 else 1
+    # two characters in the identity and involution series, else one
+    series = [(character_field(g, cls), 2 if order_of(cls) <= 2 else 1)
+              for cls in enumerate_classes(g, max_d=q + 1)]
     p = g.p
+    length = lcm(p, *(field.base.d for field, _ in series))
+    by_sign = {1: [0] * length, -1: [0] * length}
+    for field, size in series:
+        d = field.base.d
+        row = [size if r in field.base.stab else 0 for r in range(d)]
+        for sign in (1,) if field.adjoin_sqrt_omega_p else (1, -1):
+            by_sign[sign] = list(map(add, by_sign[sign], row * (length // d)))
     m = lcm(4 * p, q * q - 1)
     lifts = (next(k for k in range(r, m, p) if gcd(k, m) == 1) for r in range(1, p))
     signs = (0, *(gauss_sqrt_sign(GaloisElement(k, m), p) for k in lifts))
-    return signs, {sign: tuple(map(tuple, by_d.values())) for sign, by_d in tables.items()}
+    return tuple(by_sign[signs[r % p]][r] if gcd(r, length) == 1 else 0 for r in range(length))
 
 
 def predicted_fixed_count_rank1(q: int, k: int) -> int:
@@ -151,13 +157,11 @@ def predicted_fixed_count_rank1(q: int, k: int) -> int:
     field formulas: series stabilisers plus the Gauss-sum sign.
 
     This is the quantity that Brauer's permutation lemma equates with the
-    number of conjugacy classes fixed by g -> g**k: one entry, at k mod d,
-    of each conductor table kept for the Gauss-sum sign of k.  q is checked
-    first, then k, and only then are the series enumerated, which raises
+    number of conjugacy classes fixed by g -> g**k: the entry at k mod the
+    length of the count vector of q.  q is checked first, then k (an integer
+    coprime to |G|), and only then are the series enumerated, which raises
     BudgetExceededError past its bound on q.
     """
-    p, order = _rank1_group(q)
-    if gcd(k, order) != 1:
-        raise InputError("k must be coprime to the group order")
-    signs, tables = _rank1_series(q)
-    return sum([t[k % len(t)] for t in tables[signs[k % p]]])
+    k = power_exponent(k, _rank1_order(q))
+    counts = _rank1_counts(q)
+    return counts[k % len(counts)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, as_int
 from .groups import factor_prime_power, is_prime
 
 
@@ -94,6 +94,8 @@ class GaloisElement:
     m: int
 
     def __post_init__(self) -> None:
+        for name in ("k", "m"):
+            as_int(getattr(self, name), name)
         _check_modulus(self.m)
         if gcd(self.k, self.m) != 1:
             raise InputError("k must be coprime to the modulus")
@@ -121,6 +123,8 @@ class PrimePowerAction:
     i_sign: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("ell", "r", "i_sign"):
+            as_int(getattr(self, name), name)
         if not is_prime(self.ell):
             raise InputError(f"{self.ell} is not prime")
         if self.r < 0:

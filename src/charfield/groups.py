@@ -253,3 +253,17 @@ class GroupSpec:
         if self.family is Family.SO_ODD:
             return Family.SP
         return Family.SO_EVEN
+
+
+def power_exponent(k: object, order: int) -> int:
+    """k as an int coprime to order: the exponent of a power map x -> x^k
+    that permutes the elements of a group of that order.  A non-integer k,
+    or one that shares a factor with the order, raises InputError.  This is
+    `as_int` written out, as every Brauer count pays it."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InputError(f"k must be an integer, not {k!r}") from None
+    if gcd(k, order) != 1:
+        raise InputError("k must be coprime to the group order")
+    return k

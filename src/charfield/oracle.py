@@ -15,14 +15,16 @@ needs.  The walk depends only on the group and u, so one walk per (group, u)
 is kept and grown toward the target u^k of each k, up to the census's element
 cap; once the kept walk holds u^k or is closed, its deciding step is known
 and the scan runs to that step instead of to a horizon past it.  The class
-census walks the group itself as the orbit of the
-identity under right multiplication, then each class under conjugation, up
-to an element cap; the same closure of the root elements alone gives the
-subgroup they generate.  The class power table walks the powers of each
-representative once, up to the identity, and records the class of each
-power; the classes of each order o fixed by each r mod o are counted from
-it once, so a Brauer count for any k is one entry per order.  The
-closed-form modules are tested against this module, never the other way
+census walks the group itself as the orbit of the identity under right
+multiplication, then each class under conjugation, up to an element cap,
+and keeps its element -> class map on packed matrices; the same closure of
+the root elements alone gives the subgroup they generate.  The class power
+table decodes each representative and walks its powers once, up to the
+identity, looking up the class of each power packed.  From it the classes
+fixed by x -> x^r are counted once per group for every r mod the exponent
+of the group, one count vector, so a Brauer count for any k is one entry of
+it; no other element is decoded unless `class_census` itself is asked for.
+The closed-form modules are tested against this module, never the other way
 around.
 
 Every generator is a root or torus element, which differs from the identity
@@ -67,13 +69,13 @@ import struct
 from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain, combinations, count, starmap
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 from operator import gt, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InputError
-from .groups import Family, GroupSpec, factorize
-from .partitions import EpsPartition, Partition
+from .groups import Family, GroupSpec, factorize, power_exponent
+from .partitions import EpsPartition
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -175,14 +177,6 @@ def transpose(a: Matrix) -> Matrix:
         return tuple(zip(*a, strict=True))
     except ValueError:
         raise InputError(f"cannot transpose {_shape(a)}") from None
-
-
-def mat_sub(a: Matrix, b: Matrix, p: int) -> Matrix:
-    try:
-        return tuple(tuple((x - y) % p for x, y in zip(ra, rb, strict=True))
-                     for ra, rb in zip(a, b, strict=True))
-    except ValueError:
-        raise InputError(f"cannot subtract {_shape(b)} from {_shape(a)}") from None
 
 
 def _echelon(rows: Iterable[dict[int, int]], p: int) -> tuple[dict[int, dict[int, int]], int]:
@@ -567,23 +561,6 @@ def is_isometry(m: Matrix, form: Matrix, p: int, special: bool = False) -> bool:
 
 # ---------------------------------------------------------------------------
 # unipotent representatives
-
-
-def jordan_type(u: Matrix, p: int) -> Partition:
-    """The Jordan type of the unipotent u: with r_i the rank of (u - 1)^i,
-    r_(s-1) - r_s blocks have size >= s.  The ranks stop falling above 0
-    only when u is not unipotent, which raises InputError."""
-    n = len(u)
-    m = mat_sub(u, identity_matrix(n), p)
-    ranks = [n]
-    power = identity_matrix(n)
-    while ranks[-1] > 0:
-        power = mat_mul(power, m, p)
-        ranks.append(rank(power, p))
-        if ranks[-1] == ranks[-2]:
-            raise InputError("u is not unipotent")
-    drops = [r - s for r, s in zip(ranks, ranks[1:])]  # blocks of size >= 1, 2, ...
-    return Partition([sum(d >= j for d in drops) for j in range(1, n + 1)])
 
 
 def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
@@ -1020,12 +997,12 @@ def _closure(g: GroupSpec, conjugators: Sequence[_Conjugator]) -> list[bytes]:
 
 
 @lru_cache(maxsize=None)
-def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
-    """Conjugacy classes by raw orbit computation: representatives (the least
-    element of each class in lex order) and an element -> class map, whose
-    length is the group order.  The group is the closure of the generators;
-    then each class is walked under conjugation.  More than CENSUS_CAP
-    elements raise BudgetExceededError."""
+def _census(g: GroupSpec) -> tuple[list[bytes], dict[bytes, int]]:
+    """The class census on packed matrices: the representatives, each the
+    least element of its class in lex order, and an element -> class map
+    whose length is the group order.  The group is the closure of the
+    generators; then each class is walked under conjugation.  More than
+    CENSUS_CAP elements raise BudgetExceededError."""
     conjugators = _conjugators(g)
     lanes = _lanes(g.dim, g.p)
     group = _closure(g, conjugators)
@@ -1038,6 +1015,19 @@ def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
         walk.grow(len(group))
         index.update(dict.fromkeys(walk.queue, len(reps)))
         reps.append(m)
+    return reps, index
+
+
+@lru_cache(maxsize=None)
+def class_census(g: GroupSpec) -> tuple[tuple[Matrix, ...], dict[Matrix, int]]:
+    """Conjugacy classes by raw orbit computation: representatives (the least
+    element of each class in lex order) and an element -> class map, whose
+    length is the group order.  The packed census is decoded on the first
+    call, every element of the group; the class power table and the Brauer
+    counts read the packed census and never ask for it.  More than
+    CENSUS_CAP elements raise BudgetExceededError."""
+    reps, index = _census(g)
+    lanes = _lanes(g.dim, g.p)
     return (tuple(map(lanes.matrix, reps)),
             {lanes.matrix(m): ci for m, ci in index.items()})
 
@@ -1071,14 +1061,18 @@ def class_powers(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
     in census order, the classes of m^0, m^1, ..., m^(o-1), where o is the
     element order of m, so the class of m^k is row[k % len(row)] for every
     integer k.  Each row is one walk of powers, multiplying by m up to the
-    identity."""
-    reps, index = class_census(g)
+    identity; the powers are looked up packed in the packed census, so only
+    the representatives are decoded."""
+    reps, index = _census(g)
+    lanes = _lanes(g.dim, g.p)
     one = identity_matrix(g.dim)
+    first = index[lanes.key(one)]
 
-    def row(m: Matrix) -> tuple[int, ...]:
-        classes, x = [index[one]], m
+    def row(key: bytes) -> tuple[int, ...]:
+        m = lanes.matrix(key)
+        classes, x = [first], m
         while x != one:
-            classes.append(index[x])
+            classes.append(index[lanes.key(x)])
             x = mat_mul(x, m, g.p)
         return tuple(classes)
 
@@ -1086,26 +1080,39 @@ def class_powers(g: GroupSpec) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _fixed_by_order(g: GroupSpec) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """|G| and, per element order o, the classes of order o fixed by x -> x^r
-    for each r mod o: those whose `class_powers` row holds itself at r."""
+def _fixed_counts(g: GroupSpec) -> tuple[int, tuple[int, ...]]:
+    """|G| and the class side of Brauer's lemma as one count vector: entry r,
+    for r mod the exponent of G (the lcm of the `class_powers` row lengths,
+    at most |G| and so at most CENSUS_CAP), is the number of classes fixed by
+    x -> x^r, those whose row holds their own class at r mod its length.  The
+    rows are counted per element order o for each r mod o, and each order's
+    counts repeated up to the exponent and summed."""
     tables: dict[int, list[int]] = {}
     for ci, row in enumerate(class_powers(g)):
         counts = tables.setdefault(len(row), [0] * len(row))
         for r, cj in enumerate(row):
             counts[r] += cj == ci
-    return len(class_census(g)[1]), tuple(map(tuple, tables.values()))
+    exponent = lcm(*tables)
+    repeated = (t * (exponent // len(t)) for t in tables.values())
+    return len(_census(g)[1]), tuple(map(sum, zip(*repeated)))
 
 
 def brauer_fixed_classes(g: GroupSpec, k: int) -> int:
     """Number of conjugacy classes of g fixed by x -> x^k, by brute force:
-    one entry, at k mod o, of the table of each element order o."""
-    order, tables = _fixed_by_order(g)
-    if gcd(k, order) != 1:
-        raise InputError("k must be coprime to the group order")
-    return sum([t[k % len(t)] for t in tables])  # a list sums faster
+    the entry at k mod the exponent of the group's count vector, once k is
+    checked to be an integer coprime to |G|."""
+    order, counts = _fixed_counts(g)
+    return counts[power_exponent(k, order) % len(counts)]
+
+
+@lru_cache(maxsize=None)
+def _sl2_counts(q: int) -> tuple[int, tuple[int, ...]]:
+    """`_fixed_counts` of Sp2(F_q), kept by q so that a count hashes no
+    GroupSpec."""
+    return _fixed_counts(_sl2(q))
 
 
 def brauer_fixed_classes_sl2(q: int, k: int) -> int:
     """`brauer_fixed_classes` on the rank-one symplectic group Sp2(F_q)."""
-    return brauer_fixed_classes(_sl2(q), k)
+    order, counts = _sl2_counts(q)
+    return counts[power_exponent(k, order) % len(counts)]

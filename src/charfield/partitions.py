@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InputError
+from .errors import InputError, as_int
 
 
 class Partition:
@@ -82,6 +82,7 @@ class EpsPartition:
     eps: int
 
     def __post_init__(self) -> None:
+        as_int(self.eps, "eps")
         if self.eps not in (0, 1):
             raise InputError("eps must be 0 or 1")
         m = _unpaired_part(self.partition, self.eps)

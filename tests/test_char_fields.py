@@ -5,14 +5,16 @@ import pytest
 from charfield import oracle
 from charfield.char_fields import (
     CharacterField,
+    _rank1_counts,
     character_field,
     cuspidal_fixed,
     is_real_series,
     predicted_fixed_count_rank1,
 )
 from charfield.errors import BudgetExceededError, InputError
-from charfield.galois_arith import GaloisElement, gauss_sqrt_sign
+from charfield.galois_arith import GaloisElement, PrimePowerAction, gauss_sqrt_sign
 from charfield.groups import Family, GroupSpec
+from charfield.partitions import EpsPartition, Partition
 from charfield.semisimple import (
     CyclotomicSubfield,
     central_twist_action,
@@ -166,6 +168,15 @@ def test_predicted_count_against_its_definition():
                 assert predicted_fixed_count_rank1(q, j) == want, (q, j)
 
 
+def test_predicted_count_vector_spans_p_and_the_conductors():
+    # one entry per residue mod lcm(p, conductors of the series fields), at
+    # most 1,092 since the series enumeration stops at q = 13
+    for q in (3, 5, 7, 9, 11, 13):
+        g = GroupSpec(Family.SP, 1, q)
+        conductors = [character_field(g, cls).base.d for cls in enumerate_classes(g, max_d=q + 1)]
+        assert len(_rank1_counts(q)) == lcm(g.p, *conductors) <= 1092, q
+
+
 _SO4_3, _SO4_7 = GroupSpec(Family.SO_EVEN, 2, 3), GroupSpec(Family.SO_EVEN, 2, 7)
 _SP2_7, _SP2_49 = GroupSpec(Family.SP, 1, 7), GroupSpec(Family.SP, 1, 49)
 
@@ -226,6 +237,25 @@ def test_brauer_entry_points_repeat_their_answers(pair, raw, predicted):
                 assert type(got) is type(want) and str(got).startswith(str(want)), (f, got)
             else:
                 assert got == want, f
+
+
+# entry points that refuse a float or a string through operator.index, with
+# an InputError naming the argument
+@pytest.mark.parametrize("call, args", [
+    (GaloisElement, (3.0, 8)),
+    (GaloisElement, (3, 8.0)),
+    (PrimePowerAction, (3.0, 1)),
+    (PrimePowerAction, (3, 1.0)),
+    (EpsPartition, (Partition([2]), 1.0)),
+    (oracle.brauer_fixed_classes_sl2, (7, 5.0)),
+    (predicted_fixed_count_rank1, (7, 5.0)),
+    (oracle.brauer_fixed_classes, (GroupSpec(Family.SP, 1, 7), "5")),
+], ids=["GaloisElement-k", "GaloisElement-m", "PrimePowerAction-ell", "PrimePowerAction-r",
+        "EpsPartition", "brauer_fixed_classes_sl2", "predicted_fixed_count_rank1",
+        "brauer_fixed_classes"])
+def test_non_integer_arguments_are_refused(call, args):
+    with pytest.raises(InputError, match="must be an integer"):
+        call(*args)
 
 
 @pytest.mark.parametrize("k, error", [(2, InputError), (5, BudgetExceededError)])
