@@ -39,7 +39,7 @@ def legendre(a: int, p: int) -> int:
     Completely multiplicative in a.
     """
     _check_odd_prime(p)
-    a %= p
+    a = as_int(a, "a") % p
     if a == 0:
         return 0
     s = pow(a, (p - 1) // 2, p)
@@ -76,7 +76,7 @@ def is_square_in_fq(k: int, q: int) -> bool:
     """
     p, a = factor_prime_power(q)
     _check_odd_prime(p)
-    if k % p == 0:
+    if as_int(k, "k") % p == 0:
         raise InputError("k must be coprime to p")
     return a % 2 == 0 or legendre(k, p) == 1
 
@@ -216,7 +216,7 @@ def gauss_sum_exact(p: int, k: int) -> tuple[int, int]:
     _check_odd_prime(p)
     if p > GAUSS_BOUND:
         raise BudgetExceededError(f"p = {p} exceeds the bound {GAUSS_BOUND}")
-    if k % p == 0:
+    if as_int(k, "k") % p == 0:
         raise InputError("k must be coprime to p")
     chi = [0] + [legendre(n, p) for n in range(1, p)]
     g = [0] * p

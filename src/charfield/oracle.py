@@ -73,7 +73,7 @@ from math import ceil, gcd, lcm
 from operator import gt, itemgetter, mul
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, as_int
 from .groups import Family, GroupSpec, factorize, power_exponent
 from .partitions import EpsPartition
 
@@ -157,7 +157,7 @@ def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
     and one more per set bit, none with the identity.  Every product goes
     through `mat_mul`, which reduces its entries, so only e = 1 reduces a.
     A non-square a raises InputError for every e, e = 0 and 1 included."""
-    if e < 0:
+    if as_int(e, "e") < 0:
         a, e = mat_inv(a, p), -e
     _square(a, "a power")
     if e == 0:
@@ -920,7 +920,7 @@ def power_conjugacy_search(
     """
     form = _form(g)
     p, N = g.p, g.dim
-    if gcd(k, p) != 1:
+    if gcd(as_int(k, "k"), p) != 1:
         raise InputError("k must be coprime to p")
     if len(u) != N:
         raise InputError("dimension mismatch")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import InputError
+from .errors import InputError, as_int
 from .galois_arith import is_square_in_fq
 from .groups import Family, GroupSpec
 from .partitions import EpsPartition
@@ -39,7 +39,7 @@ def rationality_criterion(g: GroupSpec, ep: EpsPartition) -> str:
 def unipotent_rational(g: GroupSpec, ep: EpsPartition, k: int) -> bool:
     """Is the unipotent class of Jordan type ep fixed by the k-th power map?
     Decided by `rationality_criterion`."""
-    if gcd(k, g.p) != 1:
+    if gcd(as_int(k, "k"), g.p) != 1:
         raise InputError("k must be coprime to p")
     if rationality_criterion(g, ep) != "square-class-of-k":
         return True

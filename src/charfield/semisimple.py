@@ -31,7 +31,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, as_int
 from .galois_arith import GaloisElement
 from .groups import Family, GroupSpec, factorize
 
@@ -94,6 +94,8 @@ class EigenvalueOrbit:
     mult: int
 
     def __post_init__(self) -> None:
+        for name in ("num", "den", "mult"):
+            as_int(getattr(self, name), name)
         if self.den < 1 or not 0 <= self.num < self.den:
             raise InputError("need 0 <= a < d")
         if self.num == 0 and self.den != 1:
@@ -462,11 +464,11 @@ _ENUM_MAX_N = 3
 _ENUM_MAX_Q = 13
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so max_d = 8.0 misses the entry of 8 and is refused
 def enumerate_classes(g: GroupSpec, max_d: int) -> tuple[SemisimpleClass, ...]:
     """All semisimple classes of the dual group whose order is at most max_d,
     with every legal type-label assignment, in a deterministic order."""
-    if max_d < 1:
+    if as_int(max_d, "max_d") < 1:
         raise InputError("max_d must be >= 1")
     if g.n > _ENUM_MAX_N or g.q > _ENUM_MAX_Q:
         raise BudgetExceededError("class enumeration is restricted to n <= 3, q <= 13")

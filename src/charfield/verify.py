@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from . import oracle
-from .char_fields import character_field, predicted_fixed_count_rank1
+from .char_fields import character_field, predicted_fixed_count
 from .errors import InputError
 from .galois_arith import (
     PrimePowerAction,
@@ -233,21 +233,23 @@ def _census(g: GroupSpec) -> tuple[tuple, dict, list[dict]]:
 
 
 def suite_brauer() -> list[CheckResult]:
-    """Flagship end-to-end check: for rank-one symplectic groups the number
-    of conjugacy classes fixed by g -> g^k (raw matrix count) must equal the
-    number of characters fixed by the corresponding Galois element as
-    predicted by the field formulas (Brauer's permutation lemma)."""
+    """Flagship end-to-end check: for the rank-one groups Sp2(F_q) and
+    SO3(F_q) the number of conjugacy classes fixed by g -> g^k (raw matrix
+    count) must equal the number of characters fixed by the corresponding
+    Galois element as predicted by the field formulas (Brauer's permutation
+    lemma).  A cell's key is (family, q, k, raw count, predicted count)."""
     def cells():
-        for q in (5, 7, 11, 13):
-            _, index, records = _census(GroupSpec(Family.SP, 1, q))
+        for g in (GroupSpec(family, 1, q) for family in (Family.SP, Family.SO_ODD)
+                  for q in (5, 7, 11, 13)):
+            _, index, records = _census(g)
             order = len(index)
             for k in range(1, order):
                 if gcd(k, order) == 1:
-                    yield (q, k), (oracle.brauer_fixed_classes_sl2(q, k)
-                                   == predicted_fixed_count_rank1(q, k)), *records
+                    raw, predicted = oracle.brauer_fixed_classes(g, k), predicted_fixed_count(g, k)
+                    yield (g.family.value, g.q, k, raw, predicted), raw == predicted, *records
                     records = []
-    return [_check("brauer-fixed-count", "q in {5,7,11,13}, every k coprime to the order",
-                   cells())]
+    return [_check("brauer-fixed-count",
+                   "Sp2 and SO3, q in {5,7,11,13}, every k coprime to the order", cells())]
 
 
 def suite_fields() -> list[CheckResult]:

@@ -73,7 +73,7 @@ def test_criterion_5_twist_sign_grid():
 def test_criterion_6_brauer_end_to_end():
     t = time.time()
     results = suite_brauer()
-    assert [r.cells for r in results] == [1024]
+    assert [r.cells for r in results] == [2048]
     _report("criterion 6: Brauer end-to-end count", results, 300.0, time.time() - t)
 
 

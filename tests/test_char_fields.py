@@ -9,14 +9,24 @@ from charfield.char_fields import (
     character_field,
     cuspidal_fixed,
     is_real_series,
+    predicted_fixed_count,
     predicted_fixed_count_rank1,
 )
 from charfield.errors import BudgetExceededError, InputError
-from charfield.galois_arith import GaloisElement, PrimePowerAction, gauss_sqrt_sign
+from charfield.galois_arith import (
+    GaloisElement,
+    PrimePowerAction,
+    gauss_sqrt_sign,
+    gauss_sum_exact,
+    is_square_in_fq,
+    legendre,
+)
 from charfield.groups import Family, GroupSpec
 from charfield.partitions import EpsPartition, Partition
+from charfield.power_maps import unipotent_rational
 from charfield.semisimple import (
     CyclotomicSubfield,
+    EigenvalueOrbit,
     central_twist_action,
     class_from_dict,
     enumerate_classes,
@@ -250,9 +260,21 @@ def test_brauer_entry_points_repeat_their_answers(pair, raw, predicted):
     (oracle.brauer_fixed_classes_sl2, (7, 5.0)),
     (predicted_fixed_count_rank1, (7, 5.0)),
     (oracle.brauer_fixed_classes, (GroupSpec(Family.SP, 1, 7), "5")),
+    (predicted_fixed_count, (GroupSpec(Family.SO_ODD, 1, 7), 5.0)),
+    (oracle.power_conjugacy_search, (_SP2_7, ((1, 1), (0, 1)), 3.0)),
+    (oracle.power_conjugacy_search, (_SP2_7, ((1, 1), (0, 1)), "3")),
+    (unipotent_rational, (_SP2_7, EpsPartition(Partition([2]), 1), 3.0)),
+    (oracle.mat_pow, (((1, 1), (0, 1)), 2.0, 7)),
+    (legendre, (3.0, 7)),
+    (is_square_in_fq, (3.0, 7)),
+    (gauss_sum_exact, (7, 3.0)),
+    (EigenvalueOrbit, (1.0, 2, 1)),
+    (enumerate_classes, (_SP2_7, 8.0)),
 ], ids=["GaloisElement-k", "GaloisElement-m", "PrimePowerAction-ell", "PrimePowerAction-r",
         "EpsPartition", "brauer_fixed_classes_sl2", "predicted_fixed_count_rank1",
-        "brauer_fixed_classes"])
+        "brauer_fixed_classes", "predicted_fixed_count", "power_conjugacy_search-float",
+        "power_conjugacy_search-str", "unipotent_rational", "mat_pow", "legendre",
+        "is_square_in_fq", "gauss_sum_exact", "EigenvalueOrbit", "enumerate_classes"])
 def test_non_integer_arguments_are_refused(call, args):
     with pytest.raises(InputError, match="must be an integer"):
         call(*args)
@@ -290,3 +312,50 @@ def test_character_field_realness_from_its_base():
     # reached only by building the field: Q(zeta_5) is not real
     assert not CharacterField(CyclotomicSubfield(5, (1,)), False, 3).is_real
     assert CharacterField(CyclotomicSubfield(5, (1, 4)), False, 3).is_real
+
+
+# groups outside Sp2(F_q) and SO3(F_q) are refused before k is looked at,
+# even a k that shares a factor with the group order
+@pytest.mark.parametrize("g", [GroupSpec(Family.SP, 2, 3), _SO4_3, GroupSpec(Family.SO_EVEN, 1, 7)],
+                         ids=["Sp4(F3)", "SO4+(F3)", "SO2+(F7)"])
+@pytest.mark.parametrize("k", [5, 2, 3, 5.0])
+def test_predicted_count_refuses_other_groups_first(g, k):
+    with pytest.raises(InputError, match="Sp2\\(F_q\\) and SO3\\(F_q\\) only"):
+        predicted_fixed_count(g, k)
+
+
+def test_predicted_count_checks_k_before_the_series():
+    so3_17 = GroupSpec(Family.SO_ODD, 1, 17)
+    with pytest.raises(InputError, match="coprime to the group order"):
+        predicted_fixed_count(so3_17, 2)
+    with pytest.raises(BudgetExceededError, match="class enumeration is restricted"):
+        predicted_fixed_count(so3_17, 5)
+
+
+# one field per branch of fixed_by: Q(zeta_5)^{1, 4} without adjunction,
+# and Q(sqrt(-7)) as the quadratic core Q adjoined sqrt(omega*7)
+@pytest.mark.parametrize("field, k, fixed", [
+    (CharacterField(CyclotomicSubfield(5, (1, 4)), False, 3), 2, False),  # 2 not in the stabiliser
+    (CharacterField(CyclotomicSubfield(5, (1, 4)), False, 3), 9, True),  # 9 = -1 mod 5, no adjunction
+    (CharacterField(CyclotomicSubfield(2, (1,)), True, 7), 9, True),  # (9/7) = +1
+    (CharacterField(CyclotomicSubfield(2, (1,)), True, 7), 3, False),  # (3/7) = -1
+], ids=["stabiliser-miss", "no-adjunction", "gauss-sign-plus", "gauss-sign-minus"])
+def test_fixed_by_branches(field, k, fixed):
+    assert field.fixed_by(k) is fixed
+
+
+def test_cuspidal_fixed_against_the_square_rule():
+    # every quasi-isolated class of Sp_2n(F_q), n <= 3, q <= 13 (where the
+    # enumeration stops), and every unit k < 8p mod 4p: the identity class is
+    # fixed, any other exactly when k is a square in F_q
+    cases = 0
+    for q in (3, 5, 7, 9, 11, 13):
+        for n in (1, 2, 3):
+            g = GroupSpec(Family.SP, n, q)
+            for cls in enumerate_classes(g, 2):
+                for k in range(1, 8 * g.p):
+                    if gcd(k, 4 * g.p) == 1:
+                        want = order_of(cls) == 1 or is_square_in_fq(k, q)
+                        assert cuspidal_fixed(g, cls, GaloisElement(k, 4 * g.p)) is want, (q, n, cls, k)
+                        cases += 1
+    assert cases == 2160

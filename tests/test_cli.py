@@ -279,7 +279,9 @@ def test_verify_stats_census_records(capsys):
     # order, the class count and the census time
     keys = {"check", "family", "n", "q", "order", "classes", "seconds"}
     for suite, groups in (("brauer", [("sp", 1, 5, 120, 9), ("sp", 1, 7, 336, 11),
-                                      ("sp", 1, 11, 1320, 15), ("sp", 1, 13, 2184, 17)]),
+                                      ("sp", 1, 11, 1320, 15), ("sp", 1, 13, 2184, 17),
+                                      ("so-odd", 1, 5, 120, 7), ("so-odd", 1, 7, 336, 9),
+                                      ("so-odd", 1, 11, 1320, 13), ("so-odd", 1, 13, 2184, 15)]),
                           ("spinor", [("so-even", 2, 3, 576, 20),
                                       ("so-even", 2, 5, 14400, 40)])):
         code, out, _ = _run(capsys, "verify", "--suite", suite, "--stats")
