@@ -66,7 +66,10 @@ class CharacterField:
     def fixed_by(self, k: int) -> bool:
         """Is the field fixed by sigma_k: zeta -> zeta**k, k a unit mod its
         conductor d and mod p?  Exactly when k mod d is in the stabiliser and,
-        where sqrt(omega*p) is adjoined, its Gauss-sum sign (k/p) is +1."""
+        where sqrt(omega*p) is adjoined, its Gauss-sum sign (k/p) is +1; a k
+        that p divides is refused there."""
+        if self.adjoin_sqrt_omega_p and k % self.p == 0:
+            raise InputError("k must be coprime to p")
         return k % self.base.d in self.base.stab and (
             not self.adjoin_sqrt_omega_p
             or gauss_sqrt_sign(GaloisElement(k, 4 * self.p), self.p) == 1)

@@ -165,10 +165,6 @@ class CyclotomicSubfield:
     def degree(self) -> int:
         return self.phi // len(self.stab)
 
-    @property
-    def is_real(self) -> bool:
-        return (-1) % self.d in self.stab
-
 
 def _spectrum(g: GroupSpec,
               orbits: Iterable[EigenvalueOrbit]) -> dict[tuple[int, int], EigenvalueOrbit]:

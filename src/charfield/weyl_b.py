@@ -1,5 +1,6 @@
 """Signed permutations: the Weyl group of type B_n, with the distinguished
-elements and relative-Weyl-group tables used by the Galois sign computations.
+elements and the complements of relative Weyl groups used by the Galois sign
+computations.
 
 Elements of W_n act on {+-1, ..., +-n} with w(-i) = -w(i).  The generators are
 s_i = (i, i+1)(-i, -i-1) for i < n and s_n = (n, -n); note the sign flip sits
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, as_int
 from .groups import Family, GroupSpec
 
 
@@ -23,7 +24,7 @@ class SignedPerm:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        images = tuple(as_int(x, "image") for x in images)
         n = len(images)
         if sorted(abs(x) for x in images) != list(range(1, n + 1)):
             raise InputError("images must be a signed permutation of 1..n")
@@ -44,16 +45,6 @@ class SignedPerm:
             raise InputError("rank mismatch")
         return SignedPerm(tuple(self(other(i)) for i in range(1, self.n + 1)))
 
-    def inverse(self) -> "SignedPerm":
-        img = [0] * self.n
-        for i in range(1, self.n + 1):
-            j = self.images[i - 1]
-            if j > 0:
-                img[j - 1] = i
-            else:
-                img[-j - 1] = -i
-        return SignedPerm(img)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SignedPerm) and self.images == other.images
 
@@ -65,11 +56,12 @@ class SignedPerm:
 
 
 def identity(n: int) -> SignedPerm:
-    return SignedPerm(range(1, n + 1))
+    return SignedPerm(range(1, as_int(n, "n") + 1))
 
 
 def generator(n: int, i: int) -> SignedPerm:
     """The Coxeter generator s_i of W_n."""
+    as_int(n, "n"), as_int(i, "i")
     if not 1 <= i <= n:
         raise InputError("generator index out of range")
     img = list(range(1, n + 1))
@@ -82,6 +74,7 @@ def generator(n: int, i: int) -> SignedPerm:
 
 def special_element(n: int, kind: str, m: int) -> SignedPerm:
     """t_m = (m, -m), and u_m = (m, -m)(n, -n) for m < n."""
+    as_int(n, "n"), as_int(m, "m")
     if kind == "t":
         if not 1 <= m <= n:
             raise InputError("t_m needs 1 <= m <= n")
@@ -155,6 +148,10 @@ class SeriesDescriptor:
     b: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.principal, bool):
+            raise InputError(f"principal must be a bool, not {self.principal!r}")
+        for name in ("m", "a", "b"):
+            as_int(getattr(self, name), name)
         if self.a < 0 or self.b < 0 or self.a + self.b != self.m:
             raise InputError("need a, b >= 0 with a + b = m")
         if self.principal and self.m != self.group.n:
@@ -165,21 +162,17 @@ class SeriesDescriptor:
 
 @dataclass(frozen=True)
 class RelativeWeylGroup:
-    """The relative Weyl group W = R x| C of a series, as formal type data.
+    """The complement C of the relative Weyl group W(lambda) = R x| C of a
+    series.  Only C is modelled: the Galois signs read the parity of the
+    length of its generator alone, never R.
 
-    Type tokens: "Bk" is a type-B_k factor, "Dk" its index-two reflection
-    subgroup, and "B''k" the rank-(k-1) type-B subgroup of Dk generated by
-    s_1..s_{k-2} and u_{k-1}.  Trivial factors are dropped.  The complement C
-    has order 1 or 2.  Its generator, an element of the ambient W_n so that
+    C has order 1 or 2.  Its generator, an element of the ambient W_n so that
     lengths are taken in the full group, is always a diagonal sign change
     (s_n, t_m or u_m) and is stored as the coordinates it negates; a trivial
     complement negates none.
     """
 
-    w_type: str
-    r_type: str
-    c_flips: tuple[int, ...] = ()
-    externally_sourced: bool = False
+    c_flips: tuple[int, ...]
 
     @property
     def c_order(self) -> int:
@@ -196,84 +189,33 @@ class RelativeWeylGroup:
         return "even" if len(self.c_flips) % 2 == 0 else "odd"
 
 
-def _type_string(factors: list[tuple[str, int]]) -> str:
-    toks = []
-    for letter, k in factors:
-        if k <= 0:
-            continue
-        if letter == "D" and k == 1:
-            continue  # D1 is trivial
-        if letter == "B''" and k == 1:
-            continue  # B''1 is trivial
-        toks.append(f"{letter}{k}")
-    return " x ".join(toks) if toks else "1"
-
-
 def relative_weyl(desc: SeriesDescriptor) -> RelativeWeylGroup:
-    """Table of relative Weyl groups W(lambda) = R x| C for order-two data.
+    """The complement C of the relative Weyl group W(lambda) = R x| C for
+    order-two data; R is not modelled, as the Galois signs read only the
+    parity of C.
 
-    The split/twisted even-orthogonal principal rows and the even-orthogonal
-    non-principal row have complement generated by u_1 resp. u_m (even
-    length); odd orthogonal groups have trivial complement; symplectic groups
-    have complement generated by s_n (principal) or t_m (non-principal), of
-    odd length.  That parity difference is the whole reason symplectic
-    character fields can grow while orthogonal ones do not.
+    Odd orthogonal groups have trivial complement.  Symplectic groups have
+    complement generated by s_n (principal) or t_m (non-principal), of odd
+    length; the t_m row is imported from the standard normaliser structure
+    rather than derived in this package.  Even orthogonal groups, split or
+    twisted, have complement generated by u_1 (principal) or u_m
+    (non-principal), of even length.  That parity difference is the whole
+    reason symplectic character fields can grow while orthogonal ones do not.
     """
-    g = desc.group
-    n, m, a, b = g.n, desc.m, desc.a, desc.b
-
-    if g.family is Family.SO_EVEN:
-        if n < 2:
-            raise InputError("even orthogonal table needs n >= 2")
-        if desc.principal:
-            if b < 1:
-                raise InputError("principal so-even row needs b >= 1")
-            if g.twist == 1:
-                return RelativeWeylGroup(
-                    _type_string([("B", a), ("B", b)]),
-                    _type_string([("D", a), ("D", b)]),
-                    (1, n),
-                )
-            return RelativeWeylGroup(
-                _type_string([("B", a), ("B''", b)]),
-                _type_string([("D", a), ("B''", b)]),
-                (1, n),
-            )
-        if m < 1:
-            raise InputError("u_m needs 1 <= m < n")
-        return RelativeWeylGroup(
-            _type_string([("B", a), ("B", b)]),
-            _type_string([("B", a), ("D", b)]),
-            (m, n),
-        )
-
-    if g.family is Family.SO_ODD:
-        return RelativeWeylGroup(
-            _type_string([("B", a), ("B", b)]),
-            _type_string([("B", a), ("B", b)]),
-        )
-
-    # Family.SP, the one family left
+    family, n, m = desc.group.family, desc.group.n, desc.m
+    if family is Family.SO_ODD:
+        return RelativeWeylGroup(())
+    even = family is Family.SO_EVEN
+    if even and n < 2:
+        raise InputError("even orthogonal table needs n >= 2")
     if desc.principal:
-        if b < 1:
+        if desc.b < 1:
             raise InputError(
+                "principal so-even row needs b >= 1" if even else
                 "symplectic principal row needs b >= 1 "
                 "(the all-trivial character gives a unipotent series with trivial complement)"
             )
-        return RelativeWeylGroup(
-            _type_string([("B", a), ("B", b)]),
-            _type_string([("B", a), ("D", b)]),
-            (n,),
-        )
-    # Non-principal symplectic row: complement of order two generated by
-    # t_m.  Imported from the standard normaliser structure rather than
-    # derived in this package; flagged so consumers can tell.
+        return RelativeWeylGroup((1, n) if even else (n,))
     if m < 1:
-        raise InputError("t_m needs 1 <= m <= n")
-    return RelativeWeylGroup(
-        _type_string([("B", a), ("B", b)]),
-        _type_string([("B", a), ("D", b)]),
-        (m,),
-        externally_sourced=True,
-    )
-
+        raise InputError("u_m needs 1 <= m < n" if even else "t_m needs 1 <= m <= n")
+    return RelativeWeylGroup((m, n) if even else (m,))

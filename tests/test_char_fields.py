@@ -306,6 +306,14 @@ def test_cuspidal_fixed_rejections(g, cls, message):
         cuspidal_fixed(g, cls, GaloisElement(3, 28))
 
 
+def test_fixed_by_refuses_k_divisible_by_p():
+    # sigma_7 is a unit mod 8, but p = 7 divides it, so it is no Galois
+    # element of Q(sqrt(-7)), the field of the involution series of Sp2(F_7)
+    cls = _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)
+    with pytest.raises(InputError, match="k must be coprime to p$"):
+        cuspidal_fixed(_SP2_7, cls, GaloisElement(7, 8))
+
+
 def test_character_field_realness_from_its_base():
     # the eigenvalues of a semisimple class of these duals come in inverse
     # pairs, so every class stabiliser contains -1 and a non-real base is

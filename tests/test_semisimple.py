@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charfield import semisimple
+from charfield.char_fields import CharacterField
 from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement
 from charfield.groups import Family, GroupSpec, is_prime
@@ -179,7 +180,7 @@ def test_stabilizer_is_subgroup_and_real():
                 for y in st:
                     assert x * y % field.d in st
             # spectra are inversion-closed, so every core field is real
-            assert field.is_real
+            assert CharacterField(field, False, g.p).is_real
 
 
 def test_sigma_image():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -44,8 +46,7 @@ def signed_perms(draw, n=4):
 @settings(max_examples=50)
 def test_group_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
-    assert a * a.inverse() == identity(4)
-    assert a.inverse() * a == identity(4)
+    assert a * identity(4) == a == identity(4) * a
 
 
 def test_special_elements():
@@ -119,35 +120,23 @@ def _negated(w):
 
 
 def test_relative_weyl_table_rows():
-    rel = relative_weyl(SAMPLE_DESCRIPTORS[0])
-    assert rel.c_flips == _negated(generator(2, 2))
-    assert rel.c_length_parity == "odd"
-    assert rel.w_type == "B1 x B1"
-    assert rel.r_type == "B1"
-
-    rel = relative_weyl(SAMPLE_DESCRIPTORS[4])
-    assert rel.c_flips == _negated(special_element(3, "u", 1))
-    assert rel.c_length_parity == "even"
-    assert rel.w_type == "B1 x B2"
-    assert rel.r_type == "D2"
-
-    rel = relative_weyl(SAMPLE_DESCRIPTORS[5])
-    assert rel.w_type == "B2"  # the B''1 factor is trivial and dropped
-    assert rel.r_type == "D2"
-    assert rel.c_flips == _negated(special_element(3, "u", 1))
-
-    rel = relative_weyl(SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, 3, -1), True, 4, 2, 2))
-    assert rel.w_type == "B2 x B''2"
-    assert rel.r_type == "D2 x B''2"
-
-    rel = relative_weyl(SAMPLE_DESCRIPTORS[9])
-    assert rel.c_order == 1
-    assert rel.c_flips == ()
-    assert rel.c_length_parity is None
-
-    rel = relative_weyl(SAMPLE_DESCRIPTORS[3])
-    assert rel.c_flips == _negated(special_element(4, "t", 2))
-    assert rel.externally_sourced
+    # the complement generator of each row, s_n, t_m or u_m, or None for a
+    # trivial complement; the last row is the twisted principal SO8- series
+    rows = list(zip(SAMPLE_DESCRIPTORS, [
+        generator(2, 2), generator(3, 3), generator(1, 1), special_element(4, "t", 2),
+        special_element(3, "u", 1), special_element(3, "u", 1), special_element(2, "u", 1),
+        special_element(4, "u", 2), special_element(4, "u", 1), None, None,
+    ], strict=True))
+    rows.append((SeriesDescriptor(GroupSpec(Family.SO_EVEN, 4, 3, -1), True, 4, 2, 2),
+                 special_element(4, "u", 1)))
+    for desc, w in rows:
+        rel = relative_weyl(desc)
+        if w is None:
+            assert (rel.c_flips, rel.c_order, rel.c_length_parity) == ((), 1, None), desc
+        else:
+            assert rel.c_flips == _negated(w), desc
+            assert rel.c_order == 2
+            assert rel.c_length_parity == ("odd" if desc.group.family is Family.SP else "even")
 
 
 def test_relative_weyl_parities():
@@ -167,21 +156,34 @@ def test_relative_weyl_parities():
 
 
 def test_relative_weyl_errors():
-    with pytest.raises(InputError):
-        relative_weyl(SeriesDescriptor(GroupSpec(Family.SP, 2, 3), True, 2, 2, 0))
-    with pytest.raises(InputError):
-        relative_weyl(SeriesDescriptor(GroupSpec(Family.SO_EVEN, 2, 3, 1), True, 2, 2, 0))
-    # a non-principal row needs a split torus for t_m or u_m to act on
-    for family in (Family.SP, Family.SO_EVEN):
-        with pytest.raises(InputError):
-            relative_weyl(SeriesDescriptor(GroupSpec(family, 4, 3), False, 0, 0, 0))
+    # the five rows of the table that do not exist, in the order they are checked
+    sp8, so8, so2 = (GroupSpec(Family.SP, 4, 3), GroupSpec(Family.SO_EVEN, 4, 3),
+                     GroupSpec(Family.SO_EVEN, 1, 3))
+    for desc, message in [
+        (SeriesDescriptor(so2, True, 1, 0, 1), "even orthogonal table needs n >= 2"),
+        (SeriesDescriptor(so8, True, 4, 4, 0), "principal so-even row needs b >= 1"),
+        # a non-principal row needs a split torus for t_m or u_m to act on
+        (SeriesDescriptor(so8, False, 0, 0, 0), "u_m needs 1 <= m < n"),
+        (SeriesDescriptor(sp8, True, 4, 4, 0), "symplectic principal row needs b >= 1"),
+        (SeriesDescriptor(sp8, False, 0, 0, 0), "t_m needs 1 <= m <= n"),
+    ]:
+        with pytest.raises(InputError, match=re.escape(message)):
+            relative_weyl(desc)
 
 
 def test_descriptor_invariants():
-    with pytest.raises(InputError):
-        SeriesDescriptor(GroupSpec(Family.SP, 2, 3), True, 2, 1, 2)
-    with pytest.raises(InputError):
-        SeriesDescriptor(GroupSpec(Family.SP, 2, 3), False, 1, 1, 0)
+    sp4, sp8 = GroupSpec(Family.SP, 2, 3), GroupSpec(Family.SP, 4, 3)
+    for g, args, message in [
+        (sp4, (True, 2, 1, 2), "a, b >= 0 with a [+] b = m"),
+        (sp4, (False, 1, 1, 0), "m <= n - 2"),
+        (sp8, (False, 2.0, 1.0, 1.0), "m must be an integer"),
+        (sp8, (False, "2", "1", "1"), "m must be an integer"),
+        (sp8, (True, 4, 2, 2.0), "b must be an integer"),
+        (sp8, ("no", 4, 2, 2), "principal must be a bool"),
+        (sp8, (1, 4, 2, 2), "principal must be a bool"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            SeriesDescriptor(g, *args)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -190,6 +192,11 @@ def test_descriptor_invariants():
     (lambda: SignedPerm((1, -3)), "signed permutation"),
     (lambda: SignedPerm((1, 2)) * SignedPerm((1,)), "rank mismatch"),
     (lambda: special_element(3, "v", 1), "kind must be"),
+    (lambda: SignedPerm([1.0, 2]), "image must be an integer"),
+    (lambda: SignedPerm(["1"]), "image must be an integer"),
+    (lambda: special_element(3, "t", 1.0), "m must be an integer"),
+    (lambda: generator(3, 1.0), "i must be an integer"),
+    (lambda: identity(3.0), "n must be an integer"),
 ])
 def test_rejections(call, message):
     with pytest.raises(InputError, match=message):
