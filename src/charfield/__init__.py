@@ -2,8 +2,8 @@
 finite symplectic and special orthogonal groups, with brute-force matrix
 oracles verifying the closed forms on small groups."""
 
-from .char_fields import (CharacterField, character_field, cuspidal_fixed, is_real_series,
-                          predicted_fixed_count, predicted_fixed_count_rank1)
+from .char_fields import (CharacterField, character_field, is_real_series, predicted_fixed_count,
+                          predicted_fixed_count_rank1)
 from .errors import BudgetExceededError, InputError
 from .galois_arith import (
     GaloisElement,

@@ -5,8 +5,10 @@ field: the fixed field of the class stabiliser inside a cyclotomic field,
 possibly extended by the Gauss-sum square root sqrt(omega*p).  The extension
 happens exactly for symplectic groups with q a non-square and -1 an
 eigenvalue of the class; orthogonal series never grow.  `CharacterField.fixed_by`
-is the one rule for whether sigma_k fixes a field: realness, the fixity of
-cuspidal characters and the predicted side of Brauer's lemma all read it.
+is the one rule for whether sigma_k fixes a field, and so every character of
+the series, cuspidal ones included: realness and the predicted side of
+Brauer's lemma, which sums the series of every class `enumerate_classes`
+lists, both read it.
 
 This uniform model is known to be wrong for Sp4(F_3): the oracle's
 `brauer_fixed_classes` finds 14 classes fixed by g -> g^k for every k that
@@ -109,19 +111,6 @@ def is_real_series(g: GroupSpec, cls: SemisimpleClass) -> bool:
     return character_field(g, cls).is_real
 
 
-def cuspidal_fixed(g: GroupSpec, cls: SemisimpleClass, sigma: GaloisElement) -> bool:
-    """Is a cuspidal symplectic character in the series of an order <= 2
-    class fixed by sigma?  Exactly when sigma fixes the series field: always
-    for the identity class (unipotent characters are rational), else iff k
-    is a square in F_q."""
-    check_class_of(g, cls)
-    if g.family is not Family.SP:
-        raise InputError("cuspidal criterion is for symplectic groups")
-    if not cls.is_quasi_isolated():
-        raise InputError("criterion applies to order <= 2 classes")
-    return character_field(g, cls).fixed_by(sigma.k)
-
-
 @lru_cache(maxsize=None)
 def _rank1_order(q: int) -> int:
     """|G| = q(q^2 - 1) for Sp2(F_q) and SO3(F_q), with q one that GroupSpec
@@ -141,7 +130,7 @@ def _predicted_counts(g: GroupSpec) -> tuple[int, ...]:
     q + 1, and the enumeration refuses q past 13 before any per-residue
     work, so L is at most 1,092."""
     sizes: Counter[CharacterField] = Counter()
-    for cls in enumerate_classes(g, max_d=g.q + 1):
+    for cls in enumerate_classes(g):
         sizes[character_field(g, cls)] += 2 if order_of(cls) <= 2 else 1
     length = lcm(g.p, *(field.base.d for field in sizes))
     return tuple(sum(size for field, size in sizes.items() if field.fixed_by(r))

@@ -79,7 +79,7 @@ def _cmd_powmap(args) -> Iterator[dict]:
 
 def _cmd_gammadelta(args) -> Iterator[dict]:
     m = args.a + args.b
-    g = GroupSpec(args.family, args.n or m, args.q, args.twist)
+    g = GroupSpec(args.family, m, args.q, args.twist)
     desc = SeriesDescriptor(g, True, m, args.a, args.b)
     sigma = GaloisElement(args.sigma_k, args.sigma_m)
     yield _answer({"family": g.family.value, "q": g.q, "a": args.a, "b": args.b,
@@ -116,7 +116,7 @@ def _cmd_kgroup(args) -> Iterator[dict]:
 
 def _cmd_classes(args) -> Iterator[dict]:
     g = _group(args)
-    for cls in enumerate_classes(g, args.max_d if args.max_d else g.q + 1):
+    for cls in enumerate_classes(g):
         yield cls.to_dict()
 
 
@@ -171,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--twist", type=int, default=1, choices=[1, -1])
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--n", type=int, default=0)
     sp.add_argument("--sigma-k", dest="sigma_k", type=int, required=True)
     sp.add_argument("--sigma-m", dest="sigma_m", type=int, required=True)
     sp.set_defaults(func=_cmd_gammadelta)
@@ -197,9 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "has the form's type, a single eigenspace has the form's type")
     sp.set_defaults(func=_cmd_kgroup)
 
-    sp = sub.add_parser("classes", help="enumerate semisimple classes of the dual group")
+    sp = sub.add_parser("classes", help="every semisimple class of the dual group")
     add_common(sp, group=True)
-    sp.add_argument("--max-d", type=int, default=0)
     sp.set_defaults(func=_cmd_classes)
 
     sp = sub.add_parser("verify", help="run verification suites")

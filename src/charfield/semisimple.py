@@ -391,16 +391,17 @@ def _check_spinor_kernel_group(g: GroupSpec) -> None:
 
 def involution_class(g: GroupSpec, minus_dim: int) -> SemisimpleClass:
     """The order <= 2 class of the even orthogonal group g with a
-    minus_dim-dimensional -1 eigenspace and eigenvalue 1 elsewhere.  When
-    both eigenspaces occur the +1 eigenspace is split and the -1 eigenspace
-    has the form's type; a single eigenspace has the form's type."""
+    minus_dim-dimensional -1 eigenspace (even, in 0..2n) and eigenvalue 1
+    elsewhere, with the first legal labels: when both eigenspaces occur the
+    +1 eigenspace is split and the -1 eigenspace has the form's type; a
+    single eigenspace has the form's type."""
     _check_spinor_kernel_group(g)
+    if minus_dim % 2 or not 0 <= minus_dim <= 2 * g.n:
+        raise InputError(f"minus_dim must be even and in 0..{2 * g.n}, got {minus_dim}")
     plus_dim = 2 * g.n - minus_dim
     orbits = tuple(EigenvalueOrbit(a, d, mult)
                    for a, d, mult in ((0, 1, plus_dim), (1, 2, minus_dim)) if mult)
-    plus_type = (1 if minus_dim else g.twist) if plus_dim else None
-    minus_type = g.twist if minus_dim else None
-    return SemisimpleClass(g, orbits, plus_type, minus_type)
+    return SemisimpleClass(g, orbits, *_legal_labels(g, plus_dim, minus_dim, 0)[0])
 
 
 def in_spinor_kernel(g: GroupSpec, cls: SemisimpleClass) -> bool:
@@ -460,12 +461,13 @@ _ENUM_MAX_N = 3
 _ENUM_MAX_Q = 13
 
 
-@lru_cache(maxsize=None, typed=True)  # so max_d = 8.0 misses the entry of 8 and is refused
-def enumerate_classes(g: GroupSpec, max_d: int) -> tuple[SemisimpleClass, ...]:
-    """All semisimple classes of the dual group whose order is at most max_d,
-    with every legal type-label assignment, in a deterministic order."""
-    if as_int(max_d, "max_d") < 1:
-        raise InputError("max_d must be >= 1")
+@lru_cache(maxsize=None)
+def enumerate_classes(g: GroupSpec) -> tuple[SemisimpleClass, ...]:
+    """Every semisimple class of the dual group, with every legal type-label
+    assignment, in a deterministic order.  An even orthogonal spectrum with
+    no eigenvalue +-1 is listed once: it is one class of the orthogonal
+    group but two of the special orthogonal dual, which carry no label that
+    tells them apart yet."""
     if g.n > _ENUM_MAX_N or g.q > _ENUM_MAX_Q:
         raise BudgetExceededError("class enumeration is restricted to n <= 3, q <= 13")
     q, dim = g.q, g.dual_dim
@@ -477,7 +479,7 @@ def enumerate_classes(g: GroupSpec, max_d: int) -> tuple[SemisimpleClass, ...]:
     # have one size and are self-inverse exactly when the orbit of 1 is; an
     # order whose blocks cannot fit is skipped before its units are walked.
     units: list[tuple[tuple[tuple[int, int], ...], int]] = []
-    orders = {d for j in range(1, dim + 1) for d in _divisors(q**j - 1) if 3 <= d <= max_d}
+    orders = {d for j in range(1, dim + 1) for d in _divisors(q**j - 1) if d >= 3}
     for d in sorted(orders):
         orbit_of_one = _orbit(1, d, q, dim)
         size = len(orbit_of_one)
@@ -494,7 +496,7 @@ def enumerate_classes(g: GroupSpec, max_d: int) -> tuple[SemisimpleClass, ...]:
     def fill(start: int, remaining: int, entries: list, self_inverse: int) -> None:
         """Every class made of the chosen entries, more units from start on and
         +-1; one unit per level, so the depth is at most dim."""
-        for mm1 in range(remaining + 1 if max_d >= 2 else 1):
+        for mm1 in range(remaining + 1):
             m1 = remaining - mm1
             orbits = _normalise(g, entries + [(1, 2, mm1)] * (mm1 > 0) + [(0, 1, m1)] * (m1 > 0))
             out.extend(SemisimpleClass(g, orbits, pt, mt)

@@ -56,7 +56,9 @@ class SignedPerm:
 
 
 def identity(n: int) -> SignedPerm:
-    return SignedPerm(range(1, as_int(n, "n") + 1))
+    if as_int(n, "n") < 0:
+        raise InputError("n must be >= 0")
+    return SignedPerm(range(1, n + 1))
 
 
 def generator(n: int, i: int) -> SignedPerm:
@@ -116,8 +118,8 @@ def length(w: SignedPerm) -> int:
 
 def lengths_by_bfs(n: int) -> dict[SignedPerm, int]:
     """Word lengths of all of W_n by BFS on the Cayley graph (tests, n <= 4)."""
-    gens = [generator(n, i) for i in range(1, n + 1)]
     start = identity(n)
+    gens = [generator(n, i) for i in range(1, start.n + 1)]
     dist = {start: 0}
     queue = deque([start])
     while queue:

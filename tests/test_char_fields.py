@@ -7,7 +7,6 @@ from charfield.char_fields import (
     CharacterField,
     _rank1_counts,
     character_field,
-    cuspidal_fixed,
     is_real_series,
     predicted_fixed_count,
     predicted_fixed_count_rank1,
@@ -44,6 +43,10 @@ def _cls(family, n, q, orbits, twist=1, plus=None, minus=None):
     )
 
 
+def _classes_up_to(g, bound):
+    return [cls for cls in enumerate_classes(g) if order_of(cls) <= bound]
+
+
 def test_involution_field_sp():
     # rank one, q = 7: the involution series carries Q(sqrt(-7))
     cls = _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)
@@ -56,7 +59,7 @@ def test_involution_field_sp():
 
 def test_so_fields_are_core_only():
     g = GroupSpec(Family.SO_EVEN, 2, 3, 1)
-    for cls in enumerate_classes(g, 4):
+    for cls in _classes_up_to(g, 4):
         field = character_field(g, cls)
         assert not field.adjoin_sqrt_omega_p
         assert field.degree == field.base.degree
@@ -81,7 +84,7 @@ def test_adjoin_requires_nonsquare_q():
 
 def test_adjoin_false_whenever_q_square_enumerated():
     g = GroupSpec(Family.SP, 2, 9)
-    for cls in enumerate_classes(g, 10):
+    for cls in _classes_up_to(g, 10):
         assert not character_field(g, cls).adjoin_sqrt_omega_p
 
 
@@ -98,7 +101,7 @@ def test_field_blind_to_field_degree_parity():
 
 def test_degree_formula():
     for g in (GroupSpec(Family.SO_ODD, 2, 3), GroupSpec(Family.SO_EVEN, 2, 3, 1)):
-        for cls in enumerate_classes(g, 4):
+        for cls in _classes_up_to(g, 4):
             field = character_field(g, cls)
             assert field.degree * len(field.base.stab) == _phi(field.base.d)
 
@@ -118,22 +121,22 @@ def test_is_real_series():
     assert is_real_series(q9, invol9)  # q = 1 mod 4
 
     so = GroupSpec(Family.SO_EVEN, 2, 3, 1)
-    for cls in enumerate_classes(so, 4):
+    for cls in _classes_up_to(so, 4):
         assert is_real_series(so, cls)
 
 
 def test_cuspidal_fixed():
+    # sigma_3 fixes a cuspidal character exactly when it fixes the series field
     g = GroupSpec(Family.SP, 1, 7)
     one = _cls("sp", 1, 7, [("0/1", 3)])
     invol = _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)
-    sigma3 = GaloisElement(3, 28)
-    assert cuspidal_fixed(g, one, sigma3)
-    assert not cuspidal_fixed(g, invol, sigma3)  # (3/7) = -1
+    assert character_field(g, one).fixed_by(3)
+    assert not character_field(g, invol).fixed_by(3)  # (3/7) = -1
     g49 = GroupSpec(Family.SP, 1, 49)
     invol49 = _cls("sp", 1, 49, [("0/1", 1), ("1/2", 2)], minus=1)
-    assert cuspidal_fixed(g49, invol49, sigma3)
-    with pytest.raises(InputError):
-        cuspidal_fixed(g, _cls("sp", 1, 7, [("0/1", 1), ("1/4", 1), ("3/4", 1)]), sigma3)
+    assert character_field(g49, invol49).fixed_by(3)
+    with pytest.raises(InputError):  # at q = 7, 1/4 and 3/4 are one orbit: dimension 5
+        _cls("sp", 1, 7, [("0/1", 1), ("1/4", 1), ("3/4", 1)])
 
 
 def test_predicted_identity_count():
@@ -166,7 +169,7 @@ def test_predicted_count_against_its_definition():
         g = GroupSpec(Family.SP, 1, q)
         order, m = q * (q * q - 1), lcm(4 * g.p, q * q - 1)
         series = [(character_field(g, cls), 2 if order_of(cls) <= 2 else 1)
-                  for cls in enumerate_classes(g, max_d=q + 1)]
+                  for cls in enumerate_classes(g)]
         for k in range(1, order):
             if gcd(k, order) != 1:
                 continue
@@ -183,16 +186,12 @@ def test_predicted_count_vector_spans_p_and_the_conductors():
     # most 1,092 since the series enumeration stops at q = 13
     for q in (3, 5, 7, 9, 11, 13):
         g = GroupSpec(Family.SP, 1, q)
-        conductors = [character_field(g, cls).base.d for cls in enumerate_classes(g, max_d=q + 1)]
+        conductors = [character_field(g, cls).base.d for cls in enumerate_classes(g)]
         assert len(_rank1_counts(q)) == lcm(g.p, *conductors) <= 1092, q
 
 
 _SO4_3, _SO4_7 = GroupSpec(Family.SO_EVEN, 2, 3), GroupSpec(Family.SO_EVEN, 2, 7)
 _SP2_7, _SP2_49 = GroupSpec(Family.SP, 1, 7), GroupSpec(Family.SP, 1, 49)
-
-
-def _cuspidal_fixed_by_3(g, cls):
-    return cuspidal_fixed(g, cls, GaloisElement(3, 28))
 
 
 # every entry point that takes a group and a class, with a group and a class
@@ -202,10 +201,9 @@ def _cuspidal_fixed_by_3(g, cls):
     (central_twist_action, _SO4_3, involution_class(_SO4_7, 2)),
     (character_field, _SO4_3, involution_class(_SO4_7, 2)),
     (is_real_series, _SO4_3, involution_class(_SO4_7, 2)),
-    (_cuspidal_fixed_by_3, _SP2_7, _cls("sp", 1, 49, [("0/1", 1), ("1/2", 2)], minus=1)),
     (character_field, _SP2_49, _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)),
 ], ids=["in_spinor_kernel", "central_twist_action", "character_field", "is_real_series",
-         "cuspidal_fixed", "character_field_sp"])
+         "character_field_sp"])
 def test_class_of_another_group_is_rejected(entry, g, cls):
     entry(cls.group, cls)  # answered for the class's own group
     with pytest.raises(InputError, match="class does not belong to this group"):
@@ -269,12 +267,11 @@ def test_brauer_entry_points_repeat_their_answers(pair, raw, predicted):
     (is_square_in_fq, (3.0, 7)),
     (gauss_sum_exact, (7, 3.0)),
     (EigenvalueOrbit, (1.0, 2, 1)),
-    (enumerate_classes, (_SP2_7, 8.0)),
 ], ids=["GaloisElement-k", "GaloisElement-m", "PrimePowerAction-ell", "PrimePowerAction-r",
         "EpsPartition", "brauer_fixed_classes_sl2", "predicted_fixed_count_rank1",
         "brauer_fixed_classes", "predicted_fixed_count", "power_conjugacy_search-float",
         "power_conjugacy_search-str", "unipotent_rational", "mat_pow", "legendre",
-        "is_square_in_fq", "gauss_sum_exact", "EigenvalueOrbit", "enumerate_classes"])
+        "is_square_in_fq", "gauss_sum_exact", "EigenvalueOrbit"])
 def test_non_integer_arguments_are_refused(call, args):
     with pytest.raises(InputError, match="must be an integer"):
         call(*args)
@@ -292,26 +289,12 @@ def test_prediction_refuses_large_q_before_any_per_residue_work(monkeypatch, k, 
         predicted_fixed_count_rank1(10**9 + 7, k)
 
 
-def _order_three_class():
-    g = GroupSpec(Family.SP, 1, 7)
-    return next(c for c in enumerate_classes(g, g.q + 1) if order_of(c) == 3)
-
-
-@pytest.mark.parametrize("g, cls, message", [
-    (GroupSpec(Family.SO_ODD, 1, 7), _cls("so-odd", 1, 7, [("0/1", 2)]), "symplectic groups"),
-    (GroupSpec(Family.SP, 1, 7), _order_three_class(), "order <= 2 classes"),
-])
-def test_cuspidal_fixed_rejections(g, cls, message):
-    with pytest.raises(InputError, match=message):
-        cuspidal_fixed(g, cls, GaloisElement(3, 28))
-
-
 def test_fixed_by_refuses_k_divisible_by_p():
     # sigma_7 is a unit mod 8, but p = 7 divides it, so it is no Galois
     # element of Q(sqrt(-7)), the field of the involution series of Sp2(F_7)
     cls = _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)
     with pytest.raises(InputError, match="k must be coprime to p$"):
-        cuspidal_fixed(_SP2_7, cls, GaloisElement(7, 8))
+        character_field(_SP2_7, cls).fixed_by(7)
 
 
 def test_character_field_realness_from_its_base():
@@ -360,10 +343,11 @@ def test_cuspidal_fixed_against_the_square_rule():
     for q in (3, 5, 7, 9, 11, 13):
         for n in (1, 2, 3):
             g = GroupSpec(Family.SP, n, q)
-            for cls in enumerate_classes(g, 2):
+            for cls in _classes_up_to(g, 2):
+                field = character_field(g, cls)
                 for k in range(1, 8 * g.p):
                     if gcd(k, 4 * g.p) == 1:
                         want = order_of(cls) == 1 or is_square_in_fq(k, q)
-                        assert cuspidal_fixed(g, cls, GaloisElement(k, 4 * g.p)) is want, (q, n, cls, k)
+                        assert field.fixed_by(k) is want, (q, n, cls, k)
                         cases += 1
     assert cases == 2160

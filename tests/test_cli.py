@@ -14,7 +14,7 @@ from charfield import verify
 from charfield.cli import build_parser, main
 from charfield.errors import InputError
 from charfield.groups import Family, GroupSpec
-from charfield.semisimple import class_from_dict, enumerate_classes, in_spinor_kernel
+from charfield.semisimple import class_from_dict, enumerate_classes, in_spinor_kernel, order_of
 from charfield.symbols import ENTRY_CAP
 from charfield.verify import SUITES, _check
 
@@ -90,18 +90,17 @@ def test_gammadelta_rejects_bad_sigma(capsys):
             assert "invalid input" in err
 
 
-@pytest.mark.parametrize("n, ok", [("0", True), ("2", True), ("5", False), ("1", False),
-                                   ("-2", False)])
-def test_gammadelta_rank_is_a_plus_b(capsys, n, ok):
-    # a principal series has rank a + b; --n may only repeat it (0 leaves it
-    # out), and any other rank is malformed input with nothing printed
-    code, out, err = _run(capsys, "gammadelta", "--family", "sp", "--q", "3", "--a", "1",
-                          "--b", "1", "--n", n, "--sigma-k", "5", "--sigma-m", "12")
-    if ok:
-        assert code == 0 and json.loads(out)["result"]["gamma_delta"] == -1
-    else:
-        assert code == 2 and out == "", n
-        assert "invalid input" in err
+@pytest.mark.parametrize("n", ["0", "2", "5", "1", "-2"])
+def test_gammadelta_refuses_n(capsys, n):
+    # a principal series has rank a + b, so there is no --n to give, not
+    # even one that repeats it
+    argv = ["gammadelta", "--family", "sp", "--q", "3", "--a", "1", "--b", "1",
+            "--n", n, "--sigma-k", "5", "--sigma-m", "12"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == "", n
+    assert "unrecognized arguments: --n" in out.err
 
 
 def test_symbol_and_wavefront(capsys):
@@ -137,12 +136,13 @@ def test_kgroup_subcommand(capsys):
     assert data["result"]["in_spinor_kernel"] is False  # 3 = 3 mod 4
 
     # --minus-dim answers exactly where the library does, and exits 2 where
-    # in_spinor_kernel rejects the order <= 2 class with that -1 eigenspace.
+    # in_spinor_kernel rejects the order <= 2 class with that -1 eigenspace;
+    # on so-even an odd or out-of-range dimension is refused with the range
     for family, twist in (("sp", 1), ("so-odd", 1), ("so-even", 1), ("so-even", -1)):
         for n in (1, 2):
             for q in (3, 5):
                 g = GroupSpec(Family(family), n, q, twist)
-                for minus_dim in range(-2, 2 * n + 3):
+                for minus_dim in range(-2, 2 * n + 4):
                     try:
                         want = in_spinor_kernel(g, _order_two_class(g, minus_dim))
                     except InputError:
@@ -157,6 +157,9 @@ def test_kgroup_subcommand(capsys):
                         if family != "so-even":
                             assert err == ("invalid input: spinor-kernel test applies "
                                            "to so-even only\n"), case
+                        else:
+                            assert err == (f"invalid input: minus_dim must be even and in "
+                                           f"0..{2 * n}, got {minus_dim}\n"), case
                     else:
                         assert code == 0, case
                         assert json.loads(out)["result"]["in_spinor_kernel"] is want, case
@@ -185,6 +188,14 @@ def test_classes_roundtrip_through_field(capsys):
         assert echoed == json.loads(line)
 
 
+def test_classes_lists_every_class(capsys):
+    # the dual of Sp4(F3) is SO5(F3), which has 12 semisimple classes, nine
+    # of them of order at most q + 1 = 4
+    code, out, _ = _run(capsys, "classes", "--family", "sp", "--n", "2", "--q", "3")
+    assert code == 0
+    assert len(out.splitlines()) == 12
+
+
 def test_classes_byte_stable(capsys):
     _, out1, _ = _run(capsys, "classes", "--family", "sp", "--n", "1", "--q", "5")
     _, out2, _ = _run(capsys, "classes", "--family", "sp", "--n", "1", "--q", "5")
@@ -203,10 +214,6 @@ def test_malformed_input_exit_code(capsys):
         code, out, err = _run(capsys, cmd, "--class", gl_class)
         assert code == 2 and out == ""
         assert "invalid input" in err
-    code, out, err = _run(capsys, "classes", "--family", "sp", "--n", "1", "--q", "7",
-                          "--max-d", "-5")
-    assert code == 2 and out == ""
-    assert err == "invalid input: max_d must be >= 1\n"
 
 
 def test_malformed_class_values_exit_2(capsys):
@@ -348,20 +355,12 @@ def test_bounded_orbit_walks():
         code, out, err = _run_child("field", "--class", cls)
         assert code == 2 and out == "", frac
         assert err.startswith("invalid input: "), err
-    code, out, err = _run_child("classes", "--family", "sp", "--n", "3", "--q", "13",
-                                "--max-d", "400")
-    assert code == 0 and err == "" and out
-    # q = 3 has order at most 3 only mod the divisors of 8 and 26, so no
-    # class of order above 26 fits in dimension 3
-    _, large, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
-                             "--max-d", "100000")
-    _, small, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
-                             "--max-d", "26")
-    assert large == small and len(large.splitlines()) == 4
-    # only the divisors of q^j - 1 are visited, so the bound costs nothing
-    _, huge, _ = _run_child("classes", "--family", "sp", "--n", "1", "--q", "3",
-                            "--max-d", "1000000000")
-    assert huge == small
+    # only the divisors of q^j - 1, j <= 7, are visited, so the full list of
+    # the largest group the enumeration admits is printed well within the
+    # timeout
+    code, out, err = _run_child("classes", "--family", "sp", "--n", "3", "--q", "13")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 2366
 
 
 def test_orbit_past_the_walk_cap():
@@ -449,7 +448,7 @@ Q = (st.integers(-3, 30) | st.integers(-10**30, 10**30)
 VALID_CLASSES = [json.loads(INVOLUTION), json.loads(Q18_CLASS)] + [
     cls.to_dict()
     for g in (GroupSpec(Family.SP, 2, 5), GroupSpec(Family.SO_ODD, 2, 9), GroupSpec(Family.SO_EVEN, 2, 3, -1))
-    for cls in enumerate_classes(g, 2 * g.q + 2)]
+    for cls in enumerate_classes(g) if order_of(cls) <= 2 * g.q + 2]
 
 
 @st.composite
@@ -487,11 +486,10 @@ def test_fuzzed_class_lines_exit_cleanly(cmd, text, pretty):
 
 
 @given(FAMILIES, st.integers(-1, 4) | st.text(max_size=3), st.integers(-3, 16) | Q,
-       st.integers(-2, 10**12) | st.text(max_size=3), st.sampled_from([1, -1, 2]))
+       st.sampled_from([1, -1, 2]))
 @settings(max_examples=200, deadline=None)
-def test_fuzzed_classes_lines_exit_cleanly(family, n, q, max_d, twist):
-    argv = ["classes", "--family", family, "--n", str(n), "--q", str(q),
-            "--max-d", str(max_d), "--twist", str(twist)]
+def test_fuzzed_classes_lines_exit_cleanly(family, n, q, twist):
+    argv = ["classes", "--family", family, "--n", str(n), "--q", str(q), "--twist", str(twist)]
     assert _exit_code(argv) in (0, 2, 3)
 
 

@@ -115,8 +115,8 @@ def test_group_spec_stores_one_form():
     by_value = GroupSpec("sp", 1, 7)
     assert by_value.family is Family.SP
     assert (by_value.dual_family, by_value.form_eps, by_value.dual_dim) == (Family.SO_ODD, 1, 3)
-    first = semisimple.enumerate_classes(by_value, 8)
-    classes = semisimple.enumerate_classes(GroupSpec(Family.SP, 1, 7), 8)
+    first = semisimple.enumerate_classes(by_value)
+    classes = semisimple.enumerate_classes(GroupSpec(Family.SP, 1, 7))
     assert classes is first and len(classes) == 8
     assert all(c.to_dict()["family"] == "sp" for c in classes)
     assert GroupSpec(Family.SP, numpy.int64(2), 7).dim == 4

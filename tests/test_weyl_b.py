@@ -197,6 +197,8 @@ def test_descriptor_invariants():
     (lambda: special_element(3, "t", 1.0), "m must be an integer"),
     (lambda: generator(3, 1.0), "i must be an integer"),
     (lambda: identity(3.0), "n must be an integer"),
+    (lambda: identity(-1), "n must be >= 0"),
+    (lambda: lengths_by_bfs(2.0), r"n must be an integer, not 2\.0"),
 ])
 def test_rejections(call, message):
     with pytest.raises(InputError, match=message):
