@@ -8,7 +8,6 @@ from .errors import BudgetExceededError, InputError
 from .galois_arith import (
     GaloisElement,
     PrimePowerAction,
-    SignedPrime,
     galois_from_prime_power,
     gauss_sqrt_sign,
     gauss_sum_exact,
@@ -33,7 +32,6 @@ from .semisimple import (
     CyclotomicSubfield,
     EigenvalueOrbit,
     SemisimpleClass,
-    central_twist_action,
     class_from_dict,
     enumerate_classes,
     galois_stabilizer,

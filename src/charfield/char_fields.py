@@ -63,7 +63,7 @@ class CharacterField:
         """omega * p when the adjunction happens, else None."""
         if not self.adjoin_sqrt_omega_p:
             return None
-        return signed_prime(self.p).sign * self.p
+        return signed_prime(self.p)
 
     def fixed_by(self, k: int) -> bool:
         """Is the field fixed by sigma_k: zeta -> zeta**k, k a unit mod its

@@ -46,26 +46,12 @@ def legendre(a: int, p: int) -> int:
     return 1 if s == 1 else -1
 
 
-@dataclass(frozen=True)
-class SignedPrime:
-    """An odd prime p with the sign (-1)^((p-1)/2), so p = sign (mod 4).
-
-    The sign decides whether the Gauss sum squares to +p or -p, i.e. whether
-    sqrt(p) or sqrt(-p) lives in the p-th cyclotomic field.
-    """
-
-    p: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        _check_odd_prime(self.p)
-        if self.sign != (-1) ** ((self.p - 1) // 2):
-            raise InputError("sign must be (-1)^((p-1)/2)")
-
-
-def signed_prime(p: int) -> SignedPrime:
+def signed_prime(p: int) -> int:
+    """omega*p for an odd prime p, omega = (-1)^((p-1)/2) the sign with
+    p = omega (mod 4): the square of the Gauss sum, so sqrt(omega*p) lies in
+    the p-th cyclotomic field."""
     _check_odd_prime(p)
-    return SignedPrime(p, (-1) ** ((p - 1) // 2))
+    return (-1) ** ((p - 1) // 2) * p
 
 
 def is_square_in_fq(k: int, q: int) -> bool:
@@ -99,11 +85,6 @@ class GaloisElement:
         _check_modulus(self.m)
         if gcd(self.k, self.m) != 1:
             raise InputError("k must be coprime to the modulus")
-
-    def compose(self, other: "GaloisElement") -> "GaloisElement":
-        if self.m != other.m:
-            raise InputError("can only compose elements with equal modulus")
-        return GaloisElement(self.k * other.k % self.m, self.m)
 
     def fixes_i(self) -> bool:
         return self.k % 4 == 1
@@ -189,7 +170,7 @@ def sqrt_p_sign(sigma: GaloisElement, p: int) -> int:
     if sigma.m % (4 * p) != 0:
         raise InputError("modulus must be divisible by 4p")
     base = legendre(sigma.k, p)
-    if signed_prime(p).sign == 1:
+    if signed_prime(p) == p:
         return base
     # k is odd, so i^(k-1) = (-1)^((k-1)/2)
     return base * (1 if sigma.k % 4 == 1 else -1)

@@ -7,7 +7,7 @@ q^length, one from the action on values of a chosen extension of the cuspidal
 datum.  Their product decides whether the series parametrisation is fixed or
 twisted by the sign character of C.  Everything is a value on the single
 complement generator, since all the relevant Weyl-group characters are
-rational.
+rational; a trivial complement carries +1.
 """
 
 from __future__ import annotations
@@ -16,88 +16,71 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .galois_arith import GaloisElement, PrimePowerAction, legendre, sqrt_p_sign
-from .groups import Family
 from .weyl_b import SeriesDescriptor, relative_weyl
 
 
 @dataclass(frozen=True)
 class ComplementSign:
-    """A sign character of the complement C: its order and the value on the
-    generator (+1 when C is trivial)."""
+    """A sign character of the complement C, as its value +-1 on the
+    generator; a trivial complement carries +1."""
 
-    c_order: int
     value: int
 
     def __post_init__(self) -> None:
-        if self.c_order not in (1, 2) or self.value not in (1, -1):
+        if self.value not in (1, -1):
             raise InputError("bad complement sign")
-        if self.c_order == 1 and self.value != 1:
-            raise InputError("trivial complement only carries the value +1")
 
     def __mul__(self, other: "ComplementSign") -> "ComplementSign":
-        if self.c_order != other.c_order:
-            raise InputError("complement order mismatch")
-        return ComplementSign(self.c_order, self.value * other.value)
+        return ComplementSign(self.value * other.value)
 
 
 def index_sqrt_sign(desc: SeriesDescriptor, sigma: GaloisElement) -> ComplementSign:
     """Sign from the action on sqrt(q^length) at the complement generator.
 
-    Trivial when q is a square, when the generator has even length, or when
-    sigma fixes sqrt(p); otherwise -1.
+    Trivial when C is trivial, when q is a square, when the generator has
+    even length, or when sigma fixes sqrt(p); otherwise -1.
     """
-    rel = relative_weyl(desc)
-    if rel.c_order == 1:
-        return ComplementSign(1, 1)
     g = desc.group
-    if g.q_is_square or rel.c_length_parity == "even":
-        return ComplementSign(2, 1)
-    return ComplementSign(2, sqrt_p_sign(sigma, g.p))
+    if relative_weyl(desc).c_length_parity != "odd" or g.q_is_square:
+        return ComplementSign(1)
+    return ComplementSign(sqrt_p_sign(sigma, g.p))
 
 
 def index_sqrt_sign_h(desc: SeriesDescriptor, h: PrimePowerAction) -> ComplementSign:
     """index_sqrt_sign for a prime-power Galois action, in closed form."""
-    rel = relative_weyl(desc)
-    if h.ell == desc.group.p:
-        raise InputError("closed forms assume ell differs from the defining prime")
-    if rel.c_order == 1:
-        return ComplementSign(1, 1)
+    parity = relative_weyl(desc).c_length_parity
     g = desc.group
-    if g.q_is_square or rel.c_length_parity == "even":
-        return ComplementSign(2, 1)
-    p = g.p
+    if h.ell == g.p:
+        raise InputError("closed forms assume ell differs from the defining prime")
+    if parity != "odd" or g.q_is_square:
+        return ComplementSign(1)
     if h.ell != 2:
         if h.r % 2 == 0:
-            return ComplementSign(2, 1)
-        return ComplementSign(2, legendre(p, h.ell))
+            return ComplementSign(1)
+        return ComplementSign(legendre(g.p, h.ell))
     qm8 = g.q % 8
     if qm8 == 1:
-        return ComplementSign(2, 1)
+        return ComplementSign(1)
     if qm8 == 7:
-        return ComplementSign(2, 1 if h.i_sign == 1 else -1)
+        return ComplementSign(1 if h.i_sign == 1 else -1)
     if qm8 == 3:
         expected = 1 if h.r % 2 == 0 else -1
-        return ComplementSign(2, 1 if h.i_sign == expected else -1)
-    return ComplementSign(2, (-1) ** h.r)  # q = 5 (mod 8)
+        return ComplementSign(1 if h.i_sign == expected else -1)
+    return ComplementSign((-1) ** h.r)  # q = 5 (mod 8)
 
 
 def extension_sign(desc: SeriesDescriptor, sigma: GaloisElement) -> ComplementSign:
     """Sign from the action on a chosen extension of the cuspidal datum.
 
-    Always trivial for orthogonal groups.  For symplectic groups the
-    extension takes a primitive fourth root of unity as a value on the
-    complement generator when q = 3 (mod 4), so the sign is whether sigma
-    fixes i; for q = 1 (mod 4) the values are +-1 and the sign is trivial.
+    Trivial unless the complement generator has odd length, which happens
+    for symplectic groups alone.  There the extension takes a primitive
+    fourth root of unity as a value on the generator when q = 3 (mod 4), so
+    the sign is whether sigma fixes i; for q = 1 (mod 4) the values are +-1
+    and the sign is trivial.
     """
-    rel = relative_weyl(desc)
-    if rel.c_order == 1:
-        return ComplementSign(1, 1)
-    g = desc.group
-    if g.family in (Family.SO_ODD, Family.SO_EVEN):
-        return ComplementSign(2, 1)
-    if g.q % 4 == 1:
-        return ComplementSign(2, 1)
-    return ComplementSign(2, 1 if sigma.fixes_i() else -1)
+    if relative_weyl(desc).c_length_parity != "odd" or desc.group.q % 4 == 1:
+        return ComplementSign(1)
+    return ComplementSign(1 if sigma.fixes_i() else -1)
 
 
 def series_twist_sign(desc: SeriesDescriptor, sigma: GaloisElement) -> ComplementSign:
@@ -115,23 +98,22 @@ def series_twist_sign_h(desc: SeriesDescriptor, h: PrimePowerAction) -> Compleme
 
     Symplectic, C of order two: +1 when q is a square; for odd ell it is
     (ell/p)^r; for ell = 2 it is +1 when q = +-1 (mod 8) and (-1)^r when
-    q = +-3 (mod 8).  Orthogonal: the index sign alone.
+    q = +-3 (mod 8).  Orthogonal: +1, as the complement is trivial or its
+    generator has even length.
     """
-    rel = relative_weyl(desc)
+    parity = relative_weyl(desc).c_length_parity
     g = desc.group
     if h.ell == g.p:
         raise InputError("closed forms assume ell differs from the defining prime")
-    if rel.c_order == 1 or g.family in (Family.SO_ODD, Family.SO_EVEN):
-        return index_sqrt_sign_h(desc, h)
-    if g.q_is_square:
-        return ComplementSign(2, 1)
+    if parity != "odd" or g.q_is_square:
+        return ComplementSign(1)
     if h.ell != 2:
         if h.r % 2 == 0:
-            return ComplementSign(2, 1)
-        return ComplementSign(2, legendre(h.ell, g.p))
+            return ComplementSign(1)
+        return ComplementSign(legendre(h.ell, g.p))
     if g.q % 8 in (1, 7):
-        return ComplementSign(2, 1)
-    return ComplementSign(2, (-1) ** h.r)
+        return ComplementSign(1)
+    return ComplementSign((-1) ** h.r)
 
 
 def series_permutation(desc: SeriesDescriptor, sigma: GaloisElement) -> str:

@@ -95,7 +95,7 @@ class EigenvalueOrbit:
 
     def __post_init__(self) -> None:
         for name in ("num", "den", "mult"):
-            as_int(getattr(self, name), name)
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.den < 1 or not 0 <= self.num < self.den:
             raise InputError("need 0 <= a < d")
         if self.num == 0 and self.den != 1:
@@ -126,7 +126,9 @@ class CyclotomicSubfield:
     stab: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        st, d = self.stab, self.d
+        d, st = as_int(self.d, "d"), tuple(self.stab)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "stab", st)
         if d < 1:
             raise InputError("d must be >= 1")
         members = set(st)
@@ -232,6 +234,7 @@ class SemisimpleClass:
         return _spectrum(self.group, self.orbits)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "orbits", tuple(self.orbits))
         g, spectrum = self.group, self.spectrum
         total = sum(o.mult for o in spectrum.values())
         if total != g.dual_dim:
@@ -248,6 +251,9 @@ class SemisimpleClass:
         self_inverse = sum(o.mult for o, inv in zip(self.orbits, inverses)
                            if o.den > 2 and inv is o)
         legal = _legal_labels(g, m1, mm1, self_inverse)
+        for name in ("plus_type", "minus_type"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_int(getattr(self, name), name))
         labels = (self.plus_type, self.minus_type)
         if labels not in legal:
             rule = (f"the legal (plus_type, minus_type) pairs are {legal}" if legal
@@ -429,32 +435,6 @@ def has_central_twist_automorphism(g: GroupSpec) -> bool:
     nothing extra appears there.
     """
     return g.family is Family.SO_EVEN and _minus_space_in_spinor_kernel(g.q, g.n, g.twist)
-
-
-def central_twist_action(
-    g: GroupSpec,
-    cls: SemisimpleClass,
-    torus_character: bool = False,
-) -> str:
-    """Effect of the extra central automorphism on characters of the series.
-
-    Returns "invariant" when the characters in question are fixed,
-    "series-moved" when the automorphism maps the whole series elsewhere, and
-    "moved" when the series is stable but the given character is not.  When
-    the automorphism group is trivial everything is invariant.  Passing
-    torus_character=True asks about a principal-series torus-character datum
-    instead of a cuspidal member: such a character is fixed only when the
-    class lies in the spinor kernel.  in_spinor_kernel, asked first, rejects
-    a class of another group, every group but the even orthogonal ones and
-    every class of order > 2.
-    """
-    if in_spinor_kernel(g, cls) or not has_central_twist_automorphism(g):
-        return "invariant"
-    dims_equal = cls.mult_of_one() == cls.mult_of_minus_one()
-    if not dims_equal:
-        return "series-moved"
-    # cuspidal members of a stable series are fixed
-    return "moved" if torus_character else "invariant"
 
 
 _ENUM_MAX_N = 3

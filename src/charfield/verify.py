@@ -77,10 +77,10 @@ def suite_gauss() -> list[CheckResult]:
     equals the Legendre symbol, for every odd prime p <= 50 and k coprime."""
     def cells():
         for p in _primes_up_to(50):
-            omega = signed_prime(p).sign
+            omega_p = signed_prime(p)
             for k in range(1, p):
                 square, sign = gauss_sum_exact(p, k)
-                yield (p, k), square == omega * p and sign == legendre(k, p)
+                yield (p, k), square == omega_p and sign == legendre(k, p)
     return [_check("gauss-sum-square-and-sign", "odd primes <= 50, all k", cells())]
 
 

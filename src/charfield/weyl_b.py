@@ -177,10 +177,6 @@ class RelativeWeylGroup:
     c_flips: tuple[int, ...]
 
     @property
-    def c_order(self) -> int:
-        return 2 if self.c_flips else 1
-
-    @property
     def c_length_parity(self) -> str | None:
         """"even" or "odd", the parity of the length of the complement's
         generator in W_n; None for a trivial complement.  A sign change of k

@@ -26,7 +26,6 @@ from charfield.power_maps import unipotent_rational
 from charfield.semisimple import (
     CyclotomicSubfield,
     EigenvalueOrbit,
-    central_twist_action,
     class_from_dict,
     enumerate_classes,
     in_spinor_kernel,
@@ -198,12 +197,10 @@ _SP2_7, _SP2_49 = GroupSpec(Family.SP, 1, 7), GroupSpec(Family.SP, 1, 49)
 # of another group of the same family that the entry point accepts otherwise
 @pytest.mark.parametrize("entry, g, cls", [
     (in_spinor_kernel, _SO4_3, involution_class(_SO4_7, 2)),
-    (central_twist_action, _SO4_3, involution_class(_SO4_7, 2)),
     (character_field, _SO4_3, involution_class(_SO4_7, 2)),
     (is_real_series, _SO4_3, involution_class(_SO4_7, 2)),
     (character_field, _SP2_49, _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)),
-], ids=["in_spinor_kernel", "central_twist_action", "character_field", "is_real_series",
-         "character_field_sp"])
+], ids=["in_spinor_kernel", "character_field", "is_real_series", "character_field_sp"])
 def test_class_of_another_group_is_rejected(entry, g, cls):
     entry(cls.group, cls)  # answered for the class's own group
     with pytest.raises(InputError, match="class does not belong to this group"):

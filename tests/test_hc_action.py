@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from charfield.errors import InputError
@@ -17,7 +19,7 @@ from charfield.hc_action import (
     series_twist_sign,
     series_twist_sign_h,
 )
-from charfield.weyl_b import SeriesDescriptor
+from charfield.weyl_b import SeriesDescriptor, relative_weyl
 
 GRID_Q = [3, 5, 7, 9, 11, 13, 17, 25, 27]
 GRID_ELL = [2, 3, 5, 7, 11]
@@ -38,10 +40,38 @@ def _sp_desc(q):
     return SeriesDescriptor(GroupSpec(Family.SP, 2, q), True, 2, 1, 1)
 
 
+def _rows(g):
+    """Every descriptor of g that has a row of the relative Weyl table."""
+    n = g.n
+    for principal, m in [(True, n)] + [(False, m) for m in range(n - 1)]:
+        for a in range(m + 1):
+            desc = SeriesDescriptor(g, principal, m, a, m - a)
+            try:
+                relative_weyl(desc)
+            except InputError:
+                continue
+            yield desc
+
+
 def test_complement_sign_invariant():
-    with pytest.raises(InputError):
-        ComplementSign(1, -1)
-    assert (ComplementSign(2, -1) * ComplementSign(2, -1)).value == 1
+    # a trivial complement carries +1, from all five sign functions
+    assert (ComplementSign(-1) * ComplementSign(-1)).value == 1
+    for q in (3, 5, 7, 9, 11, 25, 27):
+        groups = [GroupSpec(family, n, q) for family in Family for n in range(1, 9)]
+        groups += [GroupSpec(Family.SO_EVEN, n, q, -1) for n in range(1, 9)]
+        trivial = [desc for g in groups for desc in _rows(g) if not relative_weyl(desc).c_flips]
+        assert len(trivial) == 128, q  # the odd orthogonal rows
+        p = trivial[0].group.p
+        sigmas = [GaloisElement(k, 4 * p) for k in range(1, 4 * p) if gcd(k, 4 * p) == 1]
+        actions = [PrimePowerAction(ell, r, isign) for ell in GRID_ELL if ell != p
+                   for r in range(4) for isign in ((1, -1) if ell == 2 else (0,))]
+        for desc in trivial:
+            for sigma in sigmas:
+                for sign in (index_sqrt_sign, extension_sign, series_twist_sign):
+                    assert sign(desc, sigma).value == 1, (desc, sigma, sign)
+            for h in actions:
+                for sign in (index_sqrt_sign_h, series_twist_sign_h):
+                    assert sign(desc, h).value == 1, (desc, h, sign)
 
 
 def test_index_sign_square_field():
@@ -71,7 +101,6 @@ def test_sp_twist_equals_gauss_sign():
         desc = _sp_desc(q)
         p = desc.group.p
         for k in range(1, 4 * p):
-            from math import gcd
             if gcd(k, 4 * p) != 1:
                 continue
             sigma = GaloisElement(k, 4 * p)
@@ -123,7 +152,7 @@ def test_twist_sign_multiplicative():
     sigmas = [GaloisElement(k, m) for k in (1, 5, 7, 11)]
     for s1 in sigmas:
         for s2 in sigmas:
-            lhs = series_twist_sign(desc, s1.compose(s2)).value
+            lhs = series_twist_sign(desc, GaloisElement(s1.k * s2.k % m, m)).value
             rhs = series_twist_sign(desc, s1).value * series_twist_sign(desc, s2).value
             assert lhs == rhs
 
@@ -149,10 +178,8 @@ def test_series_permutation():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: ComplementSign(3, 1), "bad complement sign"),
-    (lambda: ComplementSign(2, 0), "bad complement sign"),
-    (lambda: ComplementSign(1, -1), "only carries the value"),
-    (lambda: ComplementSign(1, 1) * ComplementSign(2, -1), "order mismatch"),
+    (lambda: ComplementSign(3), "bad complement sign"),
+    (lambda: ComplementSign(0), "bad complement sign"),
     (lambda: index_sqrt_sign_h(_sp_desc(3), PrimePowerAction(3, 1)), "ell differs"),
     (lambda: index_sqrt_sign_h(_sp_desc(5), PrimePowerAction(5, 0)), "ell differs"),
 ])

@@ -1,10 +1,12 @@
+import json
 from math import gcd, lcm, prod
 
+import numpy
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charfield import semisimple
-from charfield.char_fields import CharacterField
+from charfield.char_fields import CharacterField, character_field
 from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement
 from charfield.groups import Family, GroupSpec, is_prime
@@ -13,7 +15,6 @@ from charfield.semisimple import (
     EigenvalueOrbit,
     SemisimpleClass,
     _orbit,
-    central_twist_action,
     class_from_dict,
     enumerate_classes,
     galois_stabilizer,
@@ -172,6 +173,42 @@ def test_cyclotomic_subfield_validation():
             CyclotomicSubfield(d, stab)
 
 
+# the class model stores exact ints and tuples, whatever integral values
+# and sequences it is given
+def test_orbit_stores_an_exact_numerator():
+    assert EigenvalueOrbit(True, 2, 2).frac == "1/2"
+
+
+def test_class_json_prints_ints_not_bools():
+    g = GroupSpec(Family.SP, 1, 7)
+    cls = SemisimpleClass(g, (EigenvalueOrbit(0, 1, True), EigenvalueOrbit(1, 2, 2)), None, True)
+    assert json.dumps(cls.to_dict()) == json.dumps(
+        _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1).to_dict())
+
+
+def test_numpy_orbit_data_reaches_the_field():
+    i64 = numpy.int64
+    cls = SemisimpleClass(SP1_Q5, tuple(EigenvalueOrbit(i64(a), i64(d), i64(m))
+                                        for a, d, m in ((0, 1, 1), (1, 4, 1), (3, 4, 1))))
+    want = _cls("sp", 1, 5, [("0/1", 1), ("1/4", 1), ("3/4", 1)])
+    assert character_field(SP1_Q5, cls) == character_field(SP1_Q5, want)
+
+
+def test_class_from_a_list_of_orbits_is_hashable():
+    orbits = [EigenvalueOrbit(0, 1, 1), EigenvalueOrbit(1, 4, 1), EigenvalueOrbit(3, 4, 1)]
+    cls = SemisimpleClass(SP1_Q5, orbits)
+    assert cls.orbits == tuple(orbits)
+    assert hash(cls) == hash(SemisimpleClass(SP1_Q5, tuple(orbits)))
+
+
+def test_cyclotomic_subfield_stores_exact_ints():
+    with pytest.raises(InputError, match="d must be an integer, not 4.0"):
+        CyclotomicSubfield(4.0, (1, 3))
+    field = CyclotomicSubfield(numpy.int64(4), [1, 3])
+    want = CyclotomicSubfield(4, (1, 3))
+    assert field == want and hash(field) == hash(want) and type(field.d) is int
+
+
 def test_stabilizer_is_subgroup_and_real():
     for g in (GroupSpec(Family.SP, 1, 5), GroupSpec(Family.SP, 2, 3),
               GroupSpec(Family.SO_ODD, 2, 3), GroupSpec(Family.SO_EVEN, 2, 3, 1),
@@ -277,49 +314,26 @@ def test_central_twist_predicates():
     assert not has_central_twist_automorphism(GroupSpec(Family.SO_EVEN, 3, 3, 1))  # 27 = 3
     assert not has_central_twist_automorphism(GroupSpec(Family.SP, 2, 7))
     assert not has_central_twist_automorphism(GroupSpec(Family.SO_ODD, 2, 7))
+    # twisted form with q = 1 mod 4: the automorphism group is trivial
+    assert not has_central_twist_automorphism(GroupSpec(Family.SO_EVEN, 2, 5, -1))
 
-
-def test_central_twist_action():
     g = GroupSpec(Family.SO_EVEN, 4, 3, 1)
-    member = _cls("so-even", 4, 3, [("0/1", 8)], plus=1)
-    assert central_twist_action(g, member) == "invariant"
-
-    # equal eigenspace dimensions, outside the kernel: series stays put and
-    # cuspidal members are fixed
+    assert in_spinor_kernel(g, _cls("so-even", 4, 3, [("0/1", 8)], plus=1))
     g4 = GroupSpec(Family.SO_EVEN, 2, 3, 1)
     s = _cls("so-even", 2, 3, [("0/1", 2), ("1/2", 2)], plus=1, minus=1)
     assert not in_spinor_kernel(g4, s)  # 3 = 3 mod 4
-    assert central_twist_action(g4, s) == "invariant"
-
-    # unequal dimensions outside the kernel: the series moves
-    s2 = _cls("so-even", 4, 3, [("0/1", 6), ("1/2", 2)], plus=1, minus=1)
-    assert not in_spinor_kernel(g, s2)
-    assert central_twist_action(g, s2) == "series-moved"
-    # the same dimensions with a non-split -1 eigenspace lie in the kernel
-    s2 = _cls("so-even", 4, 3, [("0/1", 6), ("1/2", 2)], plus=-1, minus=-1)
-    assert central_twist_action(g, s2) == "invariant"
-
-    # split form, stable series, non-kernel class: torus characters move
-    assert central_twist_action(g4, s, torus_character=True) == "moved"
-
-    # twisted form with q = 1 mod 4: the automorphism group is trivial, so
-    # everything, torus characters included, is invariant
-    g2 = GroupSpec(Family.SO_EVEN, 2, 5, -1)
-    s3 = _cls("so-even", 2, 5, [("0/1", 2), ("1/2", 2)], twist=-1, plus=1, minus=-1)
-    assert not has_central_twist_automorphism(g2)
-    assert central_twist_action(g2, s3, torus_character=True) == "invariant"
 
     # only order <= 2 classes of even orthogonal groups are classified, also
     # where the automorphism group is trivial
     with pytest.raises(InputError, match="so-even"):
-        central_twist_action(GroupSpec(Family.SP, 2, 7), _cls("sp", 2, 7, [("0/1", 5)]))
+        in_spinor_kernel(GroupSpec(Family.SP, 2, 7), _cls("sp", 2, 7, [("0/1", 5)]))
     g5 = GroupSpec(Family.SO_EVEN, 2, 5, 1)
     g7 = GroupSpec(Family.SO_EVEN, 1, 7, 1)
     assert has_central_twist_automorphism(g5) and not has_central_twist_automorphism(g7)
     for g_, s4 in ((g5, _cls("so-even", 2, 5, [("1/3", 2)])),
                    (g7, _cls("so-even", 1, 7, [("1/3", 1), ("2/3", 1)]))):
         with pytest.raises(InputError, match="order"):
-            central_twist_action(g_, s4)
+            in_spinor_kernel(g_, s4)
 
 
 def test_roundtrip_json():
@@ -485,7 +499,8 @@ def test_action_law_at_large_order(sample, data):
     cls, d, _ = sample
     m = 4 * d // gcd(4, d)
     sigma, tau = GaloisElement(_unit(data, m), m), GaloisElement(_unit(data, m), m)
-    assert sigma_image(cls, sigma.compose(tau)) == sigma_image(sigma_image(cls, tau), sigma)
+    sigma_tau = GaloisElement(sigma.k * tau.k % m, m)
+    assert sigma_image(cls, sigma_tau) == sigma_image(sigma_image(cls, tau), sigma)
 
 
 @pytest.mark.parametrize("q, frac", [(7, "1/7"), (7, "3/14"), (9, "1/3")])
