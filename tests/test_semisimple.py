@@ -314,6 +314,11 @@ def test_central_twist_predicates():
     assert not has_central_twist_automorphism(GroupSpec(Family.SO_EVEN, 3, 3, 1))  # 27 = 3
     assert not has_central_twist_automorphism(GroupSpec(Family.SP, 2, 7))
     assert not has_central_twist_automorphism(GroupSpec(Family.SO_ODD, 2, 7))
+
+
+# the central twist acts through the spinor-kernel test and the automorphism
+# predicate; the action on the classes waits on split Brauer classes
+def test_central_twist_action():
     # twisted form with q = 1 mod 4: the automorphism group is trivial
     assert not has_central_twist_automorphism(GroupSpec(Family.SO_EVEN, 2, 5, -1))
 
