@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import InputError
-from .galois_arith import GaloisElement, gauss_sqrt_sign, signed_prime
+from .galois_arith import legendre, signed_prime
 from .groups import Family, GroupSpec, power_exponent
 from .semisimple import (
     CyclotomicSubfield,
@@ -73,8 +73,7 @@ class CharacterField:
         if self.adjoin_sqrt_omega_p and k % self.p == 0:
             raise InputError("k must be coprime to p")
         return k % self.base.d in self.base.stab and (
-            not self.adjoin_sqrt_omega_p
-            or gauss_sqrt_sign(GaloisElement(k, 4 * self.p), self.p) == 1)
+            not self.adjoin_sqrt_omega_p or legendre(k, self.p) == 1)
 
     @property
     def is_real(self) -> bool:

@@ -22,14 +22,20 @@ from .errors import BudgetExceededError, InputError, as_int
 from .groups import factor_prime_power, is_prime
 
 
-def _check_odd_prime(p: int) -> None:
+def _check_odd_prime(p: object) -> int:
+    """p as an int, or InputError unless it is an odd prime."""
+    p = as_int(p, "p")
     if p == 2 or not is_prime(p):
         raise InputError(f"{p} is not an odd prime")
+    return p
 
 
-def _check_modulus(m: int) -> None:
+def _check_modulus(m: object) -> int:
+    """m as an int, or InputError unless it is a positive multiple of 4."""
+    m = as_int(m, "m")
     if m <= 0 or m % 4 != 0:
         raise InputError("modulus must be a positive multiple of 4")
+    return m
 
 
 def legendre(a: int, p: int) -> int:
@@ -38,7 +44,7 @@ def legendre(a: int, p: int) -> int:
     Returns 0 when p divides a, +1 for nonzero squares mod p, -1 otherwise.
     Completely multiplicative in a.
     """
-    _check_odd_prime(p)
+    p = _check_odd_prime(p)
     a = as_int(a, "a") % p
     if a == 0:
         return 0
@@ -50,7 +56,7 @@ def signed_prime(p: int) -> int:
     """omega*p for an odd prime p, omega = (-1)^((p-1)/2) the sign with
     p = omega (mod 4): the square of the Gauss sum, so sqrt(omega*p) lies in
     the p-th cyclotomic field."""
-    _check_odd_prime(p)
+    p = _check_odd_prime(p)
     return (-1) ** ((p - 1) // 2) * p
 
 
@@ -60,7 +66,7 @@ def is_square_in_fq(k: int, q: int) -> bool:
     True iff a is even (every element of the prime field is then a square)
     or k is a square mod p already.
     """
-    p, a = factor_prime_power(q)
+    p, a = factor_prime_power(as_int(q, "q"))
     _check_odd_prime(p)
     if as_int(k, "k") % p == 0:
         raise InputError("k must be coprime to p")
@@ -80,8 +86,7 @@ class GaloisElement:
     m: int
 
     def __post_init__(self) -> None:
-        for name in ("k", "m"):
-            as_int(getattr(self, name), name)
+        as_int(self.k, "k")
         _check_modulus(self.m)
         if gcd(self.k, self.m) != 1:
             raise InputError("k must be coprime to the modulus")
@@ -128,7 +133,7 @@ def galois_from_prime_power(h: PrimePowerAction, m: int) -> GaloisElement:
     set to 1 (no formula here ever consults the action on ell-power roots),
     and for ell = 2 only the action on i is retained, via k = 1 or 3 mod 4.
     """
-    _check_modulus(m)
+    m = _check_modulus(m)
     e = 0
     m_prime = m
     while m_prime % h.ell == 0:
@@ -153,7 +158,7 @@ def gauss_sqrt_sign(sigma: GaloisElement, p: int) -> int:
     Requires p | sigma.m so that the action on p-th roots is defined.
     Equals the Legendre symbol (k/p).
     """
-    _check_odd_prime(p)
+    p = _check_odd_prime(p)
     if sigma.m % p != 0:
         raise InputError("modulus must be divisible by p")
     return legendre(sigma.k, p)
@@ -162,14 +167,15 @@ def gauss_sqrt_sign(sigma: GaloisElement, p: int) -> int:
 def sqrt_p_sign(sigma: GaloisElement, p: int) -> int:
     """Sign beta with sqrt(p)^sigma = beta * sqrt(p).
 
-    Requires 4p | sigma.m.  Equals (k/p) when p = 1 (mod 4); when
-    p = 3 (mod 4) there is the extra factor i^(k-1) = +-1 from the action on
-    i, because sqrt(p) = -i * sqrt(omega*p) in that case.
+    Requires 4p | sigma.m.  Equals gauss_sqrt_sign, (k/p), when
+    p = 1 (mod 4); when p = 3 (mod 4) there is the extra factor
+    i^(k-1) = +-1 from the action on i, because sqrt(p) = -i * sqrt(omega*p)
+    in that case.
     """
-    _check_odd_prime(p)
+    p = _check_odd_prime(p)
     if sigma.m % (4 * p) != 0:
         raise InputError("modulus must be divisible by 4p")
-    base = legendre(sigma.k, p)
+    base = gauss_sqrt_sign(sigma, p)
     if signed_prime(p) == p:
         return base
     # k is odd, so i^(k-1) = (-1)^((k-1)/2)
@@ -194,7 +200,7 @@ def gauss_sum_exact(p: int, k: int) -> tuple[int, int]:
     always equals omega*p and the second equals (k/p); both are computed by
     raw polynomial arithmetic, with no quadratic reciprocity anywhere.
     """
-    _check_odd_prime(p)
+    p = _check_odd_prime(p)
     if p > GAUSS_BOUND:
         raise BudgetExceededError(f"p = {p} exceeds the bound {GAUSS_BOUND}")
     if as_int(k, "k") % p == 0:

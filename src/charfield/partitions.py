@@ -134,5 +134,6 @@ def _partitions_of(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
 
 def eps_partitions(n: int, eps: int) -> list[EpsPartition]:
     """All admissible partitions of n for the given form parity."""
+    n, eps = as_int(n, "n"), as_int(eps, "eps")
     partitions = map(Partition, _partitions_of(n, n))
     return [EpsPartition(mu, eps) for mu in partitions if _unpaired_part(mu, eps) is None]

@@ -12,10 +12,11 @@ that every character of the corresponding series has as its rationality core.
 A Frobenius orbit is walked once around its cycle and never past the dual
 dimension, which a longer orbit cannot fit in, nor past a fixed number of
 steps, after which its length is read off the factorisation of phi(d).  A
-class walks each orbit once, when it is built, and keeps its spectrum, each
-eigenvalue a/d mapped to its orbit; inversion closure, the self-inverse
-orbits, the +-1 multiplicities and the stabiliser are all read from it.
-(class_from_dict walks raw input once before, for least representatives.)
+class walks each orbit it is given once, when it is built: the walk puts the
+orbits in normal form (least representatives, equal orbits merged, sorted by
+(d, a)) and gives the spectrum the class keeps, each eigenvalue a/d mapped
+to its orbit; inversion closure, the self-inverse orbits, the +-1
+multiplicities and the stabiliser are all read from it.
 The stabiliser: a unit k fixes a class when it sends every orbit
 representative a/e to an eigenvalue x/e of the same multiplicity, that is
 when k = x/a (mod e) for one such x per orbit.  These residues are combined
@@ -26,7 +27,7 @@ factorisation of d for phi(d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Optional
@@ -86,24 +87,25 @@ def _orbit(a: int, d: int, q: int, bound: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class EigenvalueOrbit:
-    """A Frobenius orbit of eigenvalues, stored by its least representative
-    a/d (reduced, with a = 0 meaning the eigenvalue one), and a multiplicity."""
+    """A Frobenius orbit of eigenvalues, given by one of its eigenvalues a/d
+    (0 <= a < d) and a multiplicity.  a/d is stored reduced, as Fraction
+    stores it, so the eigenvalue one is 0/1; a SemisimpleClass moves it to
+    the least representative of its orbit."""
 
     num: int
     den: int
     mult: int
 
     def __post_init__(self) -> None:
-        for name in ("num", "den", "mult"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.den < 1 or not 0 <= self.num < self.den:
-            raise InputError("need 0 <= a < d")
-        if self.num == 0 and self.den != 1:
-            raise InputError("the eigenvalue one is stored as 0/1")
-        if self.num != 0 and gcd(self.num, self.den) != 1:
-            raise InputError("fraction must be reduced")
-        if self.mult < 1:
+        a, d, mult = (as_int(getattr(self, name), name) for name in ("num", "den", "mult"))
+        if d < 1 or not 0 <= a < d:
+            raise InputError(f"bad fraction {a}/{d}")
+        if mult < 1:
             raise InputError("multiplicity must be positive")
+        c = gcd(a, d)  # = d for a = 0, which gives 0/1
+        object.__setattr__(self, "num", a // c)
+        object.__setattr__(self, "den", d // c)
+        object.__setattr__(self, "mult", mult)
 
     @property
     def frac(self) -> str:
@@ -127,6 +129,9 @@ class CyclotomicSubfield:
 
     def __post_init__(self) -> None:
         d, st = as_int(self.d, "d"), tuple(self.stab)
+        # galois_stabilizer's exact ints are kept as they are, not copied
+        if any(type(x) is not int for x in st):
+            st = tuple(as_int(x, "a stabiliser entry") for x in st)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "stab", st)
         if d < 1:
@@ -168,23 +173,27 @@ class CyclotomicSubfield:
         return self.phi // len(self.stab)
 
 
-def _spectrum(g: GroupSpec,
-              orbits: Iterable[EigenvalueOrbit]) -> dict[tuple[int, int], EigenvalueOrbit]:
-    """Every eigenvalue a/d of the orbits, as {(a, d): its orbit}; InputError
-    unless each orbit has d prime to p and appears once, by its least
-    representative."""
+def _normal_form(g: GroupSpec, orbits: Iterable[EigenvalueOrbit]) -> tuple[
+        tuple[EigenvalueOrbit, ...], dict[tuple[int, int], EigenvalueOrbit]]:
+    """The orbits of g's dual in normal form, each moved to the least
+    representative of its Frobenius orbit, equal orbits merged and sorted by
+    (d, a), with every eigenvalue a/d of them as {(a, d): its orbit}; one
+    walk per orbit given, InputError unless each d is prime to p."""
     p, q, dim = g.p, g.q, g.dual_dim
-    spectrum: dict[tuple[int, int], EigenvalueOrbit] = {}
+    walked: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for o in orbits:
         if gcd(o.den, p) != 1:
             raise InputError("eigenvalue order must be coprime to p")
         orbit = _orbit(o.num, o.den, q, dim)
-        if orbit[0] != o.num:
-            raise InputError(f"{o.frac} is not the least orbit representative")
-        if (o.num, o.den) in spectrum:
-            raise InputError("duplicate orbit")
-        spectrum.update(((x, o.den), o) for x in orbit)
-    return spectrum
+        key = (o.den, orbit[0])
+        mult, _ = walked.get(key, (0, orbit))
+        walked[key] = (mult + o.mult, orbit)
+    normal, spectrum = [], {}
+    for (d, a), (mult, orbit) in sorted(walked.items()):
+        o = EigenvalueOrbit(a, d, mult)
+        normal.append(o)
+        spectrum.update(((x, d), o) for x in orbit)
+    return tuple(normal), spectrum
 
 
 def _legal_labels(g: GroupSpec, m1: int, mm1: int,
@@ -216,33 +225,32 @@ def _legal_labels(g: GroupSpec, m1: int, mm1: int,
 class SemisimpleClass:
     """A semisimple class of the dual group, as labelled spectrum data.
 
-    orbits are kept sorted by (denominator, numerator) with each Frobenius
-    orbit appearing once, by its least representative.  minus_type/plus_type
-    are the orthogonal types (+1 split, -1 non-split) of the -1/+1 eigenspace
-    when that space is orthogonal of positive even dimension, else None.
+    The orbits may be given by any eigenvalues, in any order and split
+    across entries; the class stores them in normal form, sorted by
+    (denominator, numerator) with each Frobenius orbit appearing once, by
+    its least representative.  spectrum maps every eigenvalue (a, d) of the
+    class to its orbit.  minus_type/plus_type are the orthogonal types (+1
+    split, -1 non-split) of the -1/+1 eigenspace when that space is
+    orthogonal of positive even dimension, else None.
     """
 
     group: GroupSpec
     orbits: tuple[EigenvalueOrbit, ...]
     plus_type: Optional[int] = None
     minus_type: Optional[int] = None
-
-    @cached_property
-    def spectrum(self) -> dict[tuple[int, int], EigenvalueOrbit]:
-        """Every eigenvalue (a, d) of the class, mapped to its orbit; built
-        with the class, from one walk of each orbit."""
-        return _spectrum(self.group, self.orbits)
+    spectrum: dict[tuple[int, int], EigenvalueOrbit] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "orbits", tuple(self.orbits))
-        g, spectrum = self.group, self.spectrum
+        g = self.group
+        orbits, spectrum = _normal_form(g, self.orbits)
+        object.__setattr__(self, "orbits", orbits)
+        object.__setattr__(self, "spectrum", spectrum)
         total = sum(o.mult for o in spectrum.values())
         if total != g.dual_dim:
             raise InputError(
                 f"spectrum fills dimension {total}, expected {g.dual_dim}"
             )
-        if list(self.orbits) != sorted(self.orbits, key=lambda o: (o.den, o.num)):
-            raise InputError("orbits must be sorted by (denominator, numerator)")
         inverses = [spectrum.get((-o.num % o.den, o.den)) for o in self.orbits]
         if any(inv is None or inv.mult != o.mult for o, inv in zip(self.orbits, inverses)):
             raise InputError("spectrum is not inversion-closed")
@@ -288,24 +296,6 @@ class SemisimpleClass:
         }
 
 
-def _normalise(g: GroupSpec, fracs: Iterable[tuple[int, int, int]]) -> tuple[EigenvalueOrbit, ...]:
-    """Orbits of g's dual from (a, d, multiplicity) triples: each fraction
-    reduced, its d checked against p and a moved to the least representative
-    of its Frobenius orbit; equal orbits merged, sorted by (d, a)."""
-    p, q, dim = g.p, g.q, g.dual_dim
-    merged: dict[tuple[int, int], int] = {}
-    for a, d, mult in fracs:
-        if d < 1 or not 0 <= a < d:
-            raise InputError(f"bad fraction {a}/{d}")
-        c = gcd(a, d)  # = d for a = 0, which gives 0/1
-        a, d = a // c, d // c
-        if gcd(d, p) != 1:
-            raise InputError("eigenvalue order must be coprime to p")
-        key = (d, _orbit(a, d, q, dim)[0])
-        merged[key] = merged.get(key, 0) + mult
-    return tuple(EigenvalueOrbit(a, d, m) for (d, a), m in sorted(merged.items()))
-
-
 def _json_int(value) -> int:
     """A JSON integer as it stands: a bool, float or string is refused, not
     rounded or parsed into some other class."""
@@ -315,7 +305,7 @@ def _json_int(value) -> int:
 
 
 def class_from_dict(data: dict) -> SemisimpleClass:
-    """Parse the JSON form, normalising orbit representatives."""
+    """Parse the JSON form; the class puts the orbits in normal form."""
     try:
         g = GroupSpec(data["family"], _json_int(data["n"]), _json_int(data["q"]),
                       _json_int(data.get("twist", 1)))
@@ -324,7 +314,7 @@ def class_from_dict(data: dict) -> SemisimpleClass:
                   for key in ("plus_type", "minus_type")]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad class data: {exc}") from exc
-    return SemisimpleClass(g, _normalise(g, raw), *labels)
+    return SemisimpleClass(g, [EigenvalueOrbit(*entry) for entry in raw], *labels)
 
 
 def order_of(cls: SemisimpleClass) -> int:
@@ -341,8 +331,8 @@ def sigma_image(cls: SemisimpleClass, sigma: GaloisElement) -> SemisimpleClass:
     d = order_of(cls)
     if sigma.m % d != 0:
         raise InputError("sigma modulus must be divisible by the element order")
-    return replace(cls, orbits=_normalise(
-        cls.group, [(sigma.k * o.num % o.den, o.den, o.mult) for o in cls.orbits]))
+    return replace(cls, orbits=[EigenvalueOrbit(sigma.k * o.num % o.den, o.den, o.mult)
+                                for o in cls.orbits])
 
 
 def galois_stabilizer(cls: SemisimpleClass) -> CyclotomicSubfield:
@@ -452,13 +442,13 @@ def enumerate_classes(g: GroupSpec) -> tuple[SemisimpleClass, ...]:
         raise BudgetExceededError("class enumeration is restricted to n <= 3, q <= 13")
     q, dim = g.q, g.dual_dim
 
-    # The building blocks beyond +-1, as (orbit representatives, dimension):
+    # The building blocks beyond +-1, as (orbits of multiplicity one, dimension):
     # a self-inverse orbit, or an orbit with its inverse.  Only orders d mod
     # which q has order at most dim can occur: the divisors of q^j - 1, j <= dim.
     # The unit orbits mod d are the cosets of the powers of q, so they all
     # have one size and are self-inverse exactly when the orbit of 1 is; an
     # order whose blocks cannot fit is skipped before its units are walked.
-    units: list[tuple[tuple[tuple[int, int], ...], int]] = []
+    units: list[tuple[tuple[EigenvalueOrbit, ...], int]] = []
     orders = {d for j in range(1, dim + 1) for d in _divisors(q**j - 1) if d >= 3}
     for d in sorted(orders):
         orbit_of_one = _orbit(1, d, q, dim)
@@ -468,8 +458,8 @@ def enumerate_classes(g: GroupSpec) -> tuple[SemisimpleClass, ...]:
         for a in sorted({_orbit(x, d, q, dim)[0] for x in range(1, d) if gcd(x, d) == 1}):
             inv = _orbit(d - a, d, q, dim)[0]
             if a <= inv:
-                reps = ((a, d),) if a == inv else ((a, d), (inv, d))
-                units.append((reps, size * len(reps)))
+                reps = (a,) if a == inv else (a, inv)
+                units.append((tuple(EigenvalueOrbit(x, d, 1) for x in reps), size * len(reps)))
 
     out: list[SemisimpleClass] = []
 
@@ -478,14 +468,14 @@ def enumerate_classes(g: GroupSpec) -> tuple[SemisimpleClass, ...]:
         +-1; one unit per level, so the depth is at most dim."""
         for mm1 in range(remaining + 1):
             m1 = remaining - mm1
-            orbits = _normalise(g, entries + [(1, 2, mm1)] * (mm1 > 0) + [(0, 1, m1)] * (m1 > 0))
+            orbits = entries + [EigenvalueOrbit(a, d, mult)
+                                for a, d, mult in ((1, 2, mm1), (0, 1, m1)) if mult]
             out.extend(SemisimpleClass(g, orbits, pt, mt)
                        for pt, mt in _legal_labels(g, m1, mm1, self_inverse))
         for i in range(start, len(units)):
-            reps, unit_dim = units[i]
+            unit, unit_dim = units[i]
             if unit_dim <= remaining:
-                fill(i, remaining - unit_dim, entries + [(a, d, 1) for a, d in reps],
-                     self_inverse + (len(reps) == 1))
+                fill(i, remaining - unit_dim, entries + list(unit), self_inverse + (len(unit) == 1))
 
     fill(0, dim, [], 0)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, as_int
 from .partitions import EpsPartition, Partition
 
 ENTRY_CAP = 1_000_000
@@ -27,7 +27,9 @@ class Symbol:
     bottom: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for row in (self.top, self.bottom):
+        for name in ("top", "bottom"):
+            row = tuple(as_int(x, "a symbol entry") for x in getattr(self, name))
+            object.__setattr__(self, name, row)
             if any(x < 0 for x in row):
                 raise InputError("symbol entries must be non-negative")
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
@@ -49,6 +51,7 @@ def special_symbol(e: int, delta: int) -> Symbol:
     delta = 0: rows (1, 2, ..., e) over (0, 1, ..., e-1), e >= 1.
     Either way the symbol has 2e + delta entries.
     """
+    e, delta = as_int(e, "e"), as_int(delta, "delta")
     if delta == 1:
         if e < 0:
             raise InputError("e must be >= 0")
@@ -70,6 +73,7 @@ def _admissible(e: int, f: int, delta: int) -> tuple[int, int]:
     identity below still holds for them and the formulas are exercised
     there too.
     """
+    e, f, delta = as_int(e, "e"), as_int(f, "f"), as_int(delta, "delta")
     if delta not in (0, 1):
         raise InputError("delta must be 0 or 1")
     if e < 0 or f < 0:

@@ -15,13 +15,15 @@ from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import (
     GaloisElement,
     PrimePowerAction,
+    galois_from_prime_power,
     gauss_sqrt_sign,
     gauss_sum_exact,
     is_square_in_fq,
     legendre,
+    signed_prime,
 )
 from charfield.groups import Family, GroupSpec
-from charfield.partitions import EpsPartition, Partition
+from charfield.partitions import EpsPartition, Partition, eps_partitions
 from charfield.power_maps import unipotent_rational
 from charfield.semisimple import (
     CyclotomicSubfield,
@@ -32,6 +34,7 @@ from charfield.semisimple import (
     involution_class,
     order_of,
 )
+from charfield.symbols import Symbol, cuspidal_multiplicity, special_symbol, wavefront_partition
 
 
 def _cls(family, n, q, orbits, twist=1, plus=None, minus=None):
@@ -264,11 +267,29 @@ def test_brauer_entry_points_repeat_their_answers(pair, raw, predicted):
     (is_square_in_fq, (3.0, 7)),
     (gauss_sum_exact, (7, 3.0)),
     (EigenvalueOrbit, (1.0, 2, 1)),
+    (special_symbol, (2.0, 1)),
+    (special_symbol, ("2", 1)),
+    (wavefront_partition, (1.0, 2, 0)),
+    (cuspidal_multiplicity, (1, 2.0, 0)),
+    (eps_partitions, (4.0, 1)),
+    (legendre, (2, 7.0)),
+    (signed_prime, (7.0,)),
+    (gauss_sum_exact, (7.0, 2)),
+    (gauss_sqrt_sign, (GaloisElement(1, 28), 7.0)),
+    (galois_from_prime_power, (PrimePowerAction(3, 1), 28.0)),
+    (is_square_in_fq, (2, "9")),
+    (is_square_in_fq, (2, 9.0)),
+    (Symbol, (("a",), ())),
+    (Symbol, ((0.5,), ())),
 ], ids=["GaloisElement-k", "GaloisElement-m", "PrimePowerAction-ell", "PrimePowerAction-r",
         "EpsPartition", "brauer_fixed_classes_sl2", "predicted_fixed_count_rank1",
         "brauer_fixed_classes", "predicted_fixed_count", "power_conjugacy_search-float",
         "power_conjugacy_search-str", "unipotent_rational", "mat_pow", "legendre",
-        "is_square_in_fq", "gauss_sum_exact", "EigenvalueOrbit"])
+        "is_square_in_fq", "gauss_sum_exact", "EigenvalueOrbit", "special_symbol-float",
+        "special_symbol-str", "wavefront_partition", "cuspidal_multiplicity", "eps_partitions",
+        "legendre-p", "signed_prime", "gauss_sum_exact-p", "gauss_sqrt_sign",
+        "galois_from_prime_power", "is_square_in_fq-q-str", "is_square_in_fq-q-float",
+        "Symbol-str", "Symbol-float"])
 def test_non_integer_arguments_are_refused(call, args):
     with pytest.raises(InputError, match="must be an integer"):
         call(*args)
@@ -281,7 +302,7 @@ def test_prediction_refuses_large_q_before_any_per_residue_work(monkeypatch, k, 
     def no_signs(*_):
         raise AssertionError("Gauss sign computed before the checks on q and k")
 
-    monkeypatch.setattr("charfield.char_fields.gauss_sqrt_sign", no_signs)
+    monkeypatch.setattr("charfield.char_fields.legendre", no_signs)
     with pytest.raises(error):
         predicted_fixed_count_rank1(10**9 + 7, k)
 
@@ -292,6 +313,13 @@ def test_fixed_by_refuses_k_divisible_by_p():
     cls = _cls("sp", 1, 7, [("0/1", 1), ("1/2", 2)], minus=1)
     with pytest.raises(InputError, match="k must be coprime to p$"):
         character_field(_SP2_7, cls).fixed_by(7)
+
+
+def test_fixed_by_reads_the_legendre_symbol_at_any_k():
+    # an odd conductor with sqrt(-7) adjoined: the even k = 2 is a unit mod
+    # 5 and mod 7, and (2/7) = +1, (3/7) = -1
+    field = CharacterField(CyclotomicSubfield(5, (1, 2, 3, 4)), True, 7)
+    assert field.fixed_by(2) and not field.fixed_by(3)
 
 
 def test_character_field_realness_from_its_base():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from math import gcd, lcm, prod
 
@@ -5,7 +6,7 @@ import numpy
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from charfield import semisimple
+from charfield import cli, semisimple
 from charfield.char_fields import CharacterField, character_field
 from charfield.errors import BudgetExceededError, InputError
 from charfield.galois_arith import GaloisElement
@@ -75,6 +76,14 @@ def test_spectrum_walks_each_orbit_once(monkeypatch):
     assert galois_stabilizer(s) == CyclotomicSubfield(5, (1, 2, 3, 4))
     assert len(walks) == 2
     assert s == SemisimpleClass(s.group, s.orbits) and "spectrum" not in repr(s)
+    # parsing and the power map hand their orbits to the class, which walks
+    # each of them once while putting it in normal form
+    walks.clear()
+    parsed = class_from_dict({"family": "sp", "n": 2, "q": 7, "orbits": [
+        {"frac": "4/5", "mult": 1}, {"frac": "0/1", "mult": 1}]})
+    assert parsed == s and len(walks) == 2
+    walks.clear()
+    assert sigma_image(s, GaloisElement(3, 20)) == s and len(walks) == 2
 
 
 def test_orbit_walk_cap(monkeypatch):
@@ -111,10 +120,8 @@ def test_validation_rejects_bad_spectra():
 
 
 @pytest.mark.parametrize("num, den, mult, message", [
-    (3, 2, 1, "0 <= a < d"),
-    (0, 0, 1, "0 <= a < d"),
-    (0, 2, 1, "stored as 0/1"),
-    (2, 4, 1, "reduced"),
+    (3, 2, 1, "bad fraction 3/2"),
+    (0, 0, 1, "bad fraction 0/0"),
     (1, 3, 0, "positive"),
 ])
 def test_orbit_construction_rejections(num, den, mult, message):
@@ -129,20 +136,36 @@ def _orbits(*triples):
 @pytest.mark.parametrize("g, orbits, message", [
     # the eigenvalue order 5 is the defining prime
     (SP1_Q5, _orbits((0, 1, 1), (1, 5, 1), (4, 5, 1)), "coprime to p"),
-    # over q = 5 the orbit of 1/3 is {1/3, 2/3}, stored by 1/3
-    (SP1_Q5, _orbits((0, 1, 1), (2, 3, 1)), "least orbit representative"),
-    (SP1_Q5, _orbits((0, 1, 1), (0, 1, 2)), "duplicate orbit"),
-    (SP1_Q5, _orbits((1, 2, 2), (0, 1, 1)), "sorted"),
+    # 5 has order 6 mod 7: the orbit of 1/7 does not fit in dimension 3
+    (SP1_Q5, _orbits((0, 1, 1), (1, 7, 1)), "more than 3 elements"),
+    # the dual SO3 labels a -1 eigenspace of dimension 2, and has none of
+    # odd dimension
+    (SP1_Q5, _orbits((0, 1, 1), (1, 2, 2)), "legal .* pairs are"),
+    (SP1_Q5, _orbits((0, 1, 2), (1, 2, 1)), "admits no labels"),
     # over q = 11 the fifth roots of unity are Frobenius-fixed, and the
     # inverse of 2/5 is 3/5
     (SP2_Q11, _orbits((0, 1, 1), (1, 5, 1), (2, 5, 1), (4, 5, 2)), "inversion-closed"),
     (SP2_Q11, _orbits((0, 1, 4)), "fills dimension 4"),
 ])
 def test_class_construction_rejections(g, orbits, message):
-    # SemisimpleClass built directly, not through class_from_dict, which
-    # normalises each of these away or fails before the class exists
+    # every rejection SemisimpleClass makes itself, on orbits given directly
     with pytest.raises(InputError, match=message):
         SemisimpleClass(g, orbits)
+
+
+# listings not in normal form, one per way of leaving it: the class puts
+# each in normal form, so it equals the class parsed from the canonical
+# listing.  Over q = 5 the orbit of 1/3 is {1/3, 2/3}, stored by 1/3.
+@pytest.mark.parametrize("triples, minus, listing", [
+    (((0, 1, 1), (2, 3, 1)), None, [("0/1", 1), ("1/3", 1)]),
+    (((0, 1, 1), (0, 1, 2)), None, [("0/1", 3)]),
+    (((1, 2, 2), (0, 1, 1)), 1, [("0/1", 1), ("1/2", 2)]),
+    (((0, 2, 3),), None, [("0/1", 3)]),
+    (((0, 1, 1), (2, 4, 2)), -1, [("0/1", 1), ("1/2", 2)]),
+], ids=["least orbit representative", "duplicate orbit", "sorted", "stored as 0/1", "reduced"])
+def test_class_puts_its_orbits_in_normal_form(triples, minus, listing):
+    cls = SemisimpleClass(SP1_Q5, _orbits(*triples), None, minus)
+    assert cls == _cls("sp", 1, 5, listing, minus=minus)
 
 
 def test_galois_stabilizer_examples():
@@ -207,6 +230,12 @@ def test_cyclotomic_subfield_stores_exact_ints():
     field = CyclotomicSubfield(numpy.int64(4), [1, 3])
     want = CyclotomicSubfield(4, (1, 3))
     assert field == want and hash(field) == hash(want) and type(field.d) is int
+    assert CharacterField(CyclotomicSubfield(4, (True, 3)), False, 5).to_dict()["stab"] == [1, 3]
+    with pytest.raises(InputError, match="stabiliser entry must be an integer, not 1.0"):
+        CyclotomicSubfield(4, (1.0, 3))
+    # a tuple of exact ints, as galois_stabilizer builds it, is kept, not copied
+    stab = (1, 3)
+    assert CyclotomicSubfield(4, stab).stab is stab
 
 
 def test_stabilizer_is_subgroup_and_real():
@@ -339,6 +368,30 @@ def test_central_twist_action():
                    (g7, _cls("so-even", 1, 7, [("1/3", 1), ("2/3", 1)]))):
         with pytest.raises(InputError, match="order"):
             in_spinor_kernel(g_, s4)
+
+
+def test_class_lists_are_pinned(capsys):
+    # the `classes` lines of the 48 admitted groups with n <= 2, byte for
+    # byte: neither the normal form nor the enumeration order may move
+    for family, twists in (("sp", (1,)), ("so-odd", (1,)), ("so-even", (1, -1))):
+        for n in (1, 2):
+            for q in (3, 5, 7, 9, 11, 13):
+                for twist in twists:
+                    assert cli.main(["classes", "--family", family, "--n", str(n), "--q", str(q),
+                                     "--twist", str(twist)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1674
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4db4cf3ca1619406e69b94094c46175085d6015fa1be769d67db2c34c7d0950c")
+
+
+def test_class_json_with_a_non_positive_multiplicity_is_refused(capsys):
+    # another entry naming the same orbit does not make mult <= 0 legal
+    for first, mult in ((4, 0), (6, -2)):
+        data = {"family": "so-odd", "n": 2, "q": 5,
+                "orbits": [{"frac": "0/1", "mult": first}, {"frac": "0/1", "mult": mult}]}
+        assert cli.main(["field", "--class", json.dumps(data)]) == 2
+        assert capsys.readouterr().err == "invalid input: multiplicity must be positive\n"
 
 
 def test_roundtrip_json():

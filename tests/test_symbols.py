@@ -18,6 +18,9 @@ def test_symbol_invariants():
         Symbol((-1,), ())
     s = Symbol((0, 2), (1,))
     assert s.defect == 1
+    # rows given as lists are stored as tuples, so the symbol hashes
+    s = Symbol([0, 1], [1])
+    assert (s.top, s.bottom) == ((0, 1), (1,)) and hash(s) == hash(Symbol((0, 1), (1,)))
 
 
 def test_special_symbol_displays():
