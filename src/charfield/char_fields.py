@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InputError
+from .errors import InputError, as_int
 from .galois_arith import legendre, signed_prime
 from .groups import Family, GroupSpec, power_exponent
 from .semisimple import (
@@ -68,12 +68,14 @@ class CharacterField:
     def fixed_by(self, k: int) -> bool:
         """Is the field fixed by sigma_k: zeta -> zeta**k, k a unit mod its
         conductor d and mod p?  Exactly when k mod d is in the stabiliser and,
-        where sqrt(omega*p) is adjoined, its Gauss-sum sign (k/p) is +1; a k
-        that p divides is refused there."""
+        where sqrt(omega*p) is adjoined, its Gauss-sum sign (k/p) is +1; a
+        non-integer k is refused, and so is a k that p divides where the
+        sign is read."""
+        k = as_int(k, "k")
         if self.adjoin_sqrt_omega_p and k % self.p == 0:
             raise InputError("k must be coprime to p")
         return k % self.base.d in self.base.stab and (
-            not self.adjoin_sqrt_omega_p or legendre(k, self.p) == 1)
+            not self.adjoin_sqrt_omega_p or _gauss_sign(k % self.p, self.p) == 1)
 
     @property
     def is_real(self) -> bool:
@@ -87,6 +89,14 @@ class CharacterField:
             "adjoin_sqrt_omega_p": self.adjoin_sqrt_omega_p,
             "real": self.is_real,
         }
+
+
+@lru_cache(maxsize=None)
+def _gauss_sign(r: int, p: int) -> int:
+    """The sign (r/p) by which sigma_k scales sqrt(omega*p), for the residue
+    r = k mod p: computed once per residue mod p, as a sweep over many k
+    meets each residue again and again."""
+    return legendre(r, p)
 
 
 def character_field(g: GroupSpec, cls: SemisimpleClass) -> CharacterField:

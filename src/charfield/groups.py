@@ -12,7 +12,7 @@ rho, bounded so that it answers or raises BudgetExceededError.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import count
@@ -185,74 +185,55 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return factors[0]
 
 
+# the family of the dual group
+_DUAL_FAMILY = {Family.SP: Family.SO_ODD, Family.SO_ODD: Family.SP, Family.SO_EVEN: Family.SO_EVEN}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """Which finite classical group: family, rank, prime power, twist.
 
     The twist is meaningful only for even orthogonal groups: +1 is the split
-    form, -1 the non-split (twisted) one.
+    form, -1 the non-split (twisted) one.  What follows from these four is
+    computed once, when the spec is built, and is no part of its equality,
+    hash or repr: q = p**field_degree, q_is_square, dim (of the natural
+    module), form_eps (the form's parity: 1 alternating for Sp, 0 symmetric
+    for SO), and dual_dim and dual_family, those of the dual group.
     """
 
     family: Family
     n: int
     q: int
     twist: int = 1
+    p: int = field(init=False, repr=False, compare=False)
+    field_degree: int = field(init=False, repr=False, compare=False)
+    q_is_square: bool = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    form_eps: int = field(init=False, repr=False, compare=False)
+    dual_dim: int = field(init=False, repr=False, compare=False)
+    dual_family: Family = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:  # stored in one form: equal specs share every cache entry
             values = Family(self.family), *map(operator.index, (self.n, self.q, self.twist))
         except (TypeError, ValueError) as exc:
             raise InputError(f"not a group: {exc}") from None
-        for name, value in zip(("family", "n", "q", "twist"), values):
-            object.__setattr__(self, name, value)
-        if self.n < 1:
+        family, n, q, twist = values
+        if n < 1:
             raise InputError("rank must be >= 1")
-        p, _ = factor_prime_power(self.q)
+        p, a = factor_prime_power(q)
         if p == 2:
             raise InputError("only odd q is supported")
-        if self.twist not in (1, -1):
+        if twist not in (1, -1):
             raise InputError("twist must be +1 or -1")
-        if self.twist == -1 and self.family is not Family.SO_EVEN:
+        if twist == -1 and family is not Family.SO_EVEN:
             raise InputError("twist -1 only makes sense for so-even")
-
-    @property
-    def p(self) -> int:
-        return factor_prime_power(self.q)[0]
-
-    @property
-    def field_degree(self) -> int:
-        return factor_prime_power(self.q)[1]
-
-    @property
-    def q_is_square(self) -> bool:
-        return self.field_degree % 2 == 0
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the natural module."""
-        if self.family is Family.SO_ODD:
-            return 2 * self.n + 1
-        return 2 * self.n
-
-    @property
-    def form_eps(self) -> int:
-        """Form parity: 1 for alternating (Sp), 0 for symmetric (SO)."""
-        return 1 if self.family is Family.SP else 0
-
-    @property
-    def dual_dim(self) -> int:
-        """Dimension of the natural module of the dual group."""
-        if self.family is Family.SP:
-            return 2 * self.n + 1
-        return 2 * self.n
-
-    @property
-    def dual_family(self) -> Family:
-        if self.family is Family.SP:
-            return Family.SO_ODD
-        if self.family is Family.SO_ODD:
-            return Family.SP
-        return Family.SO_EVEN
+        sp, odd = family is Family.SP, family is Family.SO_ODD
+        # the frozen fields are set past the dataclass's __setattr__
+        vars(self).update(
+            family=family, n=n, q=q, twist=twist, p=p, field_degree=a,
+            q_is_square=a % 2 == 0, dim=2 * n + odd, form_eps=int(sp),
+            dual_dim=2 * n + sp, dual_family=_DUAL_FAMILY[family])
 
 
 def power_exponent(k: object, order: int) -> int:

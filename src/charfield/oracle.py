@@ -14,7 +14,9 @@ to a doubling horizon and the walk follows only as far as the comparison
 needs.  The walk depends only on the group and u, so one walk per (group, u)
 is kept and grown toward the target u^k of each k, up to the census's element
 cap; once the kept walk holds u^k or is closed, its deciding step is known
-and the scan runs to that step instead of to a horizon past it.  The class
+and the scan runs to that step instead of to a horizon past it.  The kept
+walk also holds what depends on u alone, u's offsets and its powers up to
+its order, so a call pays only for what depends on k.  The class
 census walks the group itself as the orbit of the identity under right
 multiplication, then each class under conjugation, up to an element cap,
 and keeps its element -> class map on packed matrices; the same closure of
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, count, starmap
 from math import ceil, gcd, lcm
 from operator import gt, itemgetter, mul
@@ -324,6 +326,12 @@ class _Lanes:
         flat, n = self.unpack(key), self.n
         return tuple(flat[i:i + n] for i in range(0, n * n, n))
 
+    @cached_property
+    def single(self) -> _Batch:
+        """The batch of one matrix, built on first use: `_span` reduces with
+        it."""
+        return _Batch(self, 1)
+
 
 @lru_cache(maxsize=None)
 def _lanes(n: int, p: int) -> _Lanes:
@@ -390,19 +398,25 @@ class _Batch:
 
 
 def _intertwiner_basis(u: Matrix, uk: Matrix, p: int) -> list[tuple[int, ...]]:
-    """The canonical basis (`_kernel`) of the X, as row-major entries, with
-    X u = uk X, that is X d = dk X for d = u - 1 and dk = uk - 1: one
-    sparse equation per entry (i, j) with a term, in which an entry
-    (t, j, c) of d puts c at X[i][t] and an entry (i, t, c) of dk puts -c at
-    X[t][j]; two terms on one unknown are summed, and a sum of 0 is left out,
-    as `_echelon` takes nonzero entries only.  For a unipotent u, d and dk
-    have a few entries each."""
-    N = len(u)
+    """The canonical basis of the X, as row-major entries, with X u = uk X
+    (`_intertwiners` of their offsets)."""
+    return _intertwiners(_offsets(u, p), _offsets(uk, p), len(u), p)
+
+
+def _intertwiners(d: Offsets, dk: Offsets, N: int, p: int) -> list[tuple[int, ...]]:
+    """The canonical basis (`_kernel`) of the N x N matrices X, as row-major
+    entries, with X d = dk X, where d and dk are the offsets of u and uk
+    from the identity, so that X u = uk X: one sparse equation per entry
+    (i, j) with a term, in which an entry (t, j, c) of d puts c at X[i][t]
+    and an entry (i, t, c) of dk puts -c at X[t][j]; two terms on one
+    unknown are summed, and a sum of 0 is left out, as `_echelon` takes
+    nonzero entries only.  For a unipotent u, d and dk have a few entries
+    each."""
     eqs: dict[int, dict[int, int]] = {}
-    for t, j, c in _offsets(u, p):
+    for t, j, c in d:
         for i in range(N):
             eqs.setdefault(i * N + j, {})[i * N + t] = c
-    for i, t, c in _offsets(uk, p):
+    for i, t, c in dk:
         for j in range(N):
             eq = eqs.setdefault(i * N + j, {})
             if x := (eq.get(t * N + j, 0) - c) % p:
@@ -418,7 +432,7 @@ def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ..
     empty basis).  An odometer on a packed vector: a step that carries from
     position i on raises every coefficient from i on by one (mod p), so it
     adds the packed suffix sum of the basis from i and reduces once."""
-    reduce = _Batch(lanes, 1).reduce
+    reduce = lanes.single.reduce
     suffix = []
     acc = 0
     for vec in reversed(basis):
@@ -493,6 +507,12 @@ class _Form:
             return True
 
         self.preserves = preserves
+        # the plane filter's entry (0, perm(0)) of the Gram matrix, E(X) =
+        # sum_i c_i L_i(X) R_i(X): the getters of L and R, and E on their values
+        self.left = itemgetter(*[i * N for i in range(N)])
+        self.right = itemgetter(*[perm[i] * N + perm[0] for i in range(N)])
+        self.form: Callable[[Sequence[int], Sequence[int]], int] = (
+            lambda lx, rz: sum(map(mul, map(mul, coefs, lx), rz)))
 
     def plane(
         self, C: Sequence[int], B: Sequence[int]
@@ -507,14 +527,7 @@ class _Form:
         plane, the rest off C and B once.  The roots of each row's quadratic
         in t are found by evaluating it at every t and kept per (constant,
         linear) coefficient pair, of which there are at most p^2."""
-        p, perm, coefs = self.p, self.perm, self.coefs
-        N, want = len(perm), coefs[0]
-        left = itemgetter(*[i * N for i in range(N)])
-        right = itemgetter(*[perm[i] * N + perm[0] for i in range(N)])
-
-        def form(lx: Sequence[int], rz: Sequence[int]) -> int:
-            return sum(map(mul, map(mul, coefs, lx), rz))
-
+        p, want, left, right, form = self.p, self.coefs[0], self.left, self.right, self.form
         lc, rc, lb, rb = left(C), right(C), left(B), right(B)
         a2, b1, gamma = form(lc, rc), form(lc, rb) + form(lb, rc), form(lb, rb) % p
         known: dict[tuple[int, int], Sequence[int]] = {}
@@ -798,19 +811,68 @@ class _Walk:
         return out
 
 
+_POWER_CAP = 256  # powers of u a kept walk holds, u^0 among them
+
+
+class _Power(NamedTuple):
+    """A power of u as the search reads it: the matrix, its packed key (the
+    walk's target) and its offsets from the identity (the u^k side of the
+    intertwiner equations)."""
+
+    m: Matrix
+    key: bytes
+    d: Offsets
+
+
+class _KeptWalk(_Walk):
+    """The orbit walk of u that the power-map search keeps, with the state
+    that depends on u alone: u's offsets from the identity, which give the u
+    side of the intertwiner equations, and the powers u^0, u^1, ... built
+    once by products, up to the order o of u or _POWER_CAP of them."""
+
+    def __init__(self, u: Matrix, conjugators: Sequence[_Conjugator], lanes: _Lanes):
+        super().__init__(lanes.key(u), conjugators, lanes)
+        p, one = lanes.p, identity_matrix(len(u))
+        self.u, self.d = u, _offsets(u, p)
+        self.powers = [self._power(one)]
+        x = u
+        while x != one and len(self.powers) < _POWER_CAP:
+            self.powers.append(self._power(x))
+            x = mat_mul(x, u, p)
+        self.order = len(self.powers) if x == one else None
+
+    def _power(self, m: Matrix) -> _Power:
+        return _Power(m, self.lanes.key(m), _offsets(m, self.lanes.p))
+
+    def power(self, k: int) -> _Power | None:
+        """u^k, or None when u^k = u.  A list read at k mod o when the
+        powers reach the order o, so u^k = u exactly when k = 1 mod o; a
+        list read at k when it is below their number, where only k = 1
+        gives u; only past them (u of order above _POWER_CAP) `mat_pow`."""
+        if self.order is not None:
+            k %= self.order
+            return None if k == 1 % self.order else self.powers[k]
+        if 0 <= k < len(self.powers):
+            return None if k == 1 else self.powers[k]
+        uk = mat_pow(self.u, k, self.lanes.p)
+        return None if uk == self.u else self._power(uk)
+
+
 @lru_cache(maxsize=None)
-def _orbit_walk(g: GroupSpec, x0: bytes) -> _Walk:
+def _orbit_walk(g: GroupSpec, x0: bytes) -> _KeptWalk:
     """The conjugation-orbit walk of the packed matrix x0 in g, one per
-    (g, x0): the power-map search grows it toward each call's target, so
-    every k and every later call with an equal u start from the conjugates
+    (g, x0), with the state that depends on x0 alone (`_KeptWalk`): the
+    power-map search grows it toward each call's target, so every k and
+    every later call with an equal u start from the conjugates and powers
     already found.  The key is the packed matrix, so u may be given as
     lists of lists.  x0 is tested for membership in g (`_is_element`) only
     here, when its walk is first kept: a matrix outside g raises InputError
     on every call, and nothing is kept for it."""
     lanes = _lanes(g.dim, g.p)
-    if not _is_element(g, lanes.matrix(x0)):
+    u = lanes.matrix(x0)
+    if not _is_element(g, u):
         raise InputError("u is not an element of the group")
-    return _Walk(x0, _conjugators(g), lanes)
+    return _KeptWalk(u, _conjugators(g), lanes)
 
 
 def _is_element(g: GroupSpec, m: Matrix) -> bool:
@@ -907,9 +969,13 @@ def power_conjugacy_search(
     (`_orbit_walk`) and grown further by later calls; a call that leaves it
     past CENSUS_CAP conjugates drops every kept walk.  u is tested for
     membership in g when its walk is first kept, not again while the walk
-    is kept; the intertwiner space is solved from sparse equations
-    (`_intertwiner_basis`).  A smaller step above `budget` raises; the
-    search never truncates.
+    is kept.  The kept walk also holds what depends on u alone
+    (`_KeptWalk`): u's offsets from the identity, the u side of the sparse
+    intertwiner equations (`_intertwiners`), and the powers u^0 .. u^(o-1)
+    of u's order o, each with its packed key and offsets, built once by
+    products.  So u^k is a list read at k mod o, and u^k = u exactly when
+    k = 1 mod o; `mat_pow` runs only for a u of order above the powers kept.
+    A smaller step above `budget` raises; the search never truncates.
 
     A dict passed as `stats` is filled with what decided: `decided_by`
     (`identity`, `lex` or `orbit`), `rounds` (the smaller deciding step, 0
@@ -929,15 +995,15 @@ def power_conjugacy_search(
         raise InputError("u is not an element of the group")
     lanes = _lanes(N, p)
     walk = _orbit_walk(g, lanes.key(u))  # tests that u is in g, once per kept walk
-    uk = mat_pow(u, k, p)
-    if uk == u:
+    power = walk.power(k)
+    if power is None:
         if stats is not None:
             stats.update(decided_by="identity", rounds=0, intertwiner_dim=None,
                          lex_checked=0, walk_size=None)
         return identity_matrix(N)
-    basis = _intertwiner_basis(u, uk, p)
+    uk, target = power.m, power.key
+    basis = _intertwiners(walk.d, power.d, N, p)
     lex = _LexScan(form, basis)
-    target = lanes.key(uk)
     horizon = min(_FIRST_HORIZON, budget)
     try:
         while True:

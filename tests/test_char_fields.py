@@ -1,8 +1,9 @@
+import re
 from math import gcd, lcm
 
 import pytest
 
-from charfield import oracle
+from charfield import char_fields, oracle
 from charfield.char_fields import (
     CharacterField,
     _rank1_counts,
@@ -320,6 +321,37 @@ def test_fixed_by_reads_the_legendre_symbol_at_any_k():
     # 5 and mod 7, and (2/7) = +1, (3/7) = -1
     field = CharacterField(CyclotomicSubfield(5, (1, 2, 3, 4)), True, 7)
     assert field.fixed_by(2) and not field.fixed_by(3)
+
+
+@pytest.mark.parametrize("adjoin", [False, True], ids=["base", "adjoined"])
+def test_fixed_by_refuses_a_non_integer_k(adjoin):
+    # on Q(zeta_5)^{1, 4}, 4.0 and 4.5 once passed through k mod d, and 4.0
+    # was answered fixed; every non-integer k is refused, named, on both
+    # branches, before the residue mod p is taken
+    field = CharacterField(CyclotomicSubfield(5, (1, 4)), adjoin, 3)
+    for k in (4.0, 4.5, "4"):
+        with pytest.raises(InputError, match=re.escape(f"k must be an integer, not {k!r}")):
+            field.fixed_by(k)
+
+
+def test_gauss_sign_once_per_residue(monkeypatch):
+    # the count vector of Sp2(F_13) sweeps 1,092 residues r, and the fields
+    # with sqrt(omega*p) adjoined read (r/13) at each unit r: one sign per
+    # residue mod 13 is computed, and the vector is the one the oracle counts
+    calls = []
+
+    def counted(a, p):
+        calls.append((a, p))
+        return legendre(a, p)
+
+    monkeypatch.setattr("charfield.char_fields.legendre", counted)
+    for cache in (char_fields._gauss_sign, char_fields._predicted_counts, _rank1_counts):
+        cache.cache_clear()
+    counts = _rank1_counts(13)
+    assert len(counts) == 1092
+    assert sorted(calls) == [(r, 13) for r in range(1, 13)]
+    assert all(predicted_fixed_count_rank1(13, k) == oracle.brauer_fixed_classes_sl2(13, k)
+               for k in range(1, 1092) if gcd(k, 1092) == 1)
 
 
 def test_character_field_realness_from_its_base():

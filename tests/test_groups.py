@@ -1,3 +1,4 @@
+import dataclasses
 from math import prod
 
 import numpy
@@ -121,6 +122,40 @@ def test_group_spec_stores_one_form():
     assert all(c.to_dict()["family"] == "sp" for c in classes)
     assert GroupSpec(Family.SP, numpy.int64(2), 7).dim == 4
     assert type(GroupSpec(Family.SP, numpy.int64(2), 7).n) is int
+
+
+def _admitted_groups():
+    # three families, n <= 3, odd q <= 13, both twists of so-even
+    for q in (3, 5, 7, 9, 11, 13):
+        for n in (1, 2, 3):
+            yield GroupSpec(Family.SP, n, q)
+            yield GroupSpec(Family.SO_ODD, n, q)
+            yield GroupSpec(Family.SO_EVEN, n, q, 1)
+            yield GroupSpec(Family.SO_EVEN, n, q, -1)
+
+
+def test_group_spec_stores_what_follows_from_its_fields():
+    groups = list(_admitted_groups())
+    assert len(groups) == 72
+    for g in groups:
+        ((p, a),) = factorize(g.q)
+        assert (g.p, g.field_degree, g.q_is_square) == (p, a, a % 2 == 0), g
+        sp, odd = g.family is Family.SP, g.family is Family.SO_ODD
+        assert g.dim == (2 * g.n + 1 if odd else 2 * g.n), g
+        assert g.form_eps == (1 if sp else 0), g
+        assert g.dual_dim == (2 * g.n + 1 if sp else 2 * g.n), g
+        assert g.dual_family == {Family.SP: Family.SO_ODD, Family.SO_ODD: Family.SP,
+                                 Family.SO_EVEN: Family.SO_EVEN}[g.family], g
+
+
+def test_group_spec_equality_hash_and_repr_ignore_the_stored_attributes():
+    by_value, by_enum = GroupSpec("sp", 1, 9), GroupSpec(Family.SP, 1, 9)
+    assert by_value == by_enum and hash(by_value) == hash(by_enum)
+    assert hash(by_enum) == hash((Family.SP, 1, 9, 1))
+    assert repr(by_value) == repr(by_enum) == "GroupSpec(family=<Family.SP: 'sp'>, n=1, q=9, twist=1)"
+    assert GroupSpec(Family.SO_EVEN, 2, 5, -1) != GroupSpec(Family.SO_EVEN, 2, 5, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        by_enum.p = 5
 
 
 @pytest.mark.parametrize("args, message", [

@@ -406,6 +406,62 @@ def test_power_search_on_torus_elements():
         assert seen == empty, q
 
 
+def _beyond_grid_cases():
+    # (g, u, o): the torus generators of SO3(F7) and SO4+(F5), of order
+    # p - 1, and the regular unipotent of Sp2(F7), of order 7
+    so3, so4, sp2 = (GroupSpec(Family.SO_ODD, 1, 7), GroupSpec(Family.SO_EVEN, 2, 5, 1),
+                     GroupSpec(Family.SP, 1, 7))
+    return [(so3, oracle.group_generators(so3)[-1], 6),
+            (so4, oracle.group_generators(so4)[-1], 4),
+            (sp2, oracle.unipotent_rep(sp2, EpsPartition(Partition([2]), 1)), 7)]
+
+
+def test_power_search_beyond_the_grid():
+    # k outside 1..q-1 gives what k mod o gives: the same witness and the
+    # same decision, and the identity whenever k = 1 mod o; a k that p
+    # divides is refused whatever its residue mod o.  lex_checked and
+    # walk_size depend on how far earlier calls grew the kept walk, so they
+    # are not compared.
+    decision = ("decided_by", "rounds", "intertwiner_dim")
+    for g, u, o in _beyond_grid_cases():
+        one = oracle.identity_matrix(g.dim)
+        assert [oracle.mat_pow(u, e, g.p) == one for e in range(1, o + 1)] == [False] * (o - 1) + [True]
+        for k in (-1, o + 1, 2 * o - 1, 1 - o):
+            if k % g.p == 0:
+                with pytest.raises(InputError, match="coprime to p"):
+                    oracle.power_conjugacy_search(g, u, k)
+                continue
+            stats, reduced = {}, {}
+            w = oracle.power_conjugacy_search(g, u, k, stats=stats)
+            assert w == oracle.power_conjugacy_search(g, u, k % o, stats=reduced), (g, o, k)
+            assert [stats[key] for key in decision] == [reduced[key] for key in decision], (g, o, k)
+            if k % o == 1:
+                assert w == one and stats["decided_by"] == "identity", (g, o, k)
+            elif w is not None:
+                _check_witness(g, u, k, w)
+    # the identity element has order 1: every k coprime to p gives u^k = u
+    g = GroupSpec(Family.SO_ODD, 1, 7)
+    for k in (-1, 2, 8, 13):
+        stats = {}
+        assert oracle.power_conjugacy_search(g, oracle.identity_matrix(3), k, stats=stats) == (
+            oracle.identity_matrix(3))
+        assert stats["decided_by"] == "identity", k
+
+
+def test_power_search_past_the_kept_powers(monkeypatch):
+    # with fewer powers kept than u's order, k past them takes mat_pow and
+    # the search answers as with every power kept
+    g, u, o = _beyond_grid_cases()[2]
+    oracle._orbit_walk.cache_clear()
+    answers = {k: oracle.power_conjugacy_search(g, u, k) for k in range(-o, 2 * o) if k % g.p}
+    monkeypatch.setattr(oracle, "_POWER_CAP", 3)
+    oracle._orbit_walk.cache_clear()
+    assert {k: oracle.power_conjugacy_search(g, u, k) for k in answers} == answers
+    walk = oracle._orbit_walk(g, oracle._lanes(g.dim, g.p).key(u))
+    assert walk.order is None and len(walk.powers) == 3
+    oracle._orbit_walk.cache_clear()
+
+
 def test_power_search_agrees_with_closed_form_q3():
     # small slice of the acceptance grid
     for n in (1, 2):
