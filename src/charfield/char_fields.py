@@ -75,7 +75,7 @@ class CharacterField:
         if self.adjoin_sqrt_omega_p and k % self.p == 0:
             raise InputError("k must be coprime to p")
         return k % self.base.d in self.base.stab and (
-            not self.adjoin_sqrt_omega_p or _gauss_sign(k % self.p, self.p) == 1)
+            not self.adjoin_sqrt_omega_p or legendre(k, self.p) == 1)
 
     @property
     def is_real(self) -> bool:
@@ -89,14 +89,6 @@ class CharacterField:
             "adjoin_sqrt_omega_p": self.adjoin_sqrt_omega_p,
             "real": self.is_real,
         }
-
-
-@lru_cache(maxsize=None)
-def _gauss_sign(r: int, p: int) -> int:
-    """The sign (r/p) by which sigma_k scales sqrt(omega*p), for the residue
-    r = k mod p: computed once per residue mod p, as a sweep over many k
-    meets each residue again and again."""
-    return legendre(r, p)
 
 
 def character_field(g: GroupSpec, cls: SemisimpleClass) -> CharacterField:

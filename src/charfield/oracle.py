@@ -15,8 +15,8 @@ needs.  The walk depends only on the group and u, so one walk per (group, u)
 is kept and grown toward the target u^k of each k, up to the census's element
 cap; once the kept walk holds u^k or is closed, its deciding step is known
 and the scan runs to that step instead of to a horizon past it.  The kept
-walk also holds what depends on u alone, u's offsets and its powers up to
-its order, so a call pays only for what depends on k.  The class
+walk also holds u's offsets and each power u^k computed so far, so a
+repeated (group, u, k) pays for neither again.  The class
 census walks the group itself as the orbit of the identity under right
 multiplication, then each class under conjugation, up to an element cap,
 and keeps its element -> class map on packed matrices; the same closure of
@@ -395,12 +395,6 @@ class _Batch:
         for i, j, c in d:
             y = self._add(y, x, self.cols[i], c, j - i)
         return y
-
-
-def _intertwiner_basis(u: Matrix, uk: Matrix, p: int) -> list[tuple[int, ...]]:
-    """The canonical basis of the X, as row-major entries, with X u = uk X
-    (`_intertwiners` of their offsets)."""
-    return _intertwiners(_offsets(u, p), _offsets(uk, p), len(u), p)
 
 
 def _intertwiners(d: Offsets, dk: Offsets, N: int, p: int) -> list[tuple[int, ...]]:
@@ -811,13 +805,10 @@ class _Walk:
         return out
 
 
-_POWER_CAP = 256  # powers of u a kept walk holds, u^0 among them
-
-
 class _Power(NamedTuple):
-    """A power of u as the search reads it: the matrix, its packed key (the
-    walk's target) and its offsets from the identity (the u^k side of the
-    intertwiner equations)."""
+    """A power u^k other than u as the search reads it: the matrix, its
+    packed key (the walk's target) and its offsets from the identity (the
+    u^k side of the intertwiner equations)."""
 
     m: Matrix
     key: bytes
@@ -827,35 +818,25 @@ class _Power(NamedTuple):
 class _KeptWalk(_Walk):
     """The orbit walk of u that the power-map search keeps, with the state
     that depends on u alone: u's offsets from the identity, which give the u
-    side of the intertwiner equations, and the powers u^0, u^1, ... built
-    once by products, up to the order o of u or _POWER_CAP of them."""
+    side of the intertwiner equations, and the powers of u met so far, by k
+    (None where u^k = u), each computed by `mat_pow` once."""
 
     def __init__(self, u: Matrix, conjugators: Sequence[_Conjugator], lanes: _Lanes):
         super().__init__(lanes.key(u), conjugators, lanes)
-        p, one = lanes.p, identity_matrix(len(u))
-        self.u, self.d = u, _offsets(u, p)
-        self.powers = [self._power(one)]
-        x = u
-        while x != one and len(self.powers) < _POWER_CAP:
-            self.powers.append(self._power(x))
-            x = mat_mul(x, u, p)
-        self.order = len(self.powers) if x == one else None
-
-    def _power(self, m: Matrix) -> _Power:
-        return _Power(m, self.lanes.key(m), _offsets(m, self.lanes.p))
+        self.u, self.d = u, _offsets(u, lanes.p)
+        self.powers: dict[int, _Power | None] = {}
 
     def power(self, k: int) -> _Power | None:
-        """u^k, or None when u^k = u.  A list read at k mod o when the
-        powers reach the order o, so u^k = u exactly when k = 1 mod o; a
-        list read at k when it is below their number, where only k = 1
-        gives u; only past them (u of order above _POWER_CAP) `mat_pow`."""
-        if self.order is not None:
-            k %= self.order
-            return None if k == 1 % self.order else self.powers[k]
-        if 0 <= k < len(self.powers):
-            return None if k == 1 else self.powers[k]
-        uk = mat_pow(self.u, k, self.lanes.p)
-        return None if uk == self.u else self._power(uk)
+        """u^k, or None when u^k = u: `mat_pow` the first time k is asked
+        for, a dict read after."""
+        try:
+            return self.powers[k]
+        except KeyError:
+            p = self.lanes.p
+            uk = mat_pow(self.u, k, p)
+            power = None if uk == self.u else _Power(uk, self.lanes.key(uk), _offsets(uk, p))
+            self.powers[k] = power
+            return power
 
 
 @lru_cache(maxsize=None)
@@ -971,10 +952,10 @@ def power_conjugacy_search(
     membership in g when its walk is first kept, not again while the walk
     is kept.  The kept walk also holds what depends on u alone
     (`_KeptWalk`): u's offsets from the identity, the u side of the sparse
-    intertwiner equations (`_intertwiners`), and the powers u^0 .. u^(o-1)
-    of u's order o, each with its packed key and offsets, built once by
-    products.  So u^k is a list read at k mod o, and u^k = u exactly when
-    k = 1 mod o; `mat_pow` runs only for a u of order above the powers kept.
+    intertwiner equations (`_intertwiners`), and each power u^k asked for so
+    far, with its packed key and offsets, or a mark that u^k = u.  So
+    `mat_pow` runs once per kept walk and k, and a repeated (g, u, k) reads
+    u^k from the walk.
     A smaller step above `budget` raises; the search never truncates.
 
     A dict passed as `stats` is filled with what decided: `decided_by`

@@ -3,7 +3,7 @@ from math import gcd, lcm
 
 import pytest
 
-from charfield import char_fields, oracle
+from charfield import oracle
 from charfield.char_fields import (
     CharacterField,
     _rank1_counts,
@@ -332,26 +332,6 @@ def test_fixed_by_refuses_a_non_integer_k(adjoin):
     for k in (4.0, 4.5, "4"):
         with pytest.raises(InputError, match=re.escape(f"k must be an integer, not {k!r}")):
             field.fixed_by(k)
-
-
-def test_gauss_sign_once_per_residue(monkeypatch):
-    # the count vector of Sp2(F_13) sweeps 1,092 residues r, and the fields
-    # with sqrt(omega*p) adjoined read (r/13) at each unit r: one sign per
-    # residue mod 13 is computed, and the vector is the one the oracle counts
-    calls = []
-
-    def counted(a, p):
-        calls.append((a, p))
-        return legendre(a, p)
-
-    monkeypatch.setattr("charfield.char_fields.legendre", counted)
-    for cache in (char_fields._gauss_sign, char_fields._predicted_counts, _rank1_counts):
-        cache.cache_clear()
-    counts = _rank1_counts(13)
-    assert len(counts) == 1092
-    assert sorted(calls) == [(r, 13) for r in range(1, 13)]
-    assert all(predicted_fixed_count_rank1(13, k) == oracle.brauer_fixed_classes_sl2(13, k)
-               for k in range(1, 1092) if gcd(k, 1092) == 1)
 
 
 def test_character_field_realness_from_its_base():

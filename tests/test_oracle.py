@@ -448,17 +448,26 @@ def test_power_search_beyond_the_grid():
         assert stats["decided_by"] == "identity", k
 
 
-def test_power_search_past_the_kept_powers(monkeypatch):
-    # with fewer powers kept than u's order, k past them takes mat_pow and
-    # the search answers as with every power kept
+def test_power_computed_once_per_kept_walk_and_k(monkeypatch):
+    # mat_pow runs the first time a kept walk is asked for u^k, the identity
+    # case k = 1 and a k with u^k = u among them; a repeated k reads the walk,
+    # and the answers are those of the first calls
     g, u, o = _beyond_grid_cases()[2]
+    calls = []
+
+    def counted(a, e, p):
+        calls.append(e)
+        return real(a, e, p)
+
+    real = oracle.mat_pow
     oracle._orbit_walk.cache_clear()
-    answers = {k: oracle.power_conjugacy_search(g, u, k) for k in range(-o, 2 * o) if k % g.p}
-    monkeypatch.setattr(oracle, "_POWER_CAP", 3)
+    ks = (1, 2, 3, o + 1, -1)
+    first = [oracle.power_conjugacy_search(g, u, k) for k in ks]
+    monkeypatch.setattr(oracle, "mat_pow", counted)
     oracle._orbit_walk.cache_clear()
-    assert {k: oracle.power_conjugacy_search(g, u, k) for k in answers} == answers
-    walk = oracle._orbit_walk(g, oracle._lanes(g.dim, g.p).key(u))
-    assert walk.order is None and len(walk.powers) == 3
+    assert [oracle.power_conjugacy_search(g, u, k) for k in ks] == first
+    assert [oracle.power_conjugacy_search(g, u, k) for k in ks] == first
+    assert calls == list(ks)
     oracle._orbit_walk.cache_clear()
 
 
@@ -530,9 +539,15 @@ def _non_identity_cells(g):
                 yield ep, u, k, uk
 
 
+def _intertwiner_basis(u, uk, p):
+    """The oracle's intertwiner basis of X u = uk X, from the offsets of u
+    and uk as the search builds it."""
+    return oracle._intertwiners(oracle._offsets(u, p), oracle._offsets(uk, p), len(u), p)
+
+
 def _lex_alone(g, u, uk):
     """The lex scan driven to its own decision: (step, witness)."""
-    basis = oracle._intertwiner_basis(u, uk, g.p)
+    basis = _intertwiner_basis(u, uk, g.p)
     lex = oracle._LexScan(oracle._form(g), basis)
     lex.scan(g.p ** len(basis) + 1)
     return lex.step, lex.witness
@@ -591,7 +606,7 @@ def test_lex_scan_on_a_one_vector_intertwiner_space():
     u = ((3, 0, 0), (0, 1, 0), (0, 0, 5))
     for k in (2, 3, 4):
         uk = oracle.mat_pow(u, k, g.p)
-        assert oracle._intertwiner_basis(u, uk, g.p) == [
+        assert _intertwiner_basis(u, uk, g.p) == [
             (0, 0, 0, 0, 1, 0, 0, 0, 0)]
         assert _lex_alone(g, u, uk) == (8, None), k
         # the walk closes u's class, |SO3(F7)| / |torus| = 336 / 6 = 56
@@ -630,7 +645,7 @@ def test_sparse_intertwiner_basis_is_the_dense_one():
     u = ((3, 0, 0), (0, 1, 0), (0, 0, 5))
     cases += [(u, oracle.mat_pow(u, k, 7), 7) for k in range(1, 7)]
     for u, uk, p in cases:
-        assert oracle._intertwiner_basis(u, uk, p) == _dense_intertwiner_basis(u, uk, p), (u, uk)
+        assert _intertwiner_basis(u, uk, p) == _dense_intertwiner_basis(u, uk, p), (u, uk)
 
 
 def _lockstep_walk(x0, conjugators, lanes, tree):
@@ -692,7 +707,7 @@ def _lockstep_search(g, u, k, budget):
     non-identity cell."""
     p = g.p
     uk = oracle.mat_pow(u, k, p)
-    basis = oracle._intertwiner_basis(u, uk, p)
+    basis = _intertwiner_basis(u, uk, p)
     searches = (("lex", _lockstep_lex(g, basis)),
                 ("orbit", _lockstep_orbit(g, u, uk)))
     for rounds in range(1, budget + 1):
