@@ -205,17 +205,12 @@ def gauss_sum_exact(p: int, k: int) -> tuple[int, int]:
         raise BudgetExceededError(f"p = {p} exceeds the bound {GAUSS_BOUND}")
     if as_int(k, "k") % p == 0:
         raise InputError("k must be coprime to p")
-    chi = [0] + [legendre(n, p) for n in range(1, p)]
-    g = [0] * p
-    for n in range(1, p):
-        g[n] = chi[n]
+    chi = [0] + [legendre(n, p) for n in range(1, p)]  # g's coefficients
     # g^2 with exponents taken mod p
     sq = [0] * p
     for i in range(1, p):
-        if g[i] == 0:
-            continue
         for j in range(1, p):
-            sq[(i + j) % p] += g[i] * g[j]
+            sq[(i + j) % p] += chi[i] * chi[j]
     sq_red = _reduce_mod_cyclotomic(sq, p)
     if any(c != 0 for c in sq_red[1:]):
         raise ArithmeticError("Gauss sum square is not rational")  # unreachable
@@ -223,7 +218,7 @@ def gauss_sum_exact(p: int, k: int) -> tuple[int, int]:
     gk = [0] * p
     for n in range(1, p):
         gk[k * n % p] += chi[n]
-    g_red = _reduce_mod_cyclotomic(g, p)
+    g_red = _reduce_mod_cyclotomic(chi, p)
     gk_red = _reduce_mod_cyclotomic(gk, p)
     if gk_red == g_red:
         sign = 1

@@ -12,58 +12,59 @@ intertwiner space and a conjugation-orbit walk.  Each has a deciding step,
 and the smaller one gives the answer, the scan on a tie; the scan runs ahead
 to a doubling horizon and the walk follows only as far as the comparison
 needs.  The walk depends only on the group and u, so one walk per (group, u)
-is kept and grown toward the target u^k of each k, up to the census's element
-cap; once the kept walk holds u^k or is closed, its deciding step is known
-and the scan runs to that step instead of to a horizon past it.  The kept
-walk also holds u's offsets and each power u^k computed so far, so a
-repeated (group, u, k) pays for neither again.  The class
-census walks the group itself as the orbit of the identity under right
-multiplication, then each class under conjugation, up to an element cap,
-and keeps its element -> class map on packed matrices; the same closure of
-the root elements alone gives the subgroup they generate.  The class power
-table decodes each representative and walks its powers once, up to the
-identity, looking up the class of each power packed.  From it the classes
-fixed by x -> x^r are counted once per group for every r mod the exponent
-of the group, one count vector, so a Brauer count for any k is one entry of
-it; no other element is decoded unless `class_census` itself is asked for.
-The closed-form modules are tested against this module, never the other way
-around.
+is kept and grown toward the target u^k of each k, up to the census's
+element cap; once the kept walk holds u^k or is closed, its deciding step is
+known and the scan runs to that step instead of to a horizon past it.  The
+kept walk also holds u's offsets and each power u^k computed so far, so a
+repeated (group, u, k) pays for neither again.  The class census walks the
+group itself as the orbit of the identity under right multiplication, then
+each class under conjugation, up to an element cap, and keeps its element ->
+class map on packed matrices; the same closure of the root elements alone
+gives the subgroup they generate.  The class power table decodes each
+representative and walks its powers once, up to the identity, looking up the
+class of each power packed.  From it the classes fixed by x -> x^r are
+counted once per group for every r mod the exponent of the group, one count
+vector, so a Brauer count for any k is one entry of it; no other element is
+decoded unless `class_census` itself is asked for.  The closed-form modules
+are tested against this module, never the other way around.
 
 Every generator is a root or torus element, which differs from the identity
-in a few entries, so conjugating by it is a row update and a column update.
-The walk runs these updates on packed matrices: a matrix is a bytes key
-with one lane of at most 8 bytes per entry, a chunk of K matrices is one
+in a few entries, so conjugating by it is a row update and a column
+update.  The walk runs these updates on packed matrices: a matrix is a bytes
+key with one lane of at most 8 bytes per entry, a chunk of K matrices is one
 int, and one lane-wise reduction mod p serves all K at once, so a chunk
-costs a few big-int operations per generator.  The walk takes its parents
-in chunks sized by the conjugates it still needs.  Dense products of tuples
-serve everything else, the witnesses and the power table among them: one
+costs a few big-int operations per generator.  The walk takes its parents in
+chunks sized by the conjugates it still needs.  Dense products of tuples
+serve everything else, the witness check and the power table among them: one
 straight-line product is generated per shape (rows, inner, cols) and kept,
 which unpacks both operands into locals, so a ragged or non-conforming
 operand raises InputError, and reduces each entry once.  Its source grows
 with rows * inner * cols, so shapes above 12^3 raise BudgetExceededError:
 the oracle takes groups of dimension up to 12, and `verify` uses 5 at most.
 
-The standard form is read once per group, as a `_Form`: building one
-rejects the groups the oracle does not model, then lays out the basis and
-builds J as a signed permutation, and from it the Gram test and the plane
-filter of the lex scan.  The scan takes the p candidates X0 + tB that
-differ in the last coefficient as one row.  The first entry of the
-candidate's Gram matrix X^T J X is a quadratic in t, so only its roots mod
-p, found by evaluation in the plane filter, go on to the full Gram test,
-which compares first the entry that rejected the last candidate and stops
-at the first entry that differs from the form; det and the isometry check
-run only on a candidate that passes.  The same test, with det in SO, checks
-that u is in the group, once per kept walk: when the walk of (group, u) is
-first kept, not again for each k.  The equations X u = uk X of the
-intertwiner space are built as sparse rows from the entries at which u and
-uk differ from the identity, and reduced to the canonical basis of the
-kernel by the module's one row reduction, sparse and a row at a time, which
-det, rank and inverses share.
+The standard form is read once per group, as a `_Form`: building one rejects
+the groups the oracle does not model, then lays out the basis and builds J
+as a signed permutation, and from it the Gram test and the plane filter of
+the lex scan.  The scan takes the p candidates X0 + tB that differ in the
+last coefficient as one row.  The first entry of the candidate's Gram matrix
+X^T J X is a quadratic in t, so only its roots mod p, found by evaluation in
+the plane filter, go on to the full Gram test, which compares first the
+entry that rejected the last candidate and stops at the first entry that
+differs from the form; det runs, in SO, only on a candidate that passes.  The
+two are the oracle's one membership test (`_Form.contains`), for the scan's
+candidates, the group generators, and u once per kept walk.  Either search's
+witness X is certified once, by X u = uk X in two products.  The
+intertwiner space is the kernel of those equations, built as sparse rows
+from the entries at which u and uk differ from the identity and reduced to
+its canonical basis by the module's one row reduction, sparse and a row at
+a time, which det, rank and inverses share.
 
-Matrices are tuples of tuples of residues mod p at the interface.  The
-oracle works over prime fields and split forms only, with p < 2^62 so that
-a sum of two residues fits an 8-byte lane, and every decision is exact
-integer arithmetic in pure Python."""
+Matrices are tuples of tuples of residues mod p at the interface.  `mat`,
+the row reduction and the power-map search read entries by operator.index,
+so there a float or a string raises InputError.  The oracle works over
+prime fields and split forms only, with p < 2^62 so that a sum of two
+residues fits an 8-byte lane, and every decision is exact integer arithmetic
+in pure Python."""
 
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, count, starmap
 from math import ceil, gcd, lcm
-from operator import gt, itemgetter, mul
+from operator import gt, index, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InputError, as_int
@@ -90,7 +91,9 @@ CENSUS_CAP = 60_000  # elements; admits Sp4(F3) and SO5(F3), 51,840 each
 
 
 def mat(rows) -> Matrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """rows as a tuple of tuples of ints; an entry without __index__ (a
+    float, a string) raises InputError naming it."""
+    return tuple(tuple(as_int(x, "a matrix entry") for x in row) for row in rows)
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +149,8 @@ def _product(rows: int, inner: int, cols: int) -> Callable[[Matrix, Matrix, int]
 
 
 def mat_mul(a: Matrix, b: Matrix, p: int) -> Matrix:
-    """a b mod p, by the straight-line product of their shape (`_product`);
-    tuples of residues whatever the operands' sequences and entries."""
+    """a b mod p, by the straight-line product of their shape (`_product`),
+    as tuples; entries are not checked, so float entries give floats."""
     try:
         return _product(len(a), len(b), len(b[0]) if b else 0)(a, b, p)
     except ValueError:
@@ -237,10 +240,15 @@ def _kernel(rows: Iterable[dict[int, int]], ncols: int, p: int) -> list[tuple[in
 
 def _sparse(a: Sequence[Sequence[int]], p: int, what: str) -> list[dict[int, int]]:
     """a's rows as sparse rows for `_echelon`, their nonzero residues mod p
-    by column; a ragged a raises InputError."""
+    by column, each entry read by operator.index; a ragged a or an entry
+    that is no integer raises InputError."""
     if len(set(map(len, a))) > 1:
         raise InputError(f"{what} needs rows of one length, not {_shape(a)}")
-    return [{j: y for j, x in enumerate(row) if (y := x % p)} for row in a]
+    try:
+        return [{j: y for j, x in enumerate(row) if (y := index(x) % p)} for row in a]
+    except TypeError:
+        mat(a)  # raises InputError naming the entry that is no integer
+        raise
 
 
 def rank(a: Matrix, p: int) -> int:
@@ -508,6 +516,13 @@ class _Form:
         self.form: Callable[[Sequence[int], Sequence[int]], int] = (
             lambda lx, rz: sum(map(mul, map(mul, coefs, lx), rz)))
 
+    def contains(self, flat: Sequence[int]) -> bool:
+        """The oracle's one membership test: is the matrix with the row-major
+        residues flat in the group, by the Gram test and, in SO, det 1?"""
+        N = len(self.J)
+        return self.preserves(flat) and (
+            not self.special or det([flat[i:i + N] for i in range(0, N * N, N)], self.p) == 1)
+
     def plane(
         self, C: Sequence[int], B: Sequence[int]
     ) -> Callable[[Sequence[int]], Iterator[Sequence[int]]]:
@@ -556,14 +571,9 @@ def form_matrix(g: GroupSpec) -> Matrix:
     return _form(g).J
 
 
-def is_isometry(m: Matrix, form: Matrix, p: int, special: bool = False) -> bool:
-    """Does m preserve the form (with det 1 when special is set)?"""
-    if len(m) != len(form):
-        raise InputError("dimension mismatch")
-    gram = mat_mul(mat_mul(transpose(m), form, p), m, p)
-    if gram != tuple([tuple([x % p for x in row]) for row in form]):
-        return False
-    return not special or det(m, p) == 1
+def _is_element(g: GroupSpec, m: Matrix) -> bool:
+    """Is the square matrix m of residues, of g's size, in g (`_Form.contains`)?"""
+    return _form(g).contains(list(chain.from_iterable(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -689,9 +699,8 @@ def group_generators(g: GroupSpec) -> list[Matrix]:
     if g.family in (Family.SO_ODD, Family.SO_EVEN):
         zeta = _primitive_root(p)
         gens.append(elem({(1, 1): zeta - 1, (-1, -1): pow(zeta, -1, p) - 1}))
-    for m_ in gens:
-        if not is_isometry(m_, form.J, p, special=True):
-            raise ArithmeticError("generator is not a special isometry")  # unreachable
+    if not all(form.contains(list(chain.from_iterable(h))) for h in gens):
+        raise ArithmeticError("a generator is not in the group")  # unreachable
     return gens
 
 
@@ -844,25 +853,15 @@ def _orbit_walk(g: GroupSpec, x0: bytes) -> _KeptWalk:
     """The conjugation-orbit walk of the packed matrix x0 in g, one per
     (g, x0), with the state that depends on x0 alone (`_KeptWalk`): the
     power-map search grows it toward each call's target, so every k and
-    every later call with an equal u start from the conjugates and powers
-    already found.  The key is the packed matrix, so u may be given as
-    lists of lists.  x0 is tested for membership in g (`_is_element`) only
-    here, when its walk is first kept: a matrix outside g raises InputError
-    on every call, and nothing is kept for it."""
+    every later call with an equal u start from what is already found.  x0
+    is tested for membership in g (`_is_element`) only here, when its walk
+    is first kept: a matrix outside g raises InputError on every call, and
+    nothing is kept for it."""
     lanes = _lanes(g.dim, g.p)
     u = lanes.matrix(x0)
     if not _is_element(g, u):
         raise InputError("u is not an element of the group")
     return _KeptWalk(u, _conjugators(g), lanes)
-
-
-def _is_element(g: GroupSpec, m: Matrix) -> bool:
-    """Is the square matrix m, of the group's size, in g: does it pass the
-    Gram test, with det 1 unless g is symplectic?  The same answer as
-    `is_isometry` without its two dense products."""
-    form = _form(g)
-    return (form.preserves(list(chain.from_iterable(m)))
-            and (not form.special or det(m, g.p) == 1))
 
 
 class _LexScan:
@@ -871,10 +870,10 @@ class _LexScan:
     t = 0..p-1, for B the last basis vector and X0 a combination of the
     others; rows come in lex order of their coefficients, so candidate t of
     row r is scan step rp + t + 1.  Only the t that the form's plane filter
-    returns go on to the full Gram test, then det (in SO), then the isometry
-    check.  `checked` counts the steps known not to decide; once the scan
-    decides, `step` is the deciding step and `witness` the first accepted
-    candidate, or p^c + 1 and None when the scan runs out."""
+    returns go on to the membership test (`_Form.contains`).  `checked`
+    counts the steps known not to decide; once the scan decides, `step` is
+    the deciding step and `witness` the first accepted candidate, or p^c + 1
+    and None when the scan runs out."""
 
     def __init__(self, form: _Form, basis: list[tuple[int, ...]]):
         self.rows = self._rows(form, basis)
@@ -906,19 +905,15 @@ class _LexScan:
             width = p
         else:
             outer, C, B, width = [], (0,) * N * N, basis[0], 1
-        plane, preserves = form.plane(C, B), form.preserves
+        plane, contains = form.plane(C, B), form.contains
         checked = 0
         for y in _span(outer, _lanes(N, p)):
             for s, roots in zip(range(width), plane(y)):
                 for t in roots:
                     flat = [(a + s * c + t * b) % p for a, c, b in zip(y, C, B)]
-                    if not preserves(flat):
-                        continue
-                    X = tuple(tuple(flat[i * N:(i + 1) * N]) for i in range(N))
-                    if not form.special or det(X, p) == 1:
-                        if not is_isometry(X, form.J, p, form.special):
-                            raise ArithmeticError("lex witness check failed")  # unreachable
-                        return checked + t + 1, X
+                    if contains(flat):
+                        return checked + t + 1, tuple(
+                            tuple(flat[i * N:(i + 1) * N]) for i in range(N))
                 checked += p
                 yield checked
         return checked + 1, None
@@ -946,17 +941,18 @@ def power_conjugacy_search(
     or the product of the conjugators along the walk's path.  The scan runs
     ahead to a doubling horizon, or straight to the walk's deciding step
     once that is known, and the walk follows only as far as it must to tell
-    which step is smaller.  The walk of (g, u) is kept
-    (`_orbit_walk`) and grown further by later calls; a call that leaves it
-    past CENSUS_CAP conjugates drops every kept walk.  u is tested for
-    membership in g when its walk is first kept, not again while the walk
-    is kept.  The kept walk also holds what depends on u alone
-    (`_KeptWalk`): u's offsets from the identity, the u side of the sparse
-    intertwiner equations (`_intertwiners`), and each power u^k asked for so
-    far, with its packed key and offsets, or a mark that u^k = u.  So
-    `mat_pow` runs once per kept walk and k, and a repeated (g, u, k) reads
-    u^k from the walk.
-    A smaller step above `budget` raises; the search never truncates.
+    which step is smaller.  Whichever search found it, the witness is
+    certified once, by X u = u^k X in two products.  A smaller step above
+    `budget` raises; the search never truncates.
+
+    u is read in one pass: each entry by operator.index (a float or a
+    string raises InputError), reduced mod p and packed into the key of its
+    walk, and later steps read the reduced u from the walk.  The walk of
+    (g, u) is kept (`_orbit_walk`) and grown by later calls; a call that
+    leaves it past CENSUS_CAP conjugates drops every kept walk.  u is tested
+    for membership in g when its walk is first kept.  The kept walk also
+    holds what depends on u alone (`_KeptWalk`), so `mat_pow` runs once per
+    kept walk and k.
 
     A dict passed as `stats` is filled with what decided: `decided_by`
     (`identity`, `lex` or `orbit`), `rounds` (the smaller deciding step, 0
@@ -971,18 +967,21 @@ def power_conjugacy_search(
         raise InputError("k must be coprime to p")
     if len(u) != N:
         raise InputError("dimension mismatch")
-    u = tuple(tuple(int(x) % p for x in row) for row in u)
     if any(len(row) != N for row in u):
         raise InputError("u is not an element of the group")
-    lanes = _lanes(N, p)
-    walk = _orbit_walk(g, lanes.key(u))  # tests that u is in g, once per kept walk
+    try:
+        x0 = _lanes(N, p).pack([index(x) % p for row in u for x in row])
+    except TypeError:
+        mat(u)  # raises InputError naming the entry that is no integer
+        raise
+    walk = _orbit_walk(g, x0)  # tests that u is in g, once per kept walk
     power = walk.power(k)
     if power is None:
         if stats is not None:
             stats.update(decided_by="identity", rounds=0, intertwiner_dim=None,
                          lex_checked=0, walk_size=None)
         return identity_matrix(N)
-    uk, target = power.m, power.key
+    target = power.key
     basis = _intertwiners(walk.d, power.d, N, p)
     lex = _LexScan(form, basis)
     horizon = min(_FIRST_HORIZON, budget)
@@ -1013,15 +1012,15 @@ def power_conjugacy_search(
     if stats is not None:
         stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis),
                      lex_checked=lex.checked, walk_size=len(walk.queue))
+    w = None
     if name == "lex":
-        return lex.witness
-    if target not in walk.seen:
-        return None
-    w = identity_matrix(N)
-    for gi in walk.path(target):
-        w = mat_mul(w, walk.conjugators[gi].h, p)
-    if mat_mul(w, u, p) != mat_mul(uk, w, p):
-        raise ArithmeticError("orbit witness check failed")  # unreachable
+        w = lex.witness
+    elif target in walk.seen:
+        w = identity_matrix(N)
+        for gi in walk.path(target):
+            w = mat_mul(w, walk.conjugators[gi].h, p)
+    if w is not None and mat_mul(w, walk.u, p) != mat_mul(power.m, w, p):
+        raise ArithmeticError("witness check failed")  # unreachable
     return w
 
 

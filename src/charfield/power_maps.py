@@ -14,7 +14,7 @@ from math import gcd
 from .errors import InputError, as_int
 from .galois_arith import is_square_in_fq
 from .groups import Family, GroupSpec
-from .partitions import EpsPartition
+from .partitions import EpsPartition, eps_stats
 
 
 def rationality_criterion(g: GroupSpec, ep: EpsPartition) -> str:
@@ -23,17 +23,16 @@ def rationality_criterion(g: GroupSpec, ep: EpsPartition) -> str:
     orthogonal groups; in symplectic groups "even-multiplicities" when every
     even part has even multiplicity, which makes the class rational outright,
     and otherwise "square-class-of-k": fixed by the k-th power map exactly
-    when k is a square in F_q."""
+    when k is a square in F_q.  For eps = 1 the even parts are the parts of
+    opposite parity that `eps_stats` reads, so that is the case delta = 1."""
     if ep.eps != g.form_eps:
         raise InputError("partition parity does not match the family")
     if ep.total != g.dim:
         raise InputError("partition size does not match the natural module")
     if g.family is not Family.SP:
         return "orthogonal-always-rational"
-    mu = ep.partition
-    if all(mu.multiplicity(m) % 2 == 0 for m in mu.distinct() if m % 2 == 0):
-        return "even-multiplicities"
-    return "square-class-of-k"
+    _, delta = eps_stats(ep)
+    return "square-class-of-k" if delta else "even-multiplicities"
 
 
 def unipotent_rational(g: GroupSpec, ep: EpsPartition, k: int) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from math import gcd, lcm
@@ -205,13 +206,24 @@ def test_product_size_cap(rows, inner):
     pytest.param(oracle.rank, (((1,), (3, 4)), 5), ["[1, 2]"], id="rank-ragged-short-first"),
     pytest.param(oracle.nullspace, (((1, 2, 3), (4, 5)), 7), ["[3, 2]"], id="nullspace-ragged"),
     pytest.param(oracle.transpose, (((1, 2), (3,)),), ["[2, 1]"], id="transpose"),
-    pytest.param(oracle.is_isometry, (((1, 0), (0, 1, 5)), ((0, 1), (6, 0)), 7), ["[2, 3]"],
-                 id="is_isometry"),
 ])
 def test_shape_errors_name_the_shapes(call, args, shapes):
     with pytest.raises(InputError) as raised:
         call(*args)
     assert all(shape in str(raised.value) for shape in shapes), raised.value
+
+
+@pytest.mark.parametrize("entry", [1.5, "1"])
+def test_entries_that_are_no_integers_are_refused(entry):
+    # mat and the row reduction behind det, rank, mat_inv and nullspace read
+    # entries by operator.index: a float or a string raises InputError naming
+    # it, instead of a bare TypeError or a truncation to 1
+    a = ((entry, 0), (0, 1))
+    calls = [oracle.mat, lambda a: oracle.det(a, 7), lambda a: oracle.rank(a, 7),
+             lambda a: oracle.mat_inv(a, 7), lambda a: oracle.nullspace(a, 7)]
+    for call in calls:
+        with pytest.raises(InputError, match=re.escape(repr(entry))):
+            call(a)
 
 
 def test_mat_pow_products_go_through_mat_mul(monkeypatch):
@@ -261,14 +273,23 @@ def test_form_matrices():
     assert oracle.form_matrix(g) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
 
 
+def is_isometry(m, form, p, special=False):
+    """Does m preserve the form (with det 1 when special is set)?  The dense
+    reference for the oracle's membership test: X^T J X by two products."""
+    gram = oracle.mat_mul(oracle.mat_mul(oracle.transpose(m), form, p), m, p)
+    if gram != tuple(tuple(x % p for x in row) for row in form):
+        return False
+    return not special or oracle.det(m, p) == 1
+
+
 def test_is_isometry():
     g = GroupSpec(Family.SP, 1, 7)
     J = oracle.form_matrix(g)
-    assert oracle.is_isometry(oracle.identity_matrix(2), J, 7)
-    assert oracle.is_isometry(((3, 0), (0, 5)), J, 7)  # diag(a, a^-1)
-    assert not oracle.is_isometry(((3, 0), (0, 1)), J, 7)
+    assert is_isometry(oracle.identity_matrix(2), J, 7)
+    assert is_isometry(((3, 0), (0, 5)), J, 7)  # diag(a, a^-1)
+    assert not is_isometry(((3, 0), (0, 1)), J, 7)
     with pytest.raises(InputError):
-        oracle.is_isometry(oracle.identity_matrix(3), J, 7)
+        is_isometry(oracle.identity_matrix(3), J, 7)
 
 
 # every group the oracle's representatives are built for in tests and verify:
@@ -316,7 +337,7 @@ def test_unipotent_reps_full_grid():
         special = g.family is not Family.SP
         for ep in eps_partitions(g.dim, g.form_eps):
             u = oracle.unipotent_rep(g, ep)
-            assert oracle.is_isometry(u, J, g.p, special=special), (g, ep)
+            assert is_isometry(u, J, g.p, special=special), (g, ep)
             assert _jordan_type(u, g.p) == ep.partition, (g, ep)
             lines.append([g.family.value, g.n, g.q, list(ep.partition), _rows(u)])
     assert _digest(lines) == _REP_DIGEST
@@ -364,6 +385,17 @@ def test_power_search_input_rejections():
             oracle.power_conjugacy_search(g, bad, 2)
 
 
+def test_power_search_reads_entries_by_index():
+    # a float or a string in u raises InputError naming it, instead of being
+    # read as the transvection [[1, 1], [0, 1]]; numpy's integers are read
+    g = GroupSpec(Family.SP, 1, 7)
+    for entry in (1.9, "1"):
+        with pytest.raises(InputError, match=re.escape(repr(entry))):
+            oracle.power_conjugacy_search(g, [[entry, 1], [0, 1]], 3)
+    u = ((1, 1), (0, 1))
+    assert oracle.power_conjugacy_search(g, np.array(u), 3) == oracle.power_conjugacy_search(g, u, 3)
+
+
 def test_power_search_identity_witness():
     g = GroupSpec(Family.SP, 1, 7)
     u = oracle.unipotent_rep(g, EpsPartition(Partition([2]), 1))
@@ -377,7 +409,7 @@ def test_power_search_regular_sp2():
     assert w is not None
     uk = oracle.mat_pow(u, 2, 7)
     assert oracle.mat_mul(w, u, 7) == oracle.mat_mul(uk, w, 7)
-    assert oracle.is_isometry(w, oracle.form_matrix(g), 7)
+    assert is_isometry(w, oracle.form_matrix(g), 7)
     assert oracle.power_conjugacy_search(g, u, 3) is None
 
 
@@ -525,7 +557,7 @@ def test_prime_bound():
 def _check_witness(g, u, k, w):
     p = g.p
     assert oracle.mat_mul(w, u, p) == oracle.mat_mul(oracle.mat_pow(u, k, p), w, p)
-    assert oracle.is_isometry(w, oracle.form_matrix(g), p)
+    assert is_isometry(w, oracle.form_matrix(g), p)
     if g.family is not Family.SP:
         assert oracle.det(w, p) == 1
 
@@ -901,7 +933,9 @@ def _agrees_with_is_isometry(g, x):
     flat = tuple(v for row in x for v in row)
     for special in (False, True):
         fast = preserves(flat) and (not special or oracle.det(x, p) == 1)
-        assert fast == oracle.is_isometry(x, J, p, special), (g, x, special)
+        assert fast == is_isometry(x, J, p, special), (g, x, special)
+    # the membership test itself, with det 1 where g demands it
+    assert oracle._is_element(g, x) == is_isometry(x, J, p, g.family is not Family.SP), (g, x)
 
 
 @given(st.sampled_from(_POWMAP_GROUPS).flatmap(lambda g: st.tuples(st.just(g), _candidates(g))))
@@ -1082,6 +1116,26 @@ def test_powmap_cells_in_any_order():
     assert _digest([lines[key] for key in sorted(lines)]) == _POWMAP_DIGEST
 
 
+# the 132 per-cell lines of `charfield verify --suite powmap --stats` with
+# `seconds` dropped: the answers as above, and the race's schedule too, as
+# the scan steps checked and the kept walk's size after each cell
+_POWMAP_STATS_DIGEST = "399b3355b00a03b387adfe6c22e7ed35911f37166cbc448cc58d1968c33739c4"
+
+
+def test_powmap_stats_lines_byte_identical():
+    # in a child process, so that the walks start cold as they do in the CLI
+    src = os.path.dirname(os.path.dirname(oracle.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "charfield", "verify", "--suite", "powmap",
+                           "--stats"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    cells = [line for line in map(json.loads, done.stdout.splitlines()) if "decided_by" in line]
+    for cell in cells:
+        del cell["seconds"]
+    assert len(cells) == 132
+    assert _digest(cells) == _POWMAP_STATS_DIGEST
+
+
 def test_walk_cache_keyed_by_entries():
     # a u given as lists of lists shares the walk of the tuple u, and gives
     # the same witness and stats
@@ -1224,7 +1278,7 @@ def test_root_subgroup_is_the_spinor_kernel():
     # the subgroup
     g = GroupSpec(Family.SO_EVEN, 2, 3, 1)
     x = oracle.mat([[0, 0, 0, 2], [0, 0, 2, 0], [0, 2, 0, 0], [2, 0, 0, 0]])
-    assert oracle.is_isometry(x, oracle.form_matrix(g), 3, special=True)
+    assert is_isometry(x, oracle.form_matrix(g), 3, special=True)
     assert oracle.mat_mul(x, x, 3) == oracle.identity_matrix(4)
     assert x in oracle.root_subgroup(g)
 
@@ -1247,7 +1301,7 @@ def _isometries(g):
     out = []
     for flat in itertools.product(range(p), repeat=N * N):
         m = tuple(flat[i * N:(i + 1) * N] for i in range(N))
-        if oracle.is_isometry(m, J, p, special):
+        if is_isometry(m, J, p, special):
             out.append(m)
     return out
 

@@ -2,7 +2,7 @@ import pytest
 
 from charfield.errors import InputError
 from charfield.groups import Family, GroupSpec
-from charfield.partitions import EpsPartition, Partition, eps_partitions
+from charfield.partitions import EpsPartition, Partition, eps_partitions, eps_stats
 from charfield.power_maps import rationality_criterion, unipotent_rational
 
 
@@ -28,6 +28,22 @@ def test_rationality_criterion():
     assert rationality_criterion(so, EpsPartition(Partition([3, 1, 1]), 0)) == "orthogonal-always-rational"
     with pytest.raises(InputError):
         rationality_criterion(sp, EpsPartition(Partition([3, 1]), 0))
+
+
+def test_square_class_rule_is_delta_one():
+    # the symplectic rule reads delta of `eps_stats`: an even part of odd
+    # multiplicity is what both name, over every admissible partition of 2n
+    sp = {n: GroupSpec(Family.SP, n, 3) for n in range(1, 11)}
+    cases = 0
+    for n, g in sp.items():
+        for ep in eps_partitions(2 * n, 1):
+            mu = ep.partition
+            moves = any(mu.multiplicity(m) % 2 for m in mu.distinct() if m % 2 == 0)
+            assert eps_stats(ep)[1] == moves, ep
+            rule = rationality_criterion(g, ep)
+            assert rule == ("square-class-of-k" if moves else "even-multiplicities"), ep
+            cases += 1
+    assert cases == 642
 
 
 def test_unipotent_rational_square_field():
