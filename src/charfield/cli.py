@@ -6,6 +6,10 @@ prints each on its own line (machine-readable, byte stable across runs);
 input, 3 budget exceeded (an enumeration, the oracle's rounds or the
 factoring bound), 4 when a printed line reports `"ok": false` (a failed
 verification check).
+
+Each subcommand is declared once, as one row of `_COMMANDS` (name, help,
+handler, flags), and each flag once, in `_FLAGS`; `build_parser` builds a
+fresh parser from the two tables on every call.
 """
 
 from __future__ import annotations
@@ -130,6 +134,55 @@ def _cmd_verify(args) -> Iterator[dict]:
                     yield {"check": r.name, **cell, "seconds": round(cell["seconds"], 6)}
 
 
+_INT = {"type": int, "required": True}
+
+# Every flag of every subcommand, declared once: its add_argument keywords.
+_FLAGS = {
+    "--class": {"dest": "cls", "required": True},
+    "--pretty": {"action": "store_true"},
+    "--family": {"required": True, "choices": [f.value for f in Family]},
+    "--n": _INT,
+    "--q": _INT,
+    "--twist": {"type": int, "default": 1, "choices": [1, -1]},
+    "--mu": {"required": True, "help": "comma-separated partition"},
+    "--k": _INT,
+    "--a": _INT,
+    "--b": _INT,
+    "--sigma-k": _INT,
+    "--sigma-m": _INT,
+    "--e": _INT,
+    "--f": _INT,
+    "--delta": {"type": int, "required": True, "choices": [0, 1]},
+    "--minus-dim": {"type": int, "help": "dimension of the -1 eigenspace of an involution; "
+                    "when both eigenspaces occur the +1 eigenspace is split and the -1 "
+                    "eigenspace has the form's type, a single eigenspace has the form's type"},
+    "--suite": {"default": "all", "choices": [*SUITES, "all"]},
+    "--stats": {"action": "store_true",
+                "help": "also print one line per power-map cell (the search that decided it, "
+                "the deciding step and the search's time) and one line per group whose "
+                "class census a check builds (its order, class count and census time)"},
+}
+
+_GROUP = ("--family", "--n", "--q", "--twist")
+
+# One row per subcommand: name, help, handler and its flags in --help order; a
+# (flag, text) pair gives the flag that help text in this subcommand alone.
+_COMMANDS = (
+    ("field", "character field of a series", _cmd_field, (("--class", "class JSON"), "--pretty")),
+    ("real", "realness of a series", _cmd_real, ("--class", "--pretty")),
+    ("powmap", "power-map rationality of a unipotent class", _cmd_powmap,
+     ("--pretty", *_GROUP, "--mu", "--k")),
+    ("gammadelta", "Galois twist sign of a principal series", _cmd_gammadelta,
+     ("--pretty", "--family", "--q", "--twist", "--a", "--b", "--sigma-k", "--sigma-m")),
+    ("symbol", "special two-row symbol", _cmd_symbol, ("--e", "--delta", "--pretty")),
+    ("wavefront", "wave-front partition of a cuspidal datum", _cmd_wavefront,
+     ("--e", "--f", "--delta", "--pretty")),
+    ("kgroup", "central-twist predicates", _cmd_kgroup, ("--pretty", *_GROUP, "--minus-dim")),
+    ("classes", "every semisimple class of the dual group", _cmd_classes, ("--pretty", *_GROUP)),
+    ("verify", "run verification suites", _cmd_verify, ("--suite", "--stats", "--pretty")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charfield",
@@ -137,79 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
         "finite symplectic and special orthogonal groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, group=False):
-        sp.add_argument("--pretty", action="store_true")
-        if group:
-            sp.add_argument("--family", required=True,
-                            choices=[f.value for f in Family])
-            sp.add_argument("--n", type=int, required=True)
-            sp.add_argument("--q", type=int, required=True)
-            sp.add_argument("--twist", type=int, default=1, choices=[1, -1])
-
-    sp = sub.add_parser("field", help="character field of a series")
-    sp.add_argument("--class", dest="cls", required=True, help="class JSON")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_field)
-
-    sp = sub.add_parser("real", help="realness of a series")
-    sp.add_argument("--class", dest="cls", required=True)
-    add_common(sp)
-    sp.set_defaults(func=_cmd_real)
-
-    sp = sub.add_parser("powmap", help="power-map rationality of a unipotent class")
-    add_common(sp, group=True)
-    sp.add_argument("--mu", required=True, help="comma-separated partition")
-    sp.add_argument("--k", type=int, required=True)
-    sp.set_defaults(func=_cmd_powmap)
-
-    sp = sub.add_parser("gammadelta", help="Galois twist sign of a principal series")
-    add_common(sp, group=False)
-    sp.add_argument("--family", required=True,
-                    choices=[f.value for f in Family])
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--twist", type=int, default=1, choices=[1, -1])
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--sigma-k", dest="sigma_k", type=int, required=True)
-    sp.add_argument("--sigma-m", dest="sigma_m", type=int, required=True)
-    sp.set_defaults(func=_cmd_gammadelta)
-
-    sp = sub.add_parser("symbol", help="special two-row symbol")
-    sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--delta", type=int, required=True, choices=[0, 1])
-    add_common(sp)
-    sp.set_defaults(func=_cmd_symbol)
-
-    sp = sub.add_parser("wavefront", help="wave-front partition of a cuspidal datum")
-    sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--f", type=int, required=True)
-    sp.add_argument("--delta", type=int, required=True, choices=[0, 1])
-    add_common(sp)
-    sp.set_defaults(func=_cmd_wavefront)
-
-    sp = sub.add_parser("kgroup", help="central-twist predicates")
-    add_common(sp, group=True)
-    sp.add_argument("--minus-dim", type=int, default=None,
-                    help="dimension of the -1 eigenspace of an involution; when both "
-                    "eigenspaces occur the +1 eigenspace is split and the -1 eigenspace "
-                    "has the form's type, a single eigenspace has the form's type")
-    sp.set_defaults(func=_cmd_kgroup)
-
-    sp = sub.add_parser("classes", help="every semisimple class of the dual group")
-    add_common(sp, group=True)
-    sp.set_defaults(func=_cmd_classes)
-
-    sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    sp.add_argument("--stats", action="store_true",
-                    help="also print one line per power-map cell (the search that "
-                    "decided it, the deciding step and the search's time) and one "
-                    "line per group whose class census a check builds (its order, "
-                    "class count and census time)")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_verify)
-
+    for name, text, func, flags in _COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        for flag in flags:
+            flag, extra = (flag, {}) if isinstance(flag, str) else (flag[0], {"help": flag[1]})
+            sp.add_argument(flag, **_FLAGS[flag], **extra)
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -223,7 +209,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     return 4 if failed else 0

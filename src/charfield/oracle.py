@@ -57,14 +57,14 @@ witness X is certified once, by X u = uk X in two products.  The
 intertwiner space is the kernel of those equations, built as sparse rows
 from the entries at which u and uk differ from the identity and reduced to
 its canonical basis by the module's one row reduction, sparse and a row at
-a time, which det, rank and inverses share.
+a time, which det and inverses share.
 
 Matrices are tuples of tuples of residues mod p at the interface.  `mat`,
-the row reduction and the power-map search read entries by operator.index,
-so there a float or a string raises InputError.  The oracle works over
-prime fields and split forms only, with p < 2^62 so that a sum of two
-residues fits an 8-byte lane, and every decision is exact integer arithmetic
-in pure Python."""
+`mat_pow`, the row reduction and the power-map search read entries by
+operator.index, so there a float or a string raises InputError.  The oracle
+works over prime fields and split forms only, with p < 2^62 so that a sum of
+two residues fits an 8-byte lane, and every decision is exact integer
+arithmetic in pure Python."""
 
 from __future__ import annotations
 
@@ -161,7 +161,9 @@ def mat_pow(a: Matrix, e: int, p: int) -> Matrix:
     """a^e by squaring from the top bit down: one product per bit below it
     and one more per set bit, none with the identity.  Every product goes
     through `mat_mul`, which reduces its entries, so only e = 1 reduces a.
-    A non-square a raises InputError for every e, e = 0 and 1 included."""
+    a is read through `mat`, so an entry that is no integer raises
+    InputError for every e, e = 0 and 1 included, as a non-square a does."""
+    a = mat(a)
     if as_int(e, "e") < 0:
         a, e = mat_inv(a, p), -e
     _square(a, "a power")
@@ -249,10 +251,6 @@ def _sparse(a: Sequence[Sequence[int]], p: int, what: str) -> list[dict[int, int
     except TypeError:
         mat(a)  # raises InputError naming the entry that is no integer
         raise
-
-
-def rank(a: Matrix, p: int) -> int:
-    return len(_echelon(_sparse(a, p, "rank"), p)[0])
 
 
 def det(a: Matrix, p: int) -> int:

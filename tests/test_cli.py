@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -101,6 +102,42 @@ def test_gammadelta_refuses_n(capsys, n):
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == "", n
     assert "unrecognized arguments: --n" in out.err
+
+
+# --help of the top-level parser and of every subcommand, and four argparse
+# rejections: a missing required flag, a bad --family choice, an unknown flag
+# and gammadelta's --n.  Their exit codes and output are pinned by a sha256
+# recorded while each subcommand's flags were still declared by hand.
+# argparse wraps usage lines differently across Python versions (3.13 keeps an
+# option beside its argument), so the digest is taken over the words.
+_HELP_ARGV = [["--help"]] + [[name, "--help"] for name in (
+    "field", "real", "powmap", "gammadelta", "symbol", "wavefront", "kgroup", "classes", "verify")]
+_REJECTED_ARGV = [
+    ["field"],
+    ["classes", "--family", "sl", "--n", "1", "--q", "3"],
+    ["symbol", "--e", "2", "--delta", "0", "--bogus", "1"],
+    ["gammadelta", "--family", "sp", "--q", "3", "--a", "1", "--b", "1", "--n", "5",
+     "--sigma-k", "5", "--sigma-m", "12"],
+]
+_HELP_DIGEST = "84d3d18d0e9bf5ed1702ac41ff5115172f2b01d3808de231a2f5491bacddecc0"
+_REJECTED_DIGEST = "d26983f3260e8b5fd7171409846e3236ebe0ca94f2f59a99baa87bd93bc30788"
+
+
+def _argparse_digest(capsys, argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        h.update(f"{exc.value.code}\0{' '.join(out.out.split())}\0{' '.join(out.err.split())}\0"
+                 .encode())
+    return h.hexdigest()
+
+
+def test_help_and_argparse_rejections_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+    assert _argparse_digest(capsys, _HELP_ARGV) == _HELP_DIGEST
+    assert _argparse_digest(capsys, _REJECTED_ARGV) == _REJECTED_DIGEST
 
 
 def test_symbol_and_wavefront(capsys):

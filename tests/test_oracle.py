@@ -125,7 +125,6 @@ def _kernel_from_rref(rows, pivots, ncols, p):
 def test_elimination_agrees_with_dense(p, nrows, ncols, data):
     a = data.draw(_sparse_or_dense(p, nrows, ncols))
     rows, pivots, _ = _dense_rref(a, p)
-    assert oracle.rank(oracle.mat(a), p) == len(pivots)
     assert oracle.nullspace(a, p) == _kernel_from_rref(rows, pivots, ncols, p)
 
 
@@ -202,9 +201,9 @@ def test_product_size_cap(rows, inner):
     pytest.param(oracle.mat_pow, (((1, 2, 3), (4, 5, 6)), 1, 7), ["2x3"], id="mat_pow-e1"),
     pytest.param(oracle.mat_pow, (((1, 2), (3,)), 1, 7), ["[2, 1]"], id="mat_pow-ragged"),
     pytest.param(oracle.mat_inv, (((1, 0, 0), (0, 1, 0)), 7), ["2x3"], id="mat_inv"),
-    pytest.param(oracle.rank, (((1, 2), (3,)), 5), ["[2, 1]"], id="rank-ragged"),
-    pytest.param(oracle.rank, (((1,), (3, 4)), 5), ["[1, 2]"], id="rank-ragged-short-first"),
     pytest.param(oracle.nullspace, (((1, 2, 3), (4, 5)), 7), ["[3, 2]"], id="nullspace-ragged"),
+    pytest.param(oracle.nullspace, (((1,), (3, 4)), 5), ["[1, 2]"],
+                 id="nullspace-ragged-short-first"),
     pytest.param(oracle.transpose, (((1, 2), (3,)),), ["[2, 1]"], id="transpose"),
 ])
 def test_shape_errors_name_the_shapes(call, args, shapes):
@@ -215,12 +214,14 @@ def test_shape_errors_name_the_shapes(call, args, shapes):
 
 @pytest.mark.parametrize("entry", [1.5, "1"])
 def test_entries_that_are_no_integers_are_refused(entry):
-    # mat and the row reduction behind det, rank, mat_inv and nullspace read
-    # entries by operator.index: a float or a string raises InputError naming
-    # it, instead of a bare TypeError or a truncation to 1
+    # mat, mat_pow and the row reduction behind det, mat_inv and nullspace
+    # read entries by operator.index: a float or a string raises InputError
+    # naming it, instead of a bare TypeError or a truncation to 1; mat_pow
+    # does so at every e, not only at e = -1, where it inverts
     a = ((entry, 0), (0, 1))
-    calls = [oracle.mat, lambda a: oracle.det(a, 7), lambda a: oracle.rank(a, 7),
-             lambda a: oracle.mat_inv(a, 7), lambda a: oracle.nullspace(a, 7)]
+    calls = [oracle.mat, lambda a: oracle.det(a, 7), lambda a: oracle.mat_inv(a, 7),
+             lambda a: oracle.nullspace(a, 7)]
+    calls += [lambda a, e=e: oracle.mat_pow(a, e, 7) for e in (0, 1, 2, -1)]
     for call in calls:
         with pytest.raises(InputError, match=re.escape(repr(entry))):
             call(a)
@@ -312,8 +313,8 @@ _REP_DIGEST = "c1ecd54d16043300e60130fe556a5daa0e7bab13dd89e91af7480953f5b51880"
 
 
 def _jordan_type(u, p):
-    # the Jordan type of the unipotent u: with r_i the rank of (u - 1)^i,
-    # r_(s-1) - r_s blocks have size >= s; the ranks stop falling above 0
+    # the Jordan type of the unipotent u: with r_i the rank of (u - 1)^i, n
+    # less the dimension of its kernel, r_(s-1) - r_s blocks have size >= s; the ranks stop falling above 0
     # only when u is not unipotent
     n = len(u)
     m = tuple(tuple((x - (i == j)) % p for j, x in enumerate(row)) for i, row in enumerate(u))
@@ -321,7 +322,7 @@ def _jordan_type(u, p):
     power = oracle.identity_matrix(n)
     while ranks[-1] > 0:
         power = oracle.mat_mul(power, m, p)
-        ranks.append(oracle.rank(power, p))
+        ranks.append(n - len(oracle.nullspace(power, p)))
         if ranks[-1] == ranks[-2]:
             raise InputError("u is not unipotent")
     drops = [r - s for r, s in zip(ranks, ranks[1:])]  # blocks of size >= 1, 2, ...
