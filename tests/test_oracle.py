@@ -313,9 +313,9 @@ _REP_DIGEST = "c1ecd54d16043300e60130fe556a5daa0e7bab13dd89e91af7480953f5b51880"
 
 
 def _jordan_type(u, p):
-    # the Jordan type of the unipotent u: with r_i the rank of (u - 1)^i, n
-    # less the dimension of its kernel, r_(s-1) - r_s blocks have size >= s; the ranks stop falling above 0
-    # only when u is not unipotent
+    # the Jordan type of the unipotent u: with r_i the rank of (u - 1)^i,
+    # i.e. n less its kernel dimension, r_(s-1) - r_s blocks have size >= s;
+    # the ranks stop falling above 0 only when u is not unipotent
     n = len(u)
     m = tuple(tuple((x - (i == j)) % p for j, x in enumerate(row)) for i, row in enumerate(u))
     ranks = [n]
