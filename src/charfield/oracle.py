@@ -15,18 +15,21 @@ needs.  The walk depends only on the group and u, so one walk per (group, u)
 is kept and grown toward the target u^k of each k, up to the census's
 element cap; once the kept walk holds u^k or is closed, its deciding step is
 known and the scan runs to that step instead of to a horizon past it.  The
-kept walk also holds u's offsets and each power u^k computed so far, so a
-repeated (group, u, k) pays for neither again.  The class census walks the
-group itself as the orbit of the identity under right multiplication, then
-each class under conjugation, up to an element cap, and keeps its element ->
-class map on packed matrices; the same closure of the root elements alone
-gives the subgroup they generate.  The class power table decodes each
-representative and walks its powers once, up to the identity, looking up the
-class of each power packed.  From it the classes fixed by x -> x^r are
-counted once per group for every r mod the exponent of the group, one count
-vector, so a Brauer count for any k is one entry of it; no other element is
-decoded unless `class_census` itself is asked for.  The closed-form modules
-are tested against this module, never the other way around.
+kept walk also holds u's offsets and, for each k asked for so far, u^k and
+the plan of the scan (its intertwiner basis, its plane constants and its
+table of filter hits by plane), so a repeated (group, u, k) pays for none of
+them again; its scan still runs to the deciding step.  The class census
+walks the group itself as the orbit of the identity under right
+multiplication, then each class under conjugation, up to an element cap, and
+keeps its element -> class map on packed matrices; the same closure of the
+root elements alone gives the subgroup they generate.  The class power table
+decodes each representative and walks its powers once, up to the identity,
+looking up the class of each power packed.  From it the classes fixed by
+x -> x^r are counted once per group for every r mod the exponent of the group,
+one count vector, so a Brauer count for any k is one entry of it; no other
+element is decoded unless `class_census` itself is asked for.  The
+closed-form modules are tested against this module, never the other way
+around.
 
 Every generator is a root or torus element, which differs from the identity
 in a few entries, so conjugating by it is a row update and a column
@@ -45,19 +48,22 @@ the oracle takes groups of dimension up to 12, and `verify` uses 5 at most.
 The standard form is read once per group, as a `_Form`: building one rejects
 the groups the oracle does not model, then lays out the basis and builds J
 as a signed permutation, and from it the Gram test and the plane filter of
-the lex scan.  The scan takes the p candidates X0 + tB that differ in the
-last coefficient as one row.  The first entry of the candidate's Gram matrix
-X^T J X is a quadratic in t, so only its roots mod p, found by evaluation in
-the plane filter, go on to the full Gram test, which compares first the
-entry that rejected the last candidate and stops at the first entry that
-differs from the form; det runs, in SO, only on a candidate that passes.  The
-two are the oracle's one membership test (`_Form.contains`), for the scan's
-candidates, the group generators, and u once per kept walk.  Either search's
-witness X is certified once, by X u = uk X in two products.  The
-intertwiner space is the kernel of those equations, built as sparse rows
-from the entries at which u and uk differ from the identity and reduced to
-its canonical basis by the module's one row reduction, sparse and a row at
-a time, which det and inverses share.
+the lex scan.  The scan takes the p^2 candidates Y + sC + tB that differ in
+the last two coefficients as one plane of p rows.  The first entry of the
+candidate's Gram matrix X^T J X is a quadratic in s and t; Y sets three of
+its coefficients, C and B the rest.  The plane filter finds the t of each
+row at which it equals J's by evaluation, and keeps a plane's hits by Y's
+three coefficients.  Only the hits go on to the full Gram test, and the rows
+without one are passed over.  The test compares first the entry that
+rejected the last candidate and stops at the first entry that differs from
+the form; det runs, in SO, only on a candidate that passes.  The two are the
+oracle's one membership test (`_Form.contains`), for the scan's candidates,
+the group generators, and u once per kept walk.  Either search's witness X
+is certified once, by X u = uk X in two products.  The intertwiner space is
+the kernel of those equations, built as sparse rows from the entries at
+which u and uk differ from the identity and reduced to its canonical basis
+by the module's one row reduction, sparse and a row at a time, which det and
+inverses share.
 
 Matrices are tuples of tuples of residues mod p at the interface.  `mat`,
 `mat_pow`, the row reduction and the power-map search read entries by
@@ -69,9 +75,9 @@ arithmetic in pure Python."""
 from __future__ import annotations
 
 import struct
-from collections.abc import Callable, Generator, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, count, starmap
+from itertools import chain, combinations, starmap
 from math import ceil, gcd, lcm
 from operator import gt, index, itemgetter, mul
 from typing import NamedTuple
@@ -522,38 +528,51 @@ class _Form:
             not self.special or det([flat[i:i + N] for i in range(0, N * N, N)], self.p) == 1)
 
     def plane(
-        self, C: Sequence[int], B: Sequence[int]
-    ) -> Callable[[Sequence[int]], Iterator[Sequence[int]]]:
-        """For the plane Y + sC + tB of the lex scan, a function of Y that
-        yields, for each row s = 0, 1, ... in turn, the t (in increasing
-        order) at which entry (0, perm(0)) of the Gram matrix equals J's; no
-        other t can pass the Gram test.  With L_i(X) = X[i][0] and R_i(X) =
-        X[perm(i)][perm(0)], that entry is the quadratic form E(X) = sum_i c_i
-        L_i(X) R_i(X), so on the plane it is a0 + a1 s + a2 s^2 + (b0 + b1 s)
-        t + gamma t^2: the coefficients a0, a1 and b0 are read off Y once per
-        plane, the rest off C and B once.  The roots of each row's quadratic
-        in t are found by evaluating it at every t and kept per (constant,
-        linear) coefficient pair, of which there are at most p^2."""
+        self, C: Sequence[int], B: Sequence[int], width: int
+    ) -> Callable[[Sequence[int]], tuple[int, ...]]:
+        """For the planes Y + sC + tB (s < width, t < p) of the lex scan, a
+        function of Y that gives the offsets s p + t, in increasing order, at
+        which entry (0, perm(0)) of the Gram matrix equals J's; no other
+        candidate of the plane can pass the Gram test.  With L_i(X) = X[i][0]
+        and R_i(X) = X[perm(i)][perm(0)], that entry is the quadratic form
+        E(X) = sum_i c_i L_i(X) R_i(X), so on the plane it is a0 + a1 s + a2
+        s^2 + (b0 + b1 s) t + gamma t^2: the coefficients a0, a1 and b0 are
+        read off Y once per plane, the rest off C and B once.  The offsets
+        depend on Y only through (a0, a1, b0) mod p, so they are kept per
+        plane key, at most p^3.  A new key's offsets are filled row by row
+        from the roots of each row's quadratic in t, found by evaluating it at
+        every t and kept per (constant, linear) coefficient pair, of which
+        there are at most p^2."""
         p, want, left, right, form = self.p, self.coefs[0], self.left, self.right, self.form
         lc, rc, lb, rb = left(C), right(C), left(B), right(B)
         a2, b1, gamma = form(lc, rc), form(lc, rb) + form(lb, rc), form(lb, rb) % p
-        known: dict[tuple[int, int], Sequence[int]] = {}
+        # a1 and b0 are linear in (L(Y), R(Y)): their weights, c R(C), c L(C)
+        # and c R(B), c L(B)
+        w1 = [*map(mul, self.coefs, rc), *map(mul, self.coefs, lc)]
+        w0 = [*map(mul, self.coefs, rb), *map(mul, self.coefs, lb)]
+        known: dict[int, tuple[int, ...]] = {}
+        planes: dict[int, tuple[int, ...]] = {}
 
-        def rows(y: Sequence[int]) -> Iterator[Sequence[int]]:
+        def hits(y: Sequence[int]) -> tuple[int, ...]:
             ly, ry = left(y), right(y)
-            a0 = form(ly, ry) - want
-            a1 = form(ly, rc) + form(lc, ry)
-            b0 = form(ly, rb) + form(lb, ry)
-            for s in count():
-                key = ((a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p)
-                roots = known.get(key)
-                if roots is None:
-                    c, b = key
-                    roots = known[key] = [
-                        t for t in range(p) if (c + t * (b + t * gamma)) % p == 0]
-                yield roots
+            both = ly + ry
+            a0 = (form(ly, ry) - want) % p
+            a1, b0 = sum(map(mul, both, w1)) % p, sum(map(mul, both, w0)) % p
+            key = (a0 * p + a1) * p + b0
+            found = planes.get(key)
+            if found is None:
+                offsets: list[int] = []
+                for s in range(width):
+                    c, b = (a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p
+                    roots = known.get(c * p + b)
+                    if roots is None:
+                        roots = known[c * p + b] = tuple(
+                            t for t in range(p) if (c + t * (b + t * gamma)) % p == 0)
+                    offsets += [s * p + t for t in roots]
+                found = planes[key] = tuple(offsets)
+            return found
 
-        return rows
+        return hits
 
 
 @lru_cache(maxsize=None)
@@ -594,20 +613,27 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
     2e (1 - e)^-1 has the rank of e in every power, so u is unipotent of the
     Jordan type of e.  As e is nilpotent, u = 1 + 2(e + e^2 + ...), summed
     up to the first power of e that vanishes: products only, no inverse.
+    M (e = M J) is built as sparse rows, and e read off it entry by entry,
+    since J is a signed permutation; the series is summed on the sparse
+    entries, and a row of u with none is the identity's row.
     """
     form = _form(g)
     p, pos = g.p, form.pos
     if ep.eps != g.form_eps or ep.total != g.dim:
         raise InputError("partition does not match the group")
     s = (-1) ** g.form_eps
-    M = [[0] * g.dim for _ in range(g.dim)]
+    M: dict[int, dict[int, int]] = {}  # sparse rows {column: entry}
+
+    def add(i: int, j: int, x: int) -> None:
+        row = M.setdefault(pos[i], {})
+        row[pos[j]] = row.get(pos[j], 0) + x
 
     def link(a: dict[int, int], b: dict[int, int]) -> None:
         # M += a b^T - s b a^T, vectors given as {basis index: coefficient}
         for i, x in a.items():
             for j, y in b.items():
-                M[pos[i]][pos[j]] += x * y
-                M[pos[j]][pos[i]] -= s * x * y
+                add(i, j, x * y)
+                add(j, i, -s * x * y)
 
     fresh = iter(range(1, g.n + 1))
 
@@ -645,12 +671,31 @@ def unipotent_rep(g: GroupSpec, ep: EpsPartition) -> Matrix:
                 z = next(zs)
                 if last is not None:
                     link({last: 1}, z)
-    e = mat_mul(mat(M), form.J, p)
-    u, power = identity_matrix(g.dim), e
-    while any(map(any, power)):
-        u = tuple(tuple((x + 2 * y) % p for x, y in zip(ra, rb)) for ra, rb in zip(u, power))
-        power = mat_mul(power, e, p)
-    return u
+    # e = M J, J the signed permutation J[c][perm[c]] = coefs[c]: column c of
+    # M, scaled, becomes column perm[c] of e
+    perm, coefs = form.perm, form.coefs
+    e = {i: row for i, entries in M.items()
+         if (row := {perm[c]: y for c, x in entries.items() if (y := x * coefs[c] % p)})}
+    series: dict[int, dict[int, int]] = {}  # e + e^2 + ..., mod p
+    power = e
+    while power:
+        for i, row in power.items():
+            total = series.setdefault(i, {})
+            for j, x in row.items():
+                total[j] = (total.get(j, 0) + x) % p
+        product: dict[int, dict[int, int]] = {}
+        for i, row in power.items():
+            out: dict[int, int] = {}
+            for c, x in row.items():
+                for j, y in e.get(c, {}).items():
+                    out[j] = out.get(j, 0) + x * y
+            if out := {j: z for j, x in out.items() if (z := x % p)}:
+                product[i] = out
+        power = product
+    one = identity_matrix(g.dim)
+    return tuple(
+        tuple(((i == j) + 2 * series[i].get(j, 0)) % p for j in range(g.dim)) if i in series
+        else one[i] for i in range(g.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -812,36 +857,77 @@ class _Walk:
         return out
 
 
+class _ScanPlan:
+    """What the lex scan of one intertwiner space reads and never changes.
+    The candidates lie in planes Y + sC + tB, C and B the last two basis
+    vectors and Y a combination of the others; a plane is `width` rows of p
+    candidates, t running fastest, so it spans `size` scan steps.  A
+    one-vector basis has one plane of one row (C = 0), an empty basis none.
+    The plan holds the basis, the others (`outer`), the packed multiples sC
+    (s < width) and tB (t < p), and the plane filter (`_Form.plane`), whose
+    table of hit offsets fills as scans meet new planes."""
+
+    def __init__(self, form: _Form, basis: list[tuple[int, ...]]):
+        p, N = form.p, len(form.J)
+        self.basis, self.contains, self.lanes = basis, form.contains, _lanes(N, p)
+        zero = (0,) * N * N
+        if len(basis) > 1:
+            *self.outer, C, B = basis
+            width = p
+        else:
+            self.outer, C, B, width = [], zero, basis[0] if basis else zero, 1
+        self.size = width * p
+
+        def packed(v: Iterable[int]) -> int:
+            return int.from_bytes(self.lanes.pack(v), "big")
+
+        self.sC = [packed([s * x % p for x in C]) for s in range(width)]
+        self.tB = [packed([t * x % p for x in B]) for t in range(p)]
+        self.hits = form.plane(C, B, width)
+
+    def planes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """Each plane in lex order of Y's coefficients: packed Y (0 when no
+        candidate of the plane passes the filter) and its hit offsets."""
+        pack, hits = self.lanes.pack, self.hits
+        for y in _span(self.outer, self.lanes):
+            found = hits(y)
+            yield (int.from_bytes(pack(y), "big") if found else 0), found
+
+
 class _Power(NamedTuple):
     """A power u^k other than u as the search reads it: the matrix, its
-    packed key (the walk's target) and its offsets from the identity (the
-    u^k side of the intertwiner equations)."""
+    packed key (the walk's target) and the plan of the lex scan of the
+    intertwiners X u = u^k X."""
 
     m: Matrix
     key: bytes
-    d: Offsets
+    plan: _ScanPlan
 
 
 class _KeptWalk(_Walk):
     """The orbit walk of u that the power-map search keeps, with the state
     that depends on u alone: u's offsets from the identity, which give the u
     side of the intertwiner equations, and the powers of u met so far, by k
-    (None where u^k = u), each computed by `mat_pow` once."""
+    (None where u^k = u).  Each power is built once, the first time its k is
+    asked for: u^k by `mat_pow`, and with it the scan's plan, whose basis is
+    reduced (`_intertwiners`) from the offsets of u and u^k."""
 
-    def __init__(self, u: Matrix, conjugators: Sequence[_Conjugator], lanes: _Lanes):
+    def __init__(self, u: Matrix, conjugators: Sequence[_Conjugator], form: _Form):
+        lanes = _lanes(len(u), form.p)
         super().__init__(lanes.key(u), conjugators, lanes)
-        self.u, self.d = u, _offsets(u, lanes.p)
+        self.u, self.d, self.form = u, _offsets(u, lanes.p), form
         self.powers: dict[int, _Power | None] = {}
 
     def power(self, k: int) -> _Power | None:
-        """u^k, or None when u^k = u: `mat_pow` the first time k is asked
-        for, a dict read after."""
+        """u^k with its scan plan, or None when u^k = u: built the first
+        time k is asked for, a dict read after."""
         try:
             return self.powers[k]
         except KeyError:
-            p = self.lanes.p
+            p, N = self.lanes.p, len(self.u)
             uk = mat_pow(self.u, k, p)
-            power = None if uk == self.u else _Power(uk, self.lanes.key(uk), _offsets(uk, p))
+            power = None if uk == self.u else _Power(uk, self.lanes.key(uk), _ScanPlan(
+                self.form, _intertwiners(self.d, _offsets(uk, p), N, p)))
             self.powers[k] = power
             return power
 
@@ -855,66 +941,73 @@ def _orbit_walk(g: GroupSpec, x0: bytes) -> _KeptWalk:
     is tested for membership in g (`_is_element`) only here, when its walk
     is first kept: a matrix outside g raises InputError on every call, and
     nothing is kept for it."""
-    lanes = _lanes(g.dim, g.p)
-    u = lanes.matrix(x0)
+    u = _lanes(g.dim, g.p).matrix(x0)
     if not _is_element(g, u):
         raise InputError("u is not an element of the group")
-    return _KeptWalk(u, _conjugators(g), lanes)
+    return _KeptWalk(u, _conjugators(g), _form(g))
 
 
 class _LexScan:
-    """The lexicographic scan of the intertwiner space with the given basis,
-    run on demand one row at a time.  A row is the p candidates X0 + tB,
-    t = 0..p-1, for B the last basis vector and X0 a combination of the
-    others; rows come in lex order of their coefficients, so candidate t of
-    row r is scan step rp + t + 1.  Only the t that the form's plane filter
-    returns go on to the membership test (`_Form.contains`).  `checked`
-    counts the steps known not to decide; once the scan decides, `step` is
-    the deciding step and `witness` the first accepted candidate, or p^c + 1
-    and None when the scan runs out."""
+    """The lexicographic scan of an intertwiner space, run on demand by its
+    plan (`_ScanPlan`), a plane at a time.  Candidate t of row s of plane i
+    is scan step (i width + s) p + t + 1.  Only the candidates at the
+    plane's hit offsets go on to the membership test (`_Form.contains`),
+    each built packed as reduce(reduce(Y + sC) + tB) and unpacked once; the
+    rows between them are passed over arithmetically.  `checked` counts the
+    steps known not to decide, always a whole number of rows; once the scan
+    decides, `step` is the deciding step and `witness` the first accepted
+    candidate, or p^c + 1 and None when the scan runs out."""
 
-    def __init__(self, form: _Form, basis: list[tuple[int, ...]]):
-        self.rows = self._rows(form, basis)
+    def __init__(self, plan: _ScanPlan):
+        self.plan = plan
+        self.planes = plan.planes()
         self.checked = 0
         self.step: int | None = None
         self.witness: Matrix | None = None
+        # the plane being scanned, at first an empty one before the first:
+        # its first step, packed Y, hit offsets and the index of the next hit
+        # not yet tested
+        self.base, self.y, self.hits, self.index = -plan.size, 0, (), 0
 
     def scan(self, limit: int) -> None:
         """Scan whole rows until `limit` steps are checked or the scan
-        decides."""
-        while self.step is None and self.checked < limit:
-            try:
-                self.checked = next(self.rows)
-            except StopIteration as done:
-                self.step, self.witness = done.value
-                self.checked = self.step - 1
-
-    @staticmethod
-    def _rows(
-        form: _Form, basis: list[tuple[int, ...]]
-    ) -> Generator[int, None, tuple[int, Matrix | None]]:
-        """Yields the steps checked after each row without a witness; returns
-        the deciding step and the witness."""
-        p, N = form.p, len(form.J)
-        if not basis:  # the one candidate is X = 0, which is no isometry
-            return 2, None
-        if len(basis) > 1:
-            *outer, C, B = basis
-            width = p
-        else:
-            outer, C, B, width = [], (0,) * N * N, basis[0], 1
-        plane, contains = form.plane(C, B), form.contains
-        checked = 0
-        for y in _span(outer, _lanes(N, p)):
-            for s, roots in zip(range(width), plane(y)):
-                for t in roots:
-                    flat = [(a + s * c + t * b) % p for a, c, b in zip(y, C, B)]
-                    if contains(flat):
-                        return checked + t + 1, tuple(
-                            tuple(flat[i * N:(i + 1) * N]) for i in range(N))
-                checked += p
-                yield checked
-        return checked + 1, None
+        decides: it stops at the first row boundary at or past limit."""
+        plan = self.plan
+        if self.step is not None or self.checked >= limit:
+            return
+        if not plan.basis:  # the one candidate is X = 0, which is no isometry
+            self.step, self.checked = 2, 1
+            return
+        lanes = plan.lanes
+        p, size, reduce, unpack = lanes.p, lanes.size, lanes.single.reduce, lanes.unpack
+        sC, tB, contains = plan.sC, plan.tB, plan.contains
+        stop = -(-limit // p) * p  # the first row boundary at or past limit
+        base, y, hits, i = self.base, self.y, self.hits, self.index
+        checked = self.checked
+        while self.step is None and checked < limit:
+            if i < len(hits):  # the row of the next hit, unless it lies past stop
+                s = hits[i] // p
+                start = base + s * p
+                if start >= stop:
+                    checked = stop
+                    break
+                row, end = reduce(y + sC[s]), (s + 1) * p
+                while i < len(hits) and hits[i] < end and self.step is None:
+                    key = reduce(row + tB[hits[i] - s * p]).to_bytes(size, "big")
+                    if contains(unpack(key)):
+                        self.step, self.witness = base + hits[i] + 1, lanes.matrix(key)
+                    i += 1
+                checked = start + p if self.step is None else self.step - 1
+            elif checked < base + plan.size:  # no hit left: on to the plane's end
+                checked = min(base + plan.size, stop)
+            else:
+                try:
+                    y, hits = next(self.planes)
+                except StopIteration:
+                    self.step = checked + 1
+                    break
+                base, i = base + plan.size, 0
+        self.base, self.y, self.hits, self.index, self.checked = base, y, hits, i, checked
 
 
 _FIRST_HORIZON = 64  # steps the lex scan runs ahead before the walk first moves
@@ -941,7 +1034,8 @@ def power_conjugacy_search(
     once that is known, and the walk follows only as far as it must to tell
     which step is smaller.  Whichever search found it, the witness is
     certified once, by X u = u^k X in two products.  A smaller step above
-    `budget` raises; the search never truncates.
+    `budget` raises, as does any budget of 0 or below; the search never
+    truncates.  A budget that is no integer raises InputError.
 
     u is read in one pass: each entry by operator.index (a float or a
     string raises InputError), reduced mod p and packed into the key of its
@@ -949,8 +1043,11 @@ def power_conjugacy_search(
     (g, u) is kept (`_orbit_walk`) and grown by later calls; a call that
     leaves it past CENSUS_CAP conjugates drops every kept walk.  u is tested
     for membership in g when its walk is first kept.  The kept walk also
-    holds what depends on u alone (`_KeptWalk`), so `mat_pow` runs once per
-    kept walk and k.
+    holds what depends on u and k alone (`_KeptWalk`): u^k, by `mat_pow`
+    once per kept walk and k, and the plan of the scan (`_ScanPlan`), so a
+    later call with the same (g, u, k) reduces no intertwiner basis and
+    meets the planes it scanned before in the plan's hit table.  The call
+    still runs its scan to the deciding step, and no answer is kept.
 
     A dict passed as `stats` is filled with what decided: `decided_by`
     (`identity`, `lex` or `orbit`), `rounds` (the smaller deciding step, 0
@@ -959,8 +1056,9 @@ def power_conjugacy_search(
     for the identity) and `walk_size` (the conjugates the kept walk holds
     after the call, u among them; None for the identity).
     """
-    form = _form(g)
+    _form(g)  # rejects the groups the oracle does not model
     p, N = g.p, g.dim
+    budget = as_int(budget, "budget")
     if gcd(as_int(k, "k"), p) != 1:
         raise InputError("k must be coprime to p")
     if len(u) != N:
@@ -980,8 +1078,7 @@ def power_conjugacy_search(
                          lex_checked=0, walk_size=None)
         return identity_matrix(N)
     target = power.key
-    basis = _intertwiners(walk.d, power.d, N, p)
-    lex = _LexScan(form, basis)
+    lex = _LexScan(power.plan)
     horizon = min(_FIRST_HORIZON, budget)
     try:
         while True:
@@ -1008,7 +1105,7 @@ def power_conjugacy_search(
     if rounds > budget:
         raise BudgetExceededError(f"neither search decided within {budget} rounds")
     if stats is not None:
-        stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(basis),
+        stats.update(decided_by=name, rounds=rounds, intertwiner_dim=len(power.plan.basis),
                      lex_checked=lex.checked, walk_size=len(walk.queue))
     w = None
     if name == "lex":

@@ -543,6 +543,21 @@ def test_budget_error():
         oracle.class_census(GroupSpec(Family.SP, 1, 41))
 
 
+def test_budget_must_be_an_integer():
+    # a budget that is no integer is an input error before any search, on a
+    # cell that takes the identity shortcut too; one of 0 or below is a
+    # budget error, as on any cell it cannot decide
+    g = GroupSpec(Family.SP, 2, 5)
+    u = oracle.unipotent_rep(g, EpsPartition(Partition([2, 1, 1]), 1))
+    for budget in ("10", 1.5, 10.0, None):
+        for k in (1, 2):
+            with pytest.raises(InputError, match="budget must be an integer"):
+                oracle.power_conjugacy_search(g, u, k, budget=budget)
+    for budget in (0, -5):
+        with pytest.raises(BudgetExceededError):
+            oracle.power_conjugacy_search(g, u, 2, budget=budget)
+
+
 def test_prime_bound():
     # a lane holds a sum of two residues in 8 bytes, so p must be below
     # 2^62; 2^62 + 135 is prime
@@ -581,7 +596,7 @@ def _intertwiner_basis(u, uk, p):
 def _lex_alone(g, u, uk):
     """The lex scan driven to its own decision: (step, witness)."""
     basis = _intertwiner_basis(u, uk, g.p)
-    lex = oracle._LexScan(oracle._form(g), basis)
+    lex = oracle._LexScan(oracle._ScanPlan(oracle._form(g), basis))
     lex.scan(g.p ** len(basis) + 1)
     return lex.step, lex.witness
 
@@ -972,10 +987,10 @@ def test_plane_roots_keep_every_accepted_row_entry(case):
     if degenerate:
         b = [0 if t % N in (0, col) else x for t, x in enumerate(b)]
     preserves = oracle._form(g).preserves
-    rows = oracle._form(g).plane(c, b)(y)
+    hits = oracle._form(g).plane(c, b, p)(y)
+    assert list(hits) == sorted(set(hits)) and all(0 <= o < p * p for o in hits)
     for s in range(p):
-        roots = list(next(rows))
-        assert roots == sorted(set(roots))
+        roots = [o - s * p for o in hits if o // p == s]
         candidates = [[(a + s * ci + t * bi) % p for a, ci, bi in zip(y, c, b)]
                       for t in range(p)]
         # exactly the t at which entry (0, s(0)) of X^T J X equals J's ...
@@ -990,6 +1005,88 @@ def test_plane_roots_keep_every_accepted_row_entry(case):
         assert {t for t, flat in enumerate(candidates) if preserves(flat)} <= set(roots)
         if degenerate:
             assert roots in ([], list(range(p)))
+
+
+def _row_scan(form, basis):
+    """The lex scan one row at a time, the reference for the scan by plane:
+    the planes over `_span` of the other basis vectors, each row's t read off
+    the plane filter's offsets (`_Form.plane`) and each candidate rebuilt
+    entry by entry.  Yields the steps checked after each row without a
+    witness; returns the deciding step and the witness."""
+    p, N = form.p, len(form.J)
+    if not basis:
+        return 2, None
+    if len(basis) > 1:
+        *outer, C, B = basis
+        width = p
+    else:
+        outer, C, B, width = [], (0,) * N * N, basis[0], 1
+    plane = form.plane(C, B, width)
+    checked = 0
+    for y in oracle._span(outer, oracle._lanes(N, p)):
+        hits = plane(y)
+        for s in range(width):
+            for t in [o - s * p for o in hits if o // p == s]:
+                flat = [(a + s * c + t * b) % p for a, c, b in zip(y, C, B)]
+                if form.contains(flat):
+                    return checked + t + 1, tuple(
+                        tuple(flat[i * N:(i + 1) * N]) for i in range(N))
+            checked += p
+            yield checked
+    return checked + 1, None
+
+
+class _RowScan:
+    """`_row_scan` run to a limit as the scan is: whole rows until `limit`
+    steps are checked or the scan decides."""
+
+    def __init__(self, form, basis):
+        self.rows, self.checked, self.step, self.witness = _row_scan(form, basis), 0, None, None
+
+    def scan(self, limit):
+        while self.step is None and self.checked < limit:
+            try:
+                self.checked = next(self.rows)
+            except StopIteration as done:
+                self.step, self.witness = done.value
+                self.checked = self.step - 1
+
+
+def _scan_cases():
+    # the intertwiner bases of the powmap grid's non-identity cells, which
+    # hold witnesses at many depths, and random bases of 0 to 3 vectors,
+    # which hold few, over the same groups
+    cells = [(g, _intertwiner_basis(u, uk, g.p))
+             for g in _POWMAP_GROUPS for _, u, _, uk in _non_identity_cells(g)]
+
+    def random_basis(g):
+        vec = st.tuples(*[st.integers(0, g.p - 1)] * (g.dim * g.dim))
+        return st.tuples(st.just(g), st.lists(vec, max_size=3))
+
+    return st.sampled_from(cells) | st.sampled_from(_POWMAP_GROUPS).flatmap(random_basis)
+
+
+@given(_scan_cases(), st.lists(st.integers(0, 3000), max_size=8), st.data())
+@settings(max_examples=150, deadline=None)
+def test_scan_by_plane_is_the_row_scan(case, limits, data):
+    # the scan by plane, with its plan's hit table filled by an earlier scan
+    # or not, stops where the row-by-row scan stops: the same steps checked
+    # after every limit, the same deciding step and the same witness
+    g, basis = case
+    form = oracle._form(g)
+    plan = oracle._ScanPlan(form, list(basis))
+    total = g.p ** len(basis)
+    whole = total < 3000  # then the last limit runs the scan out
+    limits = sorted(limits) + [total + 1] * whole
+    if data.draw(st.booleans()):  # a warm plan: its table holds the planes met
+        oracle._LexScan(plan).scan(data.draw(st.integers(0, min(total, 3000))))
+    lex, reference = oracle._LexScan(plan), _RowScan(form, list(basis))
+    for limit in limits:
+        lex.scan(limit)
+        reference.scan(limit)
+        assert (lex.checked, lex.step, lex.witness) == (
+            reference.checked, reference.step, reference.witness), (g, limit)
+    assert lex.step is not None or not whole
 
 
 def test_gram_test_on_every_witness():
@@ -1135,6 +1232,29 @@ def test_powmap_stats_lines_byte_identical():
         del cell["seconds"]
     assert len(cells) == 132
     assert _digest(cells) == _POWMAP_STATS_DIGEST
+
+
+# two passes over the grid in one process from cold walks: each cell's
+# witness and its whole `stats`, the race's schedule included; the second
+# pass reads the walks and the scan plans the first pass kept.  The digest
+# was taken before the plans were kept
+_TWO_PASS_DIGEST = "1f271d166ffea4e70a6900344773f5d8bebb2af1256a290026bf61393934fe24"
+
+
+def test_two_passes_byte_identical():
+    oracle._orbit_walk.cache_clear()
+    lines = []
+    for _ in range(2):
+        for g in _POWMAP_GROUPS:
+            for ep in eps_partitions(g.dim, g.form_eps):
+                u = oracle.unipotent_rep(g, ep)
+                for k in range(1, g.q):
+                    stats = {}
+                    w = oracle.power_conjugacy_search(g, u, k, stats=stats)
+                    lines.append([g.family.value, g.n, g.q, list(ep.partition), k,
+                                  None if w is None else _rows(w), stats])
+    assert len(lines) == 264
+    assert _digest(lines) == _TWO_PASS_DIGEST
 
 
 def test_walk_cache_keyed_by_entries():
