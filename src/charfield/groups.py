@@ -198,9 +198,7 @@ class GroupSpec:
     computed once, when the spec is built, and is no part of its equality,
     hash or repr: q = p**field_degree, q_is_square, dim (of the natural
     module), form_eps (the form's parity: 1 alternating for Sp, 0 symmetric
-    for SO), and dual_dim and dual_family, those of the dual group.  The
-    hash is computed then too, as the hash of the four fields, and stored,
-    since every cache keyed by a spec hashes it on each lookup.
+    for SO), and dual_dim and dual_family, those of the dual group.
     """
 
     family: Family
@@ -214,7 +212,6 @@ class GroupSpec:
     form_eps: int = field(init=False, repr=False, compare=False)
     dual_dim: int = field(init=False, repr=False, compare=False)
     dual_family: Family = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         try:  # stored in one form: equal specs share every cache entry
@@ -236,16 +233,7 @@ class GroupSpec:
         vars(self).update(
             family=family, n=n, q=q, twist=twist, p=p, field_degree=a,
             q_is_square=a % 2 == 0, dim=2 * n + odd, form_eps=int(sp),
-            dual_dim=2 * n + sp, dual_family=_DUAL_FAMILY[family],
-            _hash=hash((family, n, q, twist)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # a copy or an unpickled spec is built anew, so its hash is that of
-        # the process that reads it, not the one that wrote it
-        return GroupSpec, (self.family, self.n, self.q, self.twist)
+            dual_dim=2 * n + sp, dual_family=_DUAL_FAMILY[family])
 
 
 def power_exponent(k: object, order: int) -> int:

@@ -47,14 +47,15 @@ the oracle takes groups of dimension up to 12, and `verify` uses 5 at most.
 
 The standard form is read once per group, as a `_Form`: building one rejects
 the groups the oracle does not model, then lays out the basis and builds J
-as a signed permutation, and from it the Gram test and the plane filter of
-the lex scan.  The scan takes the p^2 candidates Y + sC + tB that differ in
-the last two coefficients as one plane of p rows.  The first entry of the
-candidate's Gram matrix X^T J X is a quadratic in s and t; Y sets three of
-its coefficients, C and B the rest.  The plane filter finds the t of each
-row at which it equals J's by evaluation, and keeps a plane's hits by Y's
-three coefficients.  Only the hits go on to the full Gram test, and the rows
-without one are passed over.  The test compares first the entry that
+as a signed permutation, and from it the Gram test and the getters of the
+plane filter of the lex scan.  The scan takes the p^2 candidates Y + sC + tB
+that differ in the last two coefficients as one plane of p rows.  The first
+entry of the candidate's Gram matrix X^T J X is a quadratic in s and t; Y
+sets three of its coefficients, C and B the rest.  The plane filter
+(`_HitTable`) finds the t of each row at which it equals J's by evaluation,
+and keeps a plane's hits by Y's three coefficients, filled only up to the
+row a scan stops at.  Only the hits go on to the full Gram test, and the
+rows without one are passed over.  The test compares first the entry that
 rejected the last candidate and stops at the first entry that differs from
 the form; det runs, in SO, only on a candidate that passes.  The two are the
 oracle's one membership test (`_Form.contains`), for the scan's candidates,
@@ -432,12 +433,13 @@ def _intertwiners(d: Offsets, dk: Offsets, N: int, p: int) -> list[tuple[int, ..
     return _kernel(eqs.values(), N * N, p)
 
 
-def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ...]]:
-    """Every combination of the basis mod p, in lexicographic order of the
-    coefficients with the last one fastest (the zero vector alone for an
-    empty basis).  An odometer on a packed vector: a step that carries from
-    position i on raises every coefficient from i on by one (mod p), so it
-    adds the packed suffix sum of the basis from i and reduces once."""
+def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every combination of the basis mod p, packed and as entries, in
+    lexicographic order of the coefficients with the last one fastest (the
+    zero vector alone for an empty basis).  An odometer on a packed vector:
+    a step that carries from position i on raises every coefficient from i
+    on by one (mod p), so it adds the packed suffix sum of the basis from i
+    and reduces once."""
     reduce = lanes.single.reduce
     suffix = []
     acc = 0
@@ -449,7 +451,7 @@ def _span(basis: list[tuple[int, ...]], lanes: _Lanes) -> Iterator[tuple[int, ..
     digits = [0] * len(basis)
     v = 0
     while True:
-        yield unpack(v.to_bytes(size, "big"))
+        yield v, unpack(v.to_bytes(size, "big"))
         i = len(basis) - 1
         while i >= 0 and digits[i] == p - 1:
             digits[i] = 0
@@ -513,8 +515,9 @@ class _Form:
             return True
 
         self.preserves = preserves
-        # the plane filter's entry (0, perm(0)) of the Gram matrix, E(X) =
-        # sum_i c_i L_i(X) R_i(X): the getters of L and R, and E on their values
+        # the plane filter's (`_HitTable`) entry (0, perm(0)) of the Gram
+        # matrix, E(X) = sum_i c_i L_i(X) R_i(X): the getters of L and R, and
+        # E on their values
         self.left = itemgetter(*[i * N for i in range(N)])
         self.right = itemgetter(*[perm[i] * N + perm[0] for i in range(N)])
         self.form: Callable[[Sequence[int], Sequence[int]], int] = (
@@ -527,52 +530,76 @@ class _Form:
         return self.preserves(flat) and (
             not self.special or det([flat[i:i + N] for i in range(0, N * N, N)], self.p) == 1)
 
-    def plane(
-        self, C: Sequence[int], B: Sequence[int], width: int
-    ) -> Callable[[Sequence[int]], tuple[int, ...]]:
-        """For the planes Y + sC + tB (s < width, t < p) of the lex scan, a
-        function of Y that gives the offsets s p + t, in increasing order, at
-        which entry (0, perm(0)) of the Gram matrix equals J's; no other
-        candidate of the plane can pass the Gram test.  With L_i(X) = X[i][0]
-        and R_i(X) = X[perm(i)][perm(0)], that entry is the quadratic form
-        E(X) = sum_i c_i L_i(X) R_i(X), so on the plane it is a0 + a1 s + a2
-        s^2 + (b0 + b1 s) t + gamma t^2: the coefficients a0, a1 and b0 are
-        read off Y once per plane, the rest off C and B once.  The offsets
-        depend on Y only through (a0, a1, b0) mod p, so they are kept per
-        plane key, at most p^3.  A new key's offsets are filled row by row
-        from the roots of each row's quadratic in t, found by evaluating it at
-        every t and kept per (constant, linear) coefficient pair, of which
-        there are at most p^2."""
-        p, want, left, right, form = self.p, self.coefs[0], self.left, self.right, self.form
+
+class _Hits:
+    """The hit offsets of the planes of one key (`_HitTable`), filled a row
+    at a time: `offsets` holds those of the first `rows` rows, in increasing
+    order."""
+
+    __slots__ = ("a0", "a1", "b0", "rows", "offsets")
+
+    def __init__(self, a0: int, a1: int, b0: int):
+        self.a0, self.a1, self.b0, self.rows = a0, a1, b0, 0
+        self.offsets: list[int] = []
+
+
+class _HitTable:
+    """The plane filter of the lex scan and its table of hits.  For the
+    planes Y + sC + tB (s < width, t < p), a hit is an offset s p + t at
+    which entry (0, perm(0)) of the Gram matrix equals J's; no other
+    candidate of the plane can pass the Gram test.  With L_i(X) = X[i][0]
+    and R_i(X) = X[perm(i)][perm(0)], that entry is the quadratic form E(X)
+    = sum_i c_i L_i(X) R_i(X), so on the plane it is a0 + a1 s + a2 s^2 +
+    (b0 + b1 s) t + gamma t^2: the coefficients a0, a1 and b0 are read off Y
+    once per plane, the rest off C and B once.  The hits depend on Y only
+    through (a0, a1, b0) mod p, so the planes of one key share one entry
+    (`_Hits`).  `fill` extends an entry a row at a time, only as far as a
+    scan reaches, from the roots of each row's quadratic in t; the roots are
+    found by evaluating it at every t and kept per (constant, linear)
+    coefficient pair, of which there are at most p^2.  A cold scan thus
+    evaluates what a scan row by row does, and a warm one reads the rows
+    filled before."""
+
+    def __init__(self, form: _Form, C: Sequence[int], B: Sequence[int], width: int):
+        p, left, right, f = form.p, form.left, form.right, form.form
         lc, rc, lb, rb = left(C), right(C), left(B), right(B)
-        a2, b1, gamma = form(lc, rc), form(lc, rb) + form(lb, rc), form(lb, rb) % p
+        self.p, self.width, self.want, self.left, self.right, self.f = (
+            p, width, form.coefs[0], left, right, f)
+        self.a2, self.b1, self.gamma = f(lc, rc), f(lc, rb) + f(lb, rc), f(lb, rb) % p
         # a1 and b0 are linear in (L(Y), R(Y)): their weights, c R(C), c L(C)
         # and c R(B), c L(B)
-        w1 = [*map(mul, self.coefs, rc), *map(mul, self.coefs, lc)]
-        w0 = [*map(mul, self.coefs, rb), *map(mul, self.coefs, lb)]
-        known: dict[int, tuple[int, ...]] = {}
-        planes: dict[int, tuple[int, ...]] = {}
+        self.w1 = [*map(mul, form.coefs, rc), *map(mul, form.coefs, lc)]
+        self.w0 = [*map(mul, form.coefs, rb), *map(mul, form.coefs, lb)]
+        self.known: dict[int, tuple[int, ...]] = {}
+        self.entries: dict[int, _Hits] = {}
 
-        def hits(y: Sequence[int]) -> tuple[int, ...]:
-            ly, ry = left(y), right(y)
-            both = ly + ry
-            a0 = (form(ly, ry) - want) % p
-            a1, b0 = sum(map(mul, both, w1)) % p, sum(map(mul, both, w0)) % p
-            key = (a0 * p + a1) * p + b0
-            found = planes.get(key)
-            if found is None:
-                offsets: list[int] = []
-                for s in range(width):
-                    c, b = (a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p
-                    roots = known.get(c * p + b)
-                    if roots is None:
-                        roots = known[c * p + b] = tuple(
-                            t for t in range(p) if (c + t * (b + t * gamma)) % p == 0)
-                    offsets += [s * p + t for t in roots]
-                found = planes[key] = tuple(offsets)
-            return found
-
+    def __call__(self, y: Sequence[int]) -> _Hits:
+        """The entry of the plane through Y, filled as far as scans reached."""
+        p, ly, ry = self.p, self.left(y), self.right(y)
+        both = ly + ry
+        a0 = (self.f(ly, ry) - self.want) % p
+        a1, b0 = sum(map(mul, both, self.w1)) % p, sum(map(mul, both, self.w0)) % p
+        key = (a0 * p + a1) * p + b0
+        hits = self.entries.get(key)
+        if hits is None:
+            hits = self.entries[key] = _Hits(a0, a1, b0)
         return hits
+
+    def fill(self, hits: _Hits, rows: int) -> None:
+        """Fill rows of hits until one holds a hit or `rows` (at most width)
+        are filled."""
+        p, a2, b1, gamma, known = self.p, self.a2, self.b1, self.gamma, self.known
+        a0, a1, b0, offsets = hits.a0, hits.a1, hits.b0, hits.offsets
+        s, end, found = hits.rows, min(rows, self.width), len(offsets)
+        while s < end and len(offsets) == found:
+            c, b = (a0 + s * (a1 + s * a2)) % p, (b0 + s * b1) % p
+            roots = known.get(c * p + b)
+            if roots is None:
+                roots = known[c * p + b] = tuple(
+                    t for t in range(p) if (c + t * (b + t * gamma)) % p == 0)
+            offsets += [s * p + t for t in roots]
+            s += 1
+        hits.rows = s
 
 
 @lru_cache(maxsize=None)
@@ -857,15 +884,30 @@ class _Walk:
         return out
 
 
+class _Multiples(dict):
+    """The packed multiples c v (c < p) of one vector, by c, each built the
+    first time it is read."""
+
+    def __init__(self, lanes: _Lanes, v: Sequence[int]):
+        super().__init__()
+        self.lanes, self.v = lanes, v
+
+    def __missing__(self, c: int) -> int:
+        p = self.lanes.p
+        m = self[c] = int.from_bytes(self.lanes.pack([c * x % p for x in self.v]), "big")
+        return m
+
+
 class _ScanPlan:
-    """What the lex scan of one intertwiner space reads and never changes.
+    """What the lex scan of one intertwiner space reads, kept across scans.
     The candidates lie in planes Y + sC + tB, C and B the last two basis
     vectors and Y a combination of the others; a plane is `width` rows of p
     candidates, t running fastest, so it spans `size` scan steps.  A
     one-vector basis has one plane of one row (C = 0), an empty basis none.
     The plan holds the basis, the others (`outer`), the packed multiples sC
-    (s < width) and tB (t < p), and the plane filter (`_Form.plane`), whose
-    table of hit offsets fills as scans meet new planes."""
+    (s < width) and tB (t < p), built as scans read them (`_Multiples`), and
+    the plane filter (`_HitTable`), whose table of hit offsets fills as far
+    as scans reach."""
 
     def __init__(self, form: _Form, basis: list[tuple[int, ...]]):
         p, N = form.p, len(form.J)
@@ -876,22 +918,16 @@ class _ScanPlan:
             width = p
         else:
             self.outer, C, B, width = [], zero, basis[0] if basis else zero, 1
-        self.size = width * p
+        self.size, self.width = width * p, width
+        self.sC, self.tB = _Multiples(self.lanes, C), _Multiples(self.lanes, B)
+        self.hits = _HitTable(form, C, B, width)
 
-        def packed(v: Iterable[int]) -> int:
-            return int.from_bytes(self.lanes.pack(v), "big")
-
-        self.sC = [packed([s * x % p for x in C]) for s in range(width)]
-        self.tB = [packed([t * x % p for x in B]) for t in range(p)]
-        self.hits = form.plane(C, B, width)
-
-    def planes(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """Each plane in lex order of Y's coefficients: packed Y (0 when no
-        candidate of the plane passes the filter) and its hit offsets."""
-        pack, hits = self.lanes.pack, self.hits
-        for y in _span(self.outer, self.lanes):
-            found = hits(y)
-            yield (int.from_bytes(pack(y), "big") if found else 0), found
+    def planes(self) -> Iterator[tuple[int, _Hits]]:
+        """Each plane in lex order of Y's coefficients: packed Y and the
+        entry of its hits."""
+        hits = self.hits
+        for packed, y in _span(self.outer, self.lanes):
+            yield packed, hits(y)
 
 
 class _Power(NamedTuple):
@@ -951,9 +987,10 @@ class _LexScan:
     """The lexicographic scan of an intertwiner space, run on demand by its
     plan (`_ScanPlan`), a plane at a time.  Candidate t of row s of plane i
     is scan step (i width + s) p + t + 1.  Only the candidates at the
-    plane's hit offsets go on to the membership test (`_Form.contains`),
-    each built packed as reduce(reduce(Y + sC) + tB) and unpacked once; the
-    rows between them are passed over arithmetically.  `checked` counts the
+    plane's hits go on to the membership test (`_Form.contains`), each built
+    packed as reduce(reduce(Y + sC) + tB) and unpacked once; the rows
+    between them are passed over arithmetically.  The plane's entry of hits
+    is filled only up to the row the scan stops at.  `checked` counts the
     steps known not to decide, always a whole number of rows; once the scan
     decides, `step` is the deciding step and `witness` the first accepted
     candidate, or p^c + 1 and None when the scan runs out."""
@@ -964,10 +1001,10 @@ class _LexScan:
         self.checked = 0
         self.step: int | None = None
         self.witness: Matrix | None = None
-        # the plane being scanned, at first an empty one before the first:
-        # its first step, packed Y, hit offsets and the index of the next hit
-        # not yet tested
-        self.base, self.y, self.hits, self.index = -plan.size, 0, (), 0
+        # the plane being scanned: its first step, packed Y, entry of hits
+        # and the index of the next hit not yet tested
+        self.base, self.index = 0, 0
+        self.y, self.hits = next(self.planes)
 
     def scan(self, limit: int) -> None:
         """Scan whole rows until `limit` steps are checked or the scan
@@ -980,25 +1017,27 @@ class _LexScan:
             return
         lanes = plan.lanes
         p, size, reduce, unpack = lanes.p, lanes.size, lanes.single.reduce, lanes.unpack
-        sC, tB, contains = plan.sC, plan.tB, plan.contains
+        sC, tB, contains, width, fill = plan.sC, plan.tB, plan.contains, plan.width, plan.hits.fill
         stop = -(-limit // p) * p  # the first row boundary at or past limit
         base, y, hits, i = self.base, self.y, self.hits, self.index
-        checked = self.checked
+        offsets, checked = hits.offsets, self.checked
         while self.step is None and checked < limit:
-            if i < len(hits):  # the row of the next hit, unless it lies past stop
-                s = hits[i] // p
+            if i == len(offsets) and hits.rows < width:
+                fill(hits, (stop - base) // p)  # the rows up to stop, or to a hit
+            if i < len(offsets):  # the row of the next hit, unless it lies past stop
+                s = offsets[i] // p
                 start = base + s * p
                 if start >= stop:
                     checked = stop
                     break
                 row, end = reduce(y + sC[s]), (s + 1) * p
-                while i < len(hits) and hits[i] < end and self.step is None:
-                    key = reduce(row + tB[hits[i] - s * p]).to_bytes(size, "big")
+                while i < len(offsets) and offsets[i] < end and self.step is None:
+                    key = reduce(row + tB[offsets[i] - s * p]).to_bytes(size, "big")
                     if contains(unpack(key)):
-                        self.step, self.witness = base + hits[i] + 1, lanes.matrix(key)
+                        self.step, self.witness = base + offsets[i] + 1, lanes.matrix(key)
                     i += 1
                 checked = start + p if self.step is None else self.step - 1
-            elif checked < base + plan.size:  # no hit left: on to the plane's end
+            elif checked < base + plan.size:  # no hit before stop or the plane's end
                 checked = min(base + plan.size, stop)
             else:
                 try:
@@ -1006,7 +1045,7 @@ class _LexScan:
                 except StopIteration:
                     self.step = checked + 1
                     break
-                base, i = base + plan.size, 0
+                base, i, offsets = base + plan.size, 0, hits.offsets
         self.base, self.y, self.hits, self.index, self.checked = base, y, hits, i, checked
 
 

@@ -720,7 +720,7 @@ def _lockstep_lex(g, basis):
     # one candidate per step, in lex order, each through the full Gram test
     N, p = g.dim, g.p
     preserves = oracle._form(g).preserves
-    for flat in oracle._span(basis, oracle._lanes(N, p)):
+    for _, flat in oracle._span(basis, oracle._lanes(N, p)):
         if preserves(flat):
             X = tuple(flat[i * N:(i + 1) * N] for i in range(N))
             if g.family is Family.SP or oracle.det(X, p) == 1:
@@ -930,7 +930,10 @@ def test_span_is_the_tuple_odometer(p, n, data):
     dim = data.draw(st.integers(1, 2 if p == 67 else 4))
     vec = st.tuples(*[st.integers(0, p - 1)] * (n * n))
     basis = data.draw(st.lists(vec, min_size=dim, max_size=dim))
-    assert list(oracle._span(basis, oracle._lanes(n, p))) == list(_span_reference(basis, p))
+    lanes = oracle._lanes(n, p)
+    pairs = list(oracle._span(basis, lanes))
+    assert [y for _, y in pairs] == list(_span_reference(basis, p))
+    assert all(packed == int.from_bytes(lanes.pack(y), "big") for packed, y in pairs)
 
 
 def _candidates(g):
@@ -969,50 +972,71 @@ def test_gram_test_agrees_with_is_isometry(case):
 
 
 def _plane_case(g):
-    # two basis vectors C and B and a prefix Y over the group's field; with
+    # two basis vectors C and B and up to eight prefixes Y over the group's
+    # field, so that in the small fields some share a plane key; with
     # `degenerate` set, B is zero wherever the first Gram entry reads it
     # (columns 0 and s(0)), so that entry is constant along every row
     N, p = g.dim, g.p
     vec = st.lists(st.integers(0, p - 1), min_size=N * N, max_size=N * N)
-    return st.tuples(st.just(g), vec, vec, vec, st.booleans())
+    return st.tuples(st.just(g), st.lists(vec, min_size=1, max_size=8), vec, vec,
+                     st.booleans())
 
 
-@given(st.sampled_from(_POWMAP_GROUPS).flatmap(_plane_case))
-@settings(max_examples=300, deadline=None)
-def test_plane_roots_keep_every_accepted_row_entry(case):
-    g, y, c, b, degenerate = case
+@given(st.sampled_from(_POWMAP_GROUPS).flatmap(_plane_case), st.data())
+@settings(max_examples=150, deadline=None)
+def test_plane_roots_keep_every_accepted_row_entry(case, data):
+    # the planes of several Y on one hit table, each filled in random
+    # increments, some reading an entry another Y filled: every entry holds
+    # exactly the offsets at which entry (0, s(0)) of X^T J X, computed from
+    # the whole candidate X, equals J's, row by row and only as far as filled
+    g, ys, c, b, degenerate = case
     N, p = g.dim, g.p
     J = oracle.form_matrix(g)
     col = next(j for j in range(N) if J[0][j])
     if degenerate:
         b = [0 if t % N in (0, col) else x for t, x in enumerate(b)]
     preserves = oracle._form(g).preserves
-    hits = oracle._form(g).plane(c, b, p)(y)
-    assert list(hits) == sorted(set(hits)) and all(0 <= o < p * p for o in hits)
-    for s in range(p):
-        roots = [o - s * p for o in hits if o // p == s]
-        candidates = [[(a + s * ci + t * bi) % p for a, ci, bi in zip(y, c, b)]
-                      for t in range(p)]
-        # exactly the t at which entry (0, s(0)) of X^T J X equals J's ...
-        matching = []
-        for t, flat in enumerate(candidates):
+    table = oracle._HitTable(oracle._form(g), c, b, p)
+
+    def candidates(y, s):
+        return [[(a + s * ci + t * bi) % p for a, ci, bi in zip(y, c, b)] for t in range(p)]
+
+    def matching(y, s):
+        out = []
+        for t, flat in enumerate(candidates(y, s)):
             X = oracle.mat([flat[i * N:(i + 1) * N] for i in range(N)])
             gram = oracle.mat_mul(oracle.mat_mul(oracle.transpose(X), J, p), X, p)
             if gram[0][col] == J[0][col]:
-                matching.append(t)
-        assert roots == matching, (g, s)
-        # ... so every t the full Gram test accepts is among them
-        assert {t for t, flat in enumerate(candidates) if preserves(flat)} <= set(roots)
-        if degenerate:
-            assert roots in ([], list(range(p)))
+                out.append(t)
+        return out
+
+    for y in ys:
+        hits = table(y)
+        for rows in data.draw(st.lists(st.integers(0, p + 1), max_size=4)) + [p] * p:
+            before, known = hits.rows, len(hits.offsets)
+            table.fill(hits, rows)
+            # filled up to `rows`, or to the first row past the old ones with a hit
+            assert before <= hits.rows <= max(before, min(rows, p))
+            new = hits.offsets[known:]
+            assert all(o // p == hits.rows - 1 for o in new)
+            assert new or hits.rows == max(before, min(rows, p))
+            assert hits.offsets == [
+                s * p + t for s in range(hits.rows) for t in matching(y, s)], (g, y)
+        assert hits.rows == p
+        for s in range(p):
+            roots = [o - s * p for o in hits.offsets if o // p == s]
+            # every t the full Gram test accepts is among the hits
+            assert {t for t, flat in enumerate(candidates(y, s)) if preserves(flat)} <= set(roots)
+            if degenerate:
+                assert roots in ([], list(range(p)))
 
 
 def _row_scan(form, basis):
     """The lex scan one row at a time, the reference for the scan by plane:
-    the planes over `_span` of the other basis vectors, each row's t read off
-    the plane filter's offsets (`_Form.plane`) and each candidate rebuilt
-    entry by entry.  Yields the steps checked after each row without a
-    witness; returns the deciding step and the witness."""
+    the planes over `_span` of the other basis vectors, every candidate
+    rebuilt entry by entry and put to the membership test, with no plane
+    filter.  Yields the steps checked after each row without a witness;
+    returns the deciding step and the witness."""
     p, N = form.p, len(form.J)
     if not basis:
         return 2, None
@@ -1021,12 +1045,10 @@ def _row_scan(form, basis):
         width = p
     else:
         outer, C, B, width = [], (0,) * N * N, basis[0], 1
-    plane = form.plane(C, B, width)
     checked = 0
-    for y in oracle._span(outer, oracle._lanes(N, p)):
-        hits = plane(y)
+    for _, y in oracle._span(outer, oracle._lanes(N, p)):
         for s in range(width):
-            for t in [o - s * p for o in hits if o // p == s]:
+            for t in range(p):
                 flat = [(a + s * c + t * b) % p for a, c, b in zip(y, C, B)]
                 if form.contains(flat):
                     return checked + t + 1, tuple(
@@ -1087,6 +1109,27 @@ def test_scan_by_plane_is_the_row_scan(case, limits, data):
         assert (lex.checked, lex.step, lex.witness) == (
             reference.checked, reference.step, reference.witness), (g, limit)
     assert lex.step is not None or not whole
+
+
+def test_cold_scan_fills_only_the_rows_it_reaches():
+    # at p = 1009 a plane holds 1009 rows: a cold scan evaluates the
+    # quadratic of the rows up to where it stops, no further, and packs only
+    # the multiples it reads; u^4 is conjugate to u in SL2 (4 is a square)
+    # and the scan finds the witness in row 0, u^11 is not (11 is no square)
+    g = GroupSpec(Family.SP, 1, 1009)
+    u = ((1, 1), (0, 1))
+    for k, limit, step, rows in ((4, 64, 505, 1), (11, 3 * 1009, None, 3)):
+        basis = _intertwiner_basis(u, oracle.mat_pow(u, k, g.p), g.p)
+        plan = oracle._ScanPlan(oracle._form(g), basis)
+        lex = oracle._LexScan(plan)
+        lex.scan(limit)
+        assert lex.step == step and lex.checked == (step - 1 if step else limit)
+        assert [hits.rows for hits in plan.hits.entries.values()] == [rows]
+        assert len(plan.hits.known) <= rows and len(plan.sC) <= 1 and len(plan.tB) <= 2
+        if step:  # the search, from its own kept walk, decides there too
+            stats = {}
+            oracle.power_conjugacy_search(g, u, k, stats=stats)
+            assert (stats["decided_by"], stats["rounds"]) == ("lex", step)
 
 
 def test_gram_test_on_every_witness():
